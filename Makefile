@@ -1,4 +1,4 @@
-.PHONY: build test vet race verify fuzz snapshot-smoke chaos-serve stage-report bench bench-smoke tail-smoke shard-smoke fleet-smoke replica-smoke bench-serve bench-serve-smoke
+.PHONY: build test vet race verify fuzz snapshot-smoke chaos-serve stage-report tail-smoke shard-smoke fleet-smoke replica-smoke
 
 build:
 	go build ./...
@@ -9,11 +9,9 @@ test:
 vet:
 	go vet ./...
 
-# Race-check the concurrency-sensitive and fault-handling packages.
+# The race pass of scripts/verify.sh alone.
 race:
-	go test -race ./internal/faults/ ./internal/bgpscan/ ./internal/serve/ ./internal/obs/ ./internal/parallel/ ./internal/stream/ ./internal/router/ ./internal/loadgen/
-	go test -race -short ./internal/pipeline/
-	go test -race -count=1 -run 'TestShard|TestSaveSharded|TestOneShardPlan|TestOpenShard|TestOpenMapped' ./internal/lifestore/
+	./scripts/verify.sh race
 
 # Short fuzz pass over the parser no-panic targets.
 fuzz:
@@ -39,21 +37,6 @@ snapshot-smoke:
 chaos-serve:
 	go test -race -short -count=1 -run TestChaosSoak ./internal/serve/ -v
 
-# Machine-readable perf trajectory: Pipeline/Lifestore/Serve benchmarks
-# (3 counts, -benchmem) distilled into BENCH_pipeline.json, including the
-# sequential vs -workers=N pipeline.Run comparison rows; plus
-# BENCH_delta.txt (% change vs the committed rows, failing on a >5%
-# allocs/op regression unless BENCH_ALLOW_REGRESS=1), committed pprof
-# profiles of a small pipeline run under BENCH_profiles/, and the scale
-# ladder (3k -> 30k -> 106,873 ASNs) into BENCH_scale.json.
-bench:
-	./scripts/bench.sh
-
-# One-iteration bench pass so the harness can't rot (CI): full rows +
-# delta + regression gate, ladder reduced to the short 3k rung.
-bench-smoke:
-	BENCH_COUNT=1 BENCH_TIME=1x BENCH_SCALE_SHORT=1 ./scripts/bench.sh
-
 # Sharded-tier smoke: snapshot → 4 shards → router, kill one shard and
 # prove degraded-then-recovered behaviour over live HTTP.
 shard-smoke:
@@ -72,15 +55,6 @@ fleet-smoke:
 # errors with failovers > 0.
 replica-smoke:
 	./scripts/replica_smoke.sh
-
-# Serving-tier benchmark: single asnserve vs the 4-shard tier under the
-# asnload open-loop generator, distilled into BENCH_serve.json.
-bench-serve:
-	./scripts/bench_serve.sh
-
-# Tiny bench-serve pass so the load harness can't rot (CI).
-bench-serve-smoke:
-	BENCH_SMOKE=1 ./scripts/bench_serve.sh
 
 # Streaming-ingestion smoke: feed a ~60-day simulated collector window
 # one day at a time, kill -9 the live tail mid-window, restart it from

@@ -8,13 +8,11 @@
 // measured from each request's scheduled start, so an overloaded
 // server shows its queueing delay in p99/p999 instead of slowing the
 // generator down. The per-ASN population is sampled from the snapshot
-// file (-working-set caps the hot set); -mix reweights the endpoint
-// classes; the error taxonomy separates sheds (503 + Retry-After) from
+// file; the error taxonomy separates sheds (503 + Retry-After) from
 // hard failures. Against a replicated asnroute, replica failovers and
 // hedge wins absorbed by the fleet are counted too — the numbers a
-// chaos drill asserts on ("failovers > 0, errors == 0").
-// scripts/bench_serve.sh assembles rows from this command into
-// BENCH_serve.json.
+// chaos drill asserts on ("failovers > 0, errors == 0"), as
+// scripts/replica_smoke.sh does.
 package main
 
 import (
@@ -24,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -43,42 +40,27 @@ func main() {
 func run() error {
 	var (
 		target   = flag.String("target", "http://127.0.0.1:8080", "base URL of the tier under test")
-		snapshot = flag.String("snapshot", "", "snapshot file to sample the ASN population from (required when the mix has ASN traffic)")
+		snapshot = flag.String("snapshot", "", "snapshot file to sample the ASN population from (required unless -miss is 1)")
 		rate     = flag.Float64("rate", 1000, "scheduled arrival rate (requests/second)")
 		duration = flag.Duration("duration", 10*time.Second, "scheduled load duration")
 		inflight = flag.Int("inflight", 512, "client-side concurrent-request cap; arrivals beyond it are counted dropped")
-		mixFlag  = flag.String("mix", "asn=70,series=20,taxonomy=8,stages=2", "endpoint class weights")
-		working  = flag.Int("working-set", 0, "sample only the first N ASNs of the population (0 = all)")
 		miss     = flag.Float64("miss", 0.02, "fraction of ASN lookups aimed at uniformly random (absent) ASNs")
-		strides  = flag.String("strides", "1,7,30", "series stride variants to rotate through")
 		seed     = flag.Int64("seed", 1, "request-sequence seed")
 		label    = flag.String("label", "", "row label copied into the output")
 	)
 	flag.Parse()
-
-	mix, err := parseMix(*mixFlag)
-	if err != nil {
-		return err
-	}
-	strideList, err := parseInts(*strides)
-	if err != nil {
-		return fmt.Errorf("bad -strides: %w", err)
-	}
 
 	opts := loadgen.Options{
 		Target:      strings.TrimRight(*target, "/"),
 		Rate:        *rate,
 		Duration:    *duration,
 		MaxInFlight: *inflight,
-		Mix:         mix,
-		WorkingSet:  *working,
 		MissRatio:   *miss,
-		Strides:     strideList,
 		Seed:        *seed,
 	}
-	if mix.ASN > 0 && *miss < 1 {
+	if *miss < 1 {
 		if *snapshot == "" {
-			return fmt.Errorf("the mix has ASN traffic: pass -snapshot to sample a population (or -miss 1)")
+			return fmt.Errorf("pass -snapshot to sample an ASN population (or -miss 1)")
 		}
 		st, err := lifestore.Open(*snapshot)
 		if err != nil {
@@ -86,17 +68,13 @@ func run() error {
 		}
 		opts.ASNs = st.ASNs()
 		st.Close()
-		fmt.Fprintf(os.Stderr, "asnload: sampling %d ASNs from %s", len(opts.ASNs), *snapshot)
-		if *working > 0 && *working < len(opts.ASNs) {
-			fmt.Fprintf(os.Stderr, " (working set %d)", *working)
-		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintf(os.Stderr, "asnload: sampling %d ASNs from %s\n", len(opts.ASNs), *snapshot)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	fmt.Fprintf(os.Stderr, "asnload: %s rate=%g duration=%s mix=%s\n", opts.Target, *rate, *duration, *mixFlag)
+	fmt.Fprintf(os.Stderr, "asnload: %s rate=%g duration=%s\n", opts.Target, *rate, *duration)
 	res, err := loadgen.Run(ctx, opts)
 	if err != nil {
 		return err
@@ -113,52 +91,4 @@ func run() error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(row)
-}
-
-// parseMix reads "asn=70,series=20,taxonomy=8,stages=2" (missing keys
-// are zero).
-func parseMix(s string) (loadgen.Mix, error) {
-	var m loadgen.Mix
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return m, fmt.Errorf("bad -mix entry %q (want key=weight)", part)
-		}
-		w, err := strconv.Atoi(v)
-		if err != nil || w < 0 {
-			return m, fmt.Errorf("bad -mix weight %q", part)
-		}
-		switch k {
-		case "asn":
-			m.ASN = w
-		case "series":
-			m.Series = w
-		case "taxonomy":
-			m.Taxonomy = w
-		case "stages":
-			m.Stages = w
-		default:
-			return m, fmt.Errorf("unknown -mix class %q (want asn, series, taxonomy or stages)", k)
-		}
-	}
-	return m, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("%q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -12,9 +12,8 @@
 // one complete plan, and then routes: per-ASN reads to the owning
 // range's replica set (round-robin across healthy replicas, failing
 // over before surfacing any error), aggregate reads by scatter-gather
-// with a deterministic lowest-index winner (or -aggregate hash to pin
-// each request key to one range), /v1/stages to the lowest healthy
-// range. Each replica sits behind its own circuit breaker; -policy
+// with a deterministic lowest-index winner, /v1/stages to the lowest
+// healthy range. Each replica sits behind its own circuit breaker; -policy
 // picks what aggregates do when whole ranges are dark (partial
 // responses with the X-Parallellives-Partial header, or strict 503s).
 // -hedge-after arms hedged reads against the next replica. POST
@@ -69,7 +68,6 @@ func run() error {
 	var (
 		listen      = flag.String("listen", ":8080", "address to serve on")
 		policy      = flag.String("policy", router.PolicyPartial, "aggregate degradation policy: partial or strict")
-		aggregate   = flag.String("aggregate", router.AggregateScatter, "aggregate routing: scatter or hash")
 		replicasMin = flag.Int("replicas-min", 1, "minimum replicas per shard range for a topology to be accepted")
 		hedgeAfter  = flag.Duration("hedge-after", 0, "launch a hedged read against the next replica after this latency (0 disables)")
 		cacheSize   = flag.Int("cache", 256, "router response-cache capacity (entries, -1 disables)")
@@ -97,7 +95,6 @@ func run() error {
 	rt, err := router.New(ctx, router.Options{
 		Shards:           shards,
 		Policy:           *policy,
-		Aggregate:        *aggregate,
 		ReplicasMin:      *replicasMin,
 		HedgeAfter:       *hedgeAfter,
 		CacheSize:        *cacheSize,
@@ -139,8 +136,8 @@ func run() error {
 		}
 	}()
 
-	fmt.Fprintf(os.Stderr, "asnroute: routing %d replica(s) on %s (policy=%s, aggregate=%s)\n",
-		len(shards), ln.Addr(), *policy, *aggregate)
+	fmt.Fprintf(os.Stderr, "asnroute: routing %d replica(s) on %s (policy=%s)\n",
+		len(shards), ln.Addr(), *policy)
 
 	err = serve.Run(ctx, ln, rt, serve.HTTPOptions{DrainTimeout: *drain})
 	if ctx.Err() != nil {

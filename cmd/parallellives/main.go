@@ -181,10 +181,8 @@ func run() error {
 }
 
 // startProfiles begins a CPU profile in dir and returns the stop func
-// that ends it and writes the heap and allocs profiles next to it.
-// Profiles pair with the bench harness: scripts/bench.sh commits them
-// alongside BENCH_pipeline.json so allocation regressions carry their
-// own evidence.
+// that ends it and writes the heap and allocs profiles next to it
+// (-profile-out is the one way to take a profile of a pipeline run).
 func startProfiles(dir string) (func() error, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err

@@ -7,6 +7,8 @@
 package core
 
 import (
+	"context"
+
 	"parallellives/internal/asn"
 	"parallellives/internal/dates"
 	"parallellives/internal/intervals"
@@ -55,7 +57,8 @@ type AdminStats struct {
 
 // BuildAdminLifetimes applies the §4.1 rules to the restored status runs.
 func BuildAdminLifetimes(res *restore.Result) ([]AdminLifetime, AdminStats) {
-	return BuildAdminLifetimesParallel(res, 1)
+	out, stats, _ := BuildAdminLifetimesParallelContext(context.Background(), res, 1)
+	return out, stats
 }
 
 // runScratch holds the reusable per-group partitions of appendLifetimes.

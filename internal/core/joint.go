@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"parallellives/internal/asn"
 	"parallellives/internal/dates"
 	"parallellives/internal/intervals"
@@ -57,7 +59,8 @@ type Joint struct {
 
 // Analyze aligns the two dimensions and classifies every lifetime.
 func Analyze(admin *AdminIndex, ops *OpIndex) *Joint {
-	return AnalyzeParallel(admin, ops, 1)
+	j, _ := AnalyzeParallelContext(context.Background(), admin, ops, 1)
+	return j
 }
 
 // TaxonomyCounts is the Table 3 summary.

@@ -31,7 +31,8 @@ type OpIndex struct {
 // BuildOpLifetimes segments each ASN's activity days into operational
 // lifetimes using the inactivity timeout.
 func BuildOpLifetimes(act *bgpscan.Activity, timeout int) *OpIndex {
-	return BuildOpLifetimesParallel(act, timeout, 1)
+	idx, _ := BuildOpLifetimesParallelContext(context.Background(), act, timeout, 1)
+	return idx
 }
 
 // Of returns the operational lifetime indices of an ASN in time order.

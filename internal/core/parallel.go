@@ -48,19 +48,13 @@ func adminGroups(ls []AdminLifetime) []parallel.Range {
 	return out
 }
 
-// BuildAdminLifetimesParallel is BuildAdminLifetimes with the per-ASN
+// BuildAdminLifetimesParallelContext is BuildAdminLifetimes with the per-ASN
 // merge work sharded across workers goroutines. Each shard owns a
 // contiguous range of ASN groups and produces its lifetimes and merge
 // counters independently; concatenating the shard outputs in order
 // reproduces the sequential pre-sort order, so the final stable sort and
 // the whole-output tallies yield bit-for-bit the sequential result.
-func BuildAdminLifetimesParallel(res *restore.Result, workers int) ([]AdminLifetime, AdminStats) {
-	out, stats, _ := BuildAdminLifetimesParallelContext(context.Background(), res, workers)
-	return out, stats
-}
-
-// BuildAdminLifetimesParallelContext is BuildAdminLifetimesParallel
-// with cooperative cancellation: a cancelled ctx abandons unstarted
+// Cancellation is cooperative: a cancelled ctx abandons unstarted
 // shards and returns ctx's error instead of a partial result. The
 // builders themselves are infallible — ctx's error is the only one.
 func BuildAdminLifetimesParallelContext(ctx context.Context, res *restore.Result, workers int) ([]AdminLifetime, AdminStats, error) {
@@ -120,18 +114,12 @@ func BuildAdminLifetimesParallelContext(ctx context.Context, res *restore.Result
 	return out, stats, nil
 }
 
-// BuildOpLifetimesParallel is BuildOpLifetimes with the per-ASN timeout
+// BuildOpLifetimesParallelContext is BuildOpLifetimes with the per-ASN timeout
 // segmentation sharded across workers goroutines. ASNs are processed in
 // sorted order within contiguous shards; the index is rebuilt by a
 // sequential concatenation pass, so lifetime order and indices match the
-// sequential build exactly.
-func BuildOpLifetimesParallel(act *bgpscan.Activity, timeout, workers int) *OpIndex {
-	idx, _ := BuildOpLifetimesParallelContext(context.Background(), act, timeout, workers)
-	return idx
-}
-
-// BuildOpLifetimesParallelContext is BuildOpLifetimesParallel with
-// cooperative cancellation (ctx's error is the only possible one). The
+// sequential build exactly. Cancellation is
+// cooperative (ctx's error is the only possible one). The
 // segmentation runs over a columnar view of the activity built here;
 // callers sweeping many timeouts over one activity should build the
 // ActivityColumns once and call its BuildOpLifetimes directly.
@@ -139,19 +127,13 @@ func BuildOpLifetimesParallelContext(ctx context.Context, act *bgpscan.Activity,
 	return NewActivityColumns(act).BuildOpLifetimes(ctx, timeout, workers)
 }
 
-// AnalyzeParallel is Analyze with the admin-side classification sharded
+// AnalyzeParallelContext is Analyze with the admin-side classification sharded
 // across workers goroutines. Shards are aligned on admin ASN groups: the
 // operational lifetimes an admin lifetime can mark as overlapped or
 // contained all share its ASN, so one shard owns every write to a given
 // ASN's op flags and the shards are write-disjoint. The op-side
 // classification reads the merged flags sequentially afterwards.
-func AnalyzeParallel(admin *AdminIndex, ops *OpIndex, workers int) *Joint {
-	j, _ := AnalyzeParallelContext(context.Background(), admin, ops, workers)
-	return j
-}
-
-// AnalyzeParallelContext is AnalyzeParallel with cooperative
-// cancellation (ctx's error is the only possible one).
+// Cancellation is cooperative (ctx's error is the only possible one).
 func AnalyzeParallelContext(ctx context.Context, admin *AdminIndex, ops *OpIndex, workers int) (*Joint, error) {
 	j := &Joint{
 		Admin:        admin,

@@ -8,7 +8,7 @@
 // closed-loop benchmarks).
 //
 // The workload is a weighted mix over the serving tier's read
-// endpoints: per-ASN lookups sampled from a configurable working set
+// endpoints: per-ASN lookups sampled from the given ASN population
 // (plus a miss fraction drawn uniformly from the whole ASN space),
 // per-RIR alive series with varied strides, the taxonomy table, and
 // the stage report. Results carry throughput, a latency distribution
@@ -69,16 +69,9 @@ type Options struct {
 	Mix Mix
 	// ASNs is the population to sample per-ASN lookups from.
 	ASNs []asn.ASN
-	// WorkingSet restricts sampling to the first N ASNs of the
-	// population, modelling a hot set smaller than the full snapshot.
-	// 0 means the whole population.
-	WorkingSet int
 	// MissRatio is the fraction of per-ASN lookups aimed at uniformly
 	// random ASNs across the whole 32-bit space (almost always absent).
 	MissRatio float64
-	// Strides are the series stride variants to rotate through.
-	// Empty → {1, 7, 30}.
-	Strides []int
 	// Seed makes the request sequence reproducible.
 	Seed int64
 	// Client overrides the HTTP client (tests). nil → a pooled client
@@ -86,7 +79,7 @@ type Options struct {
 	Client *http.Client
 }
 
-// Result is one run's measurements, shaped for BENCH_serve.json.
+// Result is one run's measurements, the JSON row cmd/asnload prints.
 type Result struct {
 	Target    string  `json:"target"`
 	RateRPS   float64 `json:"rate_rps"`
@@ -118,30 +111,13 @@ type Result struct {
 	P99Ms  float64 `json:"p99_ms"`
 	P999Ms float64 `json:"p999_ms"`
 	MaxMs  float64 `json:"max_ms"`
-
-	// HistLeMs/HistCounts are a log-bucketed latency histogram
-	// (counts[i] = completions with latency ≤ le[i], exclusive of
-	// earlier buckets). Fixed bounds across runs, so histograms from
-	// different runs pool by element-wise count addition — that is how
-	// bench_serve.sh computes a fleet-wide percentile from per-shard
-	// rows without the biased max-of-p99s shortcut.
-	HistLeMs   []float64 `json:"hist_le_ms"`
-	HistCounts []int64   `json:"hist_counts"`
 }
 
-// histBounds: 0.05ms × 1.25^k, 60 buckets (~30s ceiling), shared by
-// every run so histograms are poolable.
-var histBounds = func() []float64 {
-	b := make([]float64, 60)
-	v := 0.05
-	for i := range b {
-		b[i] = v
-		v *= 1.25
-	}
-	return b
-}()
-
 var rirTokens = []string{"afrinic", "apnic", "arin", "lacnic", "ripencc", "all"}
+
+// seriesStrides are the series stride variants the generator rotates
+// through.
+var seriesStrides = []int{1, 7, 30}
 
 // Run executes one open-loop load run. It returns early (with partial
 // results) if ctx is cancelled.
@@ -163,14 +139,6 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if maxInFlight <= 0 {
 		maxInFlight = 512
 	}
-	strides := opts.Strides
-	if len(strides) == 0 {
-		strides = []int{1, 7, 30}
-	}
-	working := len(opts.ASNs)
-	if opts.WorkingSet > 0 && opts.WorkingSet < working {
-		working = opts.WorkingSet
-	}
 	client := opts.Client
 	if client == nil {
 		client = &http.Client{Transport: &http.Transport{
@@ -188,7 +156,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(opts.Seed))
 	paths := make([]string, total)
 	for i := range paths {
-		paths[i] = pickPath(rng, mix, opts, working, strides)
+		paths[i] = pickPath(rng, mix, opts)
 	}
 
 	res := &Result{
@@ -271,30 +239,21 @@ schedule:
 		res.P999Ms = ms(pct(0.999))
 		res.MaxMs = ms(latencies[n-1])
 	}
-	res.HistLeMs = histBounds
-	res.HistCounts = make([]int64, len(histBounds))
-	for _, d := range latencies {
-		i := sort.SearchFloat64s(histBounds, ms(d))
-		if i >= len(histBounds) {
-			i = len(histBounds) - 1
-		}
-		res.HistCounts[i]++
-	}
 	return res, nil
 }
 
 // pickPath draws one request from the mix.
-func pickPath(rng *rand.Rand, mix Mix, opts Options, working int, strides []int) string {
+func pickPath(rng *rand.Rand, mix Mix, opts Options) string {
 	n := rng.Intn(mix.total())
 	switch {
 	case n < mix.ASN:
-		if rng.Float64() < opts.MissRatio || working == 0 {
+		if rng.Float64() < opts.MissRatio || len(opts.ASNs) == 0 {
 			return fmt.Sprintf("/v1/asn/%d", rng.Uint32())
 		}
-		return fmt.Sprintf("/v1/asn/%d", opts.ASNs[rng.Intn(working)])
+		return fmt.Sprintf("/v1/asn/%d", opts.ASNs[rng.Intn(len(opts.ASNs))])
 	case n < mix.ASN+mix.Series:
 		rir := rirTokens[rng.Intn(len(rirTokens))]
-		stride := strides[rng.Intn(len(strides))]
+		stride := seriesStrides[rng.Intn(len(seriesStrides))]
 		if stride <= 1 {
 			return "/v1/rir/" + rir + "/series"
 		}

@@ -73,16 +73,6 @@ func TestRunMixedWorkload(t *testing.T) {
 		t.Fatalf("implausible stats: rps=%v p50=%v p99=%v p999=%v max=%v",
 			res.AchievedRPS, res.P50Ms, res.P99Ms, res.P999Ms, res.MaxMs)
 	}
-	if len(res.HistLeMs) != len(res.HistCounts) || len(res.HistLeMs) == 0 {
-		t.Fatalf("histogram shape: %d bounds, %d counts", len(res.HistLeMs), len(res.HistCounts))
-	}
-	var histTotal int64
-	for _, c := range res.HistCounts {
-		histTotal += c
-	}
-	if histTotal != res.Completed {
-		t.Fatalf("histogram holds %d samples, completed %d", histTotal, res.Completed)
-	}
 }
 
 func TestRunMissTraffic(t *testing.T) {

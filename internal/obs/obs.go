@@ -39,13 +39,6 @@ func New() *Obs {
 	return &Obs{Registry: NewRegistry(), Tracer: NewTracer()}
 }
 
-// NewWithClock returns an Obs whose tracer reads time from c — the form
-// tests and the deterministic worldsim use to keep span durations
-// reproducible.
-func NewWithClock(c Clock) *Obs {
-	return &Obs{Registry: NewRegistry(), Tracer: NewTracerWithClock(c)}
-}
-
 var (
 	nameRe  = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 	labelRe = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)

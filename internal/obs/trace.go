@@ -184,13 +184,6 @@ func StartSpanf(ctx context.Context, format string, args ...any) (context.Contex
 	return StartSpan(ctx, fmt.Sprintf(format, args...))
 }
 
-// SpanFrom returns the context's current span, or nil. Nil-safe callers
-// can interrogate it for trace identity without starting a child.
-func SpanFrom(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
-}
-
 // End closes the span. Ending twice keeps the first end time.
 func (s *Span) End() {
 	if s == nil {

@@ -149,15 +149,8 @@ func Restore(sources []registry.Source, erx []registry.ERXEntry) *Result {
 
 // RestoreWithOptions is Restore with selected repairs disabled.
 func RestoreWithOptions(sources []registry.Source, erx []registry.ERXEntry, opts Options) *Result {
-	return RestoreParallelWithOptions(sources, erx, opts, 1)
-}
-
-// RestoreParallel is Restore with the per-registry scans running on up
-// to workers goroutines. Each source's day stream is consumed by one
-// goroutine (sources never share state), so the result is bit-for-bit
-// the sequential one for any worker count.
-func RestoreParallel(sources []registry.Source, erx []registry.ERXEntry, workers int) *Result {
-	return RestoreParallelWithOptions(sources, erx, Options{}, workers)
+	res, _ := RestoreParallelContext(context.Background(), sources, erx, opts, 1)
+	return res
 }
 
 // runLess is the canonical (ASN, span start) run order the restored view
@@ -169,21 +162,18 @@ func runLess(a, b Run) bool {
 	return a.Span.Start < b.Span.Start
 }
 
-// RestoreParallelWithOptions is RestoreParallel with selected repairs
-// disabled. Every source is restored into its own sub-result; the merge
+// RestoreParallelContext is RestoreWithOptions with the per-registry
+// scans running on up to workers goroutines: each source's day stream is
+// consumed by one goroutine (sources never share state), so the result
+// is bit-for-bit the sequential one for any worker count.
+// Every source is restored into its own sub-result; the merge
 // stable-sorts each source's runs and k-way merges them with ties kept
 // in source order, which reproduces exactly the sequential
 // append-all-then-stable-sort ordering. The cross-registry repair (step
 // vi) needs the merged by-ASN view, so it stays a sequential epilogue.
-func RestoreParallelWithOptions(sources []registry.Source, erx []registry.ERXEntry, opts Options, workers int) *Result {
-	res, _ := RestoreParallelContext(context.Background(), sources, erx, opts, workers)
-	return res
-}
-
-// RestoreParallelContext is RestoreParallelWithOptions with cooperative
-// cancellation: a cancelled ctx abandons the sources not yet scanned
-// and returns ctx's error instead of a partial result. Restoration
-// itself is infallible — the only possible error is ctx's.
+// Cancellation is cooperative: a cancelled ctx abandons the sources not
+// yet scanned and returns ctx's error instead of a partial result.
+// Restoration itself is infallible — the only possible error is ctx's.
 func RestoreParallelContext(ctx context.Context, sources []registry.Source, erx []registry.ERXEntry, opts Options, workers int) (*Result, error) {
 	erxDates := make(map[asn.ASN]dates.Day, len(erx))
 	for _, e := range erx {

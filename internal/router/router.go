@@ -13,12 +13,9 @@
 //	                   malformed ASN is rejected locally with the serving
 //	                   tier's exact 400
 //	/v1/rir/{r}/series every shard carries the global sections whole, so
-//	/v1/taxonomy       aggregates either scatter to all ranges and keep
-//	                   the lowest-index answer (ties-to-lower, the same
-//	                   determinism rule parallel.MergeSorted uses) or
-//	                   hash the request onto one range (mode "hash"),
-//	                   which partitions the aggregate working set across
-//	                   shard caches
+//	/v1/taxonomy       aggregates scatter to all ranges and keep the
+//	                   lowest-index answer (ties-to-lower, the same
+//	                   determinism rule parallel.MergeSorted uses)
 //	/v1/stages         proxied to the lowest-index healthy range
 //	/v1/health         router lifecycle + per-range states, with the
 //	                   store/pipeline sections gathered from the lowest
@@ -63,7 +60,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net/http"
 	"strconv"
 	"strings"
@@ -133,17 +129,6 @@ const (
 	PolicyStrict = "strict"
 )
 
-// Aggregate modes for the global endpoints.
-const (
-	// AggregateScatter queries every range and keeps the lowest-index
-	// answer (after an agreement check).
-	AggregateScatter = "scatter"
-	// AggregateHash routes each distinct request to one range by key
-	// hash, failing over to the next index; this shards the aggregate
-	// working set across the processes' caches.
-	AggregateHash = "hash"
-)
-
 // Options configures a Router.
 type Options struct {
 	// Shards lists the replica base URLs (e.g. http://127.0.0.1:8081),
@@ -153,8 +138,6 @@ type Options struct {
 	Shards []string
 	// Policy is PolicyPartial (default) or PolicyStrict.
 	Policy string
-	// Aggregate is AggregateScatter (default) or AggregateHash.
-	Aggregate string
 	// ReplicasMin is the minimum replicas every range must have for a
 	// topology (startup or reload) to be accepted (default 1).
 	ReplicasMin int
@@ -205,8 +188,7 @@ type Options struct {
 // pointer: requests load it once and finish against that generation
 // even while RebuildTopology swaps in a new one.
 type Router struct {
-	policy  string
-	aggMode string
+	policy string
 
 	// Static fleet configuration, reused by every topology rebuild.
 	urls             []string
@@ -223,7 +205,7 @@ type Router struct {
 	mux     *http.ServeMux
 	handler http.Handler
 	chain   *serve.Chain
-	cache   *cache
+	cache   *serve.LRU[entry]
 	obs     *obs.Obs
 
 	exemplars   *obs.ExemplarRing
@@ -274,12 +256,6 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 	if opts.Policy != PolicyPartial && opts.Policy != PolicyStrict {
 		return nil, fmt.Errorf("router: unknown policy %q (want %s or %s)", opts.Policy, PolicyPartial, PolicyStrict)
 	}
-	if opts.Aggregate == "" {
-		opts.Aggregate = AggregateScatter
-	}
-	if opts.Aggregate != AggregateScatter && opts.Aggregate != AggregateHash {
-		return nil, fmt.Errorf("router: unknown aggregate mode %q (want %s or %s)", opts.Aggregate, AggregateScatter, AggregateHash)
-	}
 	if opts.ReplicasMin <= 0 {
 		opts.ReplicasMin = 1
 	}
@@ -324,8 +300,7 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 	}
 
 	rt := &Router{
-		policy:  opts.Policy,
-		aggMode: opts.Aggregate,
+		policy: opts.Policy,
 
 		urls:             urls,
 		replicasMin:      opts.ReplicasMin,
@@ -340,7 +315,7 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 			MaxInFlight:    opts.MaxInFlight,
 			RequestTimeout: opts.RequestTimeout,
 		}),
-		cache:       newCache(opts.CacheSize),
+		cache:       serve.NewLRU[entry](opts.CacheSize),
 		obs:         opts.Obs,
 		exemplars:   obs.NewExemplarRing(opts.ExemplarCapacity),
 		spanIDs:     opts.SpanIDs,
@@ -489,9 +464,9 @@ func (rt *Router) wrap(label string, fn http.HandlerFunc) http.HandlerFunc {
 		remote, traced := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
 		if rt.exemplars == nil && !traced {
 			defer func() { m.latency.Observe(time.Since(start).Seconds()) }()
-			sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+			sw := &serve.StatusWriter{ResponseWriter: w, Status: http.StatusOK}
 			fn(sw, r)
-			if sw.status >= http.StatusInternalServerError {
+			if sw.Status >= http.StatusInternalServerError {
 				m.errors.Inc()
 			}
 			return
@@ -503,9 +478,8 @@ func (rt *Router) wrap(label string, fn http.HandlerFunc) http.HandlerFunc {
 		}
 		ctx, span := obs.StartSpan(ctx, "route "+label)
 		r = r.WithContext(ctx)
-		tw := &traceWriter{status: http.StatusOK}
-		tw.ResponseWriter = w
-		tw.finish = func(status int) {
+		tw := &serve.TraceWriter{ResponseWriter: w}
+		tw.Finish = func(status int) {
 			span.SetAttr("status", int64(status))
 			span.End()
 			if traced {
@@ -517,8 +491,8 @@ func (rt *Router) wrap(label string, fn http.HandlerFunc) http.HandlerFunc {
 		defer func() {
 			d := time.Since(start)
 			m.latency.Observe(d.Seconds())
-			status := tw.status
-			if !tw.done {
+			status := tw.Status
+			if !tw.Done {
 				// Panic unwinding: the lifecycle chain's recovery owns the
 				// response on the underlying writer.
 				status = http.StatusInternalServerError
@@ -539,42 +513,6 @@ func (rt *Router) wrap(label string, fn http.HandlerFunc) http.HandlerFunc {
 		}()
 		fn(tw, r)
 	}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// traceWriter finalizes the request span just before the first response
-// byte, exactly like the serving tier's: the span summary travels in a
-// header, so the span must end before WriteHeader reaches the wire.
-type traceWriter struct {
-	http.ResponseWriter
-	status int
-	done   bool
-	finish func(status int)
-}
-
-func (w *traceWriter) WriteHeader(code int) {
-	if !w.done {
-		w.done = true
-		w.status = code
-		w.finish(code)
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *traceWriter) Write(b []byte) (int, error) {
-	if !w.done {
-		w.WriteHeader(http.StatusOK)
-	}
-	return w.ResponseWriter.Write(b)
 }
 
 // writeJSON renders a local (non-proxied) JSON response in exactly the
@@ -624,7 +562,7 @@ func (rt *Router) serveVia(w http.ResponseWriter, r *http.Request, set *replicaS
 	key := pathq(r)
 	clientINM := r.Header.Get("If-None-Match")
 
-	if e, ok := rt.cache.get(key); ok && e.shard == set.index && e.resp.etag != "" {
+	if e, ok := rt.cache.Get(key); ok && e.shard == set.index && e.resp.etag != "" {
 		u, _, meta, err := rt.fetchSet(r.Context(), set, http.MethodGet, key, e.resp.etag)
 		if err == nil && u.status == http.StatusNotModified {
 			rt.revalidations.With("fresh").Inc()
@@ -635,15 +573,15 @@ func (rt *Router) serveVia(w http.ResponseWriter, r *http.Request, set *replicaS
 		if err == nil {
 			rt.revalidations.With("stale").Inc()
 			if u.status == http.StatusOK && u.etag != "" {
-				rt.cache.put(key, entry{shard: set.index, resp: *u})
+				rt.cache.Put(key, entry{shard: set.index, resp: *u})
 			} else {
-				rt.cache.drop(key)
+				rt.cache.Drop(key)
 			}
 			meta.mark(w.Header())
 			rt.answerFetched(w, clientINM, u)
 			return
 		}
-		rt.cache.drop(key)
+		rt.cache.Drop(key)
 		rt.rangeError(w, r, set)
 		return
 	}
@@ -654,7 +592,7 @@ func (rt *Router) serveVia(w http.ResponseWriter, r *http.Request, set *replicaS
 		return
 	}
 	if u.status == http.StatusOK && u.etag != "" {
-		rt.cache.put(key, entry{shard: set.index, resp: *u})
+		rt.cache.Put(key, entry{shard: set.index, resp: *u})
 	}
 	meta.mark(w.Header())
 	relay(w, u)
@@ -730,47 +668,21 @@ func (rt *Router) firstHealthy(topo *topology) *replicaSet {
 
 // handleAggregate answers the global endpoints (series, taxonomy).
 // Every shard carries the global sections whole, so the router needs
-// any one authoritative copy — scatter mode asks every range and keeps
-// the lowest-index answer, hash mode deterministically picks one range
-// per request key so each process's cache holds a distinct slice of the
-// aggregate working set.
-func (rt *Router) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	topo := rt.topo.Load()
-	if rt.aggMode == AggregateHash {
-		rt.aggregateHash(w, r, topo)
-		return
-	}
-	rt.aggregateScatter(w, r, topo)
-}
-
-func (rt *Router) aggregateHash(w http.ResponseWriter, r *http.Request, topo *topology) {
-	h := crc32.Checksum([]byte(pathq(r)), crc32.MakeTable(crc32.Castagnoli))
-	start := int(h % uint32(len(topo.sets)))
-	for i := 0; i < len(topo.sets); i++ {
-		set := topo.sets[(start+i)%len(topo.sets)]
-		if set.dark() {
-			continue
-		}
-		rt.serveVia(w, r, set)
-		return
-	}
-	shardUnavailable(w, "no shard available")
-}
-
-// aggregateScatter fans the request out to every range — one
-// failover-capable fetch per range, not per replica. The winner is
+// any one authoritative copy: it fans the request out to every range —
+// one failover-capable fetch per range, not per replica. The winner is
 // deterministic — the lowest-index healthy range, the same
 // ties-to-lower rule the pipeline's MergeSorted uses — and an agreement
 // check across the other healthy answers feeds a disagreement counter
 // (mixed shard generations are legal mid-rollout, but persistent
 // disagreement means a mixed shard set and deserves an alert).
-func (rt *Router) aggregateScatter(w http.ResponseWriter, r *http.Request, topo *topology) {
+func (rt *Router) handleAggregate(w http.ResponseWriter, r *http.Request) {
+	topo := rt.topo.Load()
 	key := pathq(r)
 	clientINM := r.Header.Get("If-None-Match")
 
 	// A cached scatter answer revalidates against its winner range only
 	// — one conditional request, not a full fan-out.
-	if e, ok := rt.cache.get(key); ok && e.resp.etag != "" && e.shard < len(topo.sets) {
+	if e, ok := rt.cache.Get(key); ok && e.resp.etag != "" && e.shard < len(topo.sets) {
 		set := topo.sets[e.shard]
 		u, _, meta, err := rt.fetchSet(r.Context(), set, http.MethodGet, key, e.resp.etag)
 		if err == nil && u.status == http.StatusNotModified {
@@ -779,7 +691,7 @@ func (rt *Router) aggregateScatter(w http.ResponseWriter, r *http.Request, topo 
 			rt.answerCached(w, clientINM, e.resp)
 			return
 		}
-		rt.cache.drop(key)
+		rt.cache.Drop(key)
 		// Fall through to a full gather on any other outcome.
 	}
 
@@ -835,7 +747,7 @@ func (rt *Router) aggregateScatter(w http.ResponseWriter, r *http.Request, topo 
 		w.Header().Set(PartialHeader, strings.Join(down, ","))
 	}
 	if winner.status == http.StatusOK && winner.etag != "" && len(down) == 0 {
-		rt.cache.put(key, entry{shard: winnerSet, resp: *winner})
+		rt.cache.Put(key, entry{shard: winnerSet, resp: *winner})
 	}
 	meta.mark(w.Header())
 	relay(w, winner)
@@ -898,7 +810,6 @@ func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
 		"sum":         topo.sum,
 		"generation":  topo.generation,
 		"policy":      rt.policy,
-		"aggregate":   rt.aggMode,
 		"replicasMin": rt.replicasMin,
 		"shards":      rt.shardStates(topo),
 	})
@@ -907,7 +818,6 @@ func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
 // routerHealthJSON is the router's own section of /v1/health.
 type routerHealthJSON struct {
 	Policy    string           `json:"policy"`
-	Aggregate string           `json:"aggregate"`
 	Topology  int64            `json:"topologyGeneration"`
 	Lifecycle serve.ChainStats `json:"lifecycle"`
 	Cache     cacheStatsJSON   `json:"cache"`
@@ -948,10 +858,9 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	for _, set := range topo.sets {
 		failovers += rt.failovers.With(strconv.Itoa(set.index)).Value()
 	}
-	hits, misses, size, capacity := rt.cache.stats()
+	hits, misses, size, capacity := rt.cache.Stats()
 	routerSection, err := json.Marshal(routerHealthJSON{
 		Policy:    rt.policy,
-		Aggregate: rt.aggMode,
 		Topology:  topo.generation,
 		Lifecycle: rt.chain.Stats(),
 		Cache:     cacheStatsJSON{Hits: hits, Misses: misses, Size: size, Capacity: capacity},
@@ -1002,7 +911,7 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 		}(i, sc)
 	}
 	wg.Wait()
-	rt.cache.flush()
+	rt.cache.Flush()
 	status := http.StatusOK
 	for _, o := range outcomes {
 		if !o.OK {
@@ -1054,7 +963,7 @@ func (rt *Router) handleSlow(w http.ResponseWriter, r *http.Request) {
 // handleMetrics is the router's Prometheus scrape.
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	rt.runtime.Collect()
-	hits, misses, size, _ := rt.cache.stats()
+	hits, misses, size, _ := rt.cache.Stats()
 	rt.cacheHits.Set(float64(hits))
 	rt.cacheMisses.Set(float64(misses))
 	rt.cacheEntries.Set(float64(size))

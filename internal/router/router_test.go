@@ -135,35 +135,6 @@ func TestStrictPolicy(t *testing.T) {
 	}
 }
 
-// TestAggregateHashMode proves hash routing answers correctly and fails
-// over to another shard when the hashed-to shard is dark.
-func TestAggregateHashMode(t *testing.T) {
-	set := startShards(t, fixtureSnapshot(1), 2)
-	rt := newTestRouter(t, set, Options{Aggregate: AggregateHash, BreakerThreshold: 1})
-
-	w := get(rt, "/v1/taxonomy", nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("hash aggregate = %d", w.Code)
-	}
-	want := w.Body.String()
-
-	// Whichever shard the key hashes to, kill both in turn and prove the
-	// answer survives as long as one shard lives.
-	for kill := range set.flakies {
-		set.flakies[kill].broken.Store(true)
-		// Trip the dead shard's breaker so hash mode skips it.
-		get(rt, "/v1/taxonomy", nil)
-		w := get(rt, "/v1/taxonomy", nil)
-		if w.Code != http.StatusOK || w.Body.String() != want {
-			t.Fatalf("hash failover with shard %d dead = %d, body drift %v",
-				kill, w.Code, w.Body.String() != want)
-		}
-		set.flakies[kill].broken.Store(false)
-		// Close the breaker for the next round.
-		rt.topo.Load().sets[kill].replicas[0].breaker.OnSuccess()
-	}
-}
-
 // TestCacheRevalidation proves the router cache answers warm traffic
 // with one conditional upstream request: the shard's 304 carries no
 // body, the client still gets the full cached 200 — and a client

@@ -31,6 +31,14 @@ type upstream struct {
 	body        []byte
 }
 
+// entry is one cached upstream response plus the shard index it came
+// from — revalidation must go back to the same shard, whose generation
+// counter the entry's validator encodes.
+type entry struct {
+	shard int
+	resp  upstream
+}
+
 // shardIdentity is the /v1/shard handshake payload.
 type shardIdentity struct {
 	Sharded bool `json:"sharded"`

@@ -264,7 +264,7 @@ func (rt *Router) RebuildTopology(ctx context.Context) (*TopologyReport, error) 
 	sort.Strings(report.Retired)
 
 	rt.topo.Store(topo)
-	rt.cache.flush()
+	rt.cache.Flush()
 	rt.topoGen.Set(float64(topo.generation))
 	rt.topoReloads.With("ok").Inc()
 	rt.dropRetiredSeries(old, topo)

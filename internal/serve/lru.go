@@ -38,10 +38,12 @@ func newCached(contentType string, body []byte, etag string, gen int64) cached {
 	return c
 }
 
-// lru is a fixed-capacity least-recently-used response cache. It is safe
-// for concurrent use; hit/miss counts are kept under the same lock as
-// the structure itself, so they are exact.
-type lru struct {
+// LRU is a fixed-capacity least-recently-used cache from request key to
+// a stored response — the one implementation behind both the serving
+// tier's and the router's response caches. It is safe for concurrent
+// use; hit/miss counts are kept under the same lock as the structure
+// itself, so they are exact.
+type LRU[V any] struct {
 	mu       sync.Mutex
 	capacity int
 	order    *list.List // front = most recently used
@@ -50,65 +52,79 @@ type lru struct {
 	misses   uint64
 }
 
-type lruEntry struct {
+type lruEntry[V any] struct {
 	key string
-	val cached
+	val V
 }
 
-func newLRU(capacity int) *lru {
-	return &lru{
+// NewLRU returns a cache holding at most capacity entries; a capacity
+// of zero or less stores nothing (every Get is a miss).
+func NewLRU[V any](capacity int) *LRU[V] {
+	return &LRU[V]{
 		capacity: capacity,
 		order:    list.New(),
 		entries:  make(map[string]*list.Element, capacity),
 	}
 }
 
-// get returns the cached value for key, marking it most recently used.
-func (c *lru) get(key string) (cached, bool) {
+// Get returns the cached value for key, marking it most recently used.
+func (c *LRU[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		return cached{}, false
+		var zero V
+		return zero, false
 	}
 	c.hits++
 	c.order.MoveToFront(el)
-	return el.Value.(*lruEntry).val, true
+	return el.Value.(*lruEntry[V]).val, true
 }
 
-// put stores a value, evicting the least recently used entry when full.
-func (c *lru) put(key string, val cached) {
+// Put stores a value, evicting the least recently used entry when full.
+func (c *LRU[V]) Put(key string, val V) {
 	if c.capacity <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
-		el.Value.(*lruEntry).val = val
+		el.Value.(*lruEntry[V]).val = val
 		c.order.MoveToFront(el)
 		return
 	}
 	for c.order.Len() >= c.capacity {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*lruEntry).key)
+		delete(c.entries, oldest.Value.(*lruEntry[V]).key)
 	}
-	c.entries[key] = c.order.PushFront(&lruEntry{key: key, val: val})
+	c.entries[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val})
 }
 
-// flush drops every entry, keeping the hit/miss history. A snapshot
+// Drop removes one entry (the router's failed revalidation must not pin
+// it).
+func (c *LRU[V]) Drop(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.order.Remove(el)
+		delete(c.entries, key)
+	}
+}
+
+// Flush drops every entry, keeping the hit/miss history. A snapshot
 // reload flushes so no cached body outlives the generation that
 // rendered it.
-func (c *lru) flush() {
+func (c *LRU[V]) Flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.order.Init()
 	clear(c.entries)
 }
 
-// stats returns the counters and current size.
-func (c *lru) stats() (hits, misses uint64, size, capacity int) {
+// Stats returns the counters and current size.
+func (c *LRU[V]) Stats() (hits, misses uint64, size, capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.order.Len(), c.capacity

@@ -171,7 +171,7 @@ type Server struct {
 	src           Source
 	mux           *http.ServeMux
 	handler       http.Handler // mux wrapped in the lifecycle middleware
-	cache         *lru
+	cache         *LRU[cached]
 	obs           *obs.Obs
 	metrics       map[string]*endpointMetrics
 	cacheHits     *obs.Gauge
@@ -246,7 +246,7 @@ func New(src Source, opts Options) *Server {
 	s := &Server{
 		src:           src,
 		mux:           http.NewServeMux(),
-		cache:         newLRU(opts.CacheSize),
+		cache:         NewLRU[cached](opts.CacheSize),
 		obs:           opts.Obs,
 		metrics:       make(map[string]*endpointMetrics),
 		cacheHits:     reg.Gauge(MetricCacheHits, "LRU response-cache hits since start."),
@@ -290,7 +290,7 @@ func New(src Source, opts Options) *Server {
 	if s.reloader != nil {
 		s.mux.HandleFunc("POST /v1/admin/reload", s.wrap("/v1/admin/reload", false, s.handleReload))
 		// Cached bodies belong to the generation that rendered them.
-		s.reloader.OnSwap(s.cache.flush)
+		s.reloader.OnSwap(s.cache.Flush)
 	}
 	s.handler = s.chain.Wrap(s.mux)
 	return s
@@ -401,7 +401,7 @@ func (s *Server) wrap(label string, cacheable bool, fn func(*http.Request) (any,
 			}
 			ctx, span = obs.StartSpan(ctx, "serve "+label)
 			r = r.WithContext(ctx)
-			tw := &traceWriter{ResponseWriter: w, finish: func(status int) {
+			tw := &TraceWriter{ResponseWriter: w, Finish: func(status int) {
 				// Runs once, just before the first response byte: the span
 				// must end here so its summary can still travel as a header.
 				span.SetAttr("status", int64(status))
@@ -416,8 +416,8 @@ func (s *Server) wrap(label string, cacheable bool, fn func(*http.Request) (any,
 			defer func() {
 				d := time.Since(start)
 				m.latency.Observe(d.Seconds())
-				status := tw.status
-				if !tw.done {
+				status := tw.Status
+				if !tw.Done {
 					// Every normal path writes a response, so an open span
 					// here means a panic is unwinding: the recovery
 					// middleware owns the response (a 500 on the underlying
@@ -468,7 +468,7 @@ func (s *Server) wrap(label string, cacheable bool, fn func(*http.Request) (any,
 		var gen int64
 		if cacheable {
 			gen = s.generation()
-			if c, ok := s.cache.get(key); ok && c.gen == gen {
+			if c, ok := s.cache.Get(key); ok && c.gen == gen {
 				// Hit: the entry carries its validator and header values,
 				// so the hot path renders no strings at all.
 				w.Header()["Etag"] = c.etagHdr
@@ -512,7 +512,7 @@ func (s *Server) wrap(label string, cacheable bool, fn func(*http.Request) (any,
 		}
 		c := newCached("application/json", body, etag, gen)
 		if cacheable {
-			s.cache.put(key, c)
+			s.cache.Put(key, c)
 			w.Header()["Etag"] = c.etagHdr
 		}
 		status = http.StatusOK
@@ -520,43 +520,44 @@ func (s *Server) wrap(label string, cacheable bool, fn func(*http.Request) (any,
 	}
 }
 
-// traceWriter finalizes the request span just before the first response
+// TraceWriter finalizes the request span just before the first response
 // byte — headers must be set before WriteHeader, so the span summary
 // can only travel back to a traced caller if the span ends here. The
 // span therefore measures time to first byte; the endpoint latency
-// histogram keeps measuring the full handler.
-type traceWriter struct {
+// histogram keeps measuring the full handler. Shared with the router's
+// endpoint wrapper.
+type TraceWriter struct {
 	http.ResponseWriter
-	status int
-	done   bool
-	finish func(status int)
+	Status int
+	Done   bool
+	Finish func(status int)
 }
 
-func (w *traceWriter) WriteHeader(code int) {
-	if !w.done {
-		w.done = true
-		w.status = code
-		w.finish(code)
+func (w *TraceWriter) WriteHeader(code int) {
+	if !w.Done {
+		w.Done = true
+		w.Status = code
+		w.Finish(code)
 	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
-func (w *traceWriter) Write(b []byte) (int, error) {
-	if !w.done {
+func (w *TraceWriter) Write(b []byte) (int, error) {
+	if !w.Done {
 		w.WriteHeader(http.StatusOK)
 	}
 	return w.ResponseWriter.Write(b)
 }
 
-// statusWriter records the status a raw handler wrote, so wrapRaw can
+// StatusWriter records the status a raw handler wrote, so a wrapper can
 // classify failures without owning the body.
-type statusWriter struct {
+type StatusWriter struct {
 	http.ResponseWriter
-	status int
+	Status int
 }
 
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
+func (w *StatusWriter) WriteHeader(code int) {
+	w.Status = code
 	w.ResponseWriter.WriteHeader(code)
 }
 
@@ -577,9 +578,9 @@ func (s *Server) wrapRaw(label string, fn http.HandlerFunc) http.HandlerFunc {
 		start := time.Now()
 		defer func() { m.latency.Observe(time.Since(start).Seconds()) }()
 		m.requests.Inc()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := &StatusWriter{ResponseWriter: w, Status: http.StatusOK}
 		fn(sw, r)
-		if sw.status >= http.StatusInternalServerError {
+		if sw.Status >= http.StatusInternalServerError {
 			m.errors.Inc()
 		}
 	}
@@ -857,7 +858,7 @@ type healthResponse struct {
 
 func (s *Server) handleHealth(*http.Request) (any, *apiError) {
 	m := s.src.Meta()
-	hits, misses, size, capacity := s.cache.stats()
+	hits, misses, size, capacity := s.cache.Stats()
 	resp := healthResponse{
 		Store: storeJSON{
 			FormatVersion: m.FormatVersion,
@@ -1016,7 +1017,7 @@ func (s *Server) handleStages(*http.Request) (any, *apiError) {
 // counters are mirrored into the registry here, at scrape time, so the
 // cache's hot path stays untouched.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	hits, misses, size, _ := s.cache.stats()
+	hits, misses, size, _ := s.cache.Stats()
 	s.cacheHits.Set(float64(hits))
 	s.cacheMisses.Set(float64(misses))
 	s.cacheEntries.Set(float64(size))

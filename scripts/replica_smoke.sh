@@ -124,7 +124,7 @@ done
 wait "$load_pid" || { echo "replica-smoke: asnload failed"; cat "$work/load.log" >&2; exit 1; }
 
 echo "== load report"
-jq -C 'del(.hist_le_ms, .hist_counts)' "$work/load.json" | sed 's/^/   /'
+jq -C . "$work/load.json" | sed 's/^/   /'
 hard="$(jq '(.errors.http_5xx // 0) + (.errors.transport // 0) + (.errors.timeout // 0) + (.errors.shed // 0)' "$work/load.json")"
 [ "$hard" = 0 ] || { echo "replica-smoke: $hard client-visible error(s) during the rolling restart" >&2; exit 1; }
 jq -e '.failovers > 0' "$work/load.json" >/dev/null \

@@ -1,7 +1,37 @@
 #!/bin/sh
-# Tier-1 verification: build, vet, the full test suite, and a race pass
-# over the fault-handling packages. Run from the repo root (make verify).
+# Tier-1 verification: build, vet, the full test suite, and the race
+# pass. Run from the repo root (make verify); `verify.sh race` runs the
+# race pass alone (make race).
 set -eu
+
+# Packages whose whole suite runs under -race without -short: the
+# concurrency-sensitive and fault-handling ones. Every other package
+# under internal/ races with -short.
+FULL='faults|bgpscan|serve|obs|parallel|router|loadgen'
+
+# named PKG TEST: one non-short property test under -race, failing if
+# the name no longer matches a test (a rename must not silently drop it).
+named() {
+	go test -list "^$2\$" "$1" | grep -qx "$2" ||
+		{ echo "verify: no test named $2 in $1" >&2; exit 1; }
+	go test -race -count=1 -run "^$2\$" "$1"
+}
+
+race() {
+	echo "== go test -race ($FULL)"
+	go test -race $(go list ./internal/... | grep -E "/($FULL)\$")
+	echo "== go test -race -short (every other package under internal/)"
+	go test -race -short $(go list ./internal/... | grep -vE "/($FULL)\$")
+	echo "== go test -race (parallel/sequential equivalence property)"
+	named ./internal/pipeline/ TestParallelEquivalence
+	echo "== go test -race (stream crash-equivalence property)"
+	named ./internal/stream/ TestCrashEquivalence
+}
+
+if [ "${1:-}" = race ]; then
+	race
+	exit
+fi
 
 echo "== go build"
 go build ./...
@@ -9,25 +39,5 @@ echo "== go vet"
 go vet ./...
 echo "== go test"
 go test ./...
-echo "== go test -race (faults, bgpscan, serve, obs incl. exemplar-ring hammer, parallel)"
-go test -race ./internal/faults/ ./internal/bgpscan/ ./internal/serve/ ./internal/obs/ ./internal/parallel/
-echo "== go test -race (pool/arena aliasing properties: bgpscan, registry, delegation, collector, core, intervals)"
-go test -race -count=1 -run 'TestPooledScratch|TestTextSourceFilesDoNotAliasScratch|TestParsedFileDoesNotAliasInput|TestIterArenaRecyclingPreservesObservations|TestRunScratchDoesNotAliasLifetimes|TestActivityColumnsReuseDoesNotAliasIndex|TestColumnsMatchSetAlgebra' \
-	./internal/bgpscan/ ./internal/registry/ ./internal/delegation/ ./internal/collector/ ./internal/core/ ./internal/intervals/
-echo "== go test -race -short (pipeline)"
-go test -race -short ./internal/pipeline/
-echo "== go test -race (parallel/sequential equivalence property)"
-go test -race -count=1 -run TestParallelEquivalence ./internal/pipeline/
-echo "== go test -race -short (serve chaos soak + lifecycle)"
-go test -race -short -count=1 -run 'TestChaosSoak|TestGracefulShutdown|TestReload|TestAdmissionGate|TestBreaker' ./internal/serve/
-echo "== go test -race -short (stream: checkpoints, tailer, dir source)"
-go test -race -short ./internal/stream/
-echo "== go test -race (stream crash-equivalence property)"
-go test -race -count=1 -run TestCrashEquivalence ./internal/stream/
-echo "== go test -race (lifestore shard plan + shard files)"
-go test -race -count=1 -run 'TestShard|TestSaveSharded|TestOneShardPlan|TestOpenShard|TestOpenMapped' ./internal/lifestore/
-echo "== go test -race (router: unit + replica failover/hedging/topology + byte-equivalence + stitched traces + federated metrics)"
-go test -race -count=1 ./internal/router/
-echo "== go test -race (loadgen: open-loop taxonomy + failover/hedge accounting)"
-go test -race -count=1 ./internal/loadgen/
+race
 echo "verify: OK"
