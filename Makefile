@@ -23,10 +23,10 @@ fuzz:
 verify:
 	./scripts/verify.sh
 
-# End-to-end snapshot proof: build a small snapshot with asnserve, reopen
+# End-to-end snapshot proof: build a small snapshot with serve -build, reopen
 # it, and diff it against the in-memory dataset (-verify does the diff).
 snapshot-smoke:
-	go run ./cmd/asnserve -build -verify \
+	go run ./cmd/parallellives serve -build -verify \
 		-snapshot $${TMPDIR:-/tmp}/parallellives-smoke.snap \
 		-scale 0.01 -start 2007-01-01 -end 2010-01-01
 	rm -f $${TMPDIR:-/tmp}/parallellives-smoke.snap
@@ -45,12 +45,12 @@ shard-smoke:
 # Fleet-observability smoke: router + 2 shards, one traced request must
 # yield a span tree stitched across processes, the federated /metrics
 # rollup must cover both shards, /v1/debug/slow must aggregate both
-# exemplar rings, and asnstat must render a row per shard.
+# exemplar rings, and the stat verb must render a row per shard.
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 
-# Replicated-tier smoke: 2 ranges x 2 replicas behind asnroute; under
-# sustained asnload traffic, kill -9 and restart every replica in turn
+# Replicated-tier smoke: 2 ranges x 2 replicas behind the router; under
+# sustained load-verb traffic, kill -9 and restart every replica in turn
 # (retire + readmit via topology reload) and require zero client-visible
 # errors with failovers > 0.
 replica-smoke:
@@ -66,6 +66,6 @@ tail-smoke:
 # Observability smoke: a small instrumented run must print a stage table
 # with the scan stage in it.
 stage-report:
-	go run ./cmd/parallellives -scale 0.01 -start 2006-01-01 -end 2007-01-01 \
+	go run ./cmd/parallellives run -scale 0.01 -start 2006-01-01 -end 2007-01-01 \
 		-experiments none -stage-report | grep -q bgpscan
 	@echo "stage-report: OK"

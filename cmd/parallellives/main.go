@@ -1,444 +1,132 @@
-// Command parallellives runs the full reproduction pipeline (Figure 1 of
-// the paper): it simulates the ground-truth world, renders and restores
-// the delegation archive, scans the simulated collectors, builds both
-// lifetime dimensions, and regenerates the paper's tables and figures.
+// Command parallellives is the reproduction's one binary. The paper is
+// one flow (Figure 1: delegation files + MRT → restore → scan →
+// lifetimes → join) published as one dataset with the §9 uses hanging
+// off it; each of those is a verb:
 //
-// Usage:
+//	parallellives <verb> [flags] [args]
+//	parallellives help [verb]
 //
-//	parallellives [flags]
-//
-// Useful flags:
-//
-//	-scale 0.04          world scale (fraction of real allocation volume)
-//	-seed 1              simulation seed
-//	-start/-end          observation window (YYYY-MM-DD)
-//	-wire                route BGP data through binary MRT encode/decode
-//	-direct-files        skip the delegation text round trip
-//	-timeout 30          operational inactivity timeout (days)
-//	-visibility 2        minimum distinct peers per active ASN-day
-//	-experiments all     comma list: table1..table5, figure3..figure14,
-//	                     s61..s64, appendixa, extensions, restoration, health
-//	-fault-policy MODE   failfast (default) or degrade: quarantine damaged
-//	                     inputs and finish, reporting them in the health block
-//	-chaos               inject the default deterministic fault storm
-//	-chaos-seed N        fault injection seed for -chaos
-//	-stage-report        print a per-stage duration and record-flow table
-//	-datasets DIR        write Listing-1 JSON datasets into DIR
-//	-snapshot-out FILE   write a lifestore snapshot (servable by asnserve)
-//	-export-mrt DATE     write one day's MRT archives into -out
-//	-export-files DATE   write one day's delegation files into -out
-//	-out DIR             output directory for exports (default ".")
+// Every verb runs under one shutdown context: the first SIGINT/SIGTERM
+// cancels it (a build aborts between days, a tail commits its in-flight
+// day, a server drains), a second one exits immediately. The flag
+// groups several verbs share — the simulated world and pipeline knobs,
+// the HTTP serving knobs — are each registered by one function in
+// flags.go, so a flag means the same thing under every verb.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"runtime"
-	rpprof "runtime/pprof"
-	"strings"
-	"time"
-
-	"parallellives/internal/asn"
-	"parallellives/internal/collector"
-	"parallellives/internal/core"
-	"parallellives/internal/dates"
-	"parallellives/internal/faults"
-	"parallellives/internal/lifestore"
-	"parallellives/internal/obs"
-	"parallellives/internal/pipeline"
-	"parallellives/internal/report"
+	"os/signal"
+	"syscall"
 )
 
+// verbBody runs a verb once its flags are parsed; args are the
+// positional arguments left after them.
+type verbBody func(ctx context.Context, args []string, stdout, stderr io.Writer) error
+
+// verbs is the whole command surface, in the order `help` lists it.
+// flags registers the verb's flags on fs and returns the body that
+// reads them.
+var verbs = []struct {
+	name, purpose, usage string
+	flags                func(fs *flag.FlagSet) verbBody
+}{
+	{"run", "build the dataset and print the paper's tables and figures (Figure 1 end to end)", runUsage, withPipeline(runVerb)},
+	{"serve", "build (-build) and/or serve (-listen) a lifestore snapshot over HTTP", serveUsage, withPipeline(serveVerb)},
+	{"shard", "cut a snapshot into N range-sharded snapshot files", shardUsage, shardVerb},
+	{"route", "front a fleet of shard servers as one HTTP surface (scatter-gather, failover, hedging)", routeUsage, routeVerb},
+	{"stat", "fleet dashboard: one row per replica from one /metrics scrape", statUsage, statVerb},
+	{"load", "open-loop load generator against a serve or route tier; one JSON result row", loadUsage, loadVerb},
+	{"watch", "build the dataset and print the §9 anomaly feed, or answer one -check", watchUsage, withPipeline(watchVerb)},
+	{"tail", "crash-safe streaming daemon: follow a growing day directory, checkpoint, publish snapshots", tailUsage, withPipeline(tailVerb)},
+	{"feed", "publish simulated collector days into a day directory for tail to follow", feedUsage, feedVerb},
+	{"delegdump", "inspect, validate and diff RIR delegation files", delegdumpUsage, delegdumpVerb},
+	{"mrtdump", "print MRT archives (RFC 6396) in a human-readable form", mrtdumpUsage, mrtdumpVerb},
+}
+
+// errUsage marks a command-line mistake that has already been explained
+// on stderr together with the usage: main exits 2 without repeating it.
+var errUsage = errors.New("usage")
+
 func main() {
-	if err := run(); err != nil {
+	// One cancellation root for every verb, installed before any
+	// long-running work so an interrupt during a build cancels promptly
+	// instead of waiting for the 17-year window to finish.
+	ctx, cancel := context.WithCancel(context.Background())
+	sigc := make(chan os.Signal, 2)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sigc
+		fmt.Fprintln(os.Stderr, "parallellives: signal received, shutting down (send again to force)")
+		cancel()
+		<-sigc
+		fmt.Fprintln(os.Stderr, "parallellives: forced exit")
+		os.Exit(1)
+	}()
+
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
 		fmt.Fprintln(os.Stderr, "parallellives:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		scale       = flag.Float64("scale", 0.04, "world scale")
-		seed        = flag.Int64("seed", 1, "simulation seed")
-		start       = flag.String("start", "2003-10-09", "window start")
-		end         = flag.String("end", "2021-03-01", "window end")
-		wire        = flag.Bool("wire", false, "route BGP data through MRT encode/decode")
-		directFiles = flag.Bool("direct-files", false, "skip the delegation text round trip")
-		timeout     = flag.Int("timeout", core.DefaultInactivityTimeout, "inactivity timeout (days)")
-		visibility  = flag.Int("visibility", 2, "minimum distinct peers per ASN-day")
-		workers     = flag.Int("workers", 0, "worker goroutines per pipeline stage (0 = GOMAXPROCS); output is identical for any value)")
-		experiments = flag.String("experiments", "all", "comma list of experiments, or 'all'")
-		datasets    = flag.String("datasets", "", "directory for Listing-1 JSON datasets")
-		snapshotOut = flag.String("snapshot-out", "", "write a lifestore snapshot to this path")
-		exportMRT   = flag.String("export-mrt", "", "export one day's MRT archives (YYYY-MM-DD)")
-		exportFiles = flag.String("export-files", "", "export one day's delegation files (YYYY-MM-DD)")
-		outDir      = flag.String("out", ".", "output directory for exports")
-		lookupASN   = flag.Uint64("asn", 0, "print one ASN's parallel lives and exit")
-		faultPolicy = flag.String("fault-policy", "failfast", "input damage handling: failfast or degrade")
-		chaos       = flag.Bool("chaos", false, "inject the default deterministic fault storm (implies -wire)")
-		chaosSeed   = flag.Int64("chaos-seed", 1, "fault injection seed for -chaos")
-		stageReport = flag.Bool("stage-report", false, "print a per-stage duration and record-flow table after the run")
-		profileOut  = flag.String("profile-out", "", "write cpu.pprof, heap.pprof and allocs.pprof into this directory (the build is profiled; reporting is not)")
-	)
-	flag.Parse()
-
-	opts := pipeline.DefaultOptions()
-	opts.World.Scale = *scale
-	opts.World.Seed = *seed
-	opts.Wire = *wire
-	opts.TextFiles = !*directFiles
-	opts.Timeout = *timeout
-	opts.Visibility = *visibility
-	opts.Workers = *workers
-	var err error
-	if opts.FaultPolicy, err = pipeline.ParseFaultPolicy(*faultPolicy); err != nil {
-		return err
+// run parses args[0]'s flags and runs that verb. It is the whole CLI
+// in-process: main adds only the signal context and the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	if len(args) == 0 {
+		listVerbs(stderr)
+		return errUsage
 	}
-	if *chaos {
-		plan := faults.DefaultStorm(*chaosSeed)
-		opts.Inject = &plan
-		opts.Wire = true // MRT faults only exist on the wire
-	}
-	if opts.World.Start, err = dates.Parse(*start); err != nil {
-		return err
-	}
-	if opts.World.End, err = dates.Parse(*end); err != nil {
-		return err
-	}
-	if *stageReport {
-		opts.Obs = obs.New()
-	}
-
-	var stopProfiles func() error
-	if *profileOut != "" {
-		if stopProfiles, err = startProfiles(*profileOut); err != nil {
-			return err
+	name, rest := args[0], args[1:]
+	if name == "help" || name == "-h" || name == "-help" || name == "--help" {
+		if len(rest) == 0 {
+			listVerbs(stdout)
+			return nil
 		}
+		name, rest = rest[0], []string{"-h"}
 	}
-
-	t0 := time.Now()
-	fmt.Fprintf(os.Stderr, "building dataset (scale=%g, %s..%s, wire=%v)...\n",
-		*scale, *start, *end, opts.Wire)
-	ds, err := pipeline.Run(opts)
-	if stopProfiles != nil {
-		// Profiles cover exactly the build, success or failure: the CPU
-		// profile stops here and the heap/allocs profiles capture the
-		// dataset while it is still fully resident.
-		if perr := stopProfiles(); perr != nil && err == nil {
-			err = perr
-		}
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "dataset ready in %v: %d admin lifetimes (%d ASNs), %d op lifetimes (%d ASNs)\n",
-		time.Since(t0).Round(time.Millisecond),
-		len(ds.Admin.Lifetimes), ds.AdminStats.ASNs,
-		len(ds.Ops.Lifetimes), ds.Ops.ASNs())
-	fmt.Fprintln(os.Stderr, ds.Health.Summary())
-	if *stageReport {
-		fmt.Print(obs.StageTable(ds.Trace))
-	}
-
-	if *datasets != "" {
-		if err := writeDatasets(ds, *datasets); err != nil {
-			return err
-		}
-	}
-	if *snapshotOut != "" {
-		if err := lifestore.Save(ds, *snapshotOut); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "snapshot written to %s (serve it with: asnserve -listen :8080 -snapshot %s)\n",
-			*snapshotOut, *snapshotOut)
-	}
-	if *exportMRT != "" {
-		if err := doExportMRT(ds, *exportMRT, *outDir); err != nil {
-			return err
-		}
-	}
-	if *exportFiles != "" {
-		if err := doExportFiles(ds, *exportFiles, *outDir); err != nil {
-			return err
-		}
-	}
-
-	if *lookupASN != 0 {
-		printASN(ds, asn.ASN(*lookupASN))
-		return nil
-	}
-
-	want := map[string]bool{}
-	all := *experiments == "all"
-	for _, e := range strings.Split(*experiments, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	sel := func(name string) bool { return all || want[name] }
-	printExperiments(ds, sel)
-	return nil
-}
-
-// startProfiles begins a CPU profile in dir and returns the stop func
-// that ends it and writes the heap and allocs profiles next to it
-// (-profile-out is the one way to take a profile of a pipeline run).
-func startProfiles(dir string) (func() error, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	cpu, err := os.Create(filepath.Join(dir, "cpu.pprof"))
-	if err != nil {
-		return nil, err
-	}
-	if err := rpprof.StartCPUProfile(cpu); err != nil {
-		cpu.Close()
-		return nil, err
-	}
-	return func() error {
-		rpprof.StopCPUProfile()
-		if err := cpu.Close(); err != nil {
-			return err
-		}
-		// A GC first, so the heap profile shows live retention rather
-		// than garbage awaiting collection.
-		runtime.GC()
-		for _, p := range []string{"heap", "allocs"} {
-			f, err := os.Create(filepath.Join(dir, p+".pprof"))
-			if err != nil {
-				return err
-			}
-			if err := rpprof.Lookup(p).WriteTo(f, 0); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(os.Stderr, "profiles written to %s (cpu.pprof, heap.pprof, allocs.pprof)\n", dir)
-		return nil
-	}, nil
-}
-
-func printExperiments(ds *pipeline.Dataset, sel func(string) bool) {
-	wStart, wEnd := ds.World.Config.Start, ds.World.Config.End
-	out := os.Stdout
-	p := func(s string) { fmt.Fprintln(out, s) }
-
-	if sel("table1") {
-		p(report.BuildTable1(ds.Archive).Text())
-	}
-	if sel("figure3") {
-		f := report.BuildFigure3(ds.Activity, ds.Admin,
-			[]int{1, 2, 5, 10, 15, 20, 30, 50, 75, 100, 150, 365}, ds.Options.Timeout)
-		p(f.Text())
-	}
-	if sel("figure4") {
-		p(report.BuildFigure4(ds.Joint, wStart, wEnd, 180).Text())
-	}
-	if sel("table2") {
-		p(report.BuildTable2(ds.Joint).Text())
-	}
-	if sel("figure5") {
-		p(report.BuildFigure5(ds.Admin).Text())
-	}
-	if sel("table3") {
-		p(report.BuildTable3(ds.Joint).Text())
-	}
-	if sel("figure7") {
-		p(report.BuildFigure7(ds.Joint).Text())
-	}
-	if sel("figure8") {
-		findings := ds.Joint.DetectDormantSquats(core.DefaultSquatParams())
-		p(report.BuildFigure8(ds.Joint, findings, 6, 30, wStart, wEnd).Text())
-	}
-	if sel("figure9") {
-		p(report.BuildFigure9(ds.Joint.Unused()).Text())
-	}
-	if sel("figure10") {
-		p(report.BuildFigure10(ds.Admin).Text())
-	}
-	if sel("figure11") {
-		p(report.BuildFigure11(ds.Admin, wStart, wEnd).Text())
-	}
-	if sel("figure12") {
-		p(report.BuildFigure12(ds.Restored, wStart, wEnd, 180).Text())
-	}
-	if sel("figure14") {
-		p(report.BuildFigure14(ds.Admin, wStart.Year(), wEnd.Year()).Text())
-	}
-	if sel("table4") {
-		snaps := table4Snapshots(wStart, wEnd)
-		p(report.BuildTable4(ds.Joint, snaps, 5).Text())
-	}
-	if sel("table5") {
-		p(report.BuildTable5(ds.Admin, ds.Activity, []int{15, 30, 50}, 30).Text())
-	}
-	if sel("s61") {
-		p(report.BuildSection61(ds.Joint, wEnd, core.DefaultSquatParams()).Text())
-	}
-	if sel("s62") {
-		p(report.BuildSection62(ds.Joint, ds.Cones()).Text())
-	}
-	if sel("s63") {
-		p(report.BuildSection63(ds.Joint).Text())
-	}
-	if sel("s64") {
-		p(report.BuildSection64(ds.Joint).Text())
-	}
-	if sel("appendixa") {
-		p(report.BuildAppendixA16Bit(ds.Restored, wStart, wEnd).Text())
-	}
-	if sel("extensions") {
-		p(report.BuildExtensions(ds.Activity, ds.Ops).Text())
-	}
-	if sel("restoration") {
-		fmt.Fprintf(out, "Restoration report: %+v\n\n", ds.Restored.Report)
-	}
-	if sel("health") {
-		p(ds.Health.Text())
-	}
-}
-
-// printASN prints one ASN's parallel lives — the Listing 1 view.
-func printASN(ds *pipeline.Dataset, a asn.ASN) {
-	admins := ds.Admin.Of(a)
-	ops := ds.Ops.Of(a)
-	if len(admins) == 0 && len(ops) == 0 {
-		fmt.Printf("AS%s: never allocated and never seen in BGP\n", a)
-		return
-	}
-	fmt.Printf("AS%s\n", a)
-	for _, ai := range admins {
-		al := ds.Admin.Lifetimes[ai]
-		fmt.Printf("  administrative life (%s, %s): regDate=%s, %s .. %s, open=%v, category=%s\n",
-			al.RIR, al.CC, al.RegDate, al.Span.Start, al.Span.End, al.Open,
-			ds.Joint.AdminCat[ai])
-	}
-	for _, oi := range ops {
-		ol := ds.Ops.Lifetimes[oi]
-		fmt.Printf("  operational life: %s .. %s (%d days), category=%s\n",
-			ol.Span.Start, ol.Span.End, ol.Span.Days(), ds.Joint.OpCat[oi])
-	}
-	if act := ds.Activity.ASNs[a]; act != nil && len(act.Upstreams) > 0 {
-		fmt.Printf("  observed upstreams:")
-		for up := range act.Upstreams {
-			fmt.Printf(" AS%s", up)
-		}
-		fmt.Println()
-	}
-}
-
-// table4Snapshots picks the paper's 2010/2015/2021 snapshots when they
-// fall inside the window, else three evenly spaced dates.
-func table4Snapshots(start, end dates.Day) []dates.Day {
-	paper := []dates.Day{
-		dates.MustParse("2010-01-01"),
-		dates.MustParse("2015-01-01"),
-		dates.MustParse("2021-03-01"),
-	}
-	var out []dates.Day
-	for _, d := range paper {
-		if d >= start && d <= end {
-			out = append(out, d)
-		}
-	}
-	if len(out) >= 2 {
-		return out
-	}
-	span := end.Sub(start)
-	return []dates.Day{start.AddDays(span / 3), start.AddDays(2 * span / 3), end}
-}
-
-func writeDatasets(ds *pipeline.Dataset, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	admin, err := os.Create(filepath.Join(dir, "administrative.jsonl"))
-	if err != nil {
-		return err
-	}
-	defer admin.Close()
-	if err := ds.WriteAdminJSON(admin); err != nil {
-		return err
-	}
-	op, err := os.Create(filepath.Join(dir, "operational.jsonl"))
-	if err != nil {
-		return err
-	}
-	defer op.Close()
-	if err := ds.WriteOpJSON(op); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "datasets written to %s\n", dir)
-	return nil
-}
-
-func doExportMRT(ds *pipeline.Dataset, dateStr, dir string) error {
-	day, err := dates.Parse(dateStr)
-	if err != nil {
-		return err
-	}
-	inf := collector.New(ds.World)
-	it := inf.Iter()
-	for it.Next() {
-		if it.Day() != day {
+	for _, v := range verbs {
+		if v.name != name {
 			continue
 		}
-		ribs, updates, err := it.MRT()
-		if err != nil {
+		fs := flag.NewFlagSet("parallellives "+name, flag.ContinueOnError)
+		fs.SetOutput(stderr)
+		fs.Usage = func() {
+			fmt.Fprint(stderr, v.usage, "\nFlags:\n")
+			fs.PrintDefaults()
+		}
+		body := v.flags(fs)
+		if err := fs.Parse(rest); err != nil {
+			if err != flag.ErrHelp {
+				err = errUsage // the flag package has printed the problem and the usage
+			}
 			return err
 		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
+		if err := body(ctx, fs.Args(), stdout, stderr); err != nil {
+			return fmt.Errorf("%s: %w", name, err)
 		}
-		for i := range ribs {
-			name := fmt.Sprintf("rrc%02d.rib.%s.mrt", i, day.Compact())
-			if err := os.WriteFile(filepath.Join(dir, name), ribs[i], 0o644); err != nil {
-				return err
-			}
-			name = fmt.Sprintf("rrc%02d.updates.%s.mrt", i, day.Compact())
-			if err := os.WriteFile(filepath.Join(dir, name), updates[i], 0o644); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintf(os.Stderr, "MRT archives for %s written to %s\n", day, dir)
 		return nil
 	}
-	return fmt.Errorf("day %s outside the window", day)
+	fmt.Fprintf(stderr, "parallellives: unknown verb %q\n", name)
+	listVerbs(stderr)
+	return errUsage
 }
 
-func doExportFiles(ds *pipeline.Dataset, dateStr, dir string) error {
-	day, err := dates.Parse(dateStr)
-	if err != nil {
-		return err
+func listVerbs(w io.Writer) {
+	fmt.Fprintln(w, "usage: parallellives <verb> [flags] [args]")
+	fmt.Fprintln(w)
+	for _, v := range verbs {
+		fmt.Fprintf(w, "  %-10s %s\n", v.name, v.purpose)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, r := range asn.All() {
-		for _, ext := range []bool{false, true} {
-			f := ds.Archive.File(r, day, ext)
-			if f == nil {
-				continue
-			}
-			suffix := ""
-			if ext {
-				suffix = "-extended"
-			}
-			name := fmt.Sprintf("delegated-%s%s-%s", r.Token(), suffix, day.Compact())
-			out, err := os.Create(filepath.Join(dir, name))
-			if err != nil {
-				return err
-			}
-			if _, err := f.WriteTo(out); err != nil {
-				out.Close()
-				return err
-			}
-			out.Close()
-		}
-	}
-	fmt.Fprintf(os.Stderr, "delegation files for %s written to %s\n", day, dir)
-	return nil
+	fmt.Fprintln(w, "\n`parallellives help <verb>` prints a verb's description and flags.")
 }

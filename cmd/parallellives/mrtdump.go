@@ -1,14 +1,7 @@
-// Command mrtdump prints MRT archives (RFC 6396) in a human-readable
-// form, in the spirit of bgpdump: TABLE_DUMP_V2 peer index tables and RIB
-// entries, and BGP4MP update messages.
-//
-// Usage:
-//
-//	mrtdump [-brief] [-count] file.mrt [file2.mrt ...]
-//	cat file.mrt | mrtdump
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -22,39 +15,39 @@ import (
 	"parallellives/internal/mrt"
 )
 
-var (
-	brief = flag.Bool("brief", false, "one line per route")
-	count = flag.Bool("count", false, "print record counts only")
-)
+const mrtdumpUsage = `parallellives mrtdump [-brief] [-count] file.mrt [file2.mrt ...]
+cat file.mrt | parallellives mrtdump
 
-func main() {
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		if err := dump(os.Stdin, "stdin"); err != nil {
-			fail(err)
+Prints MRT archives (RFC 6396) in a human-readable form, in the spirit
+of bgpdump: TABLE_DUMP_V2 peer index tables and RIB entries, and BGP4MP
+update messages.
+`
+
+func mrtdumpVerb(fs *flag.FlagSet) verbBody {
+	var (
+		brief = fs.Bool("brief", false, "one line per route")
+		count = fs.Bool("count", false, "print record counts only")
+	)
+	return func(ctx context.Context, paths []string, stdout, stderr io.Writer) error {
+		if len(paths) == 0 {
+			return mrtDump(ctx, stdout, os.Stdin, "stdin", *brief, *count)
 		}
-		return
-	}
-	for _, path := range args {
-		f, err := os.Open(path)
-		if err != nil {
-			fail(err)
+		for _, path := range paths {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
+			}
+			err = mrtDump(ctx, stdout, f, path, *brief, *count)
+			f.Close()
+			if err != nil {
+				return err
+			}
 		}
-		err = dump(f, path)
-		f.Close()
-		if err != nil {
-			fail(err)
-		}
+		return nil
 	}
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "mrtdump:", err)
-	os.Exit(1)
-}
-
-func dump(r io.Reader, name string) error {
+func mrtDump(ctx context.Context, out io.Writer, r io.Reader, name string, brief, count bool) error {
 	reader := mrt.NewReader(r)
 	var tbl mrt.PeerIndexTable
 	var rec mrt.RIBRecord
@@ -64,6 +57,9 @@ func dump(r io.Reader, name string) error {
 	counts := map[string]int{}
 
 	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		h, body, err := reader.Next()
 		if errors.Is(err, io.EOF) {
 			break
@@ -81,13 +77,13 @@ func dump(r io.Reader, name string) error {
 					return err
 				}
 				havePeers = true
-				if *count {
+				if count {
 					continue
 				}
-				fmt.Printf("%s PEER_INDEX_TABLE view=%q peers=%d\n", ts, tbl.ViewName, len(tbl.Peers))
-				if !*brief {
+				fmt.Fprintf(out, "%s PEER_INDEX_TABLE view=%q peers=%d\n", ts, tbl.ViewName, len(tbl.Peers))
+				if !brief {
 					for i, p := range tbl.Peers {
-						fmt.Printf("  peer %d: AS%s %s\n", i, p.AS, p.Addr)
+						fmt.Fprintf(out, "  peer %d: AS%s %s\n", i, p.AS, p.Addr)
 					}
 				}
 			case mrt.SubtypeRIBIPv4Unicast, mrt.SubtypeRIBIPv6Unicast:
@@ -96,13 +92,13 @@ func dump(r io.Reader, name string) error {
 				if err := mrt.DecodeRIBRecord(&rec, body, v6); err != nil {
 					return err
 				}
-				if *count {
+				if count {
 					continue
 				}
 				for _, e := range rec.Entries {
 					upd.Reset()
 					if err := bgp.DecodeAttrs(&upd, e.Attrs, true); err != nil {
-						fmt.Printf("%s RIB %v peer=%d <attr decode error: %v>\n",
+						fmt.Fprintf(out, "%s RIB %v peer=%d <attr decode error: %v>\n",
 							ts, rec.Prefix, e.PeerIndex, err)
 						continue
 					}
@@ -110,7 +106,7 @@ func dump(r io.Reader, name string) error {
 					if havePeers && int(e.PeerIndex) < len(tbl.Peers) {
 						peer = "AS" + tbl.Peers[e.PeerIndex].AS.String()
 					}
-					fmt.Printf("%s RIB %v from=%s path=%s\n", ts, rec.Prefix, peer, pathString(&upd))
+					fmt.Fprintf(out, "%s RIB %v from=%s path=%s\n", ts, rec.Prefix, peer, pathString(&upd))
 				}
 			}
 		case mrt.TypeBGP4MP, mrt.TypeBGP4MPET:
@@ -122,23 +118,23 @@ func dump(r io.Reader, name string) error {
 			if err := mrt.DecodeBGP4MPMessage(&msg, body, h.Subtype); err != nil {
 				return err
 			}
-			if *count {
+			if count {
 				continue
 			}
 			if err := bgp.DecodeUpdate(&upd, msg.Data, msg.FourByte); err != nil {
-				fmt.Printf("%s UPDATE peer=AS%s <decode error: %v>\n", ts, msg.PeerAS, err)
+				fmt.Fprintf(out, "%s UPDATE peer=AS%s <decode error: %v>\n", ts, msg.PeerAS, err)
 				continue
 			}
-			fmt.Printf("%s UPDATE peer=AS%s announce=%v withdraw=%v path=%s\n",
+			fmt.Fprintf(out, "%s UPDATE peer=AS%s announce=%v withdraw=%v path=%s\n",
 				ts, msg.PeerAS, upd.Announced, upd.Withdrawn, pathString(&upd))
 		default:
 			counts[fmt.Sprintf("type-%d", h.Type)]++
 		}
 	}
-	if *count {
-		fmt.Printf("%s:\n", name)
+	if count {
+		fmt.Fprintf(out, "%s:\n", name)
 		for k, v := range counts {
-			fmt.Printf("  %-18s %d\n", k, v)
+			fmt.Fprintf(out, "  %-18s %d\n", k, v)
 		}
 	}
 	return nil

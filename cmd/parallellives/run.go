@@ -1,0 +1,350 @@
+package main
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	rpprof "runtime/pprof"
+	"strings"
+
+	"parallellives/internal/asn"
+	"parallellives/internal/collector"
+	"parallellives/internal/core"
+	"parallellives/internal/dates"
+	"parallellives/internal/obs"
+	"parallellives/internal/pipeline"
+	"parallellives/internal/report"
+)
+
+const runUsage = `parallellives run [flags]
+
+Runs the full reproduction pipeline (Figure 1 of the paper): it
+simulates the ground-truth world, renders and restores the delegation
+archive, scans the simulated collectors, builds both lifetime
+dimensions, and regenerates the paper's tables and figures on stdout.
+
+-experiments takes a comma list of: table1..table5, figure3..figure14,
+s61..s64, appendixa, extensions, restoration, health — or 'all'.
+`
+
+func runVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
+	var (
+		experiments = fs.String("experiments", "all", "comma list of experiments, or 'all'")
+		datasets    = fs.String("datasets", "", "write the Listing-1 JSON datasets into this directory")
+		snapshotOut = fs.String("snapshot-out", "", "write a lifestore snapshot of the run to this path (servable by the serve verb)")
+		exportMRT   = fs.String("export-mrt", "", "export one day's MRT archives into -out (YYYY-MM-DD)")
+		exportFiles = fs.String("export-files", "", "export one day's delegation files into -out (YYYY-MM-DD)")
+		outDir      = fs.String("out", ".", "output directory for exports")
+		lookupASN   = fs.Uint64("asn", 0, "print one ASN's parallel lives and exit")
+		stageReport = fs.Bool("stage-report", false, "print a per-stage duration and record-flow table after the run")
+		profileOut  = fs.String("profile-out", "", "write cpu.pprof, heap.pprof and allocs.pprof into this directory (the build is profiled; reporting is not)")
+	)
+	return func(ctx context.Context, _ []string, stdout, stderr io.Writer) error {
+		opts := pf.options()
+		if *stageReport {
+			opts.Obs = obs.New()
+		}
+
+		var stopProfiles func() error
+		if *profileOut != "" {
+			var err error
+			if stopProfiles, err = startProfiles(*profileOut, stderr); err != nil {
+				return err
+			}
+		}
+		ds, err := buildDataset(ctx, opts, stderr)
+		if stopProfiles != nil {
+			// Profiles cover exactly the build, success or failure: the CPU
+			// profile stops here and the heap/allocs profiles capture the
+			// dataset while it is still fully resident.
+			if perr := stopProfiles(); perr != nil && err == nil {
+				err = perr
+			}
+		}
+		if err != nil {
+			return err
+		}
+		if *stageReport {
+			fmt.Fprint(stdout, obs.StageTable(ds.Trace))
+		}
+
+		if *datasets != "" {
+			if err := writeDatasets(ds, *datasets, stderr); err != nil {
+				return err
+			}
+		}
+		if *snapshotOut != "" {
+			if _, err := saveSnapshot(ds, *snapshotOut, stderr); err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "serve it with: parallellives serve -listen :8080 -snapshot %s\n", *snapshotOut)
+		}
+		if *exportMRT != "" {
+			if err := doExportMRT(ds, *exportMRT, *outDir, stderr); err != nil {
+				return err
+			}
+		}
+		if *exportFiles != "" {
+			if err := doExportFiles(ds, *exportFiles, *outDir, stderr); err != nil {
+				return err
+			}
+		}
+
+		if *lookupASN != 0 {
+			printASN(stdout, ds, asn.ASN(*lookupASN))
+			return nil
+		}
+
+		want := map[string]bool{}
+		all := *experiments == "all"
+		for _, e := range strings.Split(*experiments, ",") {
+			want[strings.TrimSpace(e)] = true
+		}
+		sel := func(name string) bool { return all || want[name] }
+		printExperiments(stdout, ds, sel)
+		return nil
+	}
+}
+
+// startProfiles begins a CPU profile in dir and returns the stop func
+// that ends it and writes the heap and allocs profiles next to it
+// (-profile-out is the one way to take a profile of a pipeline run).
+func startProfiles(dir string, stderr io.Writer) (func() error, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	cpu, err := os.Create(filepath.Join(dir, "cpu.pprof"))
+	if err != nil {
+		return nil, err
+	}
+	if err := rpprof.StartCPUProfile(cpu); err != nil {
+		cpu.Close()
+		return nil, err
+	}
+	return func() error {
+		rpprof.StopCPUProfile()
+		if err := cpu.Close(); err != nil {
+			return err
+		}
+		// A GC first, so the heap profile shows live retention rather
+		// than garbage awaiting collection.
+		runtime.GC()
+		for _, p := range []string{"heap", "allocs"} {
+			f, err := os.Create(filepath.Join(dir, p+".pprof"))
+			if err != nil {
+				return err
+			}
+			if err := rpprof.Lookup(p).WriteTo(f, 0); err != nil {
+				f.Close()
+				return err
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
+		}
+		fmt.Fprintf(stderr, "profiles written to %s (cpu.pprof, heap.pprof, allocs.pprof)\n", dir)
+		return nil
+	}, nil
+}
+
+func printExperiments(out io.Writer, ds *pipeline.Dataset, sel func(string) bool) {
+	wStart, wEnd := ds.World.Config.Start, ds.World.Config.End
+	p := func(s string) { fmt.Fprintln(out, s) }
+
+	if sel("table1") {
+		p(report.BuildTable1(ds.Archive).Text())
+	}
+	if sel("figure3") {
+		f := report.BuildFigure3(ds.Activity, ds.Admin,
+			[]int{1, 2, 5, 10, 15, 20, 30, 50, 75, 100, 150, 365}, ds.Options.Timeout)
+		p(f.Text())
+	}
+	if sel("figure4") {
+		p(report.BuildFigure4(ds.Joint, wStart, wEnd, 180).Text())
+	}
+	if sel("table2") {
+		p(report.BuildTable2(ds.Joint).Text())
+	}
+	if sel("figure5") {
+		p(report.BuildFigure5(ds.Admin).Text())
+	}
+	if sel("table3") {
+		p(report.BuildTable3(ds.Joint).Text())
+	}
+	if sel("figure7") {
+		p(report.BuildFigure7(ds.Joint).Text())
+	}
+	if sel("figure8") {
+		findings := ds.Joint.DetectDormantSquats(core.DefaultSquatParams())
+		p(report.BuildFigure8(ds.Joint, findings, 6, 30, wStart, wEnd).Text())
+	}
+	if sel("figure9") {
+		p(report.BuildFigure9(ds.Joint.Unused()).Text())
+	}
+	if sel("figure10") {
+		p(report.BuildFigure10(ds.Admin).Text())
+	}
+	if sel("figure11") {
+		p(report.BuildFigure11(ds.Admin, wStart, wEnd).Text())
+	}
+	if sel("figure12") {
+		p(report.BuildFigure12(ds.Restored, wStart, wEnd, 180).Text())
+	}
+	if sel("figure14") {
+		p(report.BuildFigure14(ds.Admin, wStart.Year(), wEnd.Year()).Text())
+	}
+	if sel("table4") {
+		snaps := table4Snapshots(wStart, wEnd)
+		p(report.BuildTable4(ds.Joint, snaps, 5).Text())
+	}
+	if sel("table5") {
+		p(report.BuildTable5(ds.Admin, ds.Activity, []int{15, 30, 50}, 30).Text())
+	}
+	if sel("s61") {
+		p(report.BuildSection61(ds.Joint, wEnd, core.DefaultSquatParams()).Text())
+	}
+	if sel("s62") {
+		p(report.BuildSection62(ds.Joint, ds.Cones()).Text())
+	}
+	if sel("s63") {
+		p(report.BuildSection63(ds.Joint).Text())
+	}
+	if sel("s64") {
+		p(report.BuildSection64(ds.Joint).Text())
+	}
+	if sel("appendixa") {
+		p(report.BuildAppendixA16Bit(ds.Restored, wStart, wEnd).Text())
+	}
+	if sel("extensions") {
+		p(report.BuildExtensions(ds.Activity, ds.Ops).Text())
+	}
+	if sel("restoration") {
+		fmt.Fprintf(out, "Restoration report: %+v\n\n", ds.Restored.Report)
+	}
+	if sel("health") {
+		p(ds.Health.Text())
+	}
+}
+
+// printASN prints one ASN's parallel lives — the Listing 1 view.
+func printASN(out io.Writer, ds *pipeline.Dataset, a asn.ASN) {
+	admins := ds.Admin.Of(a)
+	ops := ds.Ops.Of(a)
+	if len(admins) == 0 && len(ops) == 0 {
+		fmt.Fprintf(out, "AS%s: never allocated and never seen in BGP\n", a)
+		return
+	}
+	fmt.Fprintf(out, "AS%s\n", a)
+	for _, ai := range admins {
+		al := ds.Admin.Lifetimes[ai]
+		fmt.Fprintf(out, "  administrative life (%s, %s): regDate=%s, %s .. %s, open=%v, category=%s\n",
+			al.RIR, al.CC, al.RegDate, al.Span.Start, al.Span.End, al.Open,
+			ds.Joint.AdminCat[ai])
+	}
+	for _, oi := range ops {
+		ol := ds.Ops.Lifetimes[oi]
+		fmt.Fprintf(out, "  operational life: %s .. %s (%d days), category=%s\n",
+			ol.Span.Start, ol.Span.End, ol.Span.Days(), ds.Joint.OpCat[oi])
+	}
+	if act := ds.Activity.ASNs[a]; act != nil && len(act.Upstreams) > 0 {
+		fmt.Fprintf(out, "  observed upstreams:")
+		for up := range act.Upstreams {
+			fmt.Fprintf(out, " AS%s", up)
+		}
+		fmt.Fprintln(out)
+	}
+}
+
+// table4Snapshots picks the paper's 2010/2015/2021 snapshots when they
+// fall inside the window, else three evenly spaced dates.
+func table4Snapshots(start, end dates.Day) []dates.Day {
+	paper := []dates.Day{
+		dates.MustParse("2010-01-01"),
+		dates.MustParse("2015-01-01"),
+		dates.MustParse("2021-03-01"),
+	}
+	var out []dates.Day
+	for _, d := range paper {
+		if d >= start && d <= end {
+			out = append(out, d)
+		}
+	}
+	if len(out) >= 2 {
+		return out
+	}
+	span := end.Sub(start)
+	return []dates.Day{start.AddDays(span / 3), start.AddDays(2 * span / 3), end}
+}
+
+func writeDatasets(ds *pipeline.Dataset, dir string, stderr io.Writer) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	admin, err := os.Create(filepath.Join(dir, "administrative.jsonl"))
+	if err != nil {
+		return err
+	}
+	defer admin.Close()
+	if err := ds.WriteAdminJSON(admin); err != nil {
+		return err
+	}
+	op, err := os.Create(filepath.Join(dir, "operational.jsonl"))
+	if err != nil {
+		return err
+	}
+	defer op.Close()
+	if err := ds.WriteOpJSON(op); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "datasets written to %s\n", dir)
+	return nil
+}
+
+func doExportMRT(ds *pipeline.Dataset, dateStr, dir string, stderr io.Writer) error {
+	day, err := dates.Parse(dateStr)
+	if err != nil {
+		return err
+	}
+	it := collector.New(ds.World).IterRange(day, day)
+	if !it.Next() {
+		return fmt.Errorf("day %s outside the window", day)
+	}
+	ribs, updates, err := it.MRT()
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for i := range ribs {
+		name := fmt.Sprintf("rrc%02d.rib.%s.mrt", i, day.Compact())
+		if err := os.WriteFile(filepath.Join(dir, name), ribs[i], 0o644); err != nil {
+			return err
+		}
+		name = fmt.Sprintf("rrc%02d.updates.%s.mrt", i, day.Compact())
+		if err := os.WriteFile(filepath.Join(dir, name), updates[i], 0o644); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(stderr, "MRT archives for %s written to %s\n", day, dir)
+	return nil
+}
+
+// doExportFiles writes the day's delegation files as the RIR FTP sites
+// name them; a day the simulator corrupted is written with its mangled
+// bytes, a missing one is skipped.
+func doExportFiles(ds *pipeline.Dataset, dateStr, dir string, stderr io.Writer) error {
+	day, err := dates.Parse(dateStr)
+	if err != nil {
+		return err
+	}
+	if err := ds.Archive.ExportDir(dir, day, day); err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "delegation files for %s written to %s\n", day, dir)
+	return nil
+}

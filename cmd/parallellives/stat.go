@@ -1,34 +1,11 @@
-// Command asnstat is the fleet dashboard: a one-shot (or polling)
-// terminal view of a sharded serving tier, read entirely from one
-// /metrics scrape of an asnroute router — or of a single asnserve
-// process, which renders as a one-row fleet.
-//
-//	asnstat -url http://127.0.0.1:8080             # one shot
-//	asnstat -url http://127.0.0.1:8080 -interval 2s # live, qps from deltas
-//
-// Against a router with federation enabled (the default), one row per
-// replica comes from the parallellives_fleet_* rollup the router
-// re-exports after scraping its fleet, plus the router's own per-replica
-// breaker gauges:
-//
-//	SHARD  REPLICA  UP  BREAKER  GEN  REQS  QPS  P99(ms)  ERRS  LAG(d)
-//
-// REPLICA is the ordinal within the range's replica set (a 1-replica
-// fleet shows ordinal 0 everywhere; a bare asnserve shows "-"). QPS
-// needs two scrapes to difference, so it shows "-" on the first poll
-// and in one-shot mode. Replicas whose last federation scrape failed
-// show UP 0 with their last-known numbers. Run with -interval against a
-// fresh router and the first row may be empty for one federation cycle
-// (default 5s) — the rollup does not exist until the router has scraped
-// its fleet once.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -41,57 +18,81 @@ import (
 	"parallellives/internal/stream"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "asnstat:", err)
-		os.Exit(1)
-	}
-}
+const statUsage = `parallellives stat -url http://127.0.0.1:8080              # one shot
+parallellives stat -url http://127.0.0.1:8080 -interval 2s # live, qps from deltas
 
-func run() error {
+The fleet dashboard: a one-shot (or polling) terminal view of a sharded
+serving tier, read entirely from one /metrics scrape of a parallellives
+route router — or of a single parallellives serve process, which
+renders as a one-row fleet.
+
+Against a router with federation enabled (the default), one row per
+replica comes from the parallellives_fleet_* rollup the router
+re-exports after scraping its fleet, plus the router's own per-replica
+breaker gauges:
+
+	SHARD  REPLICA  UP  BREAKER  GEN  REQS  QPS  P99(ms)  ERRS  LAG(d)
+
+REPLICA is the ordinal within the range's replica set (a 1-replica
+fleet shows ordinal 0 everywhere; a bare serve process shows "-"). QPS
+needs two scrapes to difference, so it shows "-" on the first poll and
+in one-shot mode. Replicas whose last federation scrape failed show
+UP 0 with their last-known numbers. Run with -interval against a fresh
+router and the first row may be empty for one federation cycle
+(default 5s) — the rollup does not exist until the router has scraped
+its fleet once.
+`
+
+func statVerb(fs *flag.FlagSet) verbBody {
 	var (
-		url      = flag.String("url", "http://127.0.0.1:8080", "router (or single asnserve) base URL")
-		interval = flag.Duration("interval", 0, "poll cadence; 0 renders once and exits")
-		count    = flag.Int("count", 0, "with -interval: stop after N renders (0 = until interrupted)")
-		timeout  = flag.Duration("timeout", 5*time.Second, "per-scrape HTTP timeout")
+		url      = fs.String("url", "http://127.0.0.1:8080", "router (or single serve process) base URL")
+		interval = fs.Duration("interval", 0, "poll cadence; 0 renders once and exits")
+		count    = fs.Int("count", 0, "with -interval: stop after N renders (0 = until interrupted)")
+		timeout  = fs.Duration("timeout", 5*time.Second, "per-scrape HTTP timeout")
 	)
-	flag.Parse()
-
-	client := &http.Client{Timeout: *timeout}
-	base := strings.TrimRight(*url, "/")
-	var prev map[string]float64
-	var prevAt time.Time
-	renders := 0
-	for {
-		samples, err := scrape(client, base+"/metrics")
-		if err != nil {
-			if *interval <= 0 {
-				return err
+	return func(ctx context.Context, _ []string, stdout, stderr io.Writer) error {
+		client := &http.Client{Timeout: *timeout}
+		base := strings.TrimRight(*url, "/")
+		var prev map[string]float64
+		var prevAt time.Time
+		renders := 0
+		for {
+			samples, err := scrape(client, base+"/metrics")
+			if err != nil {
+				if *interval <= 0 {
+					return err
+				}
+				fmt.Fprintf(stderr, "stat: %v\n", err)
+			} else {
+				now := time.Now()
+				rows := buildRows(samples)
+				render(stdout, base, rows, prev, now.Sub(prevAt))
+				prev, prevAt = requestTotals(rows), now
 			}
-			fmt.Fprintf(os.Stderr, "asnstat: %v\n", err)
-		} else {
-			now := time.Now()
-			rows := buildRows(samples)
-			render(os.Stdout, base, rows, prev, now.Sub(prevAt))
-			prev, prevAt = requestTotals(rows), now
+			renders++
+			if *interval <= 0 || (*count > 0 && renders >= *count) {
+				return nil
+			}
+			select {
+			case <-ctx.Done():
+				return nil
+			case <-time.After(*interval):
+			}
 		}
-		renders++
-		if *interval <= 0 || (*count > 0 && renders >= *count) {
-			return nil
-		}
-		time.Sleep(*interval)
 	}
 }
 
+// scrape reads one exposition, trusting the peer's length no further
+// than the router trusts a shard's.
 func scrape(client *http.Client, url string) (obs.Samples, error) {
 	resp, err := client.Get(url)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := router.ReadPeerBody(resp.Body)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", url, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("%s answered %d", url, resp.StatusCode)
@@ -100,7 +101,7 @@ func scrape(client *http.Client, url string) (obs.Samples, error) {
 }
 
 // row is one line of the dashboard: one replica of the fleet, or the
-// single process itself when asnstat points at a bare asnserve.
+// single process itself when pointed at a bare serve process.
 type row struct {
 	shard      string
 	replica    string
@@ -120,7 +121,7 @@ func (r row) key() string { return r.shard + "/" + r.replica }
 
 // buildRows reads the fleet from one exposition. A router exports
 // fleet_* series per (shard, replica) slot plus its own per-replica
-// breaker gauges; a single asnserve exports serve_* series, which
+// breaker gauges; a single serve process exports serve_* series, which
 // become one synthetic row.
 func buildRows(samples obs.Samples) []row {
 	replicas := map[string]*row{}

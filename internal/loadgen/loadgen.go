@@ -79,7 +79,7 @@ type Options struct {
 	Client *http.Client
 }
 
-// Result is one run's measurements, the JSON row cmd/asnload prints.
+// Result is one run's measurements, the JSON row `parallellives load` prints.
 type Result struct {
 	Target    string  `json:"target"`
 	RateRPS   float64 `json:"rate_rps"`

@@ -11,7 +11,7 @@ import (
 // Sample is one parsed exposition line: a series name, its label set
 // and value. This is the read half of the Prometheus text format —
 // WritePrometheus is the write half — used by the router's federation
-// scraper, the asnstat dashboard and tests that assert on exposition
+// scraper, the `parallellives stat` dashboard and tests that assert on exposition
 // output.
 type Sample struct {
 	Name   string

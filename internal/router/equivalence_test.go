@@ -20,7 +20,7 @@ import (
 )
 
 // The sharding contract: a router over N shards is byte-for-byte
-// indistinguishable from a single asnserve process over the unsharded
+// indistinguishable from a single `parallellives serve` process over the unsharded
 // snapshot. This file proves it property-style — pipeline-built
 // datasets (clean and chaos-seeded), N ∈ {1, 2, 4}, and a probe set
 // that walks every populated ASN, every shard boundary and its
@@ -61,7 +61,7 @@ func equivSnapshot(t testing.TB, seed int64, chaos bool) *lifestore.Snapshot {
 	return snap
 }
 
-// startBaseline serves the unsharded snapshot exactly as cmd/asnserve
+// startBaseline serves the unsharded snapshot exactly as `parallellives serve`
 // does: saved to disk, opened through FileOpener, behind serve.New.
 func startBaseline(t *testing.T, snap *lifestore.Snapshot) *serve.Server {
 	t.Helper()

@@ -88,10 +88,12 @@ func fixtureSnapshot(seed int64) *lifestore.Snapshot {
 // juggling listeners: while broken, every request answers 500 (which
 // the router's breaker treats exactly like a dead process). A non-zero
 // delay stalls every response first — the slow-replica half of the
-// hedged-read tests.
+// hedged-read tests. While flooding, every request answers 200 with a
+// body that never ends.
 type flaky struct {
 	h      http.Handler
 	broken atomic.Bool
+	flood  atomic.Bool
 	delay  atomic.Int64 // nanoseconds added before answering
 	hits   atomic.Int64
 }
@@ -107,6 +109,15 @@ func (f *flaky) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if f.broken.Load() {
 		http.Error(w, "injected shard failure", http.StatusInternalServerError)
+		return
+	}
+	if f.flood.Load() {
+		chunk := make([]byte, 64<<10)
+		for r.Context().Err() == nil {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
 		return
 	}
 	f.h.ServeHTTP(w, r)

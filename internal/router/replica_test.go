@@ -112,6 +112,33 @@ func TestOpenBreakerReplicaNeverPicked(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIsAShardFailure streams an endless body from one
+// replica: the router must stop reading at MaxPeerBody (an unbounded
+// read would never return), count the overflow against that replica's
+// breaker and answer from the sibling; with every replica flooding the
+// range is down and the read is a 503, never a relayed flood.
+func TestOversizedBodyIsAShardFailure(t *testing.T) {
+	fleet := startReplicated(t, fixtureSnapshot(1), 1, 2)
+	rt := newRouterOver(t, fleet.urls, Options{BreakerCooldown: time.Minute, CacheSize: -1})
+
+	f0, f1 := fleet.flakyAt(t, rt, 0, 0), fleet.flakyAt(t, rt, 0, 1)
+	f0.flood.Store(true)
+	waitBreakerState(t, rt, 0, 0, "open", func() {
+		w := get(rt, "/v1/asn/10", nil)
+		if w.Code != http.StatusOK || w.Body.Len() > MaxPeerBody {
+			t.Fatalf("read with one replica flooding = %d (%d bytes), want the sibling's 200", w.Code, w.Body.Len())
+		}
+	})
+	if rt.failovers.With("0").Value() == 0 {
+		t.Fatal("overflow was not counted as a failover")
+	}
+
+	f1.flood.Store(true)
+	if w := get(rt, "/v1/asn/10", nil); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("read with every replica flooding = %d (%d bytes), want 503", w.Code, w.Body.Len())
+	}
+}
+
 // TestHedgedReads arms hedging against a deliberately slow replica: the
 // hedge must win (header + counters), and the cancelled slow attempt
 // must land breaker-neutral — hedging never trips a healthy replica.

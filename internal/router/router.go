@@ -1,5 +1,5 @@
 // Package router is the scatter-gather front of the sharded serving
-// tier. It speaks the exact same HTTP surface as a single asnserve
+// tier. It speaks the exact same HTTP surface as a single `parallellives serve`
 // process — that equivalence is tested byte-for-byte — but answers from
 // a fleet of shard processes, each serving one contiguous ASN range of
 // a sharded snapshot (lifestore.SaveSharded), with up to R replicas per

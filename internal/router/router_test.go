@@ -326,7 +326,7 @@ func TestHealthAndTopology(t *testing.T) {
 }
 
 // TestSingleUnshardedBackend proves the degenerate deployment: one
-// plain asnserve process behind the router.
+// plain `parallellives serve` process behind the router.
 func TestSingleUnshardedBackend(t *testing.T) {
 	set := startShards(t, fixtureSnapshot(1), 1)
 	// A 1-way cut is still sharded; also front a truly plain server.

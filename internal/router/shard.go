@@ -21,6 +21,23 @@ import (
 // the whole request where its policy allows.
 var errShardDown = errors.New("router: shard unavailable")
 
+// MaxPeerBody caps how much of a peer's response body is read into
+// memory. The largest legitimate body measured is the stride-1 series
+// over the full 6,354-day window, 134 KB (a replica's /metrics is 21 KB,
+// a full /v1/debug/slow ring 8 KB); 4 MiB leaves 30x headroom for
+// paper-scale counts, which only widen each number by a few digits.
+const MaxPeerBody = 4 << 20
+
+// ReadPeerBody reads a peer's response body whole, refusing to hold
+// more than MaxPeerBody of it whatever length the peer claims.
+func ReadPeerBody(r io.Reader) ([]byte, error) {
+	body, err := io.ReadAll(io.LimitReader(r, MaxPeerBody+1))
+	if err == nil && len(body) > MaxPeerBody {
+		err = fmt.Errorf("body exceeds the %d-byte peer cap", MaxPeerBody)
+	}
+	return body, err
+}
+
 // upstream is one shard response captured whole, so it can be proxied
 // byte-for-byte or parked in the router cache.
 type upstream struct {
@@ -188,7 +205,7 @@ func (sc *shardClient) fetch(ctx context.Context, method, pathq, ifNoneMatch str
 		return nil, fmt.Errorf("%w: %v", errShardDown, err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := ReadPeerBody(resp.Body)
 	if err != nil {
 		if ctx.Err() != nil {
 			sc.onNeutral()

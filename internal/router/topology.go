@@ -105,7 +105,7 @@ func (rt *Router) assemble(clients []*shardClient, ids []shardIdentity, generati
 		sc.replica = ids[i].Replica
 	}
 
-	// All-unsharded is the degenerate deployment: R plain asnserve
+	// All-unsharded is the degenerate deployment: R plain `parallellives serve`
 	// processes over the same snapshot form one full-range replica set.
 	allUnsharded := true
 	for _, id := range ids {
@@ -300,7 +300,7 @@ func (rt *Router) dropRetiredSeries(old, cur *topology) {
 }
 
 // handleTopologyReload is POST /v1/admin/topology/reload: the HTTP face
-// of RebuildTopology (SIGHUP in cmd/asnroute is the other). A rebuild
+// of RebuildTopology (SIGHUP in `parallellives route` is the other). A rebuild
 // that cannot produce a valid topology answers 502 and keeps serving
 // the old table.
 func (rt *Router) handleTopologyReload(w http.ResponseWriter, r *http.Request) {

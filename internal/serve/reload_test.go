@@ -16,7 +16,7 @@ import (
 )
 
 // reloadFixture wires a file-backed Swappable + Reloader + Server the
-// way cmd/asnserve does, returning the snapshot path for overwrites.
+// way `parallellives serve` does, returning the snapshot path for overwrites.
 func reloadFixture(t *testing.T, o *obs.Obs) (*Server, *Reloader, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "lives.snap")

@@ -34,7 +34,7 @@ func archiveName(d dates.Day, collector string, kind ArchiveKind) string {
 }
 
 // DirWriter publishes complete days into a collector directory — the
-// feed side of the live-tail simulation (asnwatch -sim-feed) and of the
+// feed side of the live-tail simulation (`parallellives feed`) and of the
 // stream tests.
 type DirWriter struct {
 	dir string

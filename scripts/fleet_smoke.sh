@@ -1,11 +1,11 @@
 #!/bin/sh
 # Fleet-observability smoke: build a small snapshot, cut it 2 ways,
-# serve the shards behind asnroute with a fast federation scrape, and
+# serve the shards behind the router with a fast federation scrape, and
 # prove the cross-process story end to end — one traced request must
 # come back with a span tree stitched across router and shard, the
 # router's /metrics must grow the parallellives_fleet_* rollup for both
 # shards, /v1/debug/slow must aggregate both shards' exemplar rings, and
-# the asnstat dashboard must render a row per shard from one scrape.
+# the stat dashboard must render a row per shard from one scrape.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -20,12 +20,13 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 echo "== build"
-go build -o "$work" ./cmd/asnserve ./cmd/asnroute ./cmd/asnshard ./cmd/asnstat ./cmd/parallellives
+go build -o "$work/parallellives" ./cmd/parallellives
+pl="$work/parallellives"
 
 echo "== snapshot + 2-way cut"
-"$work/parallellives" -scale 0.01 -start 2004-01-01 -end 2007-01-01 \
+"$pl" run -scale 0.01 -start 2004-01-01 -end 2007-01-01 \
     -experiments "" -snapshot-out "$work/lives.snap" >/dev/null 2>&1
-"$work/asnshard" -snapshot "$work/lives.snap" -shards 2 -out "$work/lives.%d.snap" -verify 2>&1 | tail -1
+"$pl" shard -snapshot "$work/lives.snap" -shards 2 -out "$work/lives.%d.snap" -verify 2>&1 | tail -1
 
 wait_ready() { # url
     _tries=0
@@ -40,7 +41,7 @@ echo "== start 2 shards + router (scrape every 300ms)"
 shard_urls=""
 n=0
 while [ "$n" -lt 2 ]; do
-    "$work/asnserve" -listen "127.0.0.1:$((PORT + 1 + n))" \
+    "$pl" serve -listen "127.0.0.1:$((PORT + 1 + n))" \
         -snapshot "$work/lives.$n.snap" -mmap >/dev/null 2>&1 &
     pids="$pids $!"
     shard_urls="$shard_urls${shard_urls:+,}http://127.0.0.1:$((PORT + 1 + n))"
@@ -51,7 +52,7 @@ while [ "$n" -lt 2 ]; do
     wait_ready "http://127.0.0.1:$((PORT + 1 + n))"
     n=$((n + 1))
 done
-"$work/asnroute" -listen "127.0.0.1:$PORT" -shards "$shard_urls" \
+"$pl" route -listen "127.0.0.1:$PORT" -shards "$shard_urls" \
     -scrape-interval 300ms >/dev/null 2>&1 &
 pids="$pids $!"
 R="http://127.0.0.1:$PORT"
@@ -97,10 +98,10 @@ curl -sf "$R/v1/debug/slow" | jq -e \
     || { echo "fleet-smoke: /v1/debug/slow aggregation failed: $(curl -s "$R/v1/debug/slow")" >&2; exit 1; }
 echo "   router + both shard rings aggregated"
 
-echo "== asnstat dashboard"
-stat="$("$work/asnstat" -url "$R")"
+echo "== stat dashboard"
+stat="$("$pl" stat -url "$R")"
 echo "$stat" | sed 's/^/   /'
 rows="$(echo "$stat" | awk '$1 == "0" || $1 == "1"' | grep -c closed)"
-[ "$rows" = 2 ] || { echo "fleet-smoke: asnstat rendered $rows shard rows, want 2" >&2; exit 1; }
+[ "$rows" = 2 ] || { echo "fleet-smoke: stat rendered $rows shard rows, want 2" >&2; exit 1; }
 
 echo "fleet-smoke: OK (stitched trace + federated metrics + exemplars + dashboard)"

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Replicated-tier smoke: build a small snapshot, cut it 2 ways, serve
-# every range with 2 replicas behind asnroute, and prove the failover
-# story over live HTTP — under sustained asnload traffic, kill -9 and
+# every range with 2 replicas behind the router, and prove the failover
+# story over live HTTP — under sustained load-verb traffic, kill -9 and
 # restart EVERY replica in turn (retire + readmit via POST
 # /v1/admin/topology/reload), and require the load report to show zero
 # client-visible errors with failovers > 0: the fleet absorbed a full
@@ -22,12 +22,13 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 echo "== build"
-go build -o "$work" ./cmd/asnserve ./cmd/asnroute ./cmd/asnshard ./cmd/asnload ./cmd/parallellives
+go build -o "$work/parallellives" ./cmd/parallellives
+pl="$work/parallellives"
 
 echo "== snapshot + ${RANGES}-way cut"
-"$work/parallellives" -scale 0.01 -start 2004-01-01 -end 2007-01-01 \
+"$pl" run -scale 0.01 -start 2004-01-01 -end 2007-01-01 \
     -experiments "" -snapshot-out "$work/lives.snap" >/dev/null 2>&1
-"$work/asnshard" -snapshot "$work/lives.snap" -shards "$RANGES" -out "$work/lives.%d.snap" -verify 2>&1 | tail -1
+"$pl" shard -snapshot "$work/lives.snap" -shards "$RANGES" -out "$work/lives.%d.snap" -verify 2>&1 | tail -1
 
 wait_ready() { # url
     _tries=0
@@ -42,7 +43,7 @@ wait_ready() { # url
 replica_port() { echo $((PORT + 1 + $1 * REPLICAS + $2)); }
 
 start_replica() { # range ordinal -> echoes pid
-    "$work/asnserve" -listen "127.0.0.1:$(replica_port "$1" "$2")" \
+    "$pl" serve -listen "127.0.0.1:$(replica_port "$1" "$2")" \
         -snapshot "$work/lives.$1.snap" -mmap -replica "r$1-$2" >/dev/null 2>&1 &
     echo $!
 }
@@ -76,7 +77,7 @@ done
 # threshold 1 so a killed replica costs at most one failover per range
 # before its breaker opens.
 # shellcheck disable=SC2086
-"$work/asnroute" -listen "127.0.0.1:$PORT" $route_args -cache -1 \
+"$pl" route -listen "127.0.0.1:$PORT" $route_args -cache -1 \
     -breaker-threshold 1 -breaker-cooldown 300ms -probe-interval 200ms \
     -handshake-timeout 3s >/dev/null 2>&1 &
 pids="$pids $!"
@@ -89,7 +90,7 @@ reps="$(curl -sf "$R/v1/shards" | jq '[.shards[].replicas | length] | unique')"
 echo "   $RANGES ranges x $REPLICAS replicas up"
 
 echo "== rolling restart under load"
-"$work/asnload" -target "$R" -snapshot "$work/lives.snap" \
+"$pl" load -target "$R" -snapshot "$work/lives.snap" \
     -rate 300 -duration 20s -seed 7 -label replica-smoke \
     >"$work/load.json" 2>"$work/load.log" &
 load_pid=$!
@@ -121,7 +122,7 @@ while [ "$i" -lt "$RANGES" ]; do
     i=$((i + 1))
 done
 
-wait "$load_pid" || { echo "replica-smoke: asnload failed"; cat "$work/load.log" >&2; exit 1; }
+wait "$load_pid" || { echo "replica-smoke: load failed"; cat "$work/load.log" >&2; exit 1; }
 
 echo "== load report"
 jq -C . "$work/load.json" | sed 's/^/   /'

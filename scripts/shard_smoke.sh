@@ -1,6 +1,6 @@
 #!/bin/sh
 # Sharded-tier smoke: build a small snapshot, cut it 4 ways, serve the
-# shards behind asnroute, and prove the degradation story end to end —
+# shards behind the router, and prove the degradation story end to end —
 # kill one shard process, watch its range fail fast (503 + Retry-After)
 # while every other range and the aggregates (with the partial header)
 # keep answering, then restart it and watch the breaker close again.
@@ -18,12 +18,13 @@ cleanup() {
 trap cleanup EXIT INT TERM
 
 echo "== build"
-go build -o "$work" ./cmd/asnserve ./cmd/asnroute ./cmd/asnshard ./cmd/parallellives
+go build -o "$work/parallellives" ./cmd/parallellives
+pl="$work/parallellives"
 
 echo "== snapshot + 4-way cut"
-"$work/parallellives" -scale 0.01 -start 2004-01-01 -end 2007-01-01 \
+"$pl" run -scale 0.01 -start 2004-01-01 -end 2007-01-01 \
     -experiments "" -snapshot-out "$work/lives.snap" >/dev/null 2>&1
-"$work/asnshard" -snapshot "$work/lives.snap" -shards 4 -out "$work/lives.%d.snap" -verify 2>&1 | tail -1
+"$pl" shard -snapshot "$work/lives.snap" -shards 4 -out "$work/lives.%d.snap" -verify 2>&1 | tail -1
 
 wait_ready() { # url
     _tries=0
@@ -35,7 +36,7 @@ wait_ready() { # url
 }
 
 start_shard() { # index -> echoes pid
-    "$work/asnserve" -listen "127.0.0.1:$((PORT + 1 + $1))" \
+    "$pl" serve -listen "127.0.0.1:$((PORT + 1 + $1))" \
         -snapshot "$work/lives.$1.snap" -mmap >/dev/null 2>&1 &
     echo $!
 }
@@ -59,7 +60,7 @@ done
 # shard only, so it would (correctly) keep serving the complete cached
 # body while shard 3 is down — this smoke wants the live scatter path
 # and its partial header instead.
-"$work/asnroute" -listen "127.0.0.1:$PORT" -shards "$shard_urls" -cache -1 \
+"$pl" route -listen "127.0.0.1:$PORT" -shards "$shard_urls" -cache -1 \
     -breaker-threshold 2 -breaker-cooldown 500ms -probe-interval 300ms >/dev/null 2>&1 &
 pids="$pids $!"
 R="http://127.0.0.1:$PORT"

@@ -22,18 +22,19 @@ cleanup() {
 }
 trap cleanup EXIT
 
-echo "== build asnwatch"
-go build -o "$dir/asnwatch" ./cmd/asnwatch
+echo "== build"
+go build -o "$dir/parallellives" ./cmd/parallellives
+pl="$dir/parallellives"
 
 common="-scale $SCALE -start $START -end $END"
 
 echo "== start the simulated feed (one day per 50ms)"
-"$dir/asnwatch" -sim-feed -tail-dir "$dir/days" $common \
+"$pl" feed -tail-dir "$dir/days" $common \
     -feed-interval 50ms >"$dir/feed.log" 2>&1 &
 feed_pid=$!
 
 echo "== start the tail, then kill -9 it mid-window"
-"$dir/asnwatch" -tail -tail-dir "$dir/days" -checkpoint "$dir/ckpt" $common \
+"$pl" tail -tail-dir "$dir/days" -checkpoint "$dir/ckpt" $common \
     -snapshot-every 10 >"$dir/tail1.log" 2>&1 &
 tail_pid=$!
 sleep 2
@@ -46,7 +47,7 @@ wait "$feed_pid"
 feed_pid=""
 
 echo "== restart the tail from its checkpoint with -verify-batch"
-"$dir/asnwatch" -tail -tail-dir "$dir/days" -checkpoint "$dir/ckpt" $common \
+"$pl" tail -tail-dir "$dir/days" -checkpoint "$dir/ckpt" $common \
     -snapshot-every 10 -verify-batch 2>&1 | tee "$dir/tail2.log"
 
 grep -q "resuming from checkpoint" "$dir/tail2.log" || {
