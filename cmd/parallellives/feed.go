@@ -27,6 +27,9 @@ func feedVerb(fs *flag.FlagSet) verbBody {
 		every = fs.Duration("feed-interval", 100*time.Millisecond, "delay between published days")
 	)
 	return func(ctx context.Context, _ []string, stdout, stderr io.Writer) error {
+		if err := checkWindow(fs, cfg); err != nil {
+			return err
+		}
 		w, err := stream.NewDirWriter(*dir)
 		if err != nil {
 			return err

@@ -75,9 +75,35 @@ func (p *pipelineFlags) options() pipeline.Options {
 }
 
 // withPipeline adapts a dataset-building verb to the verbs table: the
-// verb is handed the pipeline flags instead of registering its own.
+// verb is handed the pipeline flags instead of registering its own, and
+// runs only once the window they name makes sense.
 func withPipeline(verb func(*flag.FlagSet, *pipelineFlags) verbBody) func(*flag.FlagSet) verbBody {
-	return func(fs *flag.FlagSet) verbBody { return verb(fs, addPipelineFlags(fs)) }
+	return func(fs *flag.FlagSet) verbBody {
+		p := addPipelineFlags(fs)
+		body := verb(fs, p)
+		return func(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+			if err := checkWindow(fs, p.opts.World); err != nil {
+				return err
+			}
+			return body(ctx, args, stdout, stderr)
+		}
+	}
+}
+
+// usageError reports a command-line mistake the flag package cannot see
+// (it checks one value at a time): the problem, then the verb's usage.
+func usageError(fs *flag.FlagSet, format string, args ...any) error {
+	fmt.Fprintf(fs.Output(), format+"\n", args...)
+	fs.Usage()
+	return errUsage
+}
+
+// checkWindow rejects a window that ends before it starts.
+func checkWindow(fs *flag.FlagSet, cfg worldsim.Config) error {
+	if cfg.End < cfg.Start {
+		return usageError(fs, "-end %s is before -start %s", cfg.End, cfg.Start)
+	}
+	return nil
 }
 
 // buildDataset runs the pipeline with progress lines on stderr — the

@@ -162,13 +162,45 @@ func TestPipelineFlagsOneMeaning(t *testing.T) {
 	}
 }
 
+// TestMistakesTheFlagPackageCannotSee pins the command-line mistakes
+// that only show once every flag is parsed: they are usage errors (exit
+// 2, explained before the usage), found before any dataset is built.
+func TestMistakesTheFlagPackageCannotSee(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		says string
+	}{
+		{[]string{"run", "-scale", "0.005", "-experiments", "table1,tabel2"}, `unknown experiment "tabel2": want all, none, or any of table1, figure3,`},
+		{[]string{"run", "-start", "2010-01-10", "-end", "2010-01-01"}, "-end 2010-01-01 is before -start 2010-01-10\n"},
+		{[]string{"feed", "-tail-dir", t.TempDir(), "-end", "2003-01-01"}, "-end 2003-01-01 is before -start 2003-10-09\n"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if err := run(context.Background(), tc.args, &stdout, &stderr); !errors.Is(err, errUsage) {
+			t.Errorf("%v: err = %v, want errUsage", tc.args, err)
+		}
+		if got := stderr.String(); !strings.HasPrefix(got, tc.says) || !strings.Contains(got, "\nFlags:\n") || strings.Contains(got, "building dataset") {
+			t.Errorf("%v: stderr should explain the mistake, print the usage and build nothing:\n%s", tc.args, got)
+		}
+	}
+
+	// The shortest windows are not mistakes: one day, and less than the
+	// simulator's anomaly planters like to have.
+	for _, end := range []string{"2010-01-01", "2010-01-10"} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"run", "-scale", "0.005", "-start", "2010-01-01", "-end", end, "-experiments", "table3, health"}
+		if err := run(context.Background(), args, &stdout, &stderr); err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), "Table 3: ") || !strings.Contains(stdout.String(), "Fault policy") {
+			t.Errorf("%v: stdout lacks the two selected experiments:\n%s", args, stdout.String())
+		}
+	}
+}
+
 // TestRoundTrip drives the glue no package test covers: run writes a
 // snapshot, shard cuts and verifies it, serve binds, answers, and drains
 // cleanly when the shutdown context is cancelled.
 func TestRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a dataset and serves it")
-	}
 	dir := t.TempDir()
 	snap := filepath.Join(dir, "lives.snap")
 	must := func(args ...string) {

@@ -13,27 +13,60 @@ import (
 
 	"parallellives/internal/asn"
 	"parallellives/internal/collector"
-	"parallellives/internal/core"
 	"parallellives/internal/dates"
 	"parallellives/internal/obs"
 	"parallellives/internal/pipeline"
 	"parallellives/internal/report"
 )
 
-const runUsage = `parallellives run [flags]
+var runUsage = `parallellives run [flags]
 
 Runs the full reproduction pipeline (Figure 1 of the paper): it
 simulates the ground-truth world, renders and restores the delegation
 archive, scans the simulated collectors, builds both lifetime
 dimensions, and regenerates the paper's tables and figures on stdout.
 
--experiments takes a comma list of: table1..table5, figure3..figure14,
-s61..s64, appendixa, extensions, restoration, health — or 'all'.
+-experiments takes a comma list of:
+  ` + strings.Join(experimentNames(), ", ") + `
+— or 'all', or 'none'.
 `
+
+func experimentNames() []string {
+	names := make([]string, len(report.Experiments))
+	for i, e := range report.Experiments {
+		names[i] = e.Name
+	}
+	return names
+}
+
+// chooseExperiments resolves an -experiments value to table entries, in
+// the table's order whatever order they were named in. A name the table
+// does not have is an error, not an empty selection.
+func chooseExperiments(list string) ([]report.Experiment, error) {
+	known := map[string]bool{"all": true, "none": true, "": true}
+	for _, e := range report.Experiments {
+		known[e.Name] = true
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if !known[name] {
+			return nil, fmt.Errorf("unknown experiment %q: want all, none, or any of %s", name, strings.Join(experimentNames(), ", "))
+		}
+		want[name] = true
+	}
+	var chosen []report.Experiment
+	for _, e := range report.Experiments {
+		if want["all"] || want[e.Name] {
+			chosen = append(chosen, e)
+		}
+	}
+	return chosen, nil
+}
 
 func runVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 	var (
-		experiments = fs.String("experiments", "all", "comma list of experiments, or 'all'")
+		experiments = fs.String("experiments", "all", "comma list of experiments (named above), or 'all', or 'none'")
 		datasets    = fs.String("datasets", "", "write the Listing-1 JSON datasets into this directory")
 		snapshotOut = fs.String("snapshot-out", "", "write a lifestore snapshot of the run to this path (servable by the serve verb)")
 		exportMRT   = fs.String("export-mrt", "", "export one day's MRT archives into -out (YYYY-MM-DD)")
@@ -44,6 +77,10 @@ func runVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 		profileOut  = fs.String("profile-out", "", "write cpu.pprof, heap.pprof and allocs.pprof into this directory (the build is profiled; reporting is not)")
 	)
 	return func(ctx context.Context, _ []string, stdout, stderr io.Writer) error {
+		chosen, err := chooseExperiments(*experiments)
+		if err != nil {
+			return usageError(fs, "%v", err)
+		}
 		opts := pf.options()
 		if *stageReport {
 			opts.Obs = obs.New()
@@ -99,13 +136,9 @@ func runVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 			return nil
 		}
 
-		want := map[string]bool{}
-		all := *experiments == "all"
-		for _, e := range strings.Split(*experiments, ",") {
-			want[strings.TrimSpace(e)] = true
+		for _, e := range chosen {
+			fmt.Fprintln(stdout, e.Render(ds))
 		}
-		sel := func(name string) bool { return all || want[name] }
-		printExperiments(stdout, ds, sel)
 		return nil
 	}
 }
@@ -151,85 +184,6 @@ func startProfiles(dir string, stderr io.Writer) (func() error, error) {
 	}, nil
 }
 
-func printExperiments(out io.Writer, ds *pipeline.Dataset, sel func(string) bool) {
-	wStart, wEnd := ds.World.Config.Start, ds.World.Config.End
-	p := func(s string) { fmt.Fprintln(out, s) }
-
-	if sel("table1") {
-		p(report.BuildTable1(ds.Archive).Text())
-	}
-	if sel("figure3") {
-		f := report.BuildFigure3(ds.Activity, ds.Admin,
-			[]int{1, 2, 5, 10, 15, 20, 30, 50, 75, 100, 150, 365}, ds.Options.Timeout)
-		p(f.Text())
-	}
-	if sel("figure4") {
-		p(report.BuildFigure4(ds.Joint, wStart, wEnd, 180).Text())
-	}
-	if sel("table2") {
-		p(report.BuildTable2(ds.Joint).Text())
-	}
-	if sel("figure5") {
-		p(report.BuildFigure5(ds.Admin).Text())
-	}
-	if sel("table3") {
-		p(report.BuildTable3(ds.Joint).Text())
-	}
-	if sel("figure7") {
-		p(report.BuildFigure7(ds.Joint).Text())
-	}
-	if sel("figure8") {
-		findings := ds.Joint.DetectDormantSquats(core.DefaultSquatParams())
-		p(report.BuildFigure8(ds.Joint, findings, 6, 30, wStart, wEnd).Text())
-	}
-	if sel("figure9") {
-		p(report.BuildFigure9(ds.Joint.Unused()).Text())
-	}
-	if sel("figure10") {
-		p(report.BuildFigure10(ds.Admin).Text())
-	}
-	if sel("figure11") {
-		p(report.BuildFigure11(ds.Admin, wStart, wEnd).Text())
-	}
-	if sel("figure12") {
-		p(report.BuildFigure12(ds.Restored, wStart, wEnd, 180).Text())
-	}
-	if sel("figure14") {
-		p(report.BuildFigure14(ds.Admin, wStart.Year(), wEnd.Year()).Text())
-	}
-	if sel("table4") {
-		snaps := table4Snapshots(wStart, wEnd)
-		p(report.BuildTable4(ds.Joint, snaps, 5).Text())
-	}
-	if sel("table5") {
-		p(report.BuildTable5(ds.Admin, ds.Activity, []int{15, 30, 50}, 30).Text())
-	}
-	if sel("s61") {
-		p(report.BuildSection61(ds.Joint, wEnd, core.DefaultSquatParams()).Text())
-	}
-	if sel("s62") {
-		p(report.BuildSection62(ds.Joint, ds.Cones()).Text())
-	}
-	if sel("s63") {
-		p(report.BuildSection63(ds.Joint).Text())
-	}
-	if sel("s64") {
-		p(report.BuildSection64(ds.Joint).Text())
-	}
-	if sel("appendixa") {
-		p(report.BuildAppendixA16Bit(ds.Restored, wStart, wEnd).Text())
-	}
-	if sel("extensions") {
-		p(report.BuildExtensions(ds.Activity, ds.Ops).Text())
-	}
-	if sel("restoration") {
-		fmt.Fprintf(out, "Restoration report: %+v\n\n", ds.Restored.Report)
-	}
-	if sel("health") {
-		p(ds.Health.Text())
-	}
-}
-
 // printASN prints one ASN's parallel lives — the Listing 1 view.
 func printASN(out io.Writer, ds *pipeline.Dataset, a asn.ASN) {
 	admins := ds.Admin.Of(a)
@@ -257,27 +211,6 @@ func printASN(out io.Writer, ds *pipeline.Dataset, a asn.ASN) {
 		}
 		fmt.Fprintln(out)
 	}
-}
-
-// table4Snapshots picks the paper's 2010/2015/2021 snapshots when they
-// fall inside the window, else three evenly spaced dates.
-func table4Snapshots(start, end dates.Day) []dates.Day {
-	paper := []dates.Day{
-		dates.MustParse("2010-01-01"),
-		dates.MustParse("2015-01-01"),
-		dates.MustParse("2021-03-01"),
-	}
-	var out []dates.Day
-	for _, d := range paper {
-		if d >= start && d <= end {
-			out = append(out, d)
-		}
-	}
-	if len(out) >= 2 {
-		return out
-	}
-	span := end.Sub(start)
-	return []dates.Day{start.AddDays(span / 3), start.AddDays(2 * span / 3), end}
 }
 
 func writeDatasets(ds *pipeline.Dataset, dir string, stderr io.Writer) error {

@@ -388,3 +388,23 @@ func TestSmallWorldNonTrivial(t *testing.T) {
 	}
 	var _ = worldsim.VisFull // keep import
 }
+
+// TestShortWindowsRun pins that the whole pipeline — not just the
+// generator — finishes on windows shorter than the anomaly planters'
+// margins: `run -start 2010-01-01 -end 2010-01-10` used to panic.
+func TestShortWindowsRun(t *testing.T) {
+	for _, days := range []int{1, 10, 41} {
+		opts := DefaultOptions()
+		opts.World.Scale = 0.005
+		opts.World.Start = dates.MustParse("2010-01-01")
+		opts.World.End = opts.World.Start.AddDays(days - 1)
+		opts.Wire = true
+		ds, err := Run(opts)
+		if err != nil {
+			t.Fatalf("%d-day window: %v", days, err)
+		}
+		if len(ds.Admin.Lifetimes) == 0 {
+			t.Errorf("%d-day window: no administrative lifetimes", days)
+		}
+	}
+}

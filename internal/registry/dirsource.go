@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"parallellives/internal/asn"
 	"parallellives/internal/dates"
@@ -63,21 +64,22 @@ func NewDirSource(dir string, rir asn.RIR) (*DirSource, error) {
 		ext: make(map[dates.Day]string),
 	}
 	prefix := "delegated-" + rir.Token() + "-"
-	extPrefix := prefix + "extended-"
 	seen := make(map[dates.Day]bool)
 	for _, e := range entries {
 		if e.IsDir() {
 			continue
 		}
 		name := e.Name()
-		var dateStr string
-		var extended bool
-		switch {
-		case len(name) >= len(extPrefix)+8 && name[:len(extPrefix)] == extPrefix:
-			dateStr, extended = name[len(extPrefix):len(extPrefix)+8], true
-		case len(name) >= len(prefix)+8 && name[:len(prefix)] == prefix:
-			dateStr, extended = name[len(prefix):len(prefix)+8], false
-		default:
+		rest, ok := strings.CutPrefix(name, prefix)
+		if !ok {
+			continue
+		}
+		dateStr, extended := strings.CutPrefix(rest, "extended-")
+		if len(dateStr) != 8 {
+			// The name must end with the date. What RIR mirrors keep beside
+			// each snapshot (.md5, .asc, .gz) and their -latest links are
+			// other files, not snapshots — matching them by the date they
+			// embed would let a checksum shadow the file it belongs to.
 			continue
 		}
 		d, err := dates.ParseCompact(dateStr)

@@ -3,6 +3,7 @@ package registry
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"parallellives/internal/asn"
@@ -71,6 +72,46 @@ func TestExportDirRoundTrip(t *testing.T) {
 		}
 		if days < 50 {
 			t.Fatalf("only %d days streamed", days)
+		}
+	}
+
+	// What RIR FTP mirrors keep beside every snapshot — a checksum, a
+	// signature — must not change anything: the siblings embed the same
+	// date, and matching them would shadow the real files.
+	drain := func(r asn.RIR) ([]Snapshot, IngestReport) {
+		src, err := NewDirSource(dir, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snaps []Snapshot
+		for snap, ok := src.Next(); ok; snap, ok = src.Next() {
+			snaps = append(snaps, snap)
+		}
+		return snaps, src.Report()
+	}
+	rirs := []asn.RIR{asn.APNIC, asn.ARIN}
+	wantSnaps, wantReports := make([][]Snapshot, len(rirs)), make([]IngestReport, len(rirs))
+	for i, r := range rirs {
+		wantSnaps[i], wantReports[i] = drain(r)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		for _, ext := range []string{".md5", ".asc"} {
+			if err := os.WriteFile(filepath.Join(dir, e.Name()+ext), []byte("d41d8cd98f00b204e9800998ecf8427e\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, r := range rirs {
+		snaps, rep := drain(r)
+		if !reflect.DeepEqual(rep, wantReports[i]) {
+			t.Errorf("%s: report with siblings = %+v, without = %+v", r.Token(), rep, wantReports[i])
+		}
+		if !reflect.DeepEqual(snaps, wantSnaps[i]) {
+			t.Errorf("%s: streamed snapshots changed when .md5/.asc siblings appeared", r.Token())
 		}
 	}
 }

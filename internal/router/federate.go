@@ -122,15 +122,9 @@ func (f *federator) touch(shard, rep string) {
 }
 
 // prune drops fleet series for replica slots the given topology no
-// longer has, so the exposition reflects the live fleet rather than the
-// union of every topology ever served.
+// longer has.
 func (f *federator) prune(topo *topology) {
-	live := map[[2]string]bool{}
-	for _, set := range topo.sets {
-		for ord := range set.replicas {
-			live[[2]string{strconv.Itoa(set.index), strconv.Itoa(ord)}] = true
-		}
-	}
+	live := topo.slots()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for key := range f.emitted {
@@ -164,40 +158,16 @@ func (rt *Router) ScrapeFleet(ctx context.Context) {
 		return
 	}
 	topo := rt.topo.Load()
-	type scrape struct {
-		samples obs.Samples
-		ok      bool
-	}
-	results := make([]scrape, len(topo.replicas))
-	var wg sync.WaitGroup
-	for i, sc := range topo.replicas {
-		wg.Add(1)
-		go func(i int, sc *shardClient) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			defer cancel()
-			u, err := sc.fetch(sctx, http.MethodGet, "/metrics", "")
-			if err != nil || u.status != http.StatusOK {
-				return
-			}
-			samples, err := obs.ParseExposition(u.body)
-			if err != nil {
-				return
-			}
-			results[i] = scrape{samples: samples, ok: true}
-		}(i, sc)
-	}
-	wg.Wait()
-
+	replies := askReplicas(ctx, topo, 2*time.Second, http.MethodGet, "/metrics")
 	now := float64(f.clock.Now().Unix())
 	var minGen, maxGen int64
 	var lagMax float64
 	lagSeen := false
 	open := 0
-	for i, sc := range topo.replicas {
-		shard, rep := strconv.Itoa(sc.index), strconv.Itoa(sc.ordinal)
+	for i, r := range replies {
+		shard, rep := strconv.Itoa(r.sc.index), strconv.Itoa(r.sc.ordinal)
 		f.touch(shard, rep)
-		state, gen, _ := sc.state()
+		state, gen, _ := r.sc.state()
 		if state == "open" {
 			open++
 		}
@@ -209,8 +179,14 @@ func (rt *Router) ScrapeFleet(ctx context.Context) {
 		}
 		f.gen.With(shard, rep).Set(float64(gen))
 
-		res := results[i]
-		if !res.ok {
+		var samples obs.Samples
+		ok := r.failure() == ""
+		if ok {
+			var err error
+			samples, err = obs.ParseExposition(r.u.body)
+			ok = err == nil
+		}
+		if !ok {
 			f.scrapes.With(shard, rep, "error").Inc()
 			f.up.With(shard, rep).Set(0)
 			continue
@@ -218,14 +194,14 @@ func (rt *Router) ScrapeFleet(ctx context.Context) {
 		f.scrapes.With(shard, rep, "ok").Inc()
 		f.up.With(shard, rep).Set(1)
 		f.lastUnix.With(shard, rep).Set(now)
-		f.reqs.With(shard, rep).Set(res.samples.Sum(serve.MetricRequests, nil))
-		f.errs.With(shard, rep).Set(res.samples.Sum(serve.MetricErrors, nil))
-		f.p50.With(shard, rep).Set(res.samples.Quantile(serve.MetricLatency, 0.5, nil))
-		f.p99.With(shard, rep).Set(res.samples.Quantile(serve.MetricLatency, 0.99, nil))
-		if v, ok := res.samples.Value(serve.MetricInFlight, nil); ok {
+		f.reqs.With(shard, rep).Set(samples.Sum(serve.MetricRequests, nil))
+		f.errs.With(shard, rep).Set(samples.Sum(serve.MetricErrors, nil))
+		f.p50.With(shard, rep).Set(samples.Quantile(serve.MetricLatency, 0.5, nil))
+		f.p99.With(shard, rep).Set(samples.Quantile(serve.MetricLatency, 0.99, nil))
+		if v, ok := samples.Value(serve.MetricInFlight, nil); ok {
 			f.inflight.With(shard, rep).Set(v)
 		}
-		if v, ok := res.samples.Value(stream.MetricIngestLagDays, nil); ok {
+		if v, ok := samples.Value(stream.MetricIngestLagDays, nil); ok {
 			f.lag.With(shard, rep).Set(v)
 			if !lagSeen || v > lagMax {
 				lagMax, lagSeen = v, true

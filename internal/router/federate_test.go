@@ -87,7 +87,7 @@ func TestFederatedMetricsGolden(t *testing.T) {
 	rt.ScrapeFleet(context.Background())
 
 	var buf bytes.Buffer
-	if err := obs.WritePrometheus(&buf, rt.obs.Registry); err != nil {
+	if err := obs.WritePrometheus(&buf, rt.front.Obs.Registry); err != nil {
 		t.Fatal(err)
 	}
 	var fleet []string
@@ -170,7 +170,7 @@ func TestFederationDisabled(t *testing.T) {
 	}
 	rt.ScrapeFleet(context.Background()) // must no-op
 	var buf bytes.Buffer
-	if err := obs.WritePrometheus(&buf, rt.obs.Registry); err != nil {
+	if err := obs.WritePrometheus(&buf, rt.front.Obs.Registry); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), "parallellives_fleet") {

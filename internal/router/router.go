@@ -162,8 +162,8 @@ type Options struct {
 	// reuse it as the window after which unreachable replicas are
 	// retired.
 	HandshakeTimeout time.Duration
-	// ProbeInterval is the background re-handshake cadence once serving
-	// (default 2s; Start only).
+	// ProbeInterval is the background re-handshake cadence callers pass
+	// to Start (zero or less there means 2s).
 	ProbeInterval time.Duration
 	// ScrapeInterval is the federation cadence: how often Start scrapes
 	// every replica's /metrics into the fleet rollup (default 5s;
@@ -202,19 +202,10 @@ type Router struct {
 	topo      atomic.Pointer[topology]
 	rebuildMu sync.Mutex // serializes RebuildTopology
 
-	mux     *http.ServeMux
-	handler http.Handler
-	chain   *serve.Chain
-	cache   *serve.LRU[entry]
-	obs     *obs.Obs
-
-	exemplars   *obs.ExemplarRing
-	spanIDs     obs.IDSource
-	runtime     *obs.RuntimeStats
+	front       *serve.Front
+	cache       *serve.LRU[entry]
 	fed         *federator
 	scrapeEvery time.Duration
-
-	metrics map[string]*endpointMetrics
 
 	shardRequests *obs.CounterVec
 	shardErrors   *obs.CounterVec
@@ -224,20 +215,11 @@ type Router struct {
 	partials      *obs.Counter
 	disagreements *obs.Counter
 	revalidations *obs.CounterVec
-	cacheHits     *obs.Gauge
-	cacheMisses   *obs.Gauge
-	cacheEntries  *obs.Gauge
 	topoGen       *obs.Gauge
 	topoReloads   *obs.CounterVec
 	breakerState  *obs.GaugeVec
 	breakerTrips  *obs.CounterVec
 	breakerShorts *obs.CounterVec
-}
-
-type endpointMetrics struct {
-	requests *obs.Counter
-	errors   *obs.Counter
-	latency  *obs.Histogram
 }
 
 // New connects to every replica, verifies that together they form one
@@ -259,29 +241,11 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 	if opts.ReplicasMin <= 0 {
 		opts.ReplicasMin = 1
 	}
-	if opts.CacheSize == 0 {
-		opts.CacheSize = 256
-	}
-	if opts.CacheSize < 0 {
-		opts.CacheSize = 0
-	}
-	if opts.BreakerThreshold == 0 {
-		opts.BreakerThreshold = 5
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 5 * time.Second
-	}
 	if opts.HandshakeTimeout <= 0 {
 		opts.HandshakeTimeout = 10 * time.Second
 	}
-	if opts.ProbeInterval <= 0 {
-		opts.ProbeInterval = 2 * time.Second
-	}
 	if opts.ScrapeInterval == 0 {
 		opts.ScrapeInterval = 5 * time.Second
-	}
-	if opts.ExemplarCapacity == 0 {
-		opts.ExemplarCapacity = 32
 	}
 	if opts.Client == nil {
 		opts.Client = &http.Client{Transport: &http.Transport{
@@ -289,10 +253,14 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 			MaxIdleConnsPerHost: 4,
 		}}
 	}
-	if opts.Obs == nil {
-		opts.Obs = obs.New()
-	}
-	reg := opts.Obs.Registry
+	front := serve.NewFront(serve.Names{
+		Span:     "route",
+		Requests: MetricRequests, Errors: MetricErrors, Latency: MetricLatency,
+		CacheHits: MetricCacheHits, CacheMisses: MetricCacheMisses, CacheEntries: MetricCacheEntries,
+		FailFrom: http.StatusInternalServerError,
+	}, opts.Obs, serve.ChainOptions{MaxInFlight: opts.MaxInFlight, RequestTimeout: opts.RequestTimeout},
+		opts.ExemplarCapacity, opts.SpanIDs)
+	reg := front.Obs.Registry
 
 	urls := make([]string, 0, len(opts.Shards))
 	for _, base := range opts.Shards {
@@ -310,18 +278,9 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 		handshakeTimeout: opts.HandshakeTimeout,
 		client:           opts.Client,
 
-		mux: http.NewServeMux(),
-		chain: serve.NewChain(reg, serve.ChainOptions{
-			MaxInFlight:    opts.MaxInFlight,
-			RequestTimeout: opts.RequestTimeout,
-		}),
-		cache:       serve.NewLRU[entry](opts.CacheSize),
-		obs:         opts.Obs,
-		exemplars:   obs.NewExemplarRing(opts.ExemplarCapacity),
-		spanIDs:     opts.SpanIDs,
-		runtime:     obs.RegisterRuntime(reg),
+		front:       front,
+		cache:       serve.NewLRU[entry](serve.CacheCapacity(opts.CacheSize)),
 		scrapeEvery: opts.ScrapeInterval,
-		metrics:     make(map[string]*endpointMetrics),
 		shardRequests: reg.CounterVec(MetricShardRequests,
 			"Upstream requests by shard range and replica ordinal.", "shard", "replica"),
 		shardErrors: reg.CounterVec(MetricShardErrors,
@@ -338,9 +297,6 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 			"Scatter gathers where healthy ranges returned different answers."),
 		revalidations: reg.CounterVec(MetricRevalidations,
 			"Cache revalidations by outcome (fresh = upstream 304, stale = refetched).", "outcome"),
-		cacheHits:    reg.Gauge(MetricCacheHits, "Router response-cache hits since start."),
-		cacheMisses:  reg.Gauge(MetricCacheMisses, "Router response-cache misses since start."),
-		cacheEntries: reg.Gauge(MetricCacheEntries, "Router response-cache entries currently held."),
 		topoGen: reg.Gauge(MetricTopologyGen,
 			"Routing-table generation: bumps on every accepted topology reload."),
 		topoReloads: reg.CounterVec(MetricTopologyReloads,
@@ -362,26 +318,23 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 	rt.topo.Store(topo)
 	rt.topoGen.Set(float64(topo.generation))
 
-	rt.mux.HandleFunc("GET /v1/asn/{n}", rt.wrap("/v1/asn/{n}", rt.handleASN))
-	rt.mux.HandleFunc("GET /v1/rir/{r}/series", rt.wrap("/v1/rir/{r}/series", rt.handleAggregate))
-	rt.mux.HandleFunc("GET /v1/taxonomy", rt.wrap("/v1/taxonomy", rt.handleAggregate))
-	rt.mux.HandleFunc("GET /v1/stages", rt.wrap("/v1/stages", rt.handleStages))
-	rt.mux.HandleFunc("GET /v1/health", rt.wrap("/v1/health", rt.handleHealth))
-	rt.mux.HandleFunc("GET /v1/shards", rt.wrap("/v1/shards", rt.handleShards))
-	rt.mux.HandleFunc("GET /v1/debug/slow", rt.wrap("/v1/debug/slow", rt.handleSlow))
-	rt.mux.HandleFunc("POST /v1/admin/reload", rt.wrap("/v1/admin/reload", rt.handleReload))
-	rt.mux.HandleFunc("POST /v1/admin/topology/reload", rt.wrap("/v1/admin/topology/reload", rt.handleTopologyReload))
-	rt.mux.HandleFunc("GET /metrics", rt.wrap("/metrics", rt.handleMetrics))
-	rt.mux.HandleFunc("GET /healthz", rt.wrap("/healthz", rt.handleHealthz))
-	rt.mux.HandleFunc("GET /readyz", rt.wrap("/readyz", rt.handleReadyz))
-	rt.handler = rt.chain.Wrap(rt.mux)
+	front.Handle("GET /v1/asn/{n}", rt.handleASN)
+	front.Handle("GET /v1/rir/{r}/series", rt.handleAggregate)
+	front.Handle("GET /v1/taxonomy", rt.handleAggregate)
+	front.Handle("GET /v1/stages", rt.handleStages)
+	front.Handle("GET /v1/health", rt.handleHealth)
+	front.Handle("GET /v1/shards", rt.handleShards)
+	front.Handle("GET /v1/debug/slow", rt.handleSlow)
+	front.Handle("POST /v1/admin/reload", rt.handleReload)
+	front.Handle("POST /v1/admin/topology/reload", rt.handleTopologyReload)
+	front.Probes(rt.ready, rt.cache.Stats)
 	return rt, nil
 }
 
 const maxASN = 1<<32 - 1
 
-// ServeHTTP implements http.Handler behind the shared lifecycle chain.
-func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.handler.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler (see serve.Front.ServeHTTP).
+func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.front.ServeHTTP(w, r) }
 
 // Start launches the background probe and federation-scrape loops and
 // returns a stop func. Probing keeps generations fresh and — because
@@ -389,38 +342,33 @@ func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.handler
 // replica closed again without sacrificing a client request. Scraping
 // folds every replica's /metrics into the fleet rollup (DESIGN.md §13).
 func (rt *Router) Start(ctx context.Context, interval time.Duration) (stop func()) {
+	if interval <= 0 {
+		interval = 2 * time.Second
+	}
 	pctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-pctx.Done():
-				return
-			case <-t.C:
-				rt.Probe(pctx)
-			}
-		}
-	}()
-	if rt.fed != nil {
+	loop := func(every time.Duration, fn func(context.Context), atStart bool) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rt.ScrapeFleet(pctx) // first rollup immediately, not one interval in
-			t := time.NewTicker(rt.scrapeEvery)
+			if atStart {
+				fn(pctx)
+			}
+			t := time.NewTicker(every)
 			defer t.Stop()
 			for {
 				select {
 				case <-pctx.Done():
 					return
 				case <-t.C:
-					rt.ScrapeFleet(pctx)
+					fn(pctx)
 				}
 			}
 		}()
+	}
+	loop(interval, rt.Probe, false) // New has only just shaken hands
+	if rt.fed != nil {
+		loop(rt.scrapeEvery, rt.ScrapeFleet, true) // first rollup now, not one interval in
 	}
 	return func() { cancel(); wg.Wait() }
 }
@@ -428,127 +376,9 @@ func (rt *Router) Start(ctx context.Context, interval time.Duration) (stop func(
 // Probe re-handshakes every replica of the live topology once,
 // concurrently.
 func (rt *Router) Probe(ctx context.Context) {
-	topo := rt.topo.Load()
-	var wg sync.WaitGroup
-	for _, sc := range topo.replicas {
-		wg.Add(1)
-		go func(sc *shardClient) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			defer cancel()
-			sc.identity(pctx)
-		}(sc)
+	for _, rep := range askReplicas(ctx, rt.topo.Load(), 2*time.Second, http.MethodGet, "/v1/shard") {
+		rep.sc.noteIdentity(rep.u, rep.err)
 	}
-	wg.Wait()
-}
-
-// wrap instruments one endpoint: request count, latency, 5xx error
-// count, plus the same per-request tracing and exemplar capture the
-// serving tier's wrapper does — the router's root span is where shard
-// fan-out spans hang, and where a traced caller's summary comes from.
-// Router handlers write their own responses (most are relays).
-func (rt *Router) wrap(label string, fn http.HandlerFunc) http.HandlerFunc {
-	reg := rt.obs.Registry
-	m := &endpointMetrics{
-		requests: reg.CounterVec(MetricRequests, "Routed requests by endpoint pattern.", "endpoint").With(label),
-		errors:   reg.CounterVec(MetricErrors, "Routed request failures by endpoint pattern.", "endpoint").With(label),
-		latency: reg.HistogramVec(MetricLatency, "Routed request latency by endpoint pattern.",
-			obs.ExpBuckets(0.000001, 10, 8), "endpoint").With(label),
-	}
-	rt.metrics[label] = m
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		m.requests.Inc()
-		key := pathq(r)
-
-		remote, traced := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-		if rt.exemplars == nil && !traced {
-			defer func() { m.latency.Observe(time.Since(start).Seconds()) }()
-			sw := &serve.StatusWriter{ResponseWriter: w, Status: http.StatusOK}
-			fn(sw, r)
-			if sw.Status >= http.StatusInternalServerError {
-				m.errors.Inc()
-			}
-			return
-		}
-
-		ctx := obs.WithTracer(r.Context(), obs.NewTracerWithIDs(nil, rt.spanIDs))
-		if traced {
-			ctx = obs.WithRemoteParent(ctx, remote)
-		}
-		ctx, span := obs.StartSpan(ctx, "route "+label)
-		r = r.WithContext(ctx)
-		tw := &serve.TraceWriter{ResponseWriter: w}
-		tw.Finish = func(status int) {
-			span.SetAttr("status", int64(status))
-			span.End()
-			if traced {
-				if b, err := json.Marshal(obs.Summarize(span)); err == nil {
-					w.Header().Set(obs.SpanHeader, string(b))
-				}
-			}
-		}
-		defer func() {
-			d := time.Since(start)
-			m.latency.Observe(d.Seconds())
-			status := tw.Status
-			if !tw.Done {
-				// Panic unwinding: the lifecycle chain's recovery owns the
-				// response on the underlying writer.
-				status = http.StatusInternalServerError
-				span.SetAttr("status", int64(status))
-				span.End()
-			}
-			if status >= http.StatusInternalServerError {
-				m.errors.Inc()
-			}
-			rt.exemplars.OfferLazy(obs.Exemplar{
-				CapturedUnixNs: start.UnixNano(),
-				Endpoint:       label,
-				Path:           key,
-				Status:         status,
-				DurationNs:     d.Nanoseconds(),
-				TraceID:        span.TraceID(),
-			}, func() obs.SpanSummary { return obs.Summarize(span) })
-		}()
-		fn(tw, r)
-	}
-}
-
-// writeJSON renders a local (non-proxied) JSON response in exactly the
-// shape the serving tier uses, Content-Length included.
-func writeJSON(w http.ResponseWriter, status int, payload any) {
-	body, err := json.Marshal(payload)
-	if err != nil {
-		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	w.Write(body)
-}
-
-// writeError emits the serving tier's error envelope.
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// shardUnavailable is the fail-fast answer for a dead range or a
-// refused aggregate: 503 + Retry-After, like the serving tier's own
-// breaker short-circuit.
-func shardUnavailable(w http.ResponseWriter, format string, args ...any) {
-	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, format, args...)
-}
-
-// pathq is the request's path plus raw query — both the cache key and
-// the upstream request target.
-func pathq(r *http.Request) string {
-	if r.URL.RawQuery != "" {
-		return r.URL.Path + "?" + r.URL.RawQuery
-	}
-	return r.URL.Path
 }
 
 // serveVia proxies one request through the router cache against a
@@ -559,7 +389,7 @@ func pathq(r *http.Request) string {
 // the cache trusts entries only from the same range index it stored
 // them from — any same-generation replica of that range validates them.
 func (rt *Router) serveVia(w http.ResponseWriter, r *http.Request, set *replicaSet) {
-	key := pathq(r)
+	key := serve.PathQuery(r)
 	clientINM := r.Header.Get("If-None-Match")
 
 	if e, ok := rt.cache.Get(key); ok && e.shard == set.index && e.resp.etag != "" {
@@ -567,7 +397,7 @@ func (rt *Router) serveVia(w http.ResponseWriter, r *http.Request, set *replicaS
 		if err == nil && u.status == http.StatusNotModified {
 			rt.revalidations.With("fresh").Inc()
 			meta.mark(w.Header())
-			rt.answerCached(w, clientINM, e.resp)
+			answer(w, clientINM, &e.resp)
 			return
 		}
 		if err == nil {
@@ -578,7 +408,7 @@ func (rt *Router) serveVia(w http.ResponseWriter, r *http.Request, set *replicaS
 				rt.cache.Drop(key)
 			}
 			meta.mark(w.Header())
-			rt.answerFetched(w, clientINM, u)
+			answer(w, clientINM, u)
 			return
 		}
 		rt.cache.Drop(key)
@@ -598,23 +428,13 @@ func (rt *Router) serveVia(w http.ResponseWriter, r *http.Request, set *replicaS
 	relay(w, u)
 }
 
-// answerCached serves a cached 200, downgraded to 304 when the client's
-// own validator already matches it.
-func (rt *Router) answerCached(w http.ResponseWriter, clientINM string, resp upstream) {
-	if clientINM != "" && clientINM == resp.etag {
-		relay(w, &upstream{status: http.StatusNotModified, etag: resp.etag})
-		return
-	}
-	relay(w, &resp)
-}
-
-// answerFetched relays a fresh upstream response, honouring the
-// client's validator (the upstream request may have carried the cache's
-// validator instead of the client's).
-func (rt *Router) answerFetched(w http.ResponseWriter, clientINM string, u *upstream) {
+// answer relays a cached or freshly fetched upstream response,
+// downgraded to 304 when the client's own validator already matches it
+// (the upstream request may have carried the cache's validator instead
+// of the client's).
+func answer(w http.ResponseWriter, clientINM string, u *upstream) {
 	if u.status == http.StatusOK && clientINM != "" && clientINM == u.etag {
-		relay(w, &upstream{status: http.StatusNotModified, etag: u.etag})
-		return
+		u = &upstream{status: http.StatusNotModified, etag: u.etag}
 	}
 	relay(w, u)
 }
@@ -624,11 +444,11 @@ func (rt *Router) answerFetched(w http.ResponseWriter, clientINM string, u *upst
 // taxonomy), everything else to the fail-fast 503.
 func (rt *Router) rangeError(w http.ResponseWriter, r *http.Request, set *replicaSet) {
 	if r.Context().Err() != nil {
-		rt.chain.Timeouts().Inc()
-		writeError(w, http.StatusGatewayTimeout, "deadline exceeded querying shard %d", set.index)
+		rt.front.Chain.Timeouts().Inc()
+		serve.WriteError(w, http.StatusGatewayTimeout, 0, "deadline exceeded querying shard %d", set.index)
 		return
 	}
-	shardUnavailable(w, "shard %d (AS%s-AS%s) unavailable; retrying shortly", set.index, set.lo, set.hi)
+	serve.WriteError(w, http.StatusServiceUnavailable, 1, "shard %d (AS%s-AS%s) unavailable; retrying shortly", set.index, set.lo, set.hi)
 }
 
 // handleASN routes a single-ASN read to the replica set whose range
@@ -638,7 +458,7 @@ func (rt *Router) handleASN(w http.ResponseWriter, r *http.Request) {
 	raw := strings.TrimPrefix(strings.TrimPrefix(r.PathValue("n"), "AS"), "as")
 	a, err := asn.Parse(raw)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad ASN %q", r.PathValue("n"))
+		serve.WriteError(w, http.StatusBadRequest, 0, "bad ASN %q", r.PathValue("n"))
 		return
 	}
 	rt.serveVia(w, r, rt.topo.Load().setFor(a))
@@ -649,7 +469,7 @@ func (rt *Router) handleASN(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleStages(w http.ResponseWriter, r *http.Request) {
 	set := rt.firstHealthy(rt.topo.Load())
 	if set == nil {
-		shardUnavailable(w, "no shard available")
+		serve.WriteError(w, http.StatusServiceUnavailable, 1, "no shard available")
 		return
 	}
 	rt.serveVia(w, r, set)
@@ -677,7 +497,7 @@ func (rt *Router) firstHealthy(topo *topology) *replicaSet {
 // disagreement means a mixed shard set and deserves an alert).
 func (rt *Router) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	topo := rt.topo.Load()
-	key := pathq(r)
+	key := serve.PathQuery(r)
 	clientINM := r.Header.Get("If-None-Match")
 
 	// A cached scatter answer revalidates against its winner range only
@@ -688,7 +508,7 @@ func (rt *Router) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		if err == nil && u.status == http.StatusNotModified {
 			rt.revalidations.With("fresh").Inc()
 			meta.mark(w.Header())
-			rt.answerCached(w, clientINM, e.resp)
+			answer(w, clientINM, &e.resp)
 			return
 		}
 		rt.cache.Drop(key)
@@ -731,16 +551,16 @@ func (rt *Router) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	}
 	if winner == nil {
 		if r.Context().Err() != nil {
-			rt.chain.Timeouts().Inc()
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded querying shards")
+			rt.front.Chain.Timeouts().Inc()
+			serve.WriteError(w, http.StatusGatewayTimeout, 0, "deadline exceeded querying shards")
 			return
 		}
-		shardUnavailable(w, "no shard available")
+		serve.WriteError(w, http.StatusServiceUnavailable, 1, "no shard available")
 		return
 	}
 	if len(down) > 0 {
 		if rt.policy == PolicyStrict {
-			shardUnavailable(w, "strict policy: shard(s) %s unavailable", strings.Join(down, ","))
+			serve.WriteError(w, http.StatusServiceUnavailable, 1, "strict policy: shard(s) %s unavailable", strings.Join(down, ","))
 			return
 		}
 		rt.partials.Inc()
@@ -805,7 +625,7 @@ func (rt *Router) shardStates(topo *topology) []shardStateJSON {
 // handleShards is the topology endpoint: the table the router routes by.
 func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
 	topo := rt.topo.Load()
-	writeJSON(w, http.StatusOK, map[string]any{
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
 		"count":       topo.plan.Count,
 		"sum":         topo.sum,
 		"generation":  topo.generation,
@@ -820,18 +640,11 @@ type routerHealthJSON struct {
 	Policy    string           `json:"policy"`
 	Topology  int64            `json:"topologyGeneration"`
 	Lifecycle serve.ChainStats `json:"lifecycle"`
-	Cache     cacheStatsJSON   `json:"cache"`
+	Cache     serve.CacheStats `json:"cache"`
 	Partials  int64            `json:"partials"`
 	Failovers int64            `json:"failovers"`
 	HedgeWins int64            `json:"hedgeWins"`
 	Shards    []shardStateJSON `json:"shards"`
-}
-
-type cacheStatsJSON struct {
-	Hits     uint64 `json:"hits"`
-	Misses   uint64 `json:"misses"`
-	Size     int    `json:"size"`
-	Capacity int    `json:"capacity"`
 }
 
 // handleHealth merges the dataset view (store + pipeline sections,
@@ -862,130 +675,135 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	routerSection, err := json.Marshal(routerHealthJSON{
 		Policy:    rt.policy,
 		Topology:  topo.generation,
-		Lifecycle: rt.chain.Stats(),
-		Cache:     cacheStatsJSON{Hits: hits, Misses: misses, Size: size, Capacity: capacity},
+		Lifecycle: rt.front.Chain.Stats(),
+		Cache:     serve.CacheStats{Hits: hits, Misses: misses, Size: size, Capacity: capacity},
 		Partials:  rt.partials.Value(),
 		Failovers: failovers,
 		HedgeWins: rt.hedgeWins.Value(),
 		Shards:    rt.shardStates(topo),
 	})
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding health: %v", err)
+		serve.WriteError(w, http.StatusInternalServerError, 0, "encoding health: %v", err)
 		return
 	}
 	doc["router"] = routerSection
-	writeJSON(w, http.StatusOK, doc)
+	serve.WriteJSON(w, http.StatusOK, doc)
 }
 
-// handleReload fans the snapshot reload out to every replica of every
-// range concurrently and flushes the router cache afterwards — cached
-// bodies must not outlive the generations that rendered them. 200 only
-// when every replica swapped; any failure reports 502 with the
-// per-replica outcomes (the replicas that did swap keep their new
-// generation; the document says which retry is needed).
-func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
-	type outcome struct {
-		Shard   int             `json:"shard"`
-		Replica int             `json:"replica"`
-		URL     string          `json:"url"`
-		OK      bool            `json:"ok"`
-		Gen     json.RawMessage `json:"gen,omitempty"`
-		Error   string          `json:"error,omitempty"`
+// reply is one replica's answer to a fleet-wide ask.
+type reply struct {
+	sc  *shardClient
+	u   *upstream // nil when err is set
+	err error
+}
+
+// askReplicas sends one request to every replica of topo concurrently
+// and returns the answers in topo.replicas order. Each goes through the
+// replica's breaker-guarded client, so a dark replica costs one fast
+// failure and a recovered one closes its breaker here, without spending
+// a client request on the half-open probe. These are the router's own
+// questions, not client reads: no failover, no hedging, and no entry in
+// the per-replica request counters. timeout > 0 bounds the whole round.
+func askReplicas(ctx context.Context, topo *topology, timeout time.Duration, method, path string) []reply {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 	}
-	topo := rt.topo.Load()
-	outcomes := make([]outcome, len(topo.replicas))
+	replies := make([]reply, len(topo.replicas))
 	var wg sync.WaitGroup
 	for i, sc := range topo.replicas {
 		wg.Add(1)
-		go func(i int, sc *shardClient) {
+		go func() {
 			defer wg.Done()
-			u, err := rt.fetchOne(r.Context(), sc, http.MethodPost, "/v1/admin/reload", "")
-			switch {
-			case err != nil:
-				outcomes[i] = outcome{Shard: sc.index, Replica: sc.ordinal, URL: sc.baseURL, Error: err.Error()}
-			case u.status != http.StatusOK:
-				outcomes[i] = outcome{Shard: sc.index, Replica: sc.ordinal, URL: sc.baseURL, Error: fmt.Sprintf("status %d: %s", u.status, u.body)}
-			default:
-				outcomes[i] = outcome{Shard: sc.index, Replica: sc.ordinal, URL: sc.baseURL, OK: true, Gen: u.body}
-			}
-		}(i, sc)
+			u, err := sc.fetch(ctx, method, path, "")
+			replies[i] = reply{sc, u, err}
+		}()
 	}
 	wg.Wait()
-	rt.cache.Flush()
+	return replies
+}
+
+// replicaRow names the replica a row of a fleet-wide answer is about.
+type replicaRow struct {
+	Shard   int    `json:"shard"`
+	Replica int    `json:"replica"`
+	URL     string `json:"url"`
+}
+
+func (r reply) row() replicaRow { return replicaRow{r.sc.index, r.sc.ordinal, r.sc.baseURL} }
+
+// failure says why the replica did not answer 200, or "" when it did.
+func (r reply) failure() string {
+	switch {
+	case r.err != nil:
+		return r.err.Error()
+	case r.u.status != http.StatusOK:
+		return fmt.Sprintf("status %d: %s", r.u.status, r.u.body)
+	}
+	return ""
+}
+
+// handleReload fans the snapshot reload out to every replica of every
+// range and flushes the router cache afterwards — cached bodies must
+// not outlive the generations that rendered them. 200 only when every
+// replica swapped; any failure reports 502 with the per-replica
+// outcomes (the replicas that did swap keep their new generation; the
+// document says which retry is needed).
+func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
+	type outcome struct {
+		replicaRow
+		OK    bool            `json:"ok"`
+		Gen   json.RawMessage `json:"gen,omitempty"`
+		Error string          `json:"error,omitempty"`
+	}
+	var outcomes []outcome
 	status := http.StatusOK
-	for _, o := range outcomes {
-		if !o.OK {
+	for _, rep := range askReplicas(r.Context(), rt.topo.Load(), 0, http.MethodPost, "/v1/admin/reload") {
+		o := outcome{replicaRow: rep.row(), Error: rep.failure()}
+		if o.Error == "" {
+			o.OK, o.Gen = true, rep.u.body
+		} else {
 			status = http.StatusBadGateway
 		}
+		outcomes = append(outcomes, o)
 	}
-	writeJSON(w, status, map[string]any{"results": outcomes})
+	rt.cache.Flush()
+	serve.WriteJSON(w, status, map[string]any{"results": outcomes})
 }
 
 // shardSlowJSON is one replica's row in the router's /v1/debug/slow.
 type shardSlowJSON struct {
-	Shard     int             `json:"shard"`
-	Replica   int             `json:"replica"`
-	URL       string          `json:"url"`
+	replicaRow
 	Exemplars json.RawMessage `json:"exemplars,omitempty"`
 	Error     string          `json:"error,omitempty"`
 }
 
 // handleSlow aggregates slow-request exemplars across the fleet: the
-// router's own ring plus each replica's /v1/debug/slow, gathered
-// concurrently. A dark replica becomes an error row, never a failure —
-// this is a debugging endpoint and partial truth beats none.
+// router's own ring plus each replica's /v1/debug/slow. A dark replica
+// becomes an error row, never a failure — this is a debugging endpoint
+// and partial truth beats none.
 func (rt *Router) handleSlow(w http.ResponseWriter, r *http.Request) {
-	topo := rt.topo.Load()
-	rows := make([]shardSlowJSON, len(topo.replicas))
-	var wg sync.WaitGroup
-	for i, sc := range topo.replicas {
-		wg.Add(1)
-		go func(i int, sc *shardClient) {
-			defer wg.Done()
-			u, err := rt.fetchOne(r.Context(), sc, http.MethodGet, "/v1/debug/slow", "")
-			switch {
-			case err != nil:
-				rows[i] = shardSlowJSON{Shard: sc.index, Replica: sc.ordinal, URL: sc.baseURL, Error: err.Error()}
-			case u.status != http.StatusOK:
-				rows[i] = shardSlowJSON{Shard: sc.index, Replica: sc.ordinal, URL: sc.baseURL, Error: fmt.Sprintf("status %d", u.status)}
-			default:
-				rows[i] = shardSlowJSON{Shard: sc.index, Replica: sc.ordinal, URL: sc.baseURL, Exemplars: u.body}
-			}
-		}(i, sc)
+	var rows []shardSlowJSON
+	for _, rep := range askReplicas(r.Context(), rt.topo.Load(), 0, http.MethodGet, "/v1/debug/slow") {
+		row := shardSlowJSON{replicaRow: rep.row(), Error: rep.failure()}
+		if row.Error == "" {
+			row.Exemplars = rep.u.body
+		}
+		rows = append(rows, row)
 	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"router": rt.exemplars.Snapshot(),
+	serve.WriteJSON(w, http.StatusOK, map[string]any{
+		"router": rt.front.Exemplars.Snapshot(),
 		"shards": rows,
 	})
 }
 
-// handleMetrics is the router's Prometheus scrape.
-func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	rt.runtime.Collect()
-	hits, misses, size, _ := rt.cache.Stats()
-	rt.cacheHits.Set(float64(hits))
-	rt.cacheMisses.Set(float64(misses))
-	rt.cacheEntries.Set(float64(size))
-	w.Header().Set("Content-Type", obs.ContentType)
-	if err := obs.WritePrometheus(w, rt.obs.Registry); err != nil {
-		http.Error(w, "rendering metrics: "+err.Error(), http.StatusInternalServerError)
-	}
-}
-
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte("ok\n"))
-}
-
-// handleReadyz: ready while the router can still answer — every range
-// lit under strict policy, at least one under partial. A range is dark
-// only when all of its replicas' breakers are open. (Single-ASN reads
-// for a dark range fail fast either way; readiness is about whether the
-// router deserves traffic at all.)
-func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+// ready is the readiness rule: the router can still answer — every
+// range lit under strict policy, at least one under partial. A range is
+// dark only when all of its replicas' breakers are open. (Single-ASN
+// reads for a dark range fail fast either way; readiness is about
+// whether the router deserves traffic at all.)
+func (rt *Router) ready() (bool, string) {
 	topo := rt.topo.Load()
 	dark := 0
 	for _, set := range topo.sets {
@@ -993,13 +811,8 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 			dark++
 		}
 	}
-	notReady := (rt.policy == PolicyStrict && dark > 0) || dark == len(topo.sets)
-	if notReady {
-		w.Header().Set("Retry-After", "1")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintf(w, "%d/%d shard ranges dark\n", dark, len(topo.sets))
-		return
+	if (rt.policy == PolicyStrict && dark > 0) || dark == len(topo.sets) {
+		return false, fmt.Sprintf("%d/%d shard ranges dark", dark, len(topo.sets))
 	}
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte("ready\n"))
+	return true, ""
 }

@@ -56,26 +56,11 @@ type entry struct {
 	resp  upstream
 }
 
-// shardIdentity is the /v1/shard handshake payload.
-type shardIdentity struct {
-	Sharded bool `json:"sharded"`
-	Shard   *struct {
-		Index int     `json:"index"`
-		Count int     `json:"count"`
-		Lo    asn.ASN `json:"lo"`
-		Hi    asn.ASN `json:"hi"`
-		Sum   string  `json:"sum"`
-	} `json:"shard"`
-	Generation int64  `json:"generation"`
-	ASNCount   int    `json:"asnCount"`
-	Replica    string `json:"replica"`
-}
-
 // shardClient is the router's handle on one replica process: its base
 // URL, the range it serves, a circuit breaker, and the identity the
 // last handshake or probe reported. Until the handshake has grouped
-// replicas into sets the breaker and counters are nil — fetch treats a
-// nil breaker as always-allow with no accounting.
+// replicas into sets the breaker and counters are nil — a nil breaker
+// is always closed, and fetchOne skips nil counters.
 type shardClient struct {
 	index   int    // shard range index
 	ordinal int    // position within the range's replica set
@@ -101,9 +86,13 @@ type shardClient struct {
 // both the startup handshake and the recurring probe — and because it
 // runs through the breaker, a dead shard's recovery is discovered here
 // without spending a client request on the half-open probe.
-func (sc *shardClient) identity(ctx context.Context) (shardIdentity, error) {
-	var id shardIdentity
-	resp, err := sc.fetch(ctx, http.MethodGet, "/v1/shard", "")
+func (sc *shardClient) identity(ctx context.Context) (serve.ShardIdentity, error) {
+	return sc.noteIdentity(sc.fetch(ctx, http.MethodGet, "/v1/shard", ""))
+}
+
+// noteIdentity decodes one /v1/shard answer and records what it reports.
+func (sc *shardClient) noteIdentity(resp *upstream, err error) (serve.ShardIdentity, error) {
+	var id serve.ShardIdentity
 	if err != nil {
 		return id, err
 	}
@@ -123,40 +112,13 @@ func (sc *shardClient) identity(ctx context.Context) (shardIdentity, error) {
 
 // state summarises the client for health and topology endpoints.
 func (sc *shardClient) state() (breakerState string, gen int64, asnCount int) {
-	breakerState = "closed"
-	if sc.breaker != nil {
-		breakerState, _, _, _ = sc.breaker.Snapshot()
-	}
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return breakerState, sc.gen, sc.asnCount
-}
-
-// Nil-safe breaker transitions: a handshake-phase client has no breaker
-// yet, and its probes must not crash for it.
-func (sc *shardClient) onNeutral() {
-	if sc.breaker != nil {
-		sc.breaker.OnNeutral()
-	}
-}
-
-func (sc *shardClient) onFailure() {
-	if sc.breaker != nil {
-		sc.breaker.OnFailure()
-	}
-}
-
-func (sc *shardClient) onSuccess() {
-	if sc.breaker != nil {
-		sc.breaker.OnSuccess()
-	}
+	return sc.breakerState(), sc.gen, sc.asnCount
 }
 
 // breakerState is the picker's view: "closed" sorts first.
 func (sc *shardClient) breakerState() string {
-	if sc.breaker == nil {
-		return "closed"
-	}
 	state, _, _, _ := sc.breaker.Snapshot()
 	return state
 }
@@ -168,7 +130,7 @@ func (sc *shardClient) breakerState() string {
 // everything else — including 4xx, which prove the shard answered — is
 // success.
 func (sc *shardClient) fetch(ctx context.Context, method, pathq, ifNoneMatch string) (*upstream, error) {
-	if sc.breaker != nil && !sc.breaker.Allow() {
+	if !sc.breaker.Allow() {
 		return nil, fmt.Errorf("%w: breaker open for %s", errShardDown, sc.baseURL)
 	}
 	// One child span per upstream call (no-op unless the request carries
@@ -184,7 +146,7 @@ func (sc *shardClient) fetch(ctx context.Context, method, pathq, ifNoneMatch str
 	_, propagate := obs.RemoteParentFrom(ctx)
 	req, err := http.NewRequestWithContext(ctx, method, sc.baseURL+pathq, nil)
 	if err != nil {
-		sc.onNeutral()
+		sc.breaker.OnNeutral()
 		return nil, err
 	}
 	if ifNoneMatch != "" {
@@ -198,28 +160,28 @@ func (sc *shardClient) fetch(ctx context.Context, method, pathq, ifNoneMatch str
 	resp, err := sc.client.Do(req)
 	if err != nil {
 		if ctx.Err() != nil {
-			sc.onNeutral()
+			sc.breaker.OnNeutral()
 			return nil, ctx.Err()
 		}
-		sc.onFailure()
+		sc.breaker.OnFailure()
 		return nil, fmt.Errorf("%w: %v", errShardDown, err)
 	}
 	defer resp.Body.Close()
 	body, err := ReadPeerBody(resp.Body)
 	if err != nil {
 		if ctx.Err() != nil {
-			sc.onNeutral()
+			sc.breaker.OnNeutral()
 			return nil, ctx.Err()
 		}
-		sc.onFailure()
+		sc.breaker.OnFailure()
 		return nil, fmt.Errorf("%w: reading body: %v", errShardDown, err)
 	}
 	sp.SetAttr("status", int64(resp.StatusCode))
 	if resp.StatusCode >= http.StatusInternalServerError {
-		sc.onFailure()
+		sc.breaker.OnFailure()
 		return nil, fmt.Errorf("%w: %s answered %d", errShardDown, sc.baseURL, resp.StatusCode)
 	}
-	sc.onSuccess()
+	sc.breaker.OnSuccess()
 	if propagate {
 		if h := resp.Header.Get(obs.SpanHeader); h != "" {
 			var sum obs.SpanSummary

@@ -26,6 +26,18 @@ type topology struct {
 	replicas   []*shardClient // flattened, set-major: range 0's replicas first
 }
 
+// slots is the set of (shard, replica ordinal) label pairs the topology
+// has — what per-replica metric series are pruned against on a swap, so
+// their cardinality is bounded by the live fleet, not by the union of
+// every topology ever served.
+func (t *topology) slots() map[[2]string]bool {
+	live := map[[2]string]bool{}
+	for _, sc := range t.replicas {
+		live[[2]string{strconv.Itoa(sc.index), strconv.Itoa(sc.ordinal)}] = true
+	}
+	return live
+}
+
 // setFor returns the replica set owning one ASN.
 func (t *topology) setFor(a asn.ASN) *replicaSet { return t.sets[t.plan.ShardFor(a)] }
 
@@ -54,7 +66,7 @@ func (rt *Router) buildTopology(ctx context.Context, generation int64, lenient b
 	for i, base := range rt.urls {
 		clients[i] = &shardClient{baseURL: base, client: rt.client}
 	}
-	ids := make([]shardIdentity, len(clients))
+	ids := make([]serve.ShardIdentity, len(clients))
 	done := make([]bool, len(clients))
 	var lastErr error
 	for {
@@ -81,7 +93,7 @@ func (rt *Router) buildTopology(ctx context.Context, generation int64, lenient b
 			}
 			// Lenient: retire whatever never answered and validate the rest.
 			var alive []*shardClient
-			var aliveIDs []shardIdentity
+			var aliveIDs []serve.ShardIdentity
 			for i := range clients {
 				if done[i] {
 					alive = append(alive, clients[i])
@@ -100,7 +112,7 @@ func (rt *Router) buildTopology(ctx context.Context, generation int64, lenient b
 
 // assemble groups answered replicas by shard index and validates that
 // together they form one complete, consistent plan.
-func (rt *Router) assemble(clients []*shardClient, ids []shardIdentity, generation int64) (*topology, error) {
+func (rt *Router) assemble(clients []*shardClient, ids []serve.ShardIdentity, generation int64) (*topology, error) {
 	for i, sc := range clients {
 		sc.replica = ids[i].Replica
 	}
@@ -275,27 +287,18 @@ func (rt *Router) RebuildTopology(ctx context.Context) (*TopologyReport, error) 
 }
 
 // dropRetiredSeries removes per-replica router series whose (shard,
-// replica) slot no longer exists — the cardinality stays bounded by the
-// live topology, not by the union of every topology ever served.
+// replica) slot no longer exists.
 func (rt *Router) dropRetiredSeries(old, cur *topology) {
-	live := map[[2]string]bool{}
-	for _, set := range cur.sets {
-		for ord := range set.replicas {
-			live[[2]string{strconv.Itoa(set.index), strconv.Itoa(ord)}] = true
+	live := cur.slots()
+	for key := range old.slots() {
+		if live[key] {
+			continue
 		}
-	}
-	for _, set := range old.sets {
-		for ord := range set.replicas {
-			key := [2]string{strconv.Itoa(set.index), strconv.Itoa(ord)}
-			if live[key] {
-				continue
-			}
-			rt.shardRequests.Drop(key[0], key[1])
-			rt.shardErrors.Drop(key[0], key[1])
-			rt.breakerState.Drop(key[0], key[1])
-			rt.breakerTrips.Drop(key[0], key[1])
-			rt.breakerShorts.Drop(key[0], key[1])
-		}
+		rt.shardRequests.Drop(key[0], key[1])
+		rt.shardErrors.Drop(key[0], key[1])
+		rt.breakerState.Drop(key[0], key[1])
+		rt.breakerTrips.Drop(key[0], key[1])
+		rt.breakerShorts.Drop(key[0], key[1])
 	}
 }
 
@@ -306,8 +309,8 @@ func (rt *Router) dropRetiredSeries(old, cur *topology) {
 func (rt *Router) handleTopologyReload(w http.ResponseWriter, r *http.Request) {
 	report, err := rt.RebuildTopology(r.Context())
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "topology reload failed (previous topology retained): %v", err)
+		serve.WriteError(w, http.StatusBadGateway, 0, "topology reload failed (previous topology retained): %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, report)
+	serve.WriteJSON(w, http.StatusOK, report)
 }

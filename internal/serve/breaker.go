@@ -39,6 +39,10 @@ func breakerStateName(s int) string {
 //
 // Context cancellations are deliberately not failures: a client giving
 // up says nothing about the guarded resource's health.
+//
+// A nil Breaker is always closed and records nothing, so a disabled
+// breaker (or a router client that has not been admitted to a topology
+// yet) needs no conditionals at call sites.
 type Breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -57,8 +61,16 @@ type Breaker struct {
 
 // NewBreaker builds a closed breaker publishing its state to the given
 // instruments. All three must be non-nil; callers choose the metric
-// names (and labels) so one registry can carry many breakers.
+// names (and labels) so one registry can carry many breakers. A zero
+// threshold takes the default of 5 consecutive failures, a cooldown of
+// zero or less the default 5s.
 func NewBreaker(threshold int, cooldown time.Duration, state *obs.Gauge, trips, shortCircuits *obs.Counter) *Breaker {
+	if threshold == 0 {
+		threshold = 5
+	}
+	if cooldown <= 0 {
+		cooldown = 5 * time.Second
+	}
 	return &Breaker{
 		threshold:     threshold,
 		cooldown:      cooldown,
@@ -85,6 +97,9 @@ func newBreaker(threshold int, cooldown time.Duration, reg *obs.Registry) *Break
 // false (counting a short-circuit) until the cooldown elapses, then
 // admits a single probe in half-open state.
 func (b *Breaker) Allow() bool {
+	if b == nil {
+		return true
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -112,6 +127,9 @@ func (b *Breaker) Allow() bool {
 // OnSuccess records a success: closed resets the failure run, half-open
 // closes the breaker.
 func (b *Breaker) OnSuccess() {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.consec = 0
@@ -127,6 +145,9 @@ func (b *Breaker) OnSuccess() {
 // effect is releasing a half-open probe slot so the next request probes
 // instead.
 func (b *Breaker) OnNeutral() {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == breakerHalfOpen {
@@ -137,6 +158,9 @@ func (b *Breaker) OnNeutral() {
 // OnFailure records a failure: at threshold consecutive failures the
 // breaker opens; a failed half-open probe re-opens immediately.
 func (b *Breaker) OnFailure() {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -162,6 +186,9 @@ func (b *Breaker) open() {
 
 // Snapshot returns the current state for health reporting.
 func (b *Breaker) Snapshot() (state string, consecutive int, trips, shortCircuits int64) {
+	if b == nil {
+		return breakerStateName(breakerClosed), 0, 0, 0
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return breakerStateName(b.state), b.consec, b.trips.Value(), b.shortCircuits.Value()

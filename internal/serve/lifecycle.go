@@ -2,11 +2,9 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -36,9 +34,6 @@ type ChainOptions struct {
 	// RequestTimeout is the per-request deadline attached to the
 	// context (default 10s; negative disables).
 	RequestTimeout time.Duration
-	// Exempt reports paths admission control must never shed. Nil takes
-	// the default probe/metrics exemptions (gateExempt).
-	Exempt func(path string) bool
 }
 
 // Chain is the reusable request lifecycle middleware stack — panic
@@ -50,7 +45,6 @@ type ChainOptions struct {
 type Chain struct {
 	maxInFlight    int
 	requestTimeout time.Duration
-	exempt         func(string) bool
 
 	inflight      atomic.Int64
 	inflightGauge *obs.Gauge
@@ -68,13 +62,9 @@ func NewChain(reg *obs.Registry, opts ChainOptions) *Chain {
 	if opts.RequestTimeout == 0 {
 		opts.RequestTimeout = 10 * time.Second
 	}
-	if opts.Exempt == nil {
-		opts.Exempt = gateExempt
-	}
 	return &Chain{
 		maxInFlight:    opts.MaxInFlight,
 		requestTimeout: opts.RequestTimeout,
-		exempt:         opts.Exempt,
 		inflightGauge:  reg.Gauge(MetricInFlight, "Requests currently being handled."),
 		sheds:          reg.Counter(MetricSheds, "Requests shed at the admission gate (503 + Retry-After)."),
 		panics:         reg.Counter(MetricPanics, "Handler panics converted into 500 responses."),
@@ -120,10 +110,9 @@ func (c *Chain) withRecovery(next http.Handler) http.Handler {
 		defer func() {
 			if v := recover(); v != nil {
 				c.panics.Inc()
-				body, _ := json.Marshal(map[string]string{"error": fmt.Sprintf("internal panic: %v", v)})
 				// Headers may already be out if the handler panicked
 				// mid-write; the write below then fails harmlessly.
-				writeBody(w, http.StatusInternalServerError, cached{contentType: "application/json", body: body})
+				WriteError(w, http.StatusInternalServerError, 0, "internal panic: %v", v)
 			}
 		}()
 		next.ServeHTTP(w, r)
@@ -137,7 +126,7 @@ func (c *Chain) withRecovery(next http.Handler) http.Handler {
 // collapse under a traffic spike.
 func (c *Chain) withGate(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if c.exempt(r.URL.Path) {
+		if gateExempt(r.URL.Path) {
 			next.ServeHTTP(w, r)
 			return
 		}
@@ -149,10 +138,7 @@ func (c *Chain) withGate(next http.Handler) http.Handler {
 		c.inflightGauge.Add(1)
 		if c.maxInFlight > 0 && in > int64(c.maxInFlight) {
 			c.sheds.Inc()
-			w.Header().Set("Retry-After", "1")
-			body, _ := json.Marshal(map[string]string{
-				"error": fmt.Sprintf("overloaded: %d requests in flight (cap %d)", in, c.maxInFlight)})
-			writeBody(w, http.StatusServiceUnavailable, cached{contentType: "application/json", body: body})
+			WriteError(w, http.StatusServiceUnavailable, 1, "overloaded: %d requests in flight (cap %d)", in, c.maxInFlight)
 			return
 		}
 		next.ServeHTTP(w, r)
@@ -257,9 +243,4 @@ func Run(ctx context.Context, ln net.Listener, h http.Handler, opts HTTPOptions)
 		return fmt.Errorf("serve: shutdown drain incomplete after %v: %w", opts.DrainTimeout, err)
 	}
 	return nil
-}
-
-// retryAfter is the value shed and short-circuit responses advertise.
-func retryAfterHeader(w http.ResponseWriter, seconds int) {
-	w.Header().Set("Retry-After", strconv.Itoa(seconds))
 }

@@ -419,5 +419,5 @@ func TestGracefulShutdown(t *testing.T) {
 // HTTP surface (which would itself count as in-flight).
 func healthInflight(t *testing.T, s *Server) int64 {
 	t.Helper()
-	return s.chain.inflight.Load()
+	return s.front.Chain.inflight.Load()
 }

@@ -123,6 +123,15 @@ func (c *LRU[V]) Flush() {
 	clear(c.entries)
 }
 
+// CacheStats is an LRU's accounting as both fronts render it under
+// "cache" in /v1/health.
+type CacheStats struct {
+	Hits     uint64 `json:"hits"`
+	Misses   uint64 `json:"misses"`
+	Size     int    `json:"size"`
+	Capacity int    `json:"capacity"`
+}
+
 // Stats returns the counters and current size.
 func (c *LRU[V]) Stats() (hits, misses uint64, size, capacity int) {
 	c.mu.Lock()

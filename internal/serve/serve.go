@@ -26,10 +26,14 @@
 // Responses for the data endpoints are cached in a fixed-size LRU keyed
 // by path and query; /v1/health is always computed live.
 //
-// Every request runs inside a lifecycle-control chain (lifecycle.go):
-// panic recovery, an admission gate that sheds load past a concurrency
-// cap with 503 + Retry-After, and a per-request deadline propagated via
-// context into lifestore lookups. Block reads are additionally guarded
+// The HTTP surface itself — route table, per-endpoint metrics, request
+// tracing, exemplar capture, probes, error envelope — is a Front
+// (front.go), which the shard router builds on too; this file is what
+// is specific to answering from a Source. Every request runs inside the
+// front's lifecycle chain (lifecycle.go): panic recovery, an admission
+// gate that sheds load past a concurrency cap with 503 + Retry-After,
+// and a per-request deadline propagated via context into lifestore
+// lookups. Block reads are additionally guarded
 // by a circuit breaker (breaker.go) that trips on consecutive
 // checksum/IO failures, and the backing snapshot can be hot-reloaded
 // through a generation-refcounted swap (reload.go). See DESIGN.md §9.
@@ -169,41 +173,17 @@ type Options struct {
 // concurrent use.
 type Server struct {
 	src           Source
-	mux           *http.ServeMux
-	handler       http.Handler // mux wrapped in the lifecycle middleware
+	front         *Front
 	cache         *LRU[cached]
-	obs           *obs.Obs
-	metrics       map[string]*endpointMetrics
-	cacheHits     *obs.Gauge
-	cacheMisses   *obs.Gauge
-	cacheEntries  *obs.Gauge
 	defaultStride int
 
-	// Request lifecycle control (see lifecycle.go).
-	chain    *Chain
 	breaker  *Breaker
 	reloader *Reloader
 	ingest   func() any
 
-	// Request tracing + exemplar capture (DESIGN.md §13).
-	exemplars *obs.ExemplarRing
-	spanIDs   obs.IDSource
-	runtime   *obs.RuntimeStats
-
 	// Replica identity reported in the /v1/shard handshake (§14).
 	replica string
 }
-
-// endpointMetrics holds one endpoint's pre-resolved registry handles.
-type endpointMetrics struct {
-	requests *obs.Counter
-	errors   *obs.Counter
-	latency  *obs.Histogram
-}
-
-// latencyBuckets spans the in-process serving range: cache hits land in
-// the low microseconds, cold block reads in the milliseconds.
-func latencyBuckets() []float64 { return obs.ExpBuckets(0.000001, 10, 8) }
 
 // randomReplicaID generates the default replica identity: 8 hex digits,
 // unique enough within one fleet. The PID fallback keeps two replicas on
@@ -218,54 +198,30 @@ func randomReplicaID() string {
 
 // New builds the server around a source.
 func New(src Source, opts Options) *Server {
-	if opts.CacheSize == 0 {
-		opts.CacheSize = 256
-	}
-	if opts.CacheSize < 0 {
-		opts.CacheSize = 0
-	}
 	if opts.DefaultStride <= 0 {
 		opts.DefaultStride = 30
-	}
-	if opts.Obs == nil {
-		opts.Obs = obs.New()
-	}
-	if opts.BreakerThreshold == 0 {
-		opts.BreakerThreshold = 5
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 5 * time.Second
-	}
-	if opts.ExemplarCapacity == 0 {
-		opts.ExemplarCapacity = 32
 	}
 	if opts.Replica == "" {
 		opts.Replica = randomReplicaID()
 	}
-	reg := opts.Obs.Registry
+	f := NewFront(Names{
+		Span:     "serve",
+		Requests: MetricRequests, Errors: MetricErrors, Latency: MetricLatency,
+		CacheHits: MetricCacheHits, CacheMisses: MetricCacheMisses, CacheEntries: MetricCacheEntries,
+		FailFrom: http.StatusBadRequest,
+	}, opts.Obs, ChainOptions{MaxInFlight: opts.MaxInFlight, RequestTimeout: opts.RequestTimeout},
+		opts.ExemplarCapacity, opts.SpanIDs)
+	reg := f.Obs.Registry
 	s := &Server{
 		src:           src,
-		mux:           http.NewServeMux(),
-		cache:         NewLRU[cached](opts.CacheSize),
-		obs:           opts.Obs,
-		metrics:       make(map[string]*endpointMetrics),
-		cacheHits:     reg.Gauge(MetricCacheHits, "LRU response-cache hits since start."),
-		cacheMisses:   reg.Gauge(MetricCacheMisses, "LRU response-cache misses since start."),
-		cacheEntries:  reg.Gauge(MetricCacheEntries, "LRU response-cache entries currently held."),
+		front:         f,
+		cache:         NewLRU[cached](CacheCapacity(opts.CacheSize)),
 		defaultStride: opts.DefaultStride,
-
-		chain: NewChain(reg, ChainOptions{
-			MaxInFlight:    opts.MaxInFlight,
-			RequestTimeout: opts.RequestTimeout,
-		}),
-		reloader:  opts.Reloader,
-		ingest:    opts.Ingest,
-		exemplars: obs.NewExemplarRing(opts.ExemplarCapacity),
-		spanIDs:   opts.SpanIDs,
-		runtime:   obs.RegisterRuntime(reg),
-		replica:   opts.Replica,
+		reloader:      opts.Reloader,
+		ingest:        opts.Ingest,
+		replica:       opts.Replica,
 	}
-	if opts.BreakerThreshold > 0 {
+	if opts.BreakerThreshold >= 0 {
 		s.breaker = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, reg)
 	}
 	// Bridge the build's health report into the registry so a /metrics
@@ -273,37 +229,27 @@ func New(src Source, opts Options) *Server {
 	// handed a cold snapshot rather than a live pipeline run.
 	h := src.Health()
 	h.Export(reg)
-	s.mux.HandleFunc("GET /v1/asn/{n}", s.wrap("/v1/asn/{n}", true, s.handleASN))
-	s.mux.HandleFunc("GET /v1/rir/{r}/series", s.wrap("/v1/rir/{r}/series", true, s.handleSeries))
-	s.mux.HandleFunc("GET /v1/taxonomy", s.wrap("/v1/taxonomy", true, s.handleTaxonomy))
-	s.mux.HandleFunc("GET /v1/health", s.wrap("/v1/health", false, s.handleHealth))
-	s.mux.HandleFunc("GET /v1/stages", s.wrap("/v1/stages", false, s.handleStages))
-	s.mux.HandleFunc("GET /v1/shard", s.wrap("/v1/shard", false, s.handleShard))
-	s.mux.HandleFunc("GET /v1/debug/slow", s.wrap("/v1/debug/slow", false, s.handleSlow))
-	// The probe and scrape endpoints write their own bodies (text, not
-	// JSON) but still ride the metrics wrapper, so /v1/health and
-	// /metrics account for every request the process answers. They stay
-	// exempt from the admission gate and deadline via gateExempt.
-	s.mux.HandleFunc("GET /metrics", s.wrapRaw("/metrics", s.handleMetrics))
-	s.mux.HandleFunc("GET /healthz", s.wrapRaw("/healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /readyz", s.wrapRaw("/readyz", s.handleReadyz))
+	f.Handle("GET /v1/asn/{n}", s.json(true, s.handleASN))
+	f.Handle("GET /v1/rir/{r}/series", s.json(true, s.handleSeries))
+	f.Handle("GET /v1/taxonomy", s.json(true, s.handleTaxonomy))
+	f.Handle("GET /v1/health", s.json(false, s.handleHealth))
+	f.Handle("GET /v1/stages", s.json(false, s.handleStages))
+	f.Handle("GET /v1/shard", s.json(false, s.handleShard))
+	f.Handle("GET /v1/debug/slow", s.json(false, s.handleSlow))
+	f.Probes(s.ready, s.cache.Stats)
 	if s.reloader != nil {
-		s.mux.HandleFunc("POST /v1/admin/reload", s.wrap("/v1/admin/reload", false, s.handleReload))
+		f.Handle("POST /v1/admin/reload", s.json(false, s.handleReload))
 		// Cached bodies belong to the generation that rendered them.
 		s.reloader.OnSwap(s.cache.Flush)
 	}
-	s.handler = s.chain.Wrap(s.mux)
 	return s
 }
 
-// ServeHTTP implements http.Handler: the mux behind the lifecycle
-// middleware chain — panic recovery around admission control around the
-// per-request deadline.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.handler.ServeHTTP(w, r) }
+// ServeHTTP implements http.Handler (see Front.ServeHTTP).
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.front.ServeHTTP(w, r) }
 
-// apiError is a handler failure with its HTTP status. retryAfter > 0
-// adds a Retry-After header — the explicit "come back later" that
-// distinguishes a shed or short-circuited request from a dead one.
+// apiError is a handler failure with its HTTP status and, when
+// retryAfter > 0, a Retry-After (see WriteError).
 type apiError struct {
 	code       int
 	msg        string
@@ -360,124 +306,28 @@ func (s *Server) generation() int64 {
 	return 1
 }
 
-// wrap adds caching, conditional-request handling, metrics and JSON
-// rendering around a handler. The registry handles are resolved once
-// here, so the per-request cost is pure atomics.
-//
-// Cacheable endpoints carry an ETag derived from (generation, key); an
-// If-None-Match hit answers 304 without running the handler or touching
-// the response cache — revalidation stays cheap even when the body
-// would be expensive to rebuild.
-func (s *Server) wrap(label string, cacheable bool, fn func(*http.Request) (any, *apiError)) http.HandlerFunc {
-	reg := s.obs.Registry
-	m := &endpointMetrics{
-		requests: reg.CounterVec(MetricRequests, "API requests by endpoint pattern.", "endpoint").With(label),
-		errors:   reg.CounterVec(MetricErrors, "API handler failures by endpoint pattern.", "endpoint").With(label),
-		latency: reg.HistogramVec(MetricLatency, "API request latency by endpoint pattern.",
-			latencyBuckets(), "endpoint").With(label),
-	}
-	s.metrics[label] = m
+// json adapts a handler that returns a payload to the front's plain
+// handlers: JSON rendering and, for cacheable endpoints, the response
+// cache and conditional requests. Cacheable endpoints carry an ETag
+// derived from (generation, key); an If-None-Match hit answers 304
+// without running the handler or touching the response cache —
+// revalidation stays cheap even when the body would be expensive to
+// rebuild.
+func (s *Server) json(cacheable bool, fn func(*http.Request) (any, *apiError)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		m.requests.Inc()
-
-		key := r.URL.Path
-		if r.URL.RawQuery != "" {
-			key += "?" + r.URL.RawQuery
-		}
-
-		// Per-request trace (DESIGN.md §13). A fresh tracer per request —
-		// the process tracer keeps every root forever, so it must not see
-		// request spans. Recording happens when exemplar capture is on or
-		// the client sent trace context; with both disabled the request
-		// runs exactly the pre-tracing path.
-		remote, traced := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-		var span *obs.Span
-		var status int // set at every write site below; read by the untraced exemplar defer
-		if traced || s.exemplars.Arming() {
-			ctx := obs.WithTracer(r.Context(), obs.NewTracerWithIDs(nil, s.spanIDs))
-			if traced {
-				ctx = obs.WithRemoteParent(ctx, remote)
-			}
-			ctx, span = obs.StartSpan(ctx, "serve "+label)
-			r = r.WithContext(ctx)
-			tw := &TraceWriter{ResponseWriter: w, Finish: func(status int) {
-				// Runs once, just before the first response byte: the span
-				// must end here so its summary can still travel as a header.
-				span.SetAttr("status", int64(status))
-				span.End()
-				if traced {
-					if b, err := json.Marshal(obs.Summarize(span)); err == nil {
-						w.Header().Set(obs.SpanHeader, string(b))
-					}
-				}
-			}}
-			w = tw
-			defer func() {
-				d := time.Since(start)
-				m.latency.Observe(d.Seconds())
-				status := tw.Status
-				if !tw.Done {
-					// Every normal path writes a response, so an open span
-					// here means a panic is unwinding: the recovery
-					// middleware owns the response (a 500 on the underlying
-					// writer) — end the span without touching ours.
-					status = http.StatusInternalServerError
-					span.SetAttr("status", int64(status))
-					span.End()
-				}
-				s.exemplars.OfferLazy(obs.Exemplar{
-					CapturedUnixNs: start.UnixNano(),
-					Endpoint:       label,
-					Path:           key,
-					Status:         status,
-					DurationNs:     d.Nanoseconds(),
-					TraceID:        span.TraceID(),
-				}, func() obs.SpanSummary { return obs.Summarize(span) })
-			}()
-		} else if s.exemplars != nil {
-			// Steady state with the ring's floor set: untraced requests skip
-			// the tracer entirely and offer an outcome-only exemplar — one
-			// atomic load rejects the typical request, and a late outlier is
-			// still admitted (without a span tree, which only the arming
-			// phase and traced requests capture). The status is tracked in a
-			// local rather than a writer wrapper: every response below is
-			// written by this function, and the wrapper allocation is the
-			// kind of per-request cost this branch exists to avoid.
-			defer func() {
-				d := time.Since(start)
-				m.latency.Observe(d.Seconds())
-				if status == 0 {
-					// Every normal path records a status, so zero means a
-					// panic is unwinding and the recovery middleware owns
-					// the 500.
-					status = http.StatusInternalServerError
-				}
-				s.exemplars.OfferLazy(obs.Exemplar{
-					CapturedUnixNs: start.UnixNano(),
-					Endpoint:       label,
-					Path:           key,
-					Status:         status,
-					DurationNs:     d.Nanoseconds(),
-				}, nil)
-			}()
-		} else {
-			defer func() { m.latency.Observe(time.Since(start).Seconds()) }()
-		}
-		var etag string
+		var key, etag string
 		var gen int64
 		if cacheable {
+			key = PathQuery(r)
 			gen = s.generation()
 			if c, ok := s.cache.Get(key); ok && c.gen == gen {
 				// Hit: the entry carries its validator and header values,
 				// so the hot path renders no strings at all.
 				w.Header()["Etag"] = c.etagHdr
 				if r.Header.Get("If-None-Match") == c.etag {
-					status = http.StatusNotModified
 					w.WriteHeader(http.StatusNotModified)
 					return
 				}
-				status = http.StatusOK
 				writeBody(w, http.StatusOK, c)
 				return
 			}
@@ -487,119 +337,29 @@ func (s *Server) wrap(label string, cacheable bool, fn func(*http.Request) (any,
 			etag = EtagFor(gen, key)
 			if r.Header.Get("If-None-Match") == etag {
 				w.Header().Set("ETag", etag)
-				status = http.StatusNotModified
 				w.WriteHeader(http.StatusNotModified)
 				return
 			}
 		}
 		payload, apiErr := fn(r)
 		if apiErr != nil {
-			m.errors.Inc()
-			if apiErr.retryAfter > 0 {
-				retryAfterHeader(w, apiErr.retryAfter)
-			}
-			body, _ := json.Marshal(map[string]string{"error": apiErr.msg})
-			status = apiErr.code
-			writeBody(w, apiErr.code, cached{contentType: "application/json", body: body})
+			WriteError(w, apiErr.code, apiErr.retryAfter, "%s", apiErr.msg)
+			return
+		}
+		if !cacheable {
+			WriteJSON(w, http.StatusOK, payload)
 			return
 		}
 		body, err := json.Marshal(payload)
 		if err != nil {
-			m.errors.Inc()
-			status = http.StatusInternalServerError
 			http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
 			return
 		}
 		c := newCached("application/json", body, etag, gen)
-		if cacheable {
-			s.cache.Put(key, c)
-			w.Header()["Etag"] = c.etagHdr
-		}
-		status = http.StatusOK
+		s.cache.Put(key, c)
+		w.Header()["Etag"] = c.etagHdr
 		writeBody(w, http.StatusOK, c)
 	}
-}
-
-// TraceWriter finalizes the request span just before the first response
-// byte — headers must be set before WriteHeader, so the span summary
-// can only travel back to a traced caller if the span ends here. The
-// span therefore measures time to first byte; the endpoint latency
-// histogram keeps measuring the full handler. Shared with the router's
-// endpoint wrapper.
-type TraceWriter struct {
-	http.ResponseWriter
-	Status int
-	Done   bool
-	Finish func(status int)
-}
-
-func (w *TraceWriter) WriteHeader(code int) {
-	if !w.Done {
-		w.Done = true
-		w.Status = code
-		w.Finish(code)
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *TraceWriter) Write(b []byte) (int, error) {
-	if !w.Done {
-		w.WriteHeader(http.StatusOK)
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// StatusWriter records the status a raw handler wrote, so a wrapper can
-// classify failures without owning the body.
-type StatusWriter struct {
-	http.ResponseWriter
-	Status int
-}
-
-func (w *StatusWriter) WriteHeader(code int) {
-	w.Status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// wrapRaw instruments a handler that writes its own response (the text
-// probes and the Prometheus scrape): request count, latency, and an
-// error count for 5xx statuses. Unlike wrap it never touches the body —
-// these endpoints are not JSON and not cacheable.
-func (s *Server) wrapRaw(label string, fn http.HandlerFunc) http.HandlerFunc {
-	reg := s.obs.Registry
-	m := &endpointMetrics{
-		requests: reg.CounterVec(MetricRequests, "API requests by endpoint pattern.", "endpoint").With(label),
-		errors:   reg.CounterVec(MetricErrors, "API handler failures by endpoint pattern.", "endpoint").With(label),
-		latency: reg.HistogramVec(MetricLatency, "API request latency by endpoint pattern.",
-			latencyBuckets(), "endpoint").With(label),
-	}
-	s.metrics[label] = m
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		defer func() { m.latency.Observe(time.Since(start).Seconds()) }()
-		m.requests.Inc()
-		sw := &StatusWriter{ResponseWriter: w, Status: http.StatusOK}
-		fn(sw, r)
-		if sw.Status >= http.StatusInternalServerError {
-			m.errors.Inc()
-		}
-	}
-}
-
-func writeBody(w http.ResponseWriter, status int, c cached) {
-	h := w.Header()
-	if c.typeHdr != nil {
-		// Cache-ready entries carry their header values prebuilt (the
-		// canonical key spellings below match what Header.Set stores), so
-		// the hit path writes headers without rendering anything.
-		h["Content-Type"] = c.typeHdr
-		h["Content-Length"] = c.lenHdr
-	} else {
-		h.Set("Content-Type", c.contentType)
-		h.Set("Content-Length", strconv.Itoa(len(c.body)))
-	}
-	w.WriteHeader(status)
-	w.Write(c.body)
 }
 
 // adminLifeJSON is one administrative life in an /v1/asn response.
@@ -681,7 +441,7 @@ func (s *Server) handleASN(r *http.Request) (any, *apiError) {
 // expired or the client left (the store is fine), 500 for an actual
 // failed read (which feeds the breaker).
 func (s *Server) lookup(ctx context.Context, a asn.ASN) (lifestore.ASNLives, bool, *apiError) {
-	if s.breaker != nil && !s.breaker.Allow() {
+	if !s.breaker.Allow() {
 		return lifestore.ASNLives{}, false, retryf(http.StatusServiceUnavailable, 1,
 			"lifestore circuit open after repeated read failures; retrying shortly")
 	}
@@ -693,21 +453,15 @@ func (s *Server) lookup(ctx context.Context, a asn.ASN) (lifestore.ASNLives, boo
 	sp.End()
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.chain.timeouts.Inc()
-			if s.breaker != nil {
-				s.breaker.OnNeutral()
-			}
+			s.front.Chain.timeouts.Inc()
+			s.breaker.OnNeutral()
 			return lifestore.ASNLives{}, false, errf(http.StatusGatewayTimeout,
 				"deadline exceeded reading AS%s", a)
 		}
-		if s.breaker != nil {
-			s.breaker.OnFailure()
-		}
+		s.breaker.OnFailure()
 		return lifestore.ASNLives{}, false, errf(http.StatusInternalServerError, "reading AS%s: %v", a, err)
 	}
-	if s.breaker != nil {
-		s.breaker.OnSuccess()
-	}
+	s.breaker.OnSuccess()
 	return lives, ok, nil
 }
 
@@ -807,13 +561,6 @@ type storeJSON struct {
 	OpLives       int     `json:"opLives"`
 }
 
-type cacheJSON struct {
-	Hits     uint64 `json:"hits"`
-	Misses   uint64 `json:"misses"`
-	Size     int    `json:"size"`
-	Capacity int    `json:"capacity"`
-}
-
 type endpointJSON struct {
 	Requests       int64 `json:"requests"`
 	Errors         int64 `json:"errors"`
@@ -848,7 +595,7 @@ type lifecycleJSON struct {
 type healthResponse struct {
 	Store     storeJSON               `json:"store"`
 	Pipeline  pipeline.Health         `json:"pipeline"`
-	Cache     cacheJSON               `json:"cache"`
+	Cache     CacheStats              `json:"cache"`
 	Endpoints map[string]endpointJSON `json:"endpoints"`
 	Lifecycle lifecycleJSON           `json:"lifecycle"`
 	// Ingest is the live-tail ingestion status when the server fronts a
@@ -876,10 +623,10 @@ func (s *Server) handleHealth(*http.Request) (any, *apiError) {
 			OpLives:       m.OpLives,
 		},
 		Pipeline:  s.src.Health(),
-		Cache:     cacheJSON{Hits: hits, Misses: misses, Size: size, Capacity: capacity},
-		Endpoints: make(map[string]endpointJSON, len(s.metrics)),
+		Cache:     CacheStats{Hits: hits, Misses: misses, Size: size, Capacity: capacity},
+		Endpoints: make(map[string]endpointJSON, len(s.front.endpoints)),
 	}
-	for label, em := range s.metrics {
+	for label, em := range s.front.endpoints {
 		resp.Endpoints[label] = endpointJSON{
 			Requests:       em.requests.Value(),
 			Errors:         em.errors.Value(),
@@ -888,7 +635,7 @@ func (s *Server) handleHealth(*http.Request) (any, *apiError) {
 			LatencyP99Ns:   int64(em.latency.Quantile(0.99) * 1e9),
 		}
 	}
-	cs := s.chain.Stats()
+	cs := s.front.Chain.Stats()
 	resp.Lifecycle = lifecycleJSON{
 		InFlight:    cs.InFlight,
 		MaxInFlight: cs.MaxInFlight,
@@ -913,32 +660,14 @@ func (s *Server) handleHealth(*http.Request) (any, *apiError) {
 	return resp, nil
 }
 
-// handleHealthz is the liveness probe: the process is up and the
-// handler chain runs. Deliberately free of backend reads — liveness
-// must not flap with data trouble, or an orchestrator restarts a
-// process whose snapshot merely needs a reload.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte("ok\n"))
-}
-
-// handleReadyz is the readiness probe: 200 while the server should
-// receive traffic, 503 while the lifestore breaker is open (most
-// lookups would be short-circuited anyway, so drain traffic elsewhere
-// until the store recovers).
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if s.breaker != nil {
-		if state, _, _, _ := s.breaker.Snapshot(); state == "open" {
-			retryAfterHeader(w, 1)
-			w.WriteHeader(http.StatusServiceUnavailable)
-			w.Write([]byte("lifestore circuit open\n"))
-			return
-		}
+// ready is the readiness rule: not while the lifestore breaker is open
+// (most lookups would be short-circuited anyway, so drain traffic
+// elsewhere until the store recovers).
+func (s *Server) ready() (bool, string) {
+	if state, _, _, _ := s.breaker.Snapshot(); state == "open" {
+		return false, "lifestore circuit open"
 	}
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte("ready\n"))
+	return true, ""
 }
 
 // handleReload runs a verified hot reload and reports the new
@@ -959,8 +688,8 @@ type Sharder interface {
 	Shard() *lifestore.ShardInfo
 }
 
-// shardRangeJSON is the shard's ASN range in /v1/shard.
-type shardRangeJSON struct {
+// ShardRange is the shard's ASN range in /v1/shard.
+type ShardRange struct {
 	Index int     `json:"index"`
 	Count int     `json:"count"`
 	Lo    asn.ASN `json:"lo"`
@@ -968,12 +697,14 @@ type shardRangeJSON struct {
 	Sum   string  `json:"sum"`
 }
 
-type shardResponse struct {
-	Sharded    bool            `json:"sharded"`
-	Shard      *shardRangeJSON `json:"shard,omitempty"`
-	Generation int64           `json:"generation"`
-	ASNCount   int             `json:"asnCount"`
-	Replica    string          `json:"replica"`
+// ShardIdentity is the /v1/shard payload: what this process tells a
+// router's handshake, and what the router decodes.
+type ShardIdentity struct {
+	Sharded    bool        `json:"sharded"`
+	Shard      *ShardRange `json:"shard,omitempty"`
+	Generation int64       `json:"generation"`
+	ASNCount   int         `json:"asnCount"`
+	Replica    string      `json:"replica"`
 }
 
 // handleShard reports this process's shard identity — the router's
@@ -981,11 +712,11 @@ type shardResponse struct {
 // than 404, so a router probe can distinguish "not a shard" from "not a
 // parallellives server at all".
 func (s *Server) handleShard(*http.Request) (any, *apiError) {
-	resp := shardResponse{Generation: s.generation(), ASNCount: s.src.ASNCount(), Replica: s.replica}
+	resp := ShardIdentity{Generation: s.generation(), ASNCount: s.src.ASNCount(), Replica: s.replica}
 	if sh, ok := s.src.(Sharder); ok {
 		if si := sh.Shard(); si != nil {
 			resp.Sharded = true
-			resp.Shard = &shardRangeJSON{
+			resp.Shard = &ShardRange{
 				Index: si.Index, Count: si.Count, Lo: si.Lo, Hi: si.Hi,
 				Sum: fmt.Sprintf("%08x", si.Sum),
 			}
@@ -999,31 +730,16 @@ func (s *Server) handleShard(*http.Request) (any, *apiError) {
 // an empty document just means nothing interesting happened yet (or
 // capture is disabled, in which case capacity reads 0).
 func (s *Server) handleSlow(*http.Request) (any, *apiError) {
-	return s.exemplars.Snapshot(), nil
+	return s.front.Exemplars.Snapshot(), nil
 }
 
 // handleStages serves the build's stage trace when the dataset was
 // built with observability attached to the same Obs this server uses.
 func (s *Server) handleStages(*http.Request) (any, *apiError) {
-	summaries := s.obs.Tracer.Summary()
+	summaries := s.front.Obs.Tracer.Summary()
 	if len(summaries) == 0 {
 		return nil, errf(http.StatusNotFound,
 			"no stage trace recorded: build the dataset with the same observability core this server was given")
 	}
 	return summaries, nil
-}
-
-// handleMetrics is the Prometheus scrape endpoint. The LRU's own
-// counters are mirrored into the registry here, at scrape time, so the
-// cache's hot path stays untouched.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	hits, misses, size, _ := s.cache.Stats()
-	s.cacheHits.Set(float64(hits))
-	s.cacheMisses.Set(float64(misses))
-	s.cacheEntries.Set(float64(size))
-	s.runtime.Collect()
-	w.Header().Set("Content-Type", obs.ContentType)
-	if err := obs.WritePrometheus(w, s.obs.Registry); err != nil {
-		http.Error(w, "rendering metrics: "+err.Error(), http.StatusInternalServerError)
-	}
 }

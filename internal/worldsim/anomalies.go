@@ -312,6 +312,11 @@ func (g *generator) mutateDigit(a asn.ASN) asn.ASN {
 	return 0
 }
 
+// dayOffset draws a day offset in [0, room). A window too short to leave
+// any room gets offset 0 from the same single draw, so the random stream
+// — and every world a roomier window generates — is what it always was.
+func (g *generator) dayOffset(room int) int { return g.rng.Intn(max(room, 1)) }
+
 func (g *generator) plantLargeLeaks() {
 	want := scaleCount(470, g.cfg.Scale, 10)
 	planted := 0
@@ -322,7 +327,7 @@ func (g *generator) plantLargeLeaks() {
 		if !g.neverAllocatable(a) {
 			continue
 		}
-		start := g.cfg.Start.AddDays(g.rng.Intn(g.cfg.End.Sub(g.cfg.Start) - 40))
+		start := g.cfg.Start.AddDays(g.dayOffset(g.cfg.End.Sub(g.cfg.Start) - 40))
 		dur := g.lognormDays(300, 1.2, 30, 2500)
 		end := start.AddDays(dur)
 		if end > g.cfg.End {
@@ -351,7 +356,7 @@ func (g *generator) plantNeverAllocatedNoise() {
 		if !g.neverAllocatable(a) {
 			continue
 		}
-		start := g.cfg.Start.AddDays(g.rng.Intn(g.cfg.End.Sub(g.cfg.Start) - 10))
+		start := g.cfg.Start.AddDays(g.dayOffset(g.cfg.End.Sub(g.cfg.Start) - 10))
 		dur := 1
 		if g.rng.Float64() < 0.3 {
 			dur = 2 + g.rng.Intn(20)
@@ -373,7 +378,7 @@ func (g *generator) plantNoise() {
 	n := 80
 	span := g.cfg.End.Sub(g.cfg.Start)
 	for i := 0; i < n; i++ {
-		day := g.cfg.Start.AddDays(g.rng.Intn(span))
+		day := g.cfg.Start.AddDays(g.dayOffset(span))
 		var a asn.ASN
 		if g.rng.Float64() < 0.5 && len(g.world.Lives) > 0 {
 			a = g.world.Lives[g.rng.Intn(len(g.world.Lives))].ASN

@@ -1,6 +1,8 @@
 package worldsim
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"parallellives/internal/asn"
@@ -227,5 +229,54 @@ func TestERXAndPlaceholderPopulationsExist(t *testing.T) {
 		erx, placeholder, nir, failed32, transfers)
 	if erx == 0 || placeholder == 0 || nir == 0 || failed32 == 0 || transfers == 0 {
 		t.Error("expected all special populations to be present at default scale")
+	}
+}
+
+// worldDigest hashes everything Generate decides: orgs, lives, BGP
+// segments and planted events, in order.
+func worldDigest(w *World) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%v|%v|%v|%v|%v|%v|%v|%v|%v", w.Orgs, w.Lives, w.Segments, w.TransitASNs,
+		w.HijackFactory, w.DormantSquats, w.PostDeallocHijacks, w.FatFingers, w.LargeLeaks)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestShortWindows pins that Generate returns a world for any End >=
+// Start — the anomaly planters used to draw offsets from [0, window-40)
+// and panicked on windows that short — and that clamping those draws
+// left every world a roomier window generates byte-identical: the
+// digests below were taken before the clamp existed.
+func TestShortWindows(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scale = 0.005
+	cfg.Start = dates.MustParse("2010-01-01")
+	for _, days := range []int{1, 2, 10, 11, 40, 41} {
+		cfg.End = cfg.Start.AddDays(days - 1)
+		w := Generate(cfg)
+		if len(w.Lives) == 0 {
+			t.Errorf("%d-day window: no lives generated", days)
+		}
+		for _, l := range w.Lives {
+			if l.Alloc.End > cfg.End {
+				t.Errorf("%d-day window: life of AS%s ends %s, after the window", days, l.ASN, l.Alloc.End)
+			}
+		}
+	}
+
+	for _, c := range []struct {
+		scale      float64
+		start, end string
+		want       string
+	}{
+		{0.01, "2004-01-01", "2005-12-31", "230f87859e739a91"},  // pipeline's golden JSON world
+		{0.04, "2004-01-01", "2004-03-31", "6fe8257af2943acb"},  // the benchmark's batch world
+		{0.005, "2010-01-01", "2010-02-11", "9c5f64f957ccd58e"}, // 42 days: the shortest window that never panicked
+	} {
+		cfg := DefaultConfig()
+		cfg.Scale = c.scale
+		cfg.Start, cfg.End = dates.MustParse(c.start), dates.MustParse(c.end)
+		if got := worldDigest(Generate(cfg)); got != c.want {
+			t.Errorf("scale %v %s..%s: world digest %s, want %s", c.scale, c.start, c.end, got, c.want)
+		}
 	}
 }

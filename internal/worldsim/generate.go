@@ -267,8 +267,8 @@ func (g *generator) buildHistoric(r asn.RIR) {
 			// Dies somewhere inside the window. Late-2003 registrations
 			// can postdate an early death day; clamp to a one-day life
 			// rather than an inverted interval.
-			endOffset := g.rng.Intn(g.cfg.End.Sub(g.cfg.Start))
-			end := g.cfg.Start.AddDays(endOffset + 1)
+			endOffset := g.dayOffset(g.cfg.End.Sub(g.cfg.Start))
+			end := dates.Min(g.cfg.Start.AddDays(endOffset+1), g.cfg.End) // a one-day window has no later day to die on
 			if end < reg {
 				end = reg
 			}

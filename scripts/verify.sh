@@ -6,7 +6,7 @@ set -eu
 
 # Packages whose whole suite runs under -race without -short: the
 # concurrency-sensitive and fault-handling ones. Every other package
-# under internal/ races with -short.
+# under internal/, and the CLI under cmd/, races with -short.
 FULL='faults|bgpscan|serve|obs|parallel|router|loadgen'
 
 # named PKG TEST: one non-short property test under -race, failing if
@@ -20,8 +20,8 @@ named() {
 race() {
 	echo "== go test -race ($FULL)"
 	go test -race $(go list ./internal/... | grep -E "/($FULL)\$")
-	echo "== go test -race -short (every other package under internal/)"
-	go test -race -short $(go list ./internal/... | grep -vE "/($FULL)\$")
+	echo "== go test -race -short (every other package under internal/, and cmd/)"
+	go test -race -short $(go list ./internal/... | grep -vE "/($FULL)\$") ./cmd/...
 	echo "== go test -race (parallel/sequential equivalence property)"
 	named ./internal/pipeline/ TestParallelEquivalence
 	echo "== go test -race (stream crash-equivalence property)"
