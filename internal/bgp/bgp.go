@@ -174,9 +174,17 @@ func appendPrefix(dst []byte, p netip.Prefix) []byte {
 	bits := p.Bits()
 	dst = append(dst, byte(bits))
 	nbytes := (bits + 7) / 8
-	addr := p.Addr().AsSlice()
-	return append(dst, addr[:nbytes]...)
+	a := p.Addr()
+	if a.Is4() {
+		b := a.As4()
+		return append(dst, b[:nbytes]...)
+	}
+	b := a.As16()
+	return append(dst, b[:nbytes]...)
 }
+
+// prefixLen is the number of bytes appendPrefix writes for p.
+func prefixLen(p netip.Prefix) int { return 1 + (p.Bits()+7)/8 }
 
 // decodePrefix reads one NLRI prefix for the given address family.
 func decodePrefix(b []byte, v6 bool) (netip.Prefix, int, error) {
@@ -212,146 +220,187 @@ func decodePrefix(b []byte, v6 bool) (netip.Prefix, int, error) {
 	return p, 1 + nbytes, nil
 }
 
-// Marshal encodes the update as a full BGP message (header included).
-// fourByte selects 4-octet AS number encoding in AS_PATH, as negotiated
-// by the capability in real sessions and recorded by MRT subtypes.
-// IPv6 prefixes in Announced are carried in an MP_REACH_NLRI attribute;
-// IPv6 prefixes in Withdrawn in MP_UNREACH_NLRI.
-func (u *Update) Marshal(fourByte bool) ([]byte, error) {
-	body := make([]byte, 0, 128)
+// defaultNextHop6 is the MP_REACH_NLRI next hop used when the update has
+// no IPv6 one of its own.
+var defaultNextHop6 = netip.MustParseAddr("2001:db8::1")
 
-	// Withdrawn routes (IPv4 only in the classic field).
-	var withdrawn4, withdrawn6 []netip.Prefix
-	for _, p := range u.Withdrawn {
-		if p.Addr().Is4() {
-			withdrawn4 = append(withdrawn4, p)
-		} else {
-			withdrawn6 = append(withdrawn6, p)
-		}
-	}
-	var announced4, announced6 []netip.Prefix
+// Marshal encodes the update as a full BGP message; see AppendMessage.
+func (u *Update) Marshal(fourByte bool) ([]byte, error) { return u.AppendMessage(nil, fourByte) }
+
+// AppendMessage appends the update to dst as a full BGP message (header
+// included) and returns the extended slice; on error dst is returned
+// unchanged. fourByte selects 4-octet AS number encoding in AS_PATH, as
+// negotiated by the capability in real sessions and recorded by MRT
+// subtypes. IPv6 prefixes in Announced are carried in an MP_REACH_NLRI
+// attribute; IPv6 prefixes in Withdrawn in MP_UNREACH_NLRI.
+func (u *Update) AppendMessage(dst []byte, fourByte bool) ([]byte, error) {
+	start := len(dst)
+	// Reachability splits by family: IPv4 rides in the classic fields,
+	// IPv6 in the MP attributes. reach6/unreach6 are the attribute value
+	// lengths, counted up front because the attribute header depends on
+	// them; zero means no IPv6 prefix on that side.
+	var announced4, reach6, unreach6 int
 	for _, p := range u.Announced {
 		if p.Addr().Is4() {
-			announced4 = append(announced4, p)
+			announced4++
 		} else {
-			announced6 = append(announced6, p)
+			reach6 += prefixLen(p)
 		}
 	}
+	for _, p := range u.Withdrawn {
+		if !p.Addr().Is4() {
+			unreach6 += prefixLen(p)
+		}
+	}
+	announces := announced4 > 0 || reach6 > 0
 
-	var wbuf []byte
-	for _, p := range withdrawn4 {
-		wbuf = appendPrefix(wbuf, p)
+	for i := 0; i < 16; i++ {
+		dst = append(dst, 0xff)
 	}
-	body = binary.BigEndian.AppendUint16(body, uint16(len(wbuf)))
-	body = append(body, wbuf...)
+	dst = append(dst, 0, 0, TypeUpdate) // message length patched below
 
-	// Path attributes.
-	var attrs []byte
-	if u.HasOrigin || len(u.Path) > 0 || len(announced4) > 0 || len(announced6) > 0 {
-		attrs = appendAttr(attrs, 0x40, AttrOrigin, []byte{u.Origin})
+	wdAt := len(dst)
+	dst = append(dst, 0, 0)
+	for _, p := range u.Withdrawn {
+		if p.Addr().Is4() {
+			dst = appendPrefix(dst, p)
+		}
 	}
-	if len(u.Path) > 0 || len(announced4) > 0 || len(announced6) > 0 {
-		attrs = appendAttr(attrs, 0x40, AttrASPath, marshalASPath(u.Path, fourByte))
+	wdLen := len(dst) - wdAt - 2
+
+	attrsAt := len(dst)
+	dst = append(dst, 0, 0)
+	if u.HasOrigin || len(u.Path) > 0 || announces {
+		dst = append(appendAttrHeader(dst, 0x40, AttrOrigin, 1), u.Origin)
 	}
-	if len(announced4) > 0 {
+	if len(u.Path) > 0 || announces {
+		dst = appendASPath(dst, u.Path, fourByte)
+	}
+	if announced4 > 0 {
 		nh := u.NextHop
 		if !nh.IsValid() || !nh.Is4() {
 			nh = netip.AddrFrom4([4]byte{192, 0, 2, 1})
 		}
-		a := nh.As4()
-		attrs = appendAttr(attrs, 0x40, AttrNextHop, a[:])
+		dst = appendNextHop(dst, nh)
 	}
-	if len(announced6) > 0 {
-		var mp []byte
-		mp = binary.BigEndian.AppendUint16(mp, AFIIPv6)
-		mp = append(mp, SAFIUnicast)
+	if reach6 > 0 {
+		dst = appendAttrHeader(dst, 0x80, AttrMPReachNLRI, 2+1+1+16+1+reach6)
+		dst = binary.BigEndian.AppendUint16(dst, AFIIPv6)
+		dst = append(dst, SAFIUnicast)
 		nh := u.NextHop
 		if !nh.IsValid() || !nh.Is6() || nh.Is4() {
-			nh = netip.MustParseAddr("2001:db8::1")
+			nh = defaultNextHop6
 		}
 		nh16 := nh.As16()
-		mp = append(mp, 16)
-		mp = append(mp, nh16[:]...)
-		mp = append(mp, 0) // reserved / SNPA count
-		for _, p := range announced6 {
-			mp = appendPrefix(mp, p)
-		}
-		attrs = appendAttr(attrs, 0x80, AttrMPReachNLRI, mp)
-	}
-	if len(withdrawn6) > 0 {
-		var mp []byte
-		mp = binary.BigEndian.AppendUint16(mp, AFIIPv6)
-		mp = append(mp, SAFIUnicast)
-		for _, p := range withdrawn6 {
-			mp = appendPrefix(mp, p)
-		}
-		attrs = appendAttr(attrs, 0x80, AttrMPUnreachNLRI, mp)
-	}
-	body = binary.BigEndian.AppendUint16(body, uint16(len(attrs)))
-	body = append(body, attrs...)
-
-	for _, p := range announced4 {
-		body = appendPrefix(body, p)
-	}
-
-	total := HeaderLen + len(body)
-	if total > MaxMessageLen {
-		return nil, fmt.Errorf("%w: message length %d exceeds %d", ErrMalformed, total, MaxMessageLen)
-	}
-	msg := make([]byte, HeaderLen, total)
-	for i := 0; i < 16; i++ {
-		msg[i] = 0xff
-	}
-	binary.BigEndian.PutUint16(msg[16:18], uint16(total))
-	msg[18] = TypeUpdate
-	return append(msg, body...), nil
-}
-
-// MarshalAttrs encodes just the ORIGIN, AS_PATH and (for an IPv4 next
-// hop) NEXT_HOP attributes of u as a raw attribute block — the form MRT
-// TABLE_DUMP_V2 RIB entries embed. RIB entries always use the 4-octet
-// AS_PATH encoding, but the parameter is exposed for symmetric testing.
-func (u *Update) MarshalAttrs(fourByte bool) []byte {
-	var attrs []byte
-	attrs = appendAttr(attrs, 0x40, AttrOrigin, []byte{u.Origin})
-	attrs = appendAttr(attrs, 0x40, AttrASPath, marshalASPath(u.Path, fourByte))
-	if u.NextHop.IsValid() && u.NextHop.Is4() {
-		a := u.NextHop.As4()
-		attrs = appendAttr(attrs, 0x40, AttrNextHop, a[:])
-	}
-	return attrs
-}
-
-// appendAttr encodes one path attribute, using the extended-length form
-// when the value exceeds 255 bytes.
-func appendAttr(dst []byte, flags, typ byte, val []byte) []byte {
-	if len(val) > 255 {
-		flags |= 0x10 // extended length
-		dst = append(dst, flags, typ)
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(val)))
-	} else {
-		dst = append(dst, flags, typ, byte(len(val)))
-	}
-	return append(dst, val...)
-}
-
-func marshalASPath(segs []Segment, fourByte bool) []byte {
-	var out []byte
-	for _, s := range segs {
-		out = append(out, s.Type, byte(len(s.ASNs)))
-		for _, a := range s.ASNs {
-			if fourByte {
-				out = binary.BigEndian.AppendUint32(out, uint32(a))
-			} else {
-				v := a
-				if v.Is32Bit() {
-					v = asn.ASTrans // RFC 6793 substitution
-				}
-				out = binary.BigEndian.AppendUint16(out, uint16(v))
+		dst = append(dst, 16)
+		dst = append(dst, nh16[:]...)
+		dst = append(dst, 0) // reserved / SNPA count
+		for _, p := range u.Announced {
+			if !p.Addr().Is4() {
+				dst = appendPrefix(dst, p)
 			}
 		}
 	}
-	return out
+	if unreach6 > 0 {
+		dst = appendAttrHeader(dst, 0x80, AttrMPUnreachNLRI, 2+1+unreach6)
+		dst = binary.BigEndian.AppendUint16(dst, AFIIPv6)
+		dst = append(dst, SAFIUnicast)
+		for _, p := range u.Withdrawn {
+			if !p.Addr().Is4() {
+				dst = appendPrefix(dst, p)
+			}
+		}
+	}
+	attrsLen := len(dst) - attrsAt - 2
+
+	for _, p := range u.Announced {
+		if p.Addr().Is4() {
+			dst = appendPrefix(dst, p)
+		}
+	}
+
+	// The section lengths are 16-bit fields; the message cap keeps every
+	// one of them in range.
+	total := len(dst) - start
+	if total > MaxMessageLen {
+		return dst[:start], fmt.Errorf("%w: message length %d exceeds %d", ErrMalformed, total, MaxMessageLen)
+	}
+	binary.BigEndian.PutUint16(dst[start+16:], uint16(total))
+	binary.BigEndian.PutUint16(dst[wdAt:], uint16(wdLen))
+	binary.BigEndian.PutUint16(dst[attrsAt:], uint16(attrsLen))
+	return dst, nil
+}
+
+// MarshalAttrs encodes the RIB-entry attribute block; see AppendAttrs.
+func (u *Update) MarshalAttrs(fourByte bool) []byte { return u.AppendAttrs(nil, fourByte) }
+
+// AppendAttrs appends just the ORIGIN, AS_PATH and (for an IPv4 next
+// hop) NEXT_HOP attributes of u to dst as a raw attribute block — the
+// form MRT TABLE_DUMP_V2 RIB entries embed. RIB entries always use the
+// 4-octet AS_PATH encoding, but the parameter is exposed for symmetric
+// testing.
+func (u *Update) AppendAttrs(dst []byte, fourByte bool) []byte {
+	dst = append(appendAttrHeader(dst, 0x40, AttrOrigin, 1), u.Origin)
+	dst = appendASPath(dst, u.Path, fourByte)
+	if u.NextHop.IsValid() && u.NextHop.Is4() {
+		dst = appendNextHop(dst, u.NextHop)
+	}
+	return dst
+}
+
+// appendAttrHeader encodes the header of one path attribute whose value
+// is vlen bytes, using the extended-length form when it exceeds 255; the
+// caller appends the value.
+func appendAttrHeader(dst []byte, flags, typ byte, vlen int) []byte {
+	if vlen > 255 {
+		dst = append(dst, flags|0x10, typ) // extended length
+		return binary.BigEndian.AppendUint16(dst, uint16(vlen))
+	}
+	return append(dst, flags, typ, byte(vlen))
+}
+
+func appendNextHop(dst []byte, nh netip.Addr) []byte {
+	a := nh.As4()
+	return append(appendAttrHeader(dst, 0x40, AttrNextHop, 4), a[:]...)
+}
+
+// maxSegmentASNs is the most ASNs one AS_PATH segment can carry: its
+// count is a single byte.
+const maxSegmentASNs = 255
+
+// appendASPath encodes the AS_PATH attribute. A segment longer than
+// maxSegmentASNs is written as consecutive segments of the same type, as
+// RFC 4271 speakers do with heavily prepended paths.
+func appendASPath(dst []byte, segs []Segment, fourByte bool) []byte {
+	width := 2
+	if fourByte {
+		width = 4
+	}
+	vlen := 0
+	for _, s := range segs {
+		chunks := max(1, (len(s.ASNs)+maxSegmentASNs-1)/maxSegmentASNs)
+		vlen += 2*chunks + width*len(s.ASNs)
+	}
+	dst = appendAttrHeader(dst, 0x40, AttrASPath, vlen)
+	for _, s := range segs {
+		asns := s.ASNs
+		for first := true; first || len(asns) > 0; first = false {
+			n := min(len(asns), maxSegmentASNs)
+			dst = append(dst, s.Type, byte(n))
+			for _, a := range asns[:n] {
+				if fourByte {
+					dst = binary.BigEndian.AppendUint32(dst, uint32(a))
+				} else {
+					if a.Is32Bit() {
+						a = asn.ASTrans // RFC 6793 substitution
+					}
+					dst = binary.BigEndian.AppendUint16(dst, uint16(a))
+				}
+			}
+			asns = asns[n:]
+		}
+	}
+	return dst
 }
 
 // DecodeUpdate parses a full BGP message (with header) into u, resetting

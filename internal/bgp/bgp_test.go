@@ -1,6 +1,8 @@
 package bgp
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -268,4 +270,126 @@ func samePrefixSet(a, b []netip.Prefix) bool {
 		}
 	}
 	return true
+}
+
+// TestLongASPathSegmentsSplit pins the AS_PATH segment count byte: a
+// segment of more than 255 ASNs is written as consecutive segments of
+// the same type, so a heavily prepended path decodes to the same flat
+// path, origin and first AS instead of to garbage.
+func TestLongASPathSegmentsSplit(t *testing.T) {
+	for _, n := range []int{255, 256, 600} {
+		for _, fourByte := range []bool{false, true} {
+			hops := make([]asn.ASN, n)
+			for i := range hops {
+				hops[i] = asn.ASN(1000 + i)
+			}
+			u := &Update{Path: []Segment{seq(hops...)}, HasOrigin: true, NextHop: netip.MustParseAddr("10.0.0.1")}
+
+			var got Update
+			if err := DecodeAttrs(&got, u.MarshalAttrs(fourByte), fourByte); err != nil {
+				t.Fatalf("n=%d fourByte=%v: attrs: %v", n, fourByte, err)
+			}
+			checkLongPath(t, &got, hops)
+
+			u.Announced = []netip.Prefix{mustPrefix("203.0.113.0/24")}
+			msg, err := u.Marshal(fourByte)
+			if err != nil {
+				t.Fatalf("n=%d fourByte=%v: %v", n, fourByte, err)
+			}
+			if err := DecodeUpdate(&got, msg, fourByte); err != nil {
+				t.Fatalf("n=%d fourByte=%v: message: %v", n, fourByte, err)
+			}
+			checkLongPath(t, &got, hops)
+			if wantSegs := (n + 254) / 255; len(got.Path) != wantSegs {
+				t.Errorf("n=%d: %d segments, want %d", n, len(got.Path), wantSegs)
+			}
+		}
+	}
+}
+
+func checkLongPath(t *testing.T, got *Update, hops []asn.ASN) {
+	t.Helper()
+	if flat := got.FlatPath(nil); !reflect.DeepEqual(flat, hops) {
+		t.Errorf("FlatPath has %d ASNs, want the %d encoded", len(flat), len(hops))
+	}
+	if o, ok := got.OriginAS(); !ok || o != hops[len(hops)-1] {
+		t.Errorf("OriginAS = %v, %v, want %v", o, ok, hops[len(hops)-1])
+	}
+	if f, ok := got.FirstAS(); !ok || f != hops[0] {
+		t.Errorf("FirstAS = %v, %v, want %v", f, ok, hops[0])
+	}
+	for _, s := range got.Path {
+		if s.Type != SegmentSequence || len(s.ASNs) > 255 {
+			t.Errorf("segment type %d with %d ASNs", s.Type, len(s.ASNs))
+		}
+	}
+}
+
+// TestAppendFormsMatchMarshal pins the append forms on randomised
+// updates: they leave the bytes already in dst alone, append exactly
+// what Marshal / MarshalAttrs return, and what they append decodes back.
+func TestAppendFormsMatchMarshal(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		fourByte := r.Intn(2) == 0
+		u := &Update{HasOrigin: r.Intn(2) == 0, Origin: byte(r.Intn(3))}
+		for i, n := 0, r.Intn(5); i < n; i++ {
+			u.Announced = append(u.Announced, randomPrefix(r, r.Intn(2) == 0))
+		}
+		for i, n := 0, r.Intn(3); i < n; i++ {
+			u.Withdrawn = append(u.Withdrawn, randomPrefix(r, r.Intn(2) == 0))
+		}
+		for i, n := 0, r.Intn(3); i < n; i++ {
+			s := Segment{Type: byte(1 + r.Intn(2)), ASNs: make([]asn.ASN, r.Intn(80))}
+			for j := range s.ASNs {
+				s.ASNs[j] = asn.ASN(r.Intn(60000) + 1)
+			}
+			u.Path = append(u.Path, s)
+		}
+		if r.Intn(2) == 0 {
+			u.NextHop = netip.AddrFrom4([4]byte{10, 0, 0, byte(r.Intn(256))})
+		}
+		prefix := make([]byte, r.Intn(40))
+		r.Read(prefix)
+
+		msg, err := u.Marshal(fourByte)
+		if err != nil {
+			return false
+		}
+		appended, err := u.AppendMessage(append([]byte(nil), prefix...), fourByte)
+		if err != nil || !bytes.Equal(appended[:len(prefix)], prefix) || !bytes.Equal(appended[len(prefix):], msg) {
+			return false
+		}
+		var got Update
+		if err := DecodeUpdate(&got, msg, fourByte); err != nil {
+			return false
+		}
+		if !samePrefixSet(got.Announced, u.Announced) || !samePrefixSet(got.Withdrawn, u.Withdrawn) {
+			return false
+		}
+
+		attrs := u.MarshalAttrs(fourByte)
+		appended = u.AppendAttrs(append([]byte(nil), prefix...), fourByte)
+		if !bytes.Equal(appended[:len(prefix)], prefix) || !bytes.Equal(appended[len(prefix):], attrs) {
+			return false
+		}
+		got.Reset()
+		if err := DecodeAttrs(&got, attrs, fourByte); err != nil {
+			return false
+		}
+		return reflect.DeepEqual(got.FlatPath(nil), u.FlatPath(nil)) && got.Origin == u.Origin
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestAppendMessageOverflowLeavesDstUnchanged: a message over the 4096
+// byte cap is refused and nothing stays appended.
+func TestAppendMessageOverflowLeavesDstUnchanged(t *testing.T) {
+	u := &Update{Path: []Segment{seq(make([]asn.ASN, 1100)...)}, HasOrigin: true}
+	dst, err := u.AppendMessage([]byte("kept"), true)
+	if !errors.Is(err, ErrMalformed) || string(dst) != "kept" {
+		t.Errorf("AppendMessage = %q, %v; want the prefix alone and ErrMalformed", dst, err)
+	}
 }

@@ -47,7 +47,11 @@ func buildRIBArchive(t *testing.T, n int) []byte {
 				{PeerIndex: 1, Attrs: u.MarshalAttrs(true)},
 			},
 		}
-		if err := w.WriteRecord(0, mrt.TypeTableDumpV2, rec.Subtype(), rec.Marshal()); err != nil {
+		body, err := rec.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteRecord(0, mrt.TypeTableDumpV2, rec.Subtype(), body); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 
 	"parallellives/internal/asn"
@@ -119,14 +120,27 @@ func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
 // WriteRecord frames body with the MRT header and writes it.
 func (w *Writer) WriteRecord(ts uint32, typ Type, subtype uint16, body []byte) error {
-	w.buf = w.buf[:0]
-	w.buf = binary.BigEndian.AppendUint32(w.buf, ts)
-	w.buf = binary.BigEndian.AppendUint16(w.buf, uint16(typ))
-	w.buf = binary.BigEndian.AppendUint16(w.buf, subtype)
-	w.buf = binary.BigEndian.AppendUint32(w.buf, uint32(len(body)))
-	w.buf = append(w.buf, body...)
+	w.buf = append(BeginRecord(w.buf[:0], ts, typ, subtype), body...)
+	EndRecord(w.buf, 0)
 	_, err := w.w.Write(w.buf)
 	return err
+}
+
+// BeginRecord appends an MRT record header with a zero length to dst.
+// The caller appends the body in place and then calls EndRecord with the
+// offset the header was written at (len(dst) before this call), so a
+// record is framed without its body ever existing as a separate slice.
+func BeginRecord(dst []byte, ts uint32, typ Type, subtype uint16) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, ts)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(typ))
+	dst = binary.BigEndian.AppendUint16(dst, subtype)
+	return append(dst, 0, 0, 0, 0)
+}
+
+// EndRecord back-patches the length of the record whose header
+// BeginRecord wrote at dst[at:]: everything after the header is its body.
+func EndRecord(dst []byte, at int) {
+	binary.BigEndian.PutUint32(dst[at+8:], uint32(len(dst)-at-headerLen))
 }
 
 // Peer is one collector peer in a PEER_INDEX_TABLE.
@@ -145,30 +159,32 @@ type PeerIndexTable struct {
 }
 
 // Marshal encodes the peer index table body.
-func (t *PeerIndexTable) Marshal() []byte {
-	var b []byte
-	b = append(b, t.CollectorID[:]...)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(t.ViewName)))
-	b = append(b, t.ViewName...)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(t.Peers)))
+func (t *PeerIndexTable) Marshal() []byte { return t.AppendTo(nil) }
+
+// AppendTo appends the peer index table body to dst.
+func (t *PeerIndexTable) AppendTo(dst []byte) []byte {
+	dst = append(dst, t.CollectorID[:]...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(t.ViewName)))
+	dst = append(dst, t.ViewName...)
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(t.Peers)))
 	for _, p := range t.Peers {
 		var ptype byte
 		if p.Addr.Is6() && !p.Addr.Is4In6() {
 			ptype |= 0x01
 		}
 		ptype |= 0x02 // always record 4-byte AS, like modern collectors
-		b = append(b, ptype)
-		b = append(b, p.BGPID[:]...)
+		dst = append(dst, ptype)
+		dst = append(dst, p.BGPID[:]...)
 		if ptype&0x01 != 0 {
 			a := p.Addr.As16()
-			b = append(b, a[:]...)
+			dst = append(dst, a[:]...)
 		} else {
 			a := p.Addr.As4()
-			b = append(b, a[:]...)
+			dst = append(dst, a[:]...)
 		}
-		b = binary.BigEndian.AppendUint32(b, uint32(p.AS))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(p.AS))
 	}
-	return b
+	return dst
 }
 
 // DecodePeerIndexTable parses a PEER_INDEX_TABLE body into t.
@@ -254,22 +270,40 @@ func (r *RIBRecord) Subtype() uint16 {
 	return SubtypeRIBIPv4Unicast
 }
 
-// Marshal encodes the RIB record body.
-func (r *RIBRecord) Marshal() []byte {
-	var b []byte
-	b = binary.BigEndian.AppendUint32(b, r.Seq)
-	bits := r.Prefix.Bits()
-	b = append(b, byte(bits))
-	addr := r.Prefix.Addr().AsSlice()
-	b = append(b, addr[:(bits+7)/8]...)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Entries)))
-	for _, e := range r.Entries {
-		b = binary.BigEndian.AppendUint16(b, e.PeerIndex)
-		b = binary.BigEndian.AppendUint32(b, e.OriginatedTime)
-		b = binary.BigEndian.AppendUint16(b, uint16(len(e.Attrs)))
-		b = append(b, e.Attrs...)
+// Marshal encodes the RIB record body; see AppendTo.
+func (r *RIBRecord) Marshal() ([]byte, error) { return r.AppendTo(nil) }
+
+// AppendTo appends the RIB record body to dst and returns the extended
+// slice. The entry count and each attribute block's length are 16-bit
+// fields: a record that does not fit them is refused with ErrMalformed
+// (and dst returned unchanged) rather than written with counts that
+// disagree with its bytes.
+func (r *RIBRecord) AppendTo(dst []byte) ([]byte, error) {
+	start := len(dst)
+	if len(r.Entries) > math.MaxUint16 {
+		return dst, fmt.Errorf("%w: %d RIB entries exceed the 16-bit count", ErrMalformed, len(r.Entries))
 	}
-	return b
+	dst = binary.BigEndian.AppendUint32(dst, r.Seq)
+	bits := r.Prefix.Bits()
+	dst = append(dst, byte(bits))
+	if a := r.Prefix.Addr(); a.Is4() {
+		b := a.As4()
+		dst = append(dst, b[:(bits+7)/8]...)
+	} else {
+		b := a.As16()
+		dst = append(dst, b[:(bits+7)/8]...)
+	}
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Entries)))
+	for _, e := range r.Entries {
+		if len(e.Attrs) > math.MaxUint16 {
+			return dst[:start], fmt.Errorf("%w: %d attribute bytes exceed the 16-bit length", ErrMalformed, len(e.Attrs))
+		}
+		dst = binary.BigEndian.AppendUint16(dst, e.PeerIndex)
+		dst = binary.BigEndian.AppendUint32(dst, e.OriginatedTime)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(len(e.Attrs)))
+		dst = append(dst, e.Attrs...)
+	}
+	return dst, nil
 }
 
 // DecodeRIBRecord parses a RIB record body into r. v6 selects the address
@@ -349,33 +383,36 @@ func (m *BGP4MPMessage) Subtype() uint16 {
 	return SubtypeBGP4MPMessage
 }
 
-// Marshal encodes the BGP4MP message body.
-func (m *BGP4MPMessage) Marshal() ([]byte, error) {
-	var b []byte
+// Marshal encodes the BGP4MP message body; see AppendTo.
+func (m *BGP4MPMessage) Marshal() ([]byte, error) { return m.AppendTo(nil) }
+
+// AppendTo appends the BGP4MP message body to dst and returns the
+// extended slice; on error dst is returned unchanged.
+func (m *BGP4MPMessage) AppendTo(dst []byte) ([]byte, error) {
 	if m.FourByte {
-		b = binary.BigEndian.AppendUint32(b, uint32(m.PeerAS))
-		b = binary.BigEndian.AppendUint32(b, uint32(m.LocalAS))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(m.PeerAS))
+		dst = binary.BigEndian.AppendUint32(dst, uint32(m.LocalAS))
 	} else {
 		if m.PeerAS.Is32Bit() || m.LocalAS.Is32Bit() {
-			return nil, fmt.Errorf("%w: 32-bit ASN in 2-byte BGP4MP message", ErrMalformed)
+			return dst, fmt.Errorf("%w: 32-bit ASN in 2-byte BGP4MP message", ErrMalformed)
 		}
-		b = binary.BigEndian.AppendUint16(b, uint16(m.PeerAS))
-		b = binary.BigEndian.AppendUint16(b, uint16(m.LocalAS))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(m.PeerAS))
+		dst = binary.BigEndian.AppendUint16(dst, uint16(m.LocalAS))
 	}
-	b = binary.BigEndian.AppendUint16(b, m.IfIndex)
+	dst = binary.BigEndian.AppendUint16(dst, m.IfIndex)
 	v6 := m.PeerIP.Is6() && !m.PeerIP.Is4In6()
 	if v6 {
-		b = binary.BigEndian.AppendUint16(b, bgp.AFIIPv6)
+		dst = binary.BigEndian.AppendUint16(dst, bgp.AFIIPv6)
 		p, l := m.PeerIP.As16(), m.LocalIP.As16()
-		b = append(b, p[:]...)
-		b = append(b, l[:]...)
+		dst = append(dst, p[:]...)
+		dst = append(dst, l[:]...)
 	} else {
-		b = binary.BigEndian.AppendUint16(b, bgp.AFIIPv4)
+		dst = binary.BigEndian.AppendUint16(dst, bgp.AFIIPv4)
 		p, l := m.PeerIP.As4(), m.LocalIP.As4()
-		b = append(b, p[:]...)
-		b = append(b, l[:]...)
+		dst = append(dst, p[:]...)
+		dst = append(dst, l[:]...)
 	}
-	return append(b, m.Data...), nil
+	return append(dst, m.Data...), nil
 }
 
 // DecodeBGP4MPMessage parses a BGP4MP MESSAGE / MESSAGE_AS4 body into m

@@ -2,6 +2,7 @@ package mrt
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"net/netip"
@@ -108,6 +109,16 @@ func ribAttrs(t *testing.T, origin asn.ASN, hops ...asn.ASN) []byte {
 	return u.MarshalAttrs(true)
 }
 
+// ribBody marshals rec, failing the test if it cannot be encoded.
+func ribBody(t *testing.T, rec *RIBRecord) []byte {
+	t.Helper()
+	body, err := rec.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
 func TestRIBRecordRoundTripIPv4(t *testing.T) {
 	rec := &RIBRecord{
 		Seq:    42,
@@ -120,7 +131,7 @@ func TestRIBRecordRoundTripIPv4(t *testing.T) {
 	if rec.Subtype() != SubtypeRIBIPv4Unicast {
 		t.Errorf("Subtype = %d", rec.Subtype())
 	}
-	body := rec.Marshal()
+	body := ribBody(t, rec)
 	var got RIBRecord
 	if err := DecodeRIBRecord(&got, body, false); err != nil {
 		t.Fatal(err)
@@ -156,7 +167,7 @@ func TestRIBRecordRoundTripIPv6(t *testing.T) {
 	if rec.Subtype() != SubtypeRIBIPv6Unicast {
 		t.Errorf("Subtype = %d", rec.Subtype())
 	}
-	body := rec.Marshal()
+	body := ribBody(t, rec)
 	var got RIBRecord
 	if err := DecodeRIBRecord(&got, body, true); err != nil {
 		t.Fatal(err)
@@ -168,7 +179,7 @@ func TestRIBRecordRoundTripIPv6(t *testing.T) {
 
 func TestRIBRecordBadPrefixLen(t *testing.T) {
 	rec := &RIBRecord{Seq: 1, Prefix: netip.MustParsePrefix("10.0.0.0/8")}
-	body := rec.Marshal()
+	body := ribBody(t, rec)
 	body[4] = 64 // invalid for IPv4
 	var got RIBRecord
 	if err := DecodeRIBRecord(&got, body, false); err == nil {
@@ -267,8 +278,12 @@ func TestQuickRIBRoundTrip(t *testing.T) {
 				Attrs:          attrs,
 			})
 		}
+		body, err := rec.Marshal()
+		if err != nil {
+			return false
+		}
 		var got RIBRecord
-		if err := DecodeRIBRecord(&got, rec.Marshal(), false); err != nil {
+		if err := DecodeRIBRecord(&got, body, false); err != nil {
 			return false
 		}
 		if got.Seq != rec.Seq || got.Prefix != rec.Prefix || len(got.Entries) != len(rec.Entries) {
@@ -302,6 +317,121 @@ func TestQuickFramingRoundTrip(t *testing.T) {
 		return h.Timestamp == ts && h.Subtype == subtype && bytes.Equal(got, body)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRIBRecordRefusesOverflowingCounts: the entry count and each
+// attribute length are 16-bit fields; a record that does not fit them is
+// refused rather than written with counts that disagree with its bytes.
+func TestRIBRecordRefusesOverflowingCounts(t *testing.T) {
+	prefix := netip.MustParsePrefix("203.0.113.0/24")
+	for name, rec := range map[string]*RIBRecord{
+		"entries": {Prefix: prefix, Entries: make([]RIBEntry, 1<<16)},
+		"attrs":   {Prefix: prefix, Entries: []RIBEntry{{Attrs: []byte{1}}, {Attrs: make([]byte, 1<<16)}}},
+	} {
+		dst, err := rec.AppendTo([]byte("kept"))
+		if !errors.Is(err, ErrMalformed) || string(dst) != "kept" {
+			t.Errorf("%s: AppendTo = %d bytes, %v; want the prefix alone and ErrMalformed", name, len(dst), err)
+		}
+		if _, err := rec.Marshal(); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: Marshal error = %v, want ErrMalformed", name, err)
+		}
+	}
+	// The largest record that does fit round-trips.
+	rec := &RIBRecord{Prefix: prefix, Entries: make([]RIBEntry, 1<<16-1)}
+	rec.Entries[0].Attrs = make([]byte, 1<<16-1)
+	var got RIBRecord
+	if err := DecodeRIBRecord(&got, ribBody(t, rec), false); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Entries) != len(rec.Entries) || len(got.Entries[0].Attrs) != len(rec.Entries[0].Attrs) {
+		t.Errorf("decoded %d entries, first with %d attribute bytes", len(got.Entries), len(got.Entries[0].Attrs))
+	}
+}
+
+// TestAppendFormsMatchMarshal pins the append forms of all three record
+// bodies and of the record framing on randomised values: they leave the
+// bytes already in dst alone, append exactly what Marshal / WriteRecord
+// produce, and what they append decodes back to the value.
+func TestAppendFormsMatchMarshal(t *testing.T) {
+	randAddr := func(r *rand.Rand) netip.Addr {
+		if r.Intn(2) == 0 {
+			var a [16]byte
+			r.Read(a[:])
+			a[0] = 0x20
+			return netip.AddrFrom16(a)
+		}
+		var a [4]byte
+		r.Read(a[:])
+		return netip.AddrFrom4(a)
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		kept := make([]byte, r.Intn(40))
+		r.Read(kept)
+		// same reports whether appended is kept followed by body.
+		same := func(appended, body []byte) bool {
+			return bytes.Equal(appended[:len(kept)], kept) && bytes.Equal(appended[len(kept):], body)
+		}
+		dst := func() []byte { return append([]byte(nil), kept...) }
+
+		tbl := &PeerIndexTable{ViewName: "rrc" + string(rune('a'+r.Intn(26)))}
+		r.Read(tbl.CollectorID[:])
+		for i, n := 0, 1+r.Intn(4); i < n; i++ {
+			p := Peer{Addr: randAddr(r), AS: asn.ASN(r.Uint32())}
+			r.Read(p.BGPID[:])
+			tbl.Peers = append(tbl.Peers, p)
+		}
+		var gotTbl PeerIndexTable
+		if !same(tbl.AppendTo(dst()), tbl.Marshal()) ||
+			DecodePeerIndexTable(&gotTbl, tbl.AppendTo(nil)) != nil || !reflect.DeepEqual(&gotTbl, tbl) {
+			return false
+		}
+
+		addr := randAddr(r)
+		prefix, err := addr.Prefix(r.Intn(addr.BitLen() + 1))
+		if err != nil {
+			return false
+		}
+		rec := &RIBRecord{Seq: r.Uint32(), Prefix: prefix}
+		for i, n := 0, 1+r.Intn(4); i < n; i++ {
+			attrs := make([]byte, r.Intn(300))
+			r.Read(attrs)
+			rec.Entries = append(rec.Entries, RIBEntry{PeerIndex: uint16(r.Intn(100)), OriginatedTime: r.Uint32(), Attrs: attrs})
+		}
+		body, err := rec.Marshal()
+		appended, err2 := rec.AppendTo(dst())
+		var gotRec RIBRecord
+		if err != nil || err2 != nil || !same(appended, body) ||
+			DecodeRIBRecord(&gotRec, body, addr.Is6()) != nil || !reflect.DeepEqual(&gotRec, rec) {
+			return false
+		}
+
+		m := &BGP4MPMessage{
+			PeerAS: asn.ASN(r.Intn(65000) + 1), LocalAS: asn.ASN(r.Intn(65000) + 1),
+			IfIndex: uint16(r.Intn(8)), PeerIP: addr, LocalIP: addr.Next(),
+			Data: make([]byte, r.Intn(100)), FourByte: r.Intn(2) == 0,
+		}
+		r.Read(m.Data)
+		body, err = m.Marshal()
+		appended, err2 = m.AppendTo(dst())
+		var gotMsg BGP4MPMessage
+		if err != nil || err2 != nil || !same(appended, body) ||
+			DecodeBGP4MPMessage(&gotMsg, body, m.Subtype()) != nil || !reflect.DeepEqual(&gotMsg, m) {
+			return false
+		}
+
+		var framed bytes.Buffer
+		ts, subtype := r.Uint32(), uint16(r.Intn(8))
+		if NewWriter(&framed).WriteRecord(ts, TypeBGP4MP, subtype, body) != nil {
+			return false
+		}
+		appended = append(BeginRecord(dst(), ts, TypeBGP4MP, subtype), body...)
+		EndRecord(appended, len(kept))
+		return same(appended, framed.Bytes())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

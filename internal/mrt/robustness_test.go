@@ -26,7 +26,7 @@ func TestReaderSurvivesRandomCorruption(t *testing.T) {
 		Entries: []RIBEntry{{PeerIndex: 0, Attrs: []byte{0x40, 1, 1, 0}}}}
 	for i := 0; i < 20; i++ {
 		rec.Seq = uint32(i)
-		if err := w.WriteRecord(uint32(i), TypeTableDumpV2, SubtypeRIBIPv4Unicast, rec.Marshal()); err != nil {
+		if err := w.WriteRecord(uint32(i), TypeTableDumpV2, SubtypeRIBIPv4Unicast, ribBody(t, &rec)); err != nil {
 			t.Fatal(err)
 		}
 	}
