@@ -92,6 +92,12 @@ type Update struct {
 	Origin    byte
 	HasOrigin bool
 	NextHop   netip.Addr
+
+	// asns backs the ASNs of every decoded Path segment: decodeASPath
+	// carves segments out of it instead of allocating one slice each, and
+	// reset keeps its capacity, so a reused Update decodes paths without
+	// allocating.
+	asns []asn.ASN
 }
 
 // Reset clears the update for reuse without freeing slice capacity.
@@ -104,6 +110,7 @@ func (u *Update) reset() {
 	u.Withdrawn = u.Withdrawn[:0]
 	u.Announced = u.Announced[:0]
 	u.Path = u.Path[:0]
+	u.asns = u.asns[:0]
 	u.Origin = 0
 	u.HasOrigin = false
 	u.NextHop = netip.Addr{}
@@ -542,16 +549,18 @@ func decodeASPath(u *Update, b []byte, fourByte bool) error {
 		if len(b) < need {
 			return ErrTruncated
 		}
-		seg := Segment{Type: segType, ASNs: make([]asn.ASN, count)}
-		for i := 0; i < count; i++ {
-			off := 2 + i*width
+		start := len(u.asns)
+		for off := 2; off < need; off += width {
 			if fourByte {
-				seg.ASNs[i] = asn.ASN(binary.BigEndian.Uint32(b[off:]))
+				u.asns = append(u.asns, asn.ASN(binary.BigEndian.Uint32(b[off:])))
 			} else {
-				seg.ASNs[i] = asn.ASN(binary.BigEndian.Uint16(b[off:]))
+				u.asns = append(u.asns, asn.ASN(binary.BigEndian.Uint16(b[off:])))
 			}
 		}
-		u.Path = append(u.Path, seg)
+		// Capacity is clipped so appending to one segment cannot run into
+		// the next. (If the backing slice grew mid-path, earlier segments
+		// keep the old array, which still holds their values.)
+		u.Path = append(u.Path, Segment{Type: segType, ASNs: u.asns[start:len(u.asns):len(u.asns)]})
 		b = b[need:]
 	}
 	return nil

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -391,5 +392,83 @@ func TestAppendMessageOverflowLeavesDstUnchanged(t *testing.T) {
 	dst, err := u.AppendMessage([]byte("kept"), true)
 	if !errors.Is(err, ErrMalformed) || string(dst) != "kept" {
 		t.Errorf("AppendMessage = %q, %v; want the prefix alone and ErrMalformed", dst, err)
+	}
+}
+
+// TestDecodedPathSegmentsShareOneBacking pins what carving segments out
+// of one Update-owned slice must not change: a decoded Update is
+// untouched by decoding into a different Update, re-decoding into the
+// same one after Reset is correct (longer, shorter, then longer paths),
+// appending to one segment cannot reach the next, and a reused Update
+// decodes paths without allocating.
+func TestDecodedPathSegmentsShareOneBacking(t *testing.T) {
+	paths := [][]Segment{
+		{seq(64500, 64501), {Type: SegmentSet, ASNs: []asn.ASN{64510, 64511, 64512}}, seq(64520)},
+		{seq(65001)},
+		{seq(64500, 64501, 64502, 64503, 64504, 64505, 64506), seq(), seq(64530, 64531)},
+	}
+	var blocks [][]byte
+	for _, p := range paths {
+		u := Update{Path: p, HasOrigin: true}
+		blocks = append(blocks, u.MarshalAttrs(true))
+	}
+	// samePath compares decoded segments with the encoded ones; an empty
+	// segment may decode to a nil or an empty slice.
+	samePath := func(got, want []Segment) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i].Type != want[i].Type || !slices.Equal(got[i].ASNs, want[i].ASNs) {
+				return false
+			}
+		}
+		return true
+	}
+
+	var a, b Update
+	if err := DecodeAttrs(&a, blocks[0], true); err != nil {
+		t.Fatal(err)
+	}
+	for _, blk := range blocks {
+		b.Reset()
+		if err := DecodeAttrs(&b, blk, true); err != nil {
+			t.Fatal(err)
+		}
+		if !samePath(a.Path, paths[0]) {
+			t.Fatalf("decoding into another Update changed this one: %+v", a.Path)
+		}
+	}
+
+	for round := 0; round < 2; round++ {
+		for i, blk := range blocks {
+			a.Reset()
+			if err := DecodeAttrs(&a, blk, true); err != nil {
+				t.Fatal(err)
+			}
+			if !samePath(a.Path, paths[i]) {
+				t.Fatalf("round %d: re-decoded path %d = %+v", round, i, a.Path)
+			}
+		}
+	}
+
+	a.Reset()
+	if err := DecodeAttrs(&a, blocks[0], true); err != nil {
+		t.Fatal(err)
+	}
+	_ = append(a.Path[0].ASNs, 1, 2, 3)
+	if !samePath(a.Path, paths[0]) {
+		t.Fatalf("appending to a segment overwrote its neighbour: %+v", a.Path)
+	}
+
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, blk := range blocks {
+			a.Reset()
+			if DecodeAttrs(&a, blk, true) != nil {
+				t.Fatal("decode failed")
+			}
+		}
+	}); allocs != 0 {
+		t.Errorf("%.0f allocations decoding into a reused Update", allocs)
 	}
 }

@@ -9,12 +9,57 @@ import (
 	"parallellives/internal/dates"
 )
 
-// TestPooledScratchDoesNotAliasActivity pins the pooling contract: the
+// scribble overwrites s up to its capacity, stale tail included.
+func scribble[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
+}
+
+// scribbleScratch overwrites every piece of reusable scanner state a
+// finished Activity could conceivably share memory with: the dense
+// per-ASN slices (peer masks, origin sets), the day's touched list, both
+// generations of the attribute table (arena, paths, entries, index), and
+// the decode scratch.
+func scribbleScratch(t *testing.T, s *Scanner) {
+	t.Helper()
+	sets := 0
+	for i := range s.origin {
+		set := &s.origin[i]
+		scribble(set.hs, 0xdeadbeefdeadbeef)
+		sets += cap(set.hs)
+		if set.m != nil {
+			clear(set.m)
+			set.m[42] = struct{}{}
+		}
+	}
+	if sets == 0 {
+		t.Fatal("no retained origin sets to scribble — per-day state gone?")
+	}
+	scribble(s.peers, ^uint64(0))
+	scribble(s.touched, ^uint32(0))
+	for _, tab := range []*attrTable{s.cur, s.prev} {
+		scribble(tab.arena, 0xa5)
+		scribble(tab.paths, ^uint32(0))
+		scribble(tab.ents, attrEntry{hits: 1 << 40})
+		scribble(tab.slots, ^uint32(0))
+	}
+	scribble(s.keep, netip.MustParsePrefix("192.0.2.0/24"))
+	scribble(s.flat, 65000)
+	scribble(s.pathIDs, ^uint32(0))
+	for _, seg := range s.upd.Path {
+		scribble(seg.ASNs, 65000)
+	}
+}
+
+// TestPooledScratchDoesNotAliasActivity pins the reuse contract: the
 // Activity returned by Finish must not share memory with the scanner's
-// recycled per-day scratch (the originSet pool, the sanitized-prefix
-// buffer, the synthetic update). After Finish we scribble over every
-// pooled structure we can reach and assert the serialized Activity is
-// byte-identical to the snapshot taken before the scribble.
+// recycled state (the per-ASN origin sets and peer masks, the attribute
+// table's arena, the sanitized-prefix buffer, the synthetic update).
+// After Finish we scribble over all of it and assert the serialized
+// Activity is byte-identical to the snapshot taken before the scribble.
+// Half the days arrive as MRT so the attribute table is populated.
 func TestPooledScratchDoesNotAliasActivity(t *testing.T) {
 	s := NewScannerWithVisibility(1)
 	day := dates.MustParse("2010-01-01")
@@ -29,10 +74,19 @@ func TestPooledScratchDoesNotAliasActivity(t *testing.T) {
 		}
 		for origin := asn.ASN(100); origin < 140; origin++ {
 			// Vary the prefix count per origin and day so several sets
-			// are in play and the pool is exercised across days.
+			// are in play and their reuse is exercised across days.
 			n := 1 + int(origin+asn.ASN(d))%len(prefixes)
 			s.ObserveRoutes(prefixes[:n], []asn.ASN{1, 2, origin})
 			s.Observe(prefixes[d%len(prefixes)], []asn.ASN{3, 4, origin})
+		}
+		if d%2 == 0 {
+			rib := ribArchive(t, []ribRecord{
+				{prefixes[0], [][]byte{attrsOf(1, 2, 150), attrsOf(3, 4, 150), attrsOf(1, 2, asn.ASN(151+d))}},
+				{prefixes[1], [][]byte{attrsOf(1, 2, 150), attrsOf(3, 4, 150)}},
+			})
+			if err := s.ObserveMRT(rib); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := s.EndDay(); err != nil {
 			t.Fatal(err)
@@ -44,40 +98,10 @@ func TestPooledScratchDoesNotAliasActivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Scribble every pooled originSet — both the free list and any sets
-	// still parked in dayOrigin from the final day.
-	scribbleSet := func(set *originSet) {
-		for i := range set.hs {
-			set.hs[i] = 0xdeadbeefdeadbeef
-		}
-		set.hs = append(set.hs, 1, 2, 3)
-		if set.m != nil {
-			for k := range set.m {
-				delete(set.m, k)
-			}
-			set.m[42] = struct{}{}
-		}
+	if len(s.cur.arena)+len(s.prev.arena) == 0 {
+		t.Fatal("attribute table empty after MRT days — interning gone?")
 	}
-	if len(s.setPool) == 0 && len(s.dayOrigin) == 0 {
-		t.Fatal("no pooled origin sets to scribble — pooling gone?")
-	}
-	for _, set := range s.setPool {
-		scribbleSet(set)
-	}
-	for _, set := range s.dayOrigin {
-		scribbleSet(set)
-	}
-	// Scribble the reusable sanitized-prefix buffer and synthetic update.
-	for i := range s.keep {
-		s.keep[i] = netip.MustParsePrefix("192.0.2.0/24")
-	}
-	for i := range s.upd.Path {
-		for j := range s.upd.Path[i].ASNs {
-			s.upd.Path[i].ASNs[j] = 65000
-		}
-	}
-
+	scribbleScratch(t, s)
 	after, err := json.Marshal(act)
 	if err != nil {
 		t.Fatal(err)
@@ -112,18 +136,7 @@ func TestPooledScratchDoesNotAliasPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, set := range s.setPool {
-		set.hs = set.hs[:cap(set.hs)]
-		for i := range set.hs {
-			set.hs[i] = ^uint64(0)
-		}
-	}
-	for _, set := range s.dayOrigin {
-		set.hs = set.hs[:cap(set.hs)]
-		for i := range set.hs {
-			set.hs[i] = ^uint64(0)
-		}
-	}
+	scribbleScratch(t, s)
 	after, err := json.Marshal(act)
 	if err != nil {
 		t.Fatal(err)

@@ -12,12 +12,27 @@
 //
 // Activity is accumulated as day intervals per ASN, plus the daily count
 // of distinct prefixes each ASN originates (the series behind Figure 8).
+//
+// A RIB dump is mostly repetition: a few thousand distinct attribute
+// blocks carry a day's routes, and nearly all of them were there the day
+// before. The scanner therefore keys its RIB path on the raw attribute
+// bytes (attrTable): a block is decoded, loop-checked and folded into the
+// day's peer masks once per day, and every further route carrying it
+// costs a lookup, a counter and at most one prefix-set insert. The table
+// survives BeginDay as a cache of decode outcomes only — yesterday's
+// block is applied to today when, and only if, one of today's routes
+// carries it, at that route's position in the stream — so a day's result
+// still depends on that day's input alone, and day-sharded scans merge
+// exactly (MergeActivities). It holds two days' blocks at most, copies
+// what it keeps, and compares bytes, never just hashes. All per-ASN
+// state, for RIB entries, BGP4MP messages and ObserveRoutes alike, lives
+// in slices indexed by a dense scanner-local ASN id.
 package bgpscan
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math/bits"
 	"net/netip"
@@ -146,26 +161,42 @@ type Scanner struct {
 	curDay     dates.Day
 	inDay      bool
 
-	// Per-day state: for each ASN on a path, the set of distinct peer
-	// ASes that shared it (as a bitmask over registered peers), and for
-	// each origin the distinct prefixes announced. Origin sets are pooled
-	// (setPool) and reused day after day: BeginDay returns the previous
-	// day's sets to the pool, so steady-state days allocate nothing.
-	peerIdx   map[asn.ASN]int
-	dayPeers  map[asn.ASN]uint64
-	dayOrigin map[asn.ASN]*originSet
-	setPool   []*originSet
+	// Every ASN the scanner meets on a sanitized path gets a dense
+	// scanner-local id; all per-ASN state is slices indexed by it, grown
+	// together in idOf. The ids never reach an Activity: Finish translates
+	// back through asns, so they carry no meaning across scanners.
+	ids  map[asn.ASN]uint32
+	asns []asn.ASN
+
+	// Per-day state. peers[id] is the set of distinct peer ASes that shared
+	// a path containing the ASN today (a bitmask over peerIdx, whose bits
+	// are handed out per day), origin[id] the distinct prefixes it
+	// originated today, touched the ids with a non-zero mask — what EndDay
+	// walks and BeginDay zeroes, so a day costs its own ASNs, not all ids.
+	peerIdx map[asn.ASN]int
+	peers   []uint64
+	origin  []originSet
+	touched []uint32
 
 	// Accumulated per-ASN runs.
-	building map[asn.ASN]*builder
+	built []builder
+
+	// Interned RIB attribute blocks (see attrTable): cur holds the blocks
+	// seen today, already folded into the day's state; prev holds
+	// yesterday's, still decoded but not yet applied today. BeginDay swaps
+	// them and empties the new cur, which bounds the table to two days.
+	cur, prev *attrTable
+	seed      maphash.Seed
+	record    uint64 // RIB records scanned today: the originSet.record stamp
 
 	// Reusable decode scratch.
-	one  [1]netip.Prefix
-	keep []netip.Prefix
-	upd  bgp.Update
-	tbl  mrt.PeerIndexTable
-	rib  mrt.RIBRecord
-	b4mp mrt.BGP4MPMessage
+	keep    []netip.Prefix
+	flat    []asn.ASN
+	pathIDs []uint32
+	upd     bgp.Update
+	tbl     mrt.PeerIndexTable
+	rib     mrt.RIBRecord
+	b4mp    mrt.BGP4MPMessage
 }
 
 type builder struct {
@@ -185,15 +216,20 @@ const originSetSpill = 64
 // day, as per-prefix FNV-1a hashes: a small linearly-deduplicated slice,
 // spilling to a map above originSetSpill. Distinct-prefix counting and
 // the order-independent XOR signature both work on the hashes, so the
-// prefixes themselves never need to be retained per day.
+// prefixes themselves never need to be retained per day. A set lives at
+// its ASN's id for the scanner's lifetime and keeps its slice capacity
+// from day to day, so steady-state days allocate nothing.
 type originSet struct {
 	hs []uint64
 	m  map[uint64]struct{}
+	// record is the day's RIB record (Scanner.record) that last inserted
+	// its prefix: the other entries of that record naming this origin skip
+	// the insert instead of rescanning hs for a hash that is there.
+	record uint64
 }
 
-// add inserts the hash of p if it is not already present.
-func (s *originSet) add(p netip.Prefix) {
-	h := prefixHash(p)
+// add inserts the prefix hash h if it is not already present.
+func (s *originSet) add(h uint64) {
 	if s.m != nil {
 		s.m[h] = struct{}{}
 		return
@@ -238,12 +274,13 @@ func (s *originSet) sig() uint64 {
 	return sig
 }
 
-// reset readies the set for reuse, keeping the slice capacity and
+// reset readies the set for the next day, keeping the slice capacity and
 // dropping any spill map (spilling is rare; holding the buckets for every
-// pooled set would pin far more memory than rebuilding the odd map).
+// set would pin far more memory than rebuilding the odd map).
 func (s *originSet) reset() {
 	s.hs = s.hs[:0]
 	s.m = nil
+	s.record = 0
 }
 
 // NewScanner returns a scanner with the paper's default visibility
@@ -258,14 +295,30 @@ func NewScannerWithVisibility(minPeers int) *Scanner {
 		minPeers = 1
 	}
 	return &Scanner{
-		minPeers:  minPeers,
-		peerIdx:   make(map[asn.ASN]int),
-		dayPeers:  make(map[asn.ASN]uint64),
-		dayOrigin: make(map[asn.ASN]*originSet),
-		building:  make(map[asn.ASN]*builder),
-		start:     dates.None,
-		end:       dates.None,
+		minPeers: minPeers,
+		ids:      make(map[asn.ASN]uint32),
+		peerIdx:  make(map[asn.ASN]int),
+		cur:      &attrTable{},
+		prev:     &attrTable{},
+		seed:     maphash.MakeSeed(),
+		start:    dates.None,
+		end:      dates.None,
 	}
+}
+
+// idOf returns the dense id of a, registering it on first sight. It may
+// grow every per-ASN slice: pointers into them do not survive it.
+func (s *Scanner) idOf(a asn.ASN) uint32 {
+	id, ok := s.ids[a]
+	if !ok {
+		id = uint32(len(s.asns))
+		s.ids[a] = id
+		s.asns = append(s.asns, a)
+		s.peers = append(s.peers, 0)
+		s.origin = append(s.origin, originSet{})
+		s.built = append(s.built, builder{})
+	}
+	return id
 }
 
 // BeginDay opens a new day; days must be fed in ascending order.
@@ -282,12 +335,14 @@ func (s *Scanner) BeginDay(d dates.Day) error {
 	s.curDay = d
 	s.inDay = true
 	clear(s.peerIdx)
-	clear(s.dayPeers)
-	for _, set := range s.dayOrigin {
-		set.reset()
-		s.setPool = append(s.setPool, set)
+	for _, id := range s.touched {
+		s.peers[id] = 0
+		s.origin[id].reset()
 	}
-	clear(s.dayOrigin)
+	s.touched = s.touched[:0]
+	s.record = 0
+	s.cur, s.prev = s.prev, s.cur
+	s.cur.reset()
 	return nil
 }
 
@@ -316,6 +371,131 @@ func prefixOK(p netip.Prefix) bool {
 	return p.Bits() >= MinV6Bits && p.Bits() <= MaxV6Bits
 }
 
+// keepOK filters prefixes through the length sanitization into the
+// scanner's reusable buffer, counting the drops.
+func (s *Scanner) keepOK(prefixes []netip.Prefix) []netip.Prefix {
+	s.keep = s.keep[:0]
+	for _, p := range prefixes {
+		if prefixOK(p) {
+			s.keep = append(s.keep, p)
+		} else {
+			s.stats.DropPrefixLen++
+		}
+	}
+	return s.keep
+}
+
+// pathClass is what sanitization made of one path.
+type pathClass uint8
+
+const (
+	pathOK        pathClass = iota
+	pathEmpty               // decodes, but names no peer: contributes nothing, counts nothing
+	pathLoop                // Stats.DropLoop
+	pathTruncated           // Stats.QuarantinedTruncated
+	pathMalformed           // Stats.DropMalformed
+)
+
+// route is a path reduced to what the day's state takes from it; the
+// path itself travels beside it as ASN ids. Everything but class is
+// meaningful only under pathOK.
+type route struct {
+	class       pathClass
+	hasOrigin   bool    // false when the path ends in an AS_SET
+	hasUpstream bool    // false when the path is all origin
+	peer        asn.ASN // first AS: the collector peer that shared the path
+	origin      uint32  // the origin's id
+	upstream    asn.ASN // the neighbour before the origin's (prepended) run
+}
+
+// errClass classifies a decode error: bytes-ran-out damage is
+// truncation, anything else generic malformedness.
+func errClass(err error) pathClass {
+	if errors.Is(err, mrt.ErrTruncated) || errors.Is(err, bgp.ErrTruncated) {
+		return pathTruncated
+	}
+	return pathMalformed
+}
+
+// drop counts one record or route lost to class c. Skipping (rather than
+// failing the day) matches the seed behaviour.
+func (s *Scanner) drop(c pathClass) {
+	switch c {
+	case pathLoop:
+		s.stats.DropLoop++
+	case pathTruncated:
+		s.stats.QuarantinedTruncated++
+	case pathMalformed:
+		s.stats.DropMalformed++
+	}
+}
+
+// classify sanitizes a decoded path and reduces it to a route, leaving
+// the path's ASN ids in s.pathIDs (empty unless the class is pathOK).
+func (s *Scanner) classify(u *bgp.Update) route {
+	s.pathIDs = s.pathIDs[:0]
+	if u.HasLoop() {
+		return route{class: pathLoop}
+	}
+	peer, ok := u.FirstAS()
+	if !ok {
+		return route{class: pathEmpty}
+	}
+	s.flat = u.FlatPath(s.flat[:0])
+	for _, a := range s.flat {
+		s.pathIDs = append(s.pathIDs, s.idOf(a))
+	}
+	r := route{class: pathOK, peer: peer}
+	if origin, ok := u.OriginAS(); ok {
+		r.hasOrigin, r.origin = true, s.pathIDs[len(s.pathIDs)-1]
+		for i := len(s.flat) - 1; i >= 0; i-- {
+			if s.flat[i] != origin {
+				r.hasUpstream, r.upstream = true, s.flat[i]
+				break
+			}
+		}
+	}
+	return r
+}
+
+// markPath ORs the peer's bit into every ASN on the path. Repeating it
+// for the same peer and path within a day changes nothing, which is what
+// lets an interned block do it once per day.
+func (s *Scanner) markPath(peer asn.ASN, path []uint32) {
+	bit := s.peerBit(peer)
+	for _, id := range path {
+		if s.peers[id] == 0 {
+			s.touched = append(s.touched, id)
+		}
+		s.peers[id] |= bit
+	}
+}
+
+// addUpstream credits n routes to the origin←upstream adjacency.
+func (s *Scanner) addUpstream(origin uint32, upstream asn.ASN, n int64) {
+	b := &s.built[origin]
+	if b.upstreams == nil {
+		b.upstreams = make(map[asn.ASN]int64, 2)
+	}
+	b.upstreams[upstream] += n
+}
+
+// observe folds the sanitized path classify just reduced to r into the
+// day, carrying prefixes (already length-checked) and counted as n routes.
+func (s *Scanner) observe(r route, prefixes []netip.Prefix, n int64) {
+	s.markPath(r.peer, s.pathIDs)
+	if r.hasOrigin {
+		set := &s.origin[r.origin]
+		for _, p := range prefixes {
+			set.add(prefixHash(p))
+		}
+		if r.hasUpstream {
+			s.addUpstream(r.origin, r.upstream, n)
+		}
+	}
+	s.stats.Routes += n
+}
+
 // Observe feeds one route observation: a path for a prefix shared by a
 // peer AS. The path must start at the peer.
 func (s *Scanner) Observe(prefix netip.Prefix, path []asn.ASN) {
@@ -330,91 +510,35 @@ func (s *Scanner) ObserveRoutes(prefixes []netip.Prefix, path []asn.ASN) {
 	if !s.inDay || len(path) == 0 {
 		return
 	}
-	s.keep = s.keep[:0]
-	for _, p := range prefixes {
-		if prefixOK(p) {
-			s.keep = append(s.keep, p)
-		} else {
-			s.stats.DropPrefixLen++
-		}
-	}
-	kept := s.keep
+	kept := s.keepOK(prefixes)
 	if len(kept) == 0 {
 		return
 	}
 	s.upd.Reset()
 	s.upd.Path = append(s.upd.Path[:0], bgp.Segment{Type: bgp.SegmentSequence, ASNs: path})
-	if s.upd.HasLoop() {
-		s.stats.DropLoop++
+	r := s.classify(&s.upd)
+	if r.class != pathOK {
+		s.drop(r.class)
 		return
 	}
-	s.observePath(kept, &s.upd)
-}
-
-// observePath records a sanitized path's ASNs and origin prefixes. The
-// prefixes must already have passed the length sanitization.
-func (s *Scanner) observePath(prefixes []netip.Prefix, u *bgp.Update) {
-	first, ok := u.FirstAS()
-	if !ok {
-		return
-	}
-	bit := s.peerBit(first)
-	var flat [64]asn.ASN
-	for _, a := range u.FlatPath(flat[:0]) {
-		s.dayPeers[a] |= bit
-	}
-	if origin, ok := u.OriginAS(); ok {
-		set := s.dayOrigin[origin]
-		if set == nil {
-			if n := len(s.setPool); n > 0 {
-				set = s.setPool[n-1]
-				s.setPool = s.setPool[:n-1]
-			} else {
-				set = &originSet{}
-			}
-			s.dayOrigin[origin] = set
-		}
-		for _, p := range prefixes {
-			set.add(p)
-		}
-		if up, ok := s.upstreamOf(u, origin); ok {
-			b := s.building[origin]
-			if b == nil {
-				b = &builder{}
-				s.building[origin] = b
-			}
-			if b.upstreams == nil {
-				b.upstreams = make(map[asn.ASN]int64, 2)
-			}
-			b.upstreams[up]++
-		}
-	}
-	s.stats.Routes++
-}
-
-// upstreamOf returns the neighbor AS immediately preceding the origin's
-// (possibly prepended) run at the end of the path.
-func (s *Scanner) upstreamOf(u *bgp.Update, origin asn.ASN) (asn.ASN, bool) {
-	var flat [64]asn.ASN
-	path := u.FlatPath(flat[:0])
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] != origin {
-			return path[i], true
-		}
-	}
-	return 0, false
+	s.observe(r, kept, 1)
 }
 
 // ObserveMRT feeds one MRT archive (an io-free byte slice) for the
-// current day: TABLE_DUMP_V2 RIB dumps and/or BGP4MP update dumps.
+// current day: TABLE_DUMP_V2 RIB dumps and/or BGP4MP update dumps. Records
+// are decoded in place, and nothing of data is referenced once it returns:
+// the archive is the caller's to reuse or free.
 func (s *Scanner) ObserveMRT(data []byte) error {
 	if !s.inDay {
 		return fmt.Errorf("bgpscan: ObserveMRT outside a day")
 	}
-	r := mrt.NewReader(bytes.NewReader(data))
+	defer func() { // the decode scratch's views into data
+		clear(s.rib.Entries[:cap(s.rib.Entries)])
+		s.b4mp.Data = nil
+	}()
 	havePeers := false
 	for {
-		h, body, err := r.Next()
+		h, body, rest, err := mrt.NextRecord(data)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				break
@@ -428,6 +552,7 @@ func (s *Scanner) ObserveMRT(data []byte) error {
 			}
 			return err
 		}
+		data = rest
 		switch h.Type {
 		case mrt.TypeTableDumpV2:
 			switch h.Subtype {
@@ -444,7 +569,7 @@ func (s *Scanner) ObserveMRT(data []byte) error {
 				}
 				v6 := h.Subtype == mrt.SubtypeRIBIPv6Unicast
 				if err := mrt.DecodeRIBRecord(&s.rib, body, v6); err != nil {
-					s.quarantineDecode(err)
+					s.drop(errClass(err))
 					continue
 				}
 				s.stats.RIBRecords++
@@ -455,7 +580,7 @@ func (s *Scanner) ObserveMRT(data []byte) error {
 				continue
 			}
 			if err := mrt.DecodeBGP4MPMessage(&s.b4mp, body, h.Subtype); err != nil {
-				s.quarantineDecode(err)
+				s.drop(errClass(err))
 				continue
 			}
 			s.stats.UpdateMessages++
@@ -465,53 +590,91 @@ func (s *Scanner) ObserveMRT(data []byte) error {
 	return nil
 }
 
-// quarantineDecode classifies one skipped record's decode error:
-// bytes-ran-out damage counts as truncation, anything else as generic
-// malformedness. Skipping (rather than failing the day) matches the seed
-// behaviour; only the classification is new.
-func (s *Scanner) quarantineDecode(err error) {
-	if errors.Is(err, mrt.ErrTruncated) || errors.Is(err, bgp.ErrTruncated) {
-		s.stats.QuarantinedTruncated++
-	} else {
-		s.stats.DropMalformed++
-	}
-}
-
+// scanRIBRecord credits one route per entry of the decoded RIB record.
+// Everything an entry's path contributes was done when its attribute
+// block entered today's table; what is left per entry is the route
+// count, the block's hit counter, and the record's prefix in the
+// origin's set — once per record and origin, not once per entry.
 func (s *Scanner) scanRIBRecord() {
 	if !prefixOK(s.rib.Prefix) {
 		s.stats.DropPrefixLen++
 		return
 	}
-	for _, e := range s.rib.Entries {
+	h := prefixHash(s.rib.Prefix)
+	s.record++
+	for i := range s.rib.Entries {
+		e := s.intern(s.rib.Entries[i].Attrs)
+		if e.class != pathOK {
+			s.drop(e.class)
+			continue
+		}
+		e.hits++
+		if e.hasOrigin {
+			if set := &s.origin[e.origin]; set.record != s.record {
+				set.record = s.record
+				set.add(h)
+			}
+		}
+		s.stats.Routes++
+	}
+}
+
+// intern returns today's table entry for a RIB attribute block, valid
+// until the next call. A block not yet seen today is decoded and
+// sanitized — or, if yesterday's table still has it, taken from there —
+// and its path is folded into the day's state on the spot: the first
+// route carrying a block registers its peer's bit exactly when the
+// uninterned scan would have, so bits are assigned in the same order.
+func (s *Scanner) intern(attrs []byte) *attrEntry {
+	h := maphash.Bytes(s.seed, attrs)
+	if e := s.cur.find(h, attrs); e != nil {
+		return e
+	}
+	var r route
+	var path []uint32
+	if e := s.prev.find(h, attrs); e != nil {
+		r, path = e.route, s.prev.pathOf(e)
+	} else {
 		s.upd.Reset()
-		if err := bgp.DecodeAttrs(&s.upd, e.Attrs, true); err != nil {
-			s.quarantineDecode(err)
-			continue
+		if err := bgp.DecodeAttrs(&s.upd, attrs, true); err != nil {
+			r = route{class: errClass(err)}
+		} else {
+			r = s.classify(&s.upd)
+			path = s.pathIDs
 		}
-		if s.upd.HasLoop() {
-			s.stats.DropLoop++
-			continue
+	}
+	if r.class == pathOK {
+		s.markPath(r.peer, path)
+	}
+	return s.cur.add(h, attrs, path, r)
+}
+
+// flushHits moves today's per-block route counts into the origins'
+// upstream counters.
+func (s *Scanner) flushHits() {
+	for i := range s.cur.ents {
+		e := &s.cur.ents[i]
+		if e.hits > 0 && e.hasUpstream {
+			s.addUpstream(e.origin, e.upstream, e.hits)
 		}
-		s.observePath(s.onePrefix(s.rib.Prefix), &s.upd)
+		e.hits = 0
 	}
 }
 
 func (s *Scanner) scanBGP4MP() {
 	if err := bgp.DecodeUpdate(&s.upd, s.b4mp.Data, s.b4mp.FourByte); err != nil {
-		s.quarantineDecode(err)
+		s.drop(errClass(err))
 		return
 	}
-	if s.upd.HasLoop() {
-		s.stats.DropLoop++
+	r := s.classify(&s.upd)
+	if r.class == pathLoop {
+		s.drop(r.class)
 		return
 	}
-	for _, p := range s.upd.Announced {
-		if !prefixOK(p) {
-			s.stats.DropPrefixLen++
-			continue
-		}
-		// Single-prefix view so origin counting sees each prefix once.
-		s.observePath(s.onePrefix(p), &s.upd)
+	// Every surviving prefix is a route of its own, so origin counting
+	// sees each prefix once and the adjacency once per prefix.
+	if kept := s.keepOK(s.upd.Announced); len(kept) > 0 && r.class == pathOK {
+		s.observe(r, kept, int64(len(kept)))
 	}
 }
 
@@ -531,22 +694,19 @@ func (s *Scanner) EndDay() error {
 	s.inDay = false
 	s.end = s.curDay
 	d := s.curDay
-	for a, mask := range s.dayPeers {
-		if popcount(mask) < s.minPeers {
+	s.flushHits()
+	for _, id := range s.touched {
+		if popcount(s.peers[id]) < s.minPeers {
 			s.stats.DropLowVis++
 			continue
 		}
-		b := s.building[a]
-		if b == nil {
-			b = &builder{}
-			s.building[a] = b
-		}
+		b := &s.built[id]
 		if n := len(b.days); n > 0 && b.days[n-1].End+1 == d {
 			b.days[n-1].End = d
 		} else {
 			b.days = append(b.days, intervals.Interval{Start: d, End: d})
 		}
-		if set := s.dayOrigin[a]; set != nil && set.count() > 0 {
+		if set := &s.origin[id]; set.count() > 0 {
 			count := set.count()
 			sig := set.sig()
 			if n := len(b.originDays); n > 0 && b.originDays[n-1].End+1 == d {
@@ -578,24 +738,28 @@ func (s *Scanner) Finish() *Activity { return s.finish(false) }
 func (s *Scanner) FinishPartial() *Activity { return s.finish(true) }
 
 func (s *Scanner) finish(keepInvisible bool) *Activity {
+	s.flushHits() // a day left open still owes its adjacencies
 	act := &Activity{
 		Start: s.start,
 		End:   s.end,
-		ASNs:  make(map[asn.ASN]*ASNActivity, len(s.building)),
+		ASNs:  make(map[asn.ASN]*ASNActivity, len(s.built)),
 		Stats: s.stats,
 	}
-	for a, b := range s.building {
-		if len(b.days) == 0 && !keepInvisible {
-			continue // upstream bookkeeping only; never passed visibility
+	for id := range s.built {
+		b := &s.built[id]
+		// An ASN with no visible day is upstream bookkeeping at most;
+		// one with neither was only ever seen below the threshold.
+		if len(b.days) == 0 && (!keepInvisible || b.upstreams == nil) {
+			continue
 		}
-		act.ASNs[a] = &ASNActivity{
+		act.ASNs[s.asns[id]] = &ASNActivity{
 			Days:       intervals.Set(b.days),
 			OriginDays: intervals.Set(b.originDays),
 			PrefixRuns: b.prefixRuns,
 			Upstreams:  b.upstreams,
 		}
 	}
-	s.building = nil
+	s.built = nil
 	return act
 }
 
@@ -751,10 +915,4 @@ func prefixHash(p netip.Prefix) uint64 {
 	h ^= uint64(p.Bits())
 	h *= 1099511628211
 	return h
-}
-
-// onePrefix wraps a single prefix in the scanner's reusable buffer.
-func (s *Scanner) onePrefix(p netip.Prefix) []netip.Prefix {
-	s.one[0] = p
-	return s.one[:]
 }

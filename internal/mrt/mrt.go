@@ -90,14 +90,9 @@ func (r *Reader) Next() (Header, []byte, error) {
 		}
 		return Header{}, nil, err
 	}
-	h := Header{
-		Timestamp: binary.BigEndian.Uint32(hdr[0:4]),
-		Type:      Type(binary.BigEndian.Uint16(hdr[4:6])),
-		Subtype:   binary.BigEndian.Uint16(hdr[6:8]),
-		Length:    binary.BigEndian.Uint32(hdr[8:12]),
-	}
-	if h.Length > maxRecordLen {
-		return Header{}, nil, fmt.Errorf("%w: record length %d", ErrMalformed, h.Length)
+	h, err := parseHeader(hdr[:])
+	if err != nil {
+		return Header{}, nil, err
 	}
 	if cap(r.buf) < int(h.Length) {
 		r.buf = make([]byte, h.Length)
@@ -107,6 +102,43 @@ func (r *Reader) Next() (Header, []byte, error) {
 		return Header{}, nil, ErrTruncated
 	}
 	return h, body, nil
+}
+
+// parseHeader decodes the common header at the head of hdr (at least
+// headerLen bytes) and refuses a body length beyond maxRecordLen.
+func parseHeader(hdr []byte) (Header, error) {
+	h := Header{
+		Timestamp: binary.BigEndian.Uint32(hdr[0:4]),
+		Type:      Type(binary.BigEndian.Uint16(hdr[4:6])),
+		Subtype:   binary.BigEndian.Uint16(hdr[6:8]),
+		Length:    binary.BigEndian.Uint32(hdr[8:12]),
+	}
+	if h.Length > maxRecordLen {
+		return Header{}, fmt.Errorf("%w: record length %d", ErrMalformed, h.Length)
+	}
+	return h, nil
+}
+
+// NextRecord frames the record at the head of data, an archive already in
+// memory: it returns the header, the body and the bytes after the record,
+// both aliasing data — no buffer, no copy. It agrees with Reader.Next on
+// every input: io.EOF when data is empty, ErrTruncated when the header or
+// the body is cut short, ErrMalformed for a length beyond maxRecordLen.
+func NextRecord(data []byte) (h Header, body, rest []byte, err error) {
+	if len(data) == 0 {
+		return Header{}, nil, nil, io.EOF
+	}
+	if len(data) < headerLen {
+		return Header{}, nil, nil, ErrTruncated
+	}
+	if h, err = parseHeader(data); err != nil {
+		return Header{}, nil, nil, err
+	}
+	end := headerLen + int(h.Length)
+	if len(data) < end {
+		return Header{}, nil, nil, ErrTruncated
+	}
+	return h, data[headerLen:end:end], data[end:], nil
 }
 
 // Writer emits MRT records to an io.Writer.

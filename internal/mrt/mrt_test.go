@@ -2,7 +2,9 @@ package mrt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/netip"
@@ -433,5 +435,61 @@ func TestAppendFormsMatchMarshal(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNextRecordAgreesWithReader cuts a small archive at every byte and
+// requires NextRecord (the slice framer bgpscan walks archives with) and
+// Reader.Next to deliver the same records, the same bodies and the same
+// class of error — and the same refusal of an oversized length field.
+func TestNextRecordAgreesWithReader(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := 0; i < 6; i++ {
+		body := bytes.Repeat([]byte{byte(i)}, i*7) // the first body is empty
+		if err := w.WriteRecord(uint32(i), TypeBGP4MP, uint16(i), body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	archive := buf.Bytes()
+	oversized := append([]byte(nil), archive...)
+	binary.BigEndian.PutUint32(oversized[8:12], maxRecordLen+1)
+	inputs := [][]byte{oversized}
+	for cut := 0; cut <= len(archive); cut++ {
+		inputs = append(inputs, archive[:cut])
+	}
+	class := func(err error) string {
+		for _, c := range []error{io.EOF, ErrTruncated, ErrMalformed} {
+			if errors.Is(err, c) {
+				return c.Error()
+			}
+		}
+		return fmt.Sprint(err) // nil, or a class neither framer should produce
+	}
+	records := 0
+	for _, data := range inputs {
+		r := NewReader(bytes.NewReader(data))
+		rest := data
+		for {
+			wh, wbody, werr := r.Next()
+			h, body, next, err := NextRecord(rest)
+			if class(err) != class(werr) {
+				t.Fatalf("%d bytes: NextRecord error %v, Reader.Next error %v", len(data), err, werr)
+			}
+			if err != nil {
+				break
+			}
+			if h != wh || !bytes.Equal(body, wbody) {
+				t.Fatalf("%d bytes: NextRecord %+v (%d bytes), Reader.Next %+v (%d bytes)", len(data), h, len(body), wh, len(wbody))
+			}
+			if len(next) != len(rest)-headerLen-len(body) {
+				t.Fatalf("%d bytes: rest is %d bytes after a %d-byte body of %d", len(data), len(next), len(body), len(rest))
+			}
+			rest = next
+			records++
+		}
+	}
+	if records == 0 {
+		t.Fatal("no record framed")
 	}
 }

@@ -248,6 +248,9 @@ type liveState struct {
 func scanSource(res *Result, src registry.Source, erxDates map[asn.ASN]dates.Day, opts Options) {
 	rir := src.Registry()
 	state := make(map[asn.ASN]*liveState)
+	// The day's merged records: one map for the whole walk, cleared per
+	// file day, so its buckets are allocated once per registry.
+	today := make(map[asn.ASN]delegation.Record, 1024)
 	var lastDay dates.Day = dates.None
 	var firstFileDay dates.Day = dates.None
 	gapOpen := false // true while file days are missing
@@ -303,7 +306,8 @@ func scanSource(res *Result, src registry.Source, erxDates map[asn.ASN]dates.Day
 		if firstFileDay == dates.None {
 			firstFileDay = day
 		}
-		today := effectiveRecords(res, snap, opts)
+		clear(today)
+		effectiveRecords(res, today, snap, opts)
 
 		// Update or open runs for every ASN present today.
 		for a, rec := range today {
@@ -389,9 +393,9 @@ func scanSource(res *Result, src registry.Source, erxDates map[asn.ASN]dates.Day
 // (step iii), records present only in the regular file are recovered
 // (step ii), and duplicate records are resolved by preferring delegated
 // status (step iv — matching the evidence-based disambiguation, which in
-// the archives resolved in favour of the live allocation).
-func effectiveRecords(res *Result, snap registry.Snapshot, opts Options) map[asn.ASN]delegation.Record {
-	out := make(map[asn.ASN]delegation.Record, 1024)
+// the archives resolved in favour of the live allocation). The result is
+// written into out, which the caller hands over empty.
+func effectiveRecords(res *Result, out map[asn.ASN]delegation.Record, snap registry.Snapshot, opts Options) {
 	add := func(f *delegation.File, recovered bool) {
 		if f == nil {
 			return
@@ -426,7 +430,6 @@ func effectiveRecords(res *Result, snap registry.Snapshot, opts Options) map[asn
 	default:
 		add(snap.Regular, false)
 	}
-	return out
 }
 
 // addOne merges one unit record into the day map, resolving duplicates.

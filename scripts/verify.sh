@@ -7,7 +7,7 @@ set -eu
 # Packages whose whole suite runs under -race without -short: the
 # concurrency-sensitive and fault-handling ones. Every other package
 # under internal/, and the CLI under cmd/, races with -short.
-FULL='faults|bgpscan|collector|serve|obs|parallel|router|loadgen'
+FULL='faults|bgpscan|collector|restore|serve|obs|parallel|router|loadgen'
 
 # named PKG TEST: one non-short property test under -race, failing if
 # the name no longer matches a test (a rename must not silently drop it).
