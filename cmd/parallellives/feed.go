@@ -40,9 +40,10 @@ func feedVerb(fs *flag.FlagSet) verbBody {
 		defer tick.Stop()
 		n := 0
 		it := inf.IterRange(cfg.Start, cfg.End)
+		var ribs, upds [][]byte // written out and encoded over, day after day
 		for it.Next() {
-			ribs, upds, err := it.MRT()
-			if err != nil {
+			var err error
+			if ribs, upds, err = it.AppendMRT(ribs, upds); err != nil {
 				return fmt.Errorf("rendering day %s: %w", it.Day(), err)
 			}
 			if err := w.WriteDay(stream.DayFromMRT(it.Day(), ribs, upds)); err != nil {

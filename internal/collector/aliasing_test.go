@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -93,6 +94,8 @@ func TestMRTArchivesDoNotAliasEncoderScratch(t *testing.T) {
 	}
 	check("after the next day was encoded")
 
+	// Every scratch field, that is: the prefix table is state the iterator
+	// keeps across days, not scratch, and stays as it is.
 	e := &it.enc
 	for _, b := range [][]byte{e.attrs[:cap(e.attrs)], e.msg[:cap(e.msg)]} {
 		for i := range b {
@@ -104,12 +107,17 @@ func TestMRTArchivesDoNotAliasEncoderScratch(t *testing.T) {
 			entry.Attrs[i] ^= 0xa5
 		}
 	}
-	clear(e.attrAt[:cap(e.attrAt)])
-	clear(e.route[:cap(e.route)])
-	clear(e.order[:cap(e.order)])
-	clear(e.prefixes[:cap(e.prefixes)])
-	clear(e.losers[:cap(e.losers)])
-	clear(e.slotOf)
+	for _, ints := range [][]int32{e.attrAt[:cap(e.attrAt)], e.route[:cap(e.route)], e.order[:cap(e.order)]} {
+		for i := range ints {
+			ints[i] = 0x5a5a5a5a
+		}
+	}
+	for i := range e.touched[:cap(e.touched)] {
+		e.touched[:cap(e.touched)][i] = true
+	}
+	for i := range e.losers[:cap(e.losers)] {
+		e.losers[:cap(e.losers)][i] = loser{id: -1, peer: -1, obs: -1}
+	}
 	check("after the encoder scratch was scribbled")
 
 	// The scribbled scratch is reset, not trusted, by the next call.
@@ -130,15 +138,79 @@ func TestMRTArchivesDoNotAliasEncoderScratch(t *testing.T) {
 	}
 }
 
+// TestAppendMRTReusesAndMatchesMRT pins AppendMRT's half of rule 3: over
+// 60 days an iterator that is handed back the previous day's archives
+// returns the bytes a second iterator's MRT does, in the memory it was
+// handed once that has grown to a day's size; a buffer handed in longer
+// than today's archive and full of junk leaves no stale tail; and what
+// MRT returned before the recycling began is untouched by it.
+func TestAppendMRTReusesAndMatchesMRT(t *testing.T) {
+	inf := New(testWorld())
+	rec, ref := inf.Iter(), inf.Iter()
+	rec.Next()
+	ref.Next()
+	keptRibs, keptUpdates, err := rec.MRT()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKeptRibs, wantKeptUpdates, err := ref.MRT()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var ribs, updates [][]byte
+	reused := 0
+	for day := 1; day < 60 && rec.Next() && ref.Next(); day++ {
+		if day%10 == 0 {
+			for _, set := range [][][]byte{ribs, updates} {
+				for i, a := range set {
+					a = append(a[:cap(a)], make([]byte, 512)...)
+					for j := range a {
+						a[j] = 0xff
+					}
+					set[i] = a
+				}
+			}
+		}
+		handed := append(append([][]byte(nil), ribs...), updates...)
+		if ribs, updates, err = rec.AppendMRT(ribs, updates); err != nil {
+			t.Fatal(err)
+		}
+		wantRibs, wantUpdates, err := ref.MRT()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := append(append([][]byte(nil), ribs...), updates...), append(wantRibs, wantUpdates...)
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("%v archive %d: recycled buffers hold %d bytes that differ from MRT's %d", rec.Day(), i, len(got[i]), len(want[i]))
+			}
+			if i < len(handed) && cap(handed[i]) > 0 && &got[i][:1][0] == &handed[i][:1][0] {
+				reused++
+			}
+		}
+	}
+	if floor := 50 * 2 * len(inf.Collectors()); reused < floor {
+		t.Errorf("%d archives were encoded in place, want at least %d", reused, floor)
+	}
+	for ci := range keptRibs {
+		if !bytes.Equal(keptRibs[ci], wantKeptRibs[ci]) || !bytes.Equal(keptUpdates[ci], wantKeptUpdates[ci]) {
+			t.Errorf("collector %d: the first day's MRT() archives changed under later AppendMRT calls", ci)
+		}
+	}
+}
+
 // TestMRTSteadyStateAllocations bounds what a steady-state MRT call
 // allocates to the memory it returns — one buffer per archive plus the
-// slice of archives — so that a per-entry or per-record allocation
-// creeping back into the encoder fails here, not in a benchmark.
+// slice of archives — and an AppendMRT call over the previous archives to
+// nothing, so that a per-entry or per-record allocation creeping back
+// into the encoder fails here, not in a benchmark.
 func TestMRTSteadyStateAllocations(t *testing.T) {
 	inf := New(testWorld())
 	it := inf.Iter()
 	it.Next()
-	if _, _, err := it.MRT(); err != nil { // sizes the scratch and the buffers
+	ribs, updates, err := it.MRT() // sizes the scratch and the buffers
+	if err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
@@ -149,6 +221,14 @@ func TestMRTSteadyStateAllocations(t *testing.T) {
 	if limit := float64(1 + 2*len(inf.Collectors())); allocs > limit {
 		t.Errorf("MRT allocates %.0f times per call, want at most %.0f (one per archive + the result slice)", allocs, limit)
 	}
+	allocs = testing.AllocsPerRun(10, func() {
+		if ribs, updates, err = it.AppendMRT(ribs, updates); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendMRT over the previous call's archives allocates %.0f times per call, want 0", allocs)
+	}
 }
 
 // TestConcurrentItersShareNoScratch pins rule 1 for the encoder scratch:
@@ -156,13 +236,18 @@ func TestMRTSteadyStateAllocations(t *testing.T) {
 // way pipeline's day-sharded scan drives them, encode the same archives a
 // single sequential iterator does. Under -race it is what would catch
 // encoder state leaking out of the Iter into the shared Infrastructure.
+// The one thing the iterators do share is the Infrastructure's outage
+// schedules: the shards start on an Infrastructure no iterator has
+// walked, so they race to derive the schedules of the segments they all
+// render, and each must come out as the one its segment alone determines.
 func TestConcurrentItersShareNoScratch(t *testing.T) {
-	inf := New(testWorld())
+	w := testWorld()
+	inf := New(w)
 	const shards, daysPerShard = 4, 5
 	start := inf.world.Config.Start
 
 	var want [shards * daysPerShard][][]byte
-	seqIt := inf.IterRange(start, start.AddDays(shards*daysPerShard-1))
+	seqIt := New(w).IterRange(start, start.AddDays(shards*daysPerShard-1))
 	for d := 0; seqIt.Next(); d++ {
 		ribs, updates, err := seqIt.MRT()
 		if err != nil {
@@ -192,4 +277,21 @@ func TestConcurrentItersShareNoScratch(t *testing.T) {
 		}(s)
 	}
 	wg.Wait()
+
+	derived := 0
+	for si := range inf.outages {
+		c := &inf.outages[si]
+		untouched := false
+		c.once.Do(func() { untouched = true }) // runs only where no shard derived the schedule
+		if untouched {
+			continue
+		}
+		derived++
+		if want := inf.outageSchedule(&inf.segments[si]); !slices.Equal(c.set, want) {
+			t.Errorf("segment %d: shared outage schedule %v, want %v", si, c.set, want)
+		}
+	}
+	if derived == 0 {
+		t.Error("no outage schedule was derived through the shared Infrastructure")
+	}
 }

@@ -6,16 +6,19 @@
 // same shape the paper's pipeline consumes via BGPStream (§3.2).
 //
 // The infrastructure also exposes the observations directly (pre-wire).
-// Encoding them (encode.go) is append-style over per-iterator scratch and
-// costs about 2 ms a day at the default scale (41 MB over 91 days in
-// 0.16–0.19 s on one core of the 2-core box, 215–260 MB/s), allocating
-// only the archives it returns.
+// Encoding them (encode.go) is append-style over per-iterator scratch
+// and a prefix table the iterator keeps across days (table.go), and
+// costs about 0.6 ms a day at the default scale (41 MB over 91 days in
+// 0.05–0.06 s on one core of the 2-core box, 700–850 MB/s), allocating
+// only the archives it returns — nothing when AppendMRT is handed the
+// previous day's.
 package collector
 
 import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"sync"
 
 	"parallellives/internal/asn"
 	"parallellives/internal/dates"
@@ -33,6 +36,8 @@ type Observation struct {
 	Peer      int // peer index within the collector
 	Prefixes  []netip.Prefix
 	Path      []asn.ASN
+	// ids[i] is Prefixes[i]'s id in the iterator's prefix table.
+	ids []int32
 }
 
 // PeerASN returns the AS of the observing peer.
@@ -56,12 +61,19 @@ type Infrastructure struct {
 	collectors []Collector
 	segments   []worldsim.Segment // sorted by start (worldsim guarantees it)
 	seed       int64
+	outages    []outageCell // by segment; see outagesOf
+}
+
+type outageCell struct {
+	once sync.Once
+	set  intervals.Set
 }
 
 // New builds the infrastructure for a world using the world's collector
 // configuration.
 func New(w *worldsim.World) *Infrastructure {
-	inf := &Infrastructure{world: w, segments: w.Segments, seed: w.Config.Seed}
+	inf := &Infrastructure{world: w, segments: w.Segments, seed: w.Config.Seed,
+		outages: make([]outageCell, len(w.Segments))}
 	nPeers := w.Config.Collectors * w.Config.PeersPerCollector
 	if nPeers > len(w.TransitASNs)-1 {
 		nPeers = len(w.TransitASNs) - 1
@@ -133,6 +145,16 @@ func (inf *Infrastructure) outageSchedule(seg *worldsim.Segment) intervals.Set {
 	return intervals.Normalize(out)
 }
 
+// outagesOf returns segment si's outage schedule, derived once for all
+// iterators: seeding its generator costs more than rendering the segment
+// for a day, and every day-shard's iterator meets the same segments. The
+// set is shared, so read-only.
+func (inf *Infrastructure) outagesOf(si int) intervals.Set {
+	c := &inf.outages[si]
+	c.once.Do(func() { c.set = inf.outageSchedule(&inf.segments[si]) })
+	return c.set
+}
+
 const prefixBitsDefault = 24
 
 // prefixFor derives the i-th IPv4 prefix of an origin deterministically.
@@ -164,15 +186,10 @@ func prefix6For(owner asn.ASN, i int) netip.Prefix {
 	return p
 }
 
-// pathFor builds the AS path a peer sees for a segment's announcements.
-func (inf *Infrastructure) pathFor(seg *worldsim.Segment, peer asn.ASN, d dates.Day) []asn.ASN {
-	return inf.appendPath(make([]asn.ASN, 0, 5), seg, peer, d)
-}
-
 // appendPath appends the AS path a peer sees for a segment's
-// announcements to dst — the arena form of pathFor: the day iterator
+// announcements to dst, the origin repeated reps times: the day iterator
 // carves every observation's path out of one reused buffer.
-func (inf *Infrastructure) appendPath(dst []asn.ASN, seg *worldsim.Segment, peer asn.ASN, d dates.Day) []asn.ASN {
+func (inf *Infrastructure) appendPath(dst []asn.ASN, seg *worldsim.Segment, reps int, peer asn.ASN, d dates.Day) []asn.ASN {
 	dst = append(dst, peer)
 	if seg.Upstream != peer && seg.Upstream != seg.ASN {
 		// Occasionally route through an extra transit hop.
@@ -184,15 +201,19 @@ func (inf *Infrastructure) appendPath(dst []asn.ASN, seg *worldsim.Segment, peer
 		}
 		dst = append(dst, seg.Upstream)
 	}
-	// Prepending: some origins announce with the origin repeated.
-	reps := 1
-	if inf.hash64(seg.ASN, 0, 3)%10 == 0 {
-		reps = 2 + int(inf.hash64(seg.ASN, 0, 4)%2)
-	}
 	for i := 0; i < reps; i++ {
 		dst = append(dst, seg.ASN)
 	}
 	return dst
+}
+
+// prepends is how many times an origin appears at the end of its paths:
+// some origins announce with the origin repeated.
+func (inf *Infrastructure) prepends(origin asn.ASN) int {
+	if inf.hash64(origin, 0, 3)%10 == 0 {
+		return 2 + int(inf.hash64(origin, 0, 4)%2)
+	}
+	return 1
 }
 
 // Iter walks the window day by day.
@@ -207,22 +228,31 @@ type Iter struct {
 	// segCache holds each active segment's announced prefix set (constant
 	// over the segment's life) and its outage schedule.
 	segCache map[int]*segState
-	// pathArena and noisePrefixes back the day's observation paths and
-	// noise prefix sets. Both reset (len only) at the start of each day:
-	// observations are consumed within their day, so the previous day's
-	// views are dead by then, and growth mid-day leaves already-taken
-	// views pointing at the old backing array, still valid and immutable.
+	// table numbers every prefix of segCache and of the noise rendered
+	// since its last reset; unlike the arenas below it lives across days
+	// (table.go says why that leaves a day's archives a function of the
+	// day alone).
+	table prefixTable
+	// pathArena, noisePrefixes and noiseIDs back the day's observation
+	// paths and noise prefix sets. All reset (len only) at the start of
+	// each day: observations are consumed within their day, so the
+	// previous day's views are dead by then, and growth mid-day leaves
+	// already-taken views pointing at the old backing array, still valid
+	// and immutable.
 	pathArena     []asn.ASN
 	noisePrefixes []netip.Prefix
-	// enc is MRT's scratch (encode.go): reset by every call, never
-	// reallocated, and never reachable from the archives MRT returns.
+	noiseIDs      []int32
+	// enc is AppendMRT's scratch (encode.go): reset by every call, never
+	// reallocated, and never reachable from the archives it returns.
 	enc encoder
 }
 
 // segState is the cached per-segment rendering state.
 type segState struct {
 	prefixes []netip.Prefix
+	ids      []int32 // prefixes[i]'s id in Iter.table
 	outages  intervals.Set
+	reps     int // Infrastructure.prepends of the origin
 }
 
 // Iter returns a day iterator positioned before the window start.
@@ -266,7 +296,8 @@ func (it *Iter) Next() bool {
 	for _, si := range it.active {
 		if it.inf.segments[si].Span.End >= it.day {
 			kept = append(kept, si)
-		} else {
+		} else if st, ok := it.segCache[si]; ok {
+			it.table.released += len(st.ids)
 			delete(it.segCache, si)
 		}
 	}
@@ -274,8 +305,25 @@ func (it *Iter) Next() bool {
 	it.obs = it.obs[:0]
 	it.pathArena = it.pathArena[:0]
 	it.noisePrefixes = it.noisePrefixes[:0]
+	it.noiseIDs = it.noiseIDs[:0]
+	if it.table.stale() {
+		it.rebuildTable()
+	}
 	it.buildObservations()
 	return true
+}
+
+// rebuildTable empties the prefix table and numbers the live segments'
+// prefixes again, dropping what expired segments (and past days' noise)
+// left in it. No observation is live here, so segCache holds the only
+// ids there are.
+func (it *Iter) rebuildTable() {
+	it.table.reset()
+	for _, si := range it.active {
+		if st, ok := it.segCache[si]; ok {
+			st.ids = it.table.internAll(st.ids[:0], st.prefixes)
+		}
+	}
 }
 
 // Day returns the current day.
@@ -303,8 +351,7 @@ func (it *Iter) buildObservations() {
 		if seg.Kind != worldsim.SegTransit && st.outages.Contains(d) {
 			continue
 		}
-		prefixes := st.prefixes
-		if len(prefixes) == 0 {
+		if len(st.prefixes) == 0 {
 			// Pure carriers originate nothing; they appear on paths only
 			// as upstreams of their customers.
 			continue
@@ -320,11 +367,12 @@ func (it *Iter) buildObservations() {
 					continue // a peer does not re-learn its own origin
 				}
 				start := len(it.pathArena)
-				it.pathArena = inf.appendPath(it.pathArena, seg, peerAS, d)
+				it.pathArena = inf.appendPath(it.pathArena, seg, st.reps, peerAS, d)
 				it.obs = append(it.obs, Observation{
 					Collector: ci, Peer: pi,
-					Prefixes: prefixes,
+					Prefixes: st.prefixes,
 					Path:     it.pathArena[start:len(it.pathArena):len(it.pathArena)],
+					ids:      st.ids,
 				})
 			}
 		}
@@ -335,7 +383,8 @@ func (it *Iter) buildObservations() {
 // segmentState returns (building once) a segment's rendering state: the
 // prefix set it announces — PrefixCount IPv4 prefixes, from the victim's
 // space for squats and MOAS fat-fingers, plus an IPv6 prefix for a share
-// of origins — and its outage schedule.
+// of origins — numbered in the iterator's prefix table, its outage
+// schedule and its prepend count.
 func (it *Iter) segmentState(si int, seg *worldsim.Segment) *segState {
 	if st, ok := it.segCache[si]; ok {
 		return st
@@ -358,10 +407,23 @@ func (it *Iter) segmentState(si int, seg *worldsim.Segment) *segState {
 	if seg.ASN%4 == 0 {
 		prefixes = append(prefixes, prefix6For(owner, 0))
 	}
-	st := &segState{prefixes: prefixes, outages: it.inf.outageSchedule(seg)}
+	st := &segState{
+		prefixes: prefixes,
+		ids:      it.table.internAll(make([]int32, 0, len(prefixes)), prefixes),
+		outages:  it.inf.outagesOf(si),
+		reps:     it.inf.prepends(seg.ASN),
+	}
 	it.segCache[si] = st
 	return st
 }
+
+// The fixed junk prefixes of appendNoise: a too-long IPv4 prefix (/25..),
+// a too-short one and a too-long IPv6 one.
+var (
+	noiseLong  = netip.PrefixFrom(netip.AddrFrom4([4]byte{203, 0, 113, 128}), 25)
+	noiseShort = netip.PrefixFrom(netip.AddrFrom4([4]byte{12, 0, 0, 0}), 7)
+	noiseLong6 = netip.PrefixFrom(netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 0, 1, 0, 2, 0, 3}), 80)
+)
 
 // appendNoise adds the daily junk the paper's sanitization discards:
 // too-specific and too-broad prefixes, and a looped path (§3.2).
@@ -376,25 +438,23 @@ func (it *Iter) appendNoise() {
 	mk := func(ci, pi int, prefix netip.Prefix, path ...asn.ASN) {
 		ps := len(it.noisePrefixes)
 		it.noisePrefixes = append(it.noisePrefixes, prefix)
+		it.noiseIDs = append(it.noiseIDs, it.table.intern(prefix))
 		as := len(it.pathArena)
 		it.pathArena = append(it.pathArena, path...)
 		it.obs = append(it.obs, Observation{Collector: ci, Peer: pi,
 			Prefixes: it.noisePrefixes[ps : ps+1 : ps+1],
-			Path:     it.pathArena[as:len(it.pathArena):len(it.pathArena)]})
+			Path:     it.pathArena[as:len(it.pathArena):len(it.pathArena)],
+			ids:      it.noiseIDs[ps : ps+1 : ps+1]})
 	}
-	// Too-long IPv4 prefix (/25..). Both peers see it, so only the
-	// prefix filter keeps it out.
-	long, _ := netip.AddrFrom4([4]byte{203, 0, 113, 128}).Prefix(25)
-	short, _ := netip.AddrFrom4([4]byte{12, 0, 0, 0}).Prefix(7)
-	long6, _ := netip.MustParseAddr("2001:db8:1:2:3::").Prefix(80)
+	// Looped path: the same transit appears in two non-adjacent positions.
+	loop := netip.PrefixFrom(netip.AddrFrom4([4]byte{198, 18, byte(d % 250), 0}), 24)
 	for pi := 0; pi < 2; pi++ {
+		// Both peers see the junk prefixes, so only the prefix filter keeps
+		// them out.
 		peerAS := inf.collectors[0].Peers[pi].AS
-		mk(0, pi, long, peerAS, t[0], junkOrigin)
-		mk(0, pi, short, peerAS, t[0], junkOrigin)
-		mk(0, pi, long6, peerAS, t[0], junkOrigin)
-		// Looped path: the same transit appears in two non-adjacent
-		// positions.
-		loop, _ := netip.AddrFrom4([4]byte{198, 18, byte(d % 250), 0}).Prefix(24)
+		mk(0, pi, noiseLong, peerAS, t[0], junkOrigin)
+		mk(0, pi, noiseShort, peerAS, t[0], junkOrigin)
+		mk(0, pi, noiseLong6, peerAS, t[0], junkOrigin)
 		mk(0, pi, loop, peerAS, t[0], t[1], t[0], junkOrigin)
 	}
 }

@@ -1,8 +1,6 @@
 package collector
 
 import (
-	"cmp"
-	"encoding/binary"
 	"net/netip"
 	"slices"
 
@@ -11,62 +9,16 @@ import (
 	"parallellives/internal/mrt"
 )
 
-// prefixKey is a netip.Prefix flattened to three plain words — the
-// address as 16 bytes (IPv4 in its v4-mapped form) and family<<8 |
-// length — so that it hashes as flat memory and sorts without calling
-// into netip.
-type prefixKey struct {
-	hi, lo uint64
-	meta   uint64 // family (0 IPv4, 1 IPv6) << 8 | prefix length
-}
-
-func keyOf(p netip.Prefix) prefixKey {
-	a := p.Addr()
-	b := a.As16()
-	k := prefixKey{
-		hi:   binary.BigEndian.Uint64(b[:8]),
-		lo:   binary.BigEndian.Uint64(b[8:]),
-		meta: uint64(uint8(p.Bits())),
-	}
-	if !a.Is4() {
-		k.meta |= 1 << 8
-	}
-	return k
-}
-
-// compare orders keys the way a RIB dump is ordered, netip's
-// Addr.Compare and then Bits: IPv4 before IPv6, then by address, then by
-// prefix length.
-func (k prefixKey) compare(o prefixKey) int {
-	if c := cmp.Compare(k.meta>>8, o.meta>>8); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(k.hi, o.hi); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(k.lo, o.lo); c != 0 {
-		return c
-	}
-	return cmp.Compare(k.meta, o.meta)
-}
-
-// slotKey is one distinct prefix of a collector-day: its sort key and
-// its slot, the row of encoder.route holding its routes.
-type slotKey struct {
-	key  prefixKey
-	slot int32
-}
-
 // loser is a route that found its (prefix, peer) RIB entry already
 // taken by an earlier origin.
 type loser struct {
-	slot, peer, obs int32
+	id, peer, obs int32
 }
 
-// encoder is the scratch Iter.MRT encodes a day with. Every field is
-// reset, not reallocated, by the next call (DESIGN.md §15.1 rule 2), and
-// the returned archives never alias it (rule 3): the only memory a call
-// allocates is the archives themselves.
+// encoder is the scratch Iter.AppendMRT encodes a day with. Every field
+// is reset, not reallocated, by the next call (DESIGN.md §15.1 rule 2),
+// and the returned archives never alias it (rule 3): the only memory a
+// call allocates is the archives it was not handed.
 type encoder struct {
 	// attrs holds every observation's RIB attribute block, encoded once
 	// per day: observation i's is attrs[attrAt[i]:attrAt[i+1]]. A RIB
@@ -74,15 +26,15 @@ type encoder struct {
 	attrs  []byte
 	attrAt []int32
 
-	// Per collector-day: slotOf numbers the distinct prefixes in
-	// encounter order, prefixes and order are indexed by / carry that
-	// slot, and route[slot*peers+peer] is 1 + the index of the
-	// observation that owns the (prefix, peer) RIB entry, 0 for none.
-	slotOf   map[prefixKey]int32
-	prefixes []netip.Prefix
-	order    []slotKey
-	route    []int32
-	losers   []loser
+	// Per collector-day, indexed by the ids of Iter.table:
+	// route[id*peers+peer] is 1 + the index of the observation that owns
+	// the (prefix, peer) RIB entry, 0 for none; touched[id] marks the
+	// prefixes some route of this collector named, and order lists them
+	// in RIB order.
+	route   []int32
+	touched []bool
+	order   []int32
+	losers  []loser
 
 	entries  []mrt.RIBEntry
 	ribAttrs bgp.Update // ORIGIN + AS_PATH + NEXT_HOP of a RIB entry
@@ -96,7 +48,6 @@ type encoder struct {
 }
 
 func (e *encoder) init(collectors int) {
-	e.slotOf = make(map[prefixKey]int32)
 	e.ribAttrs = bgp.Update{
 		Path:      []bgp.Segment{{Type: bgp.SegmentSequence}},
 		NextHop:   netip.AddrFrom4([4]byte{192, 0, 2, 254}),
@@ -116,21 +67,35 @@ func (e *encoder) init(collectors int) {
 // PEER_INDEX_TABLE. The archives are the caller's to keep: nothing the
 // iterator does later touches them.
 func (it *Iter) MRT() (ribs [][]byte, updates [][]byte, err error) {
+	return it.AppendMRT(nil, nil)
+}
+
+// AppendMRT is MRT encoding into the caller's buffers: ribs and updates
+// are what an earlier call returned (or nil), their contents are
+// overwritten and the archives returned reuse their memory, growing it
+// where today's are longer. The caller owns what it passes in and what
+// it gets back; the iterator keeps no reference to either. A caller that
+// is done with a day's archives before it encodes the next hands them
+// back here and the encoder allocates nothing.
+func (it *Iter) AppendMRT(ribs, updates [][]byte) ([][]byte, [][]byte, error) {
 	e := &it.enc
 	cols := it.inf.collectors
-	if e.slotOf == nil {
+	if e.sizes == nil {
 		e.init(len(cols))
+	}
+	if len(ribs) != len(cols) || len(updates) != len(cols) {
+		out := make([][]byte, 2*len(cols))
+		ribs, updates = out[:len(cols):len(cols)], out[len(cols):]
 	}
 	e.encodeAttrs(it.obs)
 	ts := uint32(it.day.Unix())
-	out := make([][]byte, 2*len(cols))
-	ribs, updates = out[:len(cols):len(cols)], out[len(cols):]
+	var err error
 	for ci := range cols {
-		e.collectRoutes(ci, len(cols[ci].Peers), it.obs)
-		if ribs[ci], err = e.appendRIB(newArchive(e.sizes[ci][0]), &cols[ci], ts); err != nil {
+		e.collectRoutes(ci, len(cols[ci].Peers), it.obs, &it.table)
+		if ribs[ci], err = e.appendRIB(archiveBuf(ribs[ci], e.sizes[ci][0]), &cols[ci], ts, &it.table); err != nil {
 			return nil, nil, err
 		}
-		if updates[ci], err = e.appendUpdates(newArchive(e.sizes[ci][1]), &cols[ci], ts, it.obs); err != nil {
+		if updates[ci], err = e.appendUpdates(archiveBuf(updates[ci], e.sizes[ci][1]), &cols[ci], ts, it.obs, &it.table); err != nil {
 			return nil, nil, err
 		}
 		e.sizes[ci] = [2]int{len(ribs[ci]), len(updates[ci])}
@@ -138,9 +103,15 @@ func (it *Iter) MRT() (ribs [][]byte, updates [][]byte, err error) {
 	return ribs, updates, nil
 }
 
-// newArchive allocates an output buffer for an archive that was prev
-// bytes long the last time, with headroom for a day's growth.
-func newArchive(prev int) []byte { return make([]byte, 0, prev+prev/16) }
+// archiveBuf returns the buffer an archive is encoded into: the caller's,
+// emptied, or a new one for an archive that was prev bytes long the last
+// time, with headroom for a day's growth.
+func archiveBuf(buf []byte, prev int) []byte {
+	if buf == nil {
+		return make([]byte, 0, prev+prev/16)
+	}
+	return buf[:0]
+}
 
 // encodeAttrs fills the attribute arena for the day's observations.
 func (e *encoder) encodeAttrs(obs []Observation) {
@@ -157,57 +128,59 @@ func (e *encoder) encodeAttrs(obs []Observation) {
 // the same prefix to the same peer during the day (MOAS and churn), the
 // first becomes the RIB entry and the rest are exported in the update
 // dump — exactly how a real collector's daily data splits between its
-// RIB snapshot and its update files. A prefix gets its slot from the
-// first route seen for it, so every slot has at least one route.
-func (e *encoder) collectRoutes(ci, peers int, obs []Observation) {
-	clear(e.slotOf)
-	e.prefixes, e.order = e.prefixes[:0], e.order[:0]
-	e.route, e.losers = e.route[:0], e.losers[:0]
+// RIB snapshot and its update files. The day's RIB order is the table's,
+// less the prefixes no route of this collector named.
+func (e *encoder) collectRoutes(ci, peers int, obs []Observation, t *prefixTable) {
+	n := len(t.prefixes)
+	e.route, e.touched = zeroed(e.route, n*peers), zeroed(e.touched, n)
+	e.order, e.losers = e.order[:0], e.losers[:0]
 	for i := range obs {
 		o := &obs[i]
 		if o.Collector != ci {
 			continue
 		}
-		for _, p := range o.Prefixes {
-			k := keyOf(p)
-			slot, ok := e.slotOf[k]
-			if !ok {
-				slot = int32(len(e.prefixes))
-				e.slotOf[k] = slot
-				e.prefixes = append(e.prefixes, p)
-				e.order = append(e.order, slotKey{k, slot})
-				for range peers {
-					e.route = append(e.route, 0)
-				}
-			}
-			if r := &e.route[int(slot)*peers+o.Peer]; *r == 0 {
+		for _, id := range o.ids {
+			e.touched[id] = true
+			if r := &e.route[int(id)*peers+o.Peer]; *r == 0 {
 				*r = int32(i) + 1
 			} else {
-				e.losers = append(e.losers, loser{slot: slot, peer: int32(o.Peer), obs: int32(i)})
+				e.losers = append(e.losers, loser{id: id, peer: int32(o.Peer), obs: int32(i)})
 			}
 		}
 	}
-	slices.SortFunc(e.order, func(a, b slotKey) int { return a.key.compare(b.key) })
+	for _, id := range t.sorted() {
+		if e.touched[id] {
+			e.order = append(e.order, id)
+		}
+	}
 }
 
-// routesOf returns the route-table row of a prefix slot: per peer, 1 +
-// the owning observation's index, or 0.
-func (e *encoder) routesOf(slot int32, peers int) []int32 {
-	return e.route[int(slot)*peers : (int(slot)+1)*peers]
+// zeroed returns s resized to n zero elements, in its own memory when
+// that is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
+}
+
+// routesOf returns the route-table row of a prefix: per peer, 1 + the
+// owning observation's index, or 0.
+func (e *encoder) routesOf(id int32, peers int) []int32 {
+	return e.route[int(id)*peers : (int(id)+1)*peers]
 }
 
 // appendRIB appends the collector's TABLE_DUMP_V2 dump to dst: the peer
 // index table, then one record per prefix in sorted order.
-func (e *encoder) appendRIB(dst []byte, col *Collector, ts uint32) ([]byte, error) {
+func (e *encoder) appendRIB(dst []byte, col *Collector, ts uint32, t *prefixTable) ([]byte, error) {
 	tbl := mrt.PeerIndexTable{CollectorID: col.ID, ViewName: col.Name, Peers: col.Peers}
 	at := len(dst)
 	dst = mrt.BeginRecord(dst, ts, mrt.TypeTableDumpV2, mrt.SubtypePeerIndexTable)
 	dst = tbl.AppendTo(dst)
 	mrt.EndRecord(dst, at)
 
-	for seq, sk := range e.order {
-		rec := mrt.RIBRecord{Seq: uint32(seq), Prefix: e.prefixes[sk.slot], Entries: e.entries[:0]}
-		for pi, oi := range e.routesOf(sk.slot, len(col.Peers)) {
+	for seq, id := range e.order {
+		rec := mrt.RIBRecord{Seq: uint32(seq), Prefix: t.prefixes[id], Entries: e.entries[:0]}
+		for pi, oi := range e.routesOf(id, len(col.Peers)) {
 			if oi == 0 {
 				continue
 			}
@@ -234,19 +207,19 @@ func (e *encoder) appendRIB(dst []byte, col *Collector, ts uint32) ([]byte, erro
 // routes re-announced as BGP4MP messages (the paper processes RIBs plus
 // all updates; here updates carry the same day's information, exercising
 // the second decode path).
-func (e *encoder) appendUpdates(dst []byte, col *Collector, ts uint32, obs []Observation) ([]byte, error) {
+func (e *encoder) appendUpdates(dst []byte, col *Collector, ts uint32, obs []Observation, t *prefixTable) ([]byte, error) {
 	var err error
 	for _, l := range e.losers {
-		if dst, err = e.appendUpdate(dst, col, ts, int(l.peer), obs[l.obs].Path, e.prefixes[l.slot]); err != nil {
+		if dst, err = e.appendUpdate(dst, col, ts, int(l.peer), obs[l.obs].Path, t.prefixes[l.id]); err != nil {
 			return nil, err
 		}
 	}
-	for _, sk := range e.order[:min(64, len(e.order))] {
-		for pi, oi := range e.routesOf(sk.slot, len(col.Peers)) {
+	for _, id := range e.order[:min(64, len(e.order))] {
+		for pi, oi := range e.routesOf(id, len(col.Peers)) {
 			if oi == 0 {
 				continue
 			}
-			if dst, err = e.appendUpdate(dst, col, ts, pi, obs[oi-1].Path, e.prefixes[sk.slot]); err != nil {
+			if dst, err = e.appendUpdate(dst, col, ts, pi, obs[oi-1].Path, t.prefixes[id]); err != nil {
 				return nil, err
 			}
 			break // one re-announcement per prefix suffices

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -197,5 +199,44 @@ func TestErrorBudgetBackstop(t *testing.T) {
 		t.Fatal("degrade run with 90% truncation passed the error budget")
 	} else if !strings.Contains(err.Error(), "error budget exceeded") {
 		t.Errorf("unexpected failure: %v", err)
+	}
+}
+
+// TestChaosScanOverRecycledArchives pins the chaos-mode scan to values
+// recorded on the commit before scan began encoding each day over the
+// previous day's archives (d2b52a7). Under Inject an archive reaches the
+// scanner either as MangleMRT's copy or, when no fault hit it, as the
+// encoder's own buffer, which the next day overwrites; the Health account
+// and the dataset must not notice, on one shard or on several.
+func TestChaosScanOverRecycledArchives(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full wire-mode pipeline runs")
+	}
+	const (
+		wantDataset = "9eff2ffd7931e6c8d760dbdade8b90e7d7895f979eb4566ba7ce95b47d45443a"
+		wantHealth  = "days=274 mrt={Archives:1096 Records:256952 QuarantinedTruncated:565 QuarantinedTails:55 Malformed:0} " +
+			"injected={TruncatedRecords:565 TailChops:55 CorruptDays:33 DroppedDays:19 TransientErrs:48 ShortReads:0 Stalls:0}"
+	)
+	for _, workers := range []int{1, 3} {
+		opts := faultOptions("2004-09-30")
+		plan := faults.DefaultStorm(7)
+		plan.TruncateRecordRate = 0.002 // a storm mild enough to leave most archives whole
+		opts.Inject = &plan
+		opts.FaultPolicy = Degrade
+		opts.Workers = workers
+		ds, err := Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := ds.Health
+		if hit := h.Injected.TruncatedRecords + h.Injected.TailChops; hit == 0 || hit >= h.MRT.Archives {
+			t.Fatalf("workers=%d: %d faults over %d archives; want both mangled and untouched archives", workers, hit, h.MRT.Archives)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(datasetBytes(t, ds))); got != wantDataset {
+			t.Errorf("workers=%d: dataset digest %s, want %s", workers, got, wantDataset)
+		}
+		if got := fmt.Sprintf("days=%d mrt=%+v injected=%+v", h.DaysProcessed, h.MRT, *h.Injected); got != wantHealth {
+			t.Errorf("workers=%d: health\n got %s\nwant %s", workers, got, wantHealth)
+		}
 	}
 }

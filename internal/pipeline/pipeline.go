@@ -391,6 +391,9 @@ func scan(ctx context.Context, b *Base, m *runMetrics) (*bgpscan.Activity, OpAcc
 		sm := m.shard()
 		tally := &tallies[si]
 		it := inf.IterRange(start.AddDays(r.Lo), start.AddDays(r.Hi-1))
+		// A day's archives are scanned and dropped (ObserveMRT keeps
+		// nothing of them), so the next day is encoded over them.
+		var ribs, updates [][]byte
 		for it.Next() {
 			if err := ctx.Err(); err != nil {
 				return err // cancelled mid-shard: abandon the remaining days
@@ -401,8 +404,8 @@ func scan(ctx context.Context, b *Base, m *runMetrics) (*bgpscan.Activity, OpAcc
 			}
 			tally.days++
 			if opts.Wire {
-				ribs, updates, err := it.MRT()
-				if err != nil {
+				var err error
+				if ribs, updates, err = it.AppendMRT(ribs, updates); err != nil {
 					return fmt.Errorf("pipeline: encoding day %s: %w", day, err)
 				}
 				for ci, rib := range ribs {

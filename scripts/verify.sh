@@ -26,6 +26,9 @@ race() {
 	named ./internal/pipeline/ TestParallelEquivalence
 	echo "== go test -race (stream crash-equivalence property)"
 	named ./internal/stream/ TestCrashEquivalence
+	echo "== go test -race (collector prefix-table order and archive-buffer ownership properties)"
+	named ./internal/collector/ TestPrefixTableKeepsRIBOrder
+	named ./internal/collector/ TestAppendMRTReusesAndMatchesMRT
 }
 
 if [ "${1:-}" = race ]; then
