@@ -66,6 +66,7 @@ func tailVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 
 		o := obs.New()
 		src := stream.NewDirSource(*dir, stream.DirOptions{ReadTimeout: *readTimeout, Poll: *poll})
+		defer src.Close() // waits for its look-ahead read
 
 		// Serving state: created lazily on the first published snapshot
 		// (there is nothing to serve before it), then hot-swapped per

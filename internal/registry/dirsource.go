@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,14 +24,21 @@ import (
 // Days present in neither form are reported as missing snapshots, which
 // the restoration's step (i) bridges. Unparseable files are treated as
 // corrupt (also missing).
+//
+// Like textSource, one parser (so country codes and opaque ids are
+// interned once per source, not once per file) and one read buffer serve
+// every file: a source is consumed by one goroutine, and the parsed files
+// it yields never alias the buffer.
 type DirSource struct {
-	rir  asn.RIR
-	dir  string
-	days []dates.Day
-	reg  map[dates.Day]string
-	ext  map[dates.Day]string
-	i    int
-	rep  IngestReport
+	rir    asn.RIR
+	dir    string
+	days   []dates.Day
+	reg    map[dates.Day]string
+	ext    map[dates.Day]string
+	i      int
+	rep    IngestReport
+	parser delegation.Parser
+	buf    bytes.Buffer
 }
 
 // IngestReport classifies what a DirSource scan and stream skipped, so
@@ -131,23 +139,36 @@ func (s *DirSource) Next() (Snapshot, bool) {
 }
 
 // load parses one file leniently; corrupt reports a file that existed on
-// disk but was unusable (open failure or unparseable content).
+// disk but was unusable (open or read failure, or unparseable content).
 func (s *DirSource) load(name string) (parsed *delegation.File, corrupt bool) {
 	if name == "" {
 		return nil, false
 	}
-	f, err := os.Open(filepath.Join(s.dir, name))
-	if err != nil {
-		s.rep.UnusableFiles++
-		return nil, true
+	if s.read(name) == nil {
+		parsed, _ = s.parser.ParseLenient(s.buf.Bytes())
 	}
-	defer f.Close()
-	parsed, _ = delegation.ParseLenient(f)
 	if parsed == nil || (len(parsed.ASNs) == 0 && len(parsed.Other) == 0) {
 		s.rep.UnusableFiles++
 		return nil, true
 	}
 	return parsed, false
+}
+
+// read fills buf with the named file, sizing it from Stat so a file is
+// read in one pass and the buffer grows only for a larger file.
+func (s *DirSource) read(name string) error {
+	f, err := os.Open(filepath.Join(s.dir, name))
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	s.buf.Reset()
+	if fi, err := f.Stat(); err == nil {
+		// ReadFrom wants MinRead spare bytes to meet EOF without growing.
+		s.buf.Grow(int(fi.Size()) + bytes.MinRead)
+	}
+	_, err = s.buf.ReadFrom(f)
+	return err
 }
 
 // ExportDir writes the archive's files for [from, to] into dir using the

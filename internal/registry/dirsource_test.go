@@ -8,6 +8,7 @@ import (
 
 	"parallellives/internal/asn"
 	"parallellives/internal/dates"
+	"parallellives/internal/delegation"
 	"parallellives/internal/worldsim"
 )
 
@@ -186,5 +187,65 @@ func TestDirSourceCountsCorruptNames(t *testing.T) {
 	rep := src.Report()
 	if rep.FilesMatched != 1 || len(rep.CorruptNames) != 2 {
 		t.Errorf("ingest report = %+v", rep)
+	}
+}
+
+// TestDirSourceSharedParserMatchesFreshParse: the one parser and one read
+// buffer a DirSource holds change nothing it yields. Every file of an
+// exported archive (corrupt days included) is compared, after the whole
+// source has been drained and the buffer reused for every later file,
+// with a fresh parse of the file's own bytes.
+func TestDirSourceSharedParserMatchesFreshParse(t *testing.T) {
+	a := Build(smallWorld(t))
+	start, end := a.Window()
+	for _, r := range []asn.RIR{asn.RIPENCC, asn.ARIN} {
+		// A window around the registry's first corrupt file day.
+		from := start
+		for from < end && a.Status(r, from, false) != FileCorrupt && a.Status(r, from, true) != FileCorrupt {
+			from = from.AddDays(1)
+		}
+		from = from.AddDays(-30)
+		dir := t.TempDir()
+		if err := a.ExportDir(dir, from, from.AddDays(60)); err != nil {
+			t.Fatal(err)
+		}
+		src, err := NewDirSource(dir, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snaps []Snapshot
+		for snap, ok := src.Next(); ok; snap, ok = src.Next() {
+			snaps = append(snaps, snap)
+		}
+		files := 0
+		for _, snap := range snaps {
+			for _, f := range []struct {
+				name    string
+				got     *delegation.File
+				corrupt bool
+			}{
+				{"delegated-" + r.Token() + "-" + snap.Day.Compact(), snap.Regular, snap.RegularCorrupt},
+				{"delegated-" + r.Token() + "-extended-" + snap.Day.Compact(), snap.Extended, snap.ExtendedCorrupt},
+			} {
+				data, err := os.ReadFile(filepath.Join(dir, f.name))
+				if err != nil {
+					if f.got != nil || f.corrupt {
+						t.Fatalf("%s: yielded (corrupt=%v) but unreadable: %v", f.name, f.corrupt, err)
+					}
+					continue
+				}
+				files++
+				want, _ := delegation.ParseLenientBytes(data)
+				if want != nil && len(want.ASNs) == 0 && len(want.Other) == 0 {
+					want = nil
+				}
+				if f.corrupt != (want == nil) || !reflect.DeepEqual(f.got, want) {
+					t.Fatalf("%s: shared-parser file (corrupt=%v) differs from a fresh parse of its bytes", f.name, f.corrupt)
+				}
+			}
+		}
+		if files < 50 || src.Report().UnusableFiles == 0 {
+			t.Fatalf("%s: %d files compared, %d of them corrupt; want a window with both", r.Token(), files, src.Report().UnusableFiles)
+		}
 	}
 }

@@ -15,6 +15,11 @@
 // deadline, staleness is an error (ErrStale) that triggers the Tailer's
 // reconnect path, and reconnects are paced by the bounded deterministic
 // backoff of faults.Reconnector.
+//
+// The directory source (DirSource) reads one day ahead of its caller into
+// two recycled Day slots, so the scan of day N overlaps the file reads of
+// day N+1 and a steady-state day allocates no archive memory; the price
+// is the Source rule that a Day is only good until the next Next.
 package stream
 
 import (
@@ -59,6 +64,9 @@ type Archive struct {
 // load-bearing: the scanner clamps >64 distinct peers per day onto one
 // bit, so observation order affects visibility masks, and equivalence
 // with the batch pipeline requires feeding identical order.
+//
+// A Day a Source returned, and every Archive.Data in it, belongs to the
+// source: see Source.Next for how long it may be used.
 type Day struct {
 	Day      dates.Day
 	Archives []Archive
@@ -95,7 +103,9 @@ type Source interface {
 	// one is available, the read deadline passes (ErrStale), or ctx is
 	// cancelled. A source that re-delivers a day at or before `after`
 	// (e.g. after a reconnect rewound its cursor) is tolerated: the
-	// Tailer skips already-committed days idempotently.
+	// Tailer skips already-committed days idempotently. A Day is valid
+	// until the next Next on that source, which may refill its buffers;
+	// a caller that keeps bytes longer copies them.
 	Next(ctx context.Context, after dates.Day) (*Day, error)
 	// Reconnect re-establishes the source after ErrStale or a transport
 	// error. It is paced externally (faults.Reconnector); a failed

@@ -7,7 +7,7 @@ set -eu
 # Packages whose whole suite runs under -race without -short: the
 # concurrency-sensitive and fault-handling ones. Every other package
 # under internal/, and the CLI under cmd/, races with -short.
-FULL='faults|bgpscan|collector|restore|serve|obs|parallel|router|loadgen'
+FULL='faults|bgpscan|collector|restore|serve|obs|parallel|router|loadgen|stream|registry'
 
 # named PKG TEST: one non-short property test under -race, failing if
 # the name no longer matches a test (a rename must not silently drop it).
@@ -26,6 +26,8 @@ race() {
 	named ./internal/pipeline/ TestParallelEquivalence
 	echo "== go test -race (stream crash-equivalence property)"
 	named ./internal/stream/ TestCrashEquivalence
+	echo "== go test -race (stream read-ahead: recycled look-ahead reads match plain reads)"
+	named ./internal/stream/ TestDirSourceReadAheadMatchesPlainReads
 	echo "== go test -race (collector prefix-table order and archive-buffer ownership properties)"
 	named ./internal/collector/ TestPrefixTableKeepsRIBOrder
 	named ./internal/collector/ TestAppendMRTReusesAndMatchesMRT
