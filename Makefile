@@ -1,4 +1,4 @@
-.PHONY: build test vet race verify fuzz snapshot-smoke chaos-serve stage-report tail-smoke shard-smoke fleet-smoke replica-smoke
+.PHONY: build test vet race verify loc fuzz snapshot-smoke chaos-serve stage-report tail-smoke shard-smoke fleet-smoke replica-smoke
 
 build:
 	go build ./...
@@ -24,6 +24,14 @@ fuzz:
 
 verify:
 	./scripts/verify.sh
+
+# Non-test Go lines outside benchmark/ — the number CHANGES.md tracks
+# per PR.
+loc:
+	@total=0; for d in internal cmd examples; do \
+		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		echo "$$d $$n"; total=$$((total + n)); \
+	done; echo "total $$total"
 
 # End-to-end snapshot proof: build a small snapshot with serve -build, reopen
 # it, and diff it against the in-memory dataset (-verify does the diff).

@@ -40,14 +40,6 @@ type Observation struct {
 	ids []int32
 }
 
-// PeerASN returns the AS of the observing peer.
-func (o Observation) PeerASN() asn.ASN {
-	if len(o.Path) == 0 {
-		return 0
-	}
-	return o.Path[0]
-}
-
 // Collector describes one simulated collector.
 type Collector struct {
 	Name  string

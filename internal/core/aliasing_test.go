@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"testing"
 
@@ -45,54 +44,5 @@ func TestRunScratchDoesNotAliasLifetimes(t *testing.T) {
 	}
 	if string(before) != string(after) {
 		t.Fatal("admin lifetimes changed after scribbling the partition scratch")
-	}
-}
-
-// TestActivityColumnsReuseDoesNotAliasIndex pins the columnar-view
-// contract: an OpIndex built from an ActivityColumns must stay intact
-// when the same columns are reused for further timeouts, and must not
-// alias the columnar day arrays.
-func TestActivityColumnsReuseDoesNotAliasIndex(t *testing.T) {
-	act := buildActivity(map[asn.ASN][]intervals.Interval{
-		64500: {iv("2010-01-01", "2010-03-01"), iv("2010-06-01", "2010-08-01")},
-		64501: {iv("2011-01-01", "2011-01-05")},
-		64502: {iv("2012-01-01", "2012-02-01"), iv("2012-05-01", "2012-05-02"), iv("2013-01-01", "2013-06-01")},
-	})
-	cols := NewActivityColumns(act)
-	idx, err := cols.BuildOpLifetimes(context.Background(), 30, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before, err := json.Marshal(idx.Lifetimes)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reuse the columns for other timeouts, then scribble the day arrays.
-	for _, to := range []int{0, 5, 10000} {
-		if _, err := cols.BuildOpLifetimes(context.Background(), to, 3); err != nil {
-			t.Fatal(err)
-		}
-		cols.GapDistribution()
-	}
-	for i := range cols.cols.Start {
-		cols.cols.Start[i] = 0
-		cols.cols.End[i] = 0
-	}
-
-	after, err := json.Marshal(idx.Lifetimes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(before) != string(after) {
-		t.Fatal("op lifetimes changed after columns were reused and scribbled")
-	}
-	// The shared-index byASN subslices must still resolve correctly.
-	for a := asn.ASN(64500); a <= 64502; a++ {
-		for _, li := range idx.Of(a) {
-			if idx.Lifetimes[li].ASN != a {
-				t.Fatalf("index of %v points at lifetime of %v", a, idx.Lifetimes[li].ASN)
-			}
-		}
 	}
 }

@@ -28,12 +28,7 @@ func BuildOpLifetimesPrefixAware(act *bgpscan.Activity, timeout, minGapDays int)
 		Activity: act,
 		byASN:    make(map[asn.ASN][]int, len(act.ASNs)),
 	}
-	asns := make([]asn.ASN, 0, len(act.ASNs))
-	for a := range act.ASNs {
-		asns = append(asns, a)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	for _, a := range asns {
+	for _, a := range sortedASNs(act) {
 		aa := act.ASNs[a]
 		segs := aa.Days.SplitByTimeout(timeout)
 		segs = splitOnPrefixTurnover(aa, segs, minGapDays)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"parallellives/internal/asn"
@@ -35,6 +36,17 @@ func BuildOpLifetimes(act *bgpscan.Activity, timeout int) *OpIndex {
 	return idx
 }
 
+// sortedASNs returns the ASNs of act in ascending order — the iteration
+// order every lifetime builder uses, so indices do not depend on map order.
+func sortedASNs(act *bgpscan.Activity) []asn.ASN {
+	asns := make([]asn.ASN, 0, len(act.ASNs))
+	for a := range act.ASNs {
+		asns = append(asns, a)
+	}
+	slices.Sort(asns)
+	return asns
+}
+
 // Of returns the operational lifetime indices of an ASN in time order.
 func (idx *OpIndex) Of(a asn.ASN) []int { return idx.byASN[a] }
 
@@ -54,7 +66,12 @@ func (idx *OpIndex) ASNs() int { return len(idx.byASN) }
 // GapDistribution returns every per-ASN activity gap length (in days)
 // across the raw activity — the red CDF of Figure 3.
 func GapDistribution(act *bgpscan.Activity) []int {
-	return NewActivityColumns(act).GapDistribution()
+	var out []int
+	for _, aa := range act.ASNs {
+		out = append(out, aa.Days.GapLengths()...)
+	}
+	sort.Ints(out)
+	return out
 }
 
 // TimeoutSensitivity evaluates one candidate timeout value for Figure 3
@@ -74,14 +91,11 @@ type TimeoutSensitivity struct {
 
 // SweepTimeouts computes the Figure 3 series for each candidate timeout.
 // admin supplies the administrative lifetimes used by the blue curve.
-// The activity is flattened into columnar form once; every candidate
-// timeout then re-segments the same two day arrays.
 func SweepTimeouts(act *bgpscan.Activity, admin *AdminIndex, timeouts []int) []TimeoutSensitivity {
-	cols := NewActivityColumns(act)
-	gaps := cols.GapDistribution()
+	gaps := GapDistribution(act)
 	out := make([]TimeoutSensitivity, 0, len(timeouts))
 	for _, to := range timeouts {
-		idx, _ := cols.BuildOpLifetimes(context.Background(), to, 1)
+		idx := BuildOpLifetimes(act, to)
 		below := sort.SearchInts(gaps, to+1)
 		frac := 0.0
 		if len(gaps) > 0 {

@@ -19,27 +19,12 @@ import (
 // workers==1 case of these functions, not separate code paths.
 
 // asnGroups returns the [Lo, Hi) index ranges of the maximal same-ASN
-// groups of the runs slice (which is sorted by ASN).
-func asnGroups(runs []restore.Run) []parallel.Range {
+// groups of xs, which must be sorted by the ASN asnOf reads.
+func asnGroups[T any](xs []T, asnOf func(*T) asn.ASN) []parallel.Range {
 	var out []parallel.Range
-	for i := 0; i < len(runs); {
-		j := i
-		for j < len(runs) && runs[j].ASN == runs[i].ASN {
-			j++
-		}
-		out = append(out, parallel.Range{Lo: i, Hi: j})
-		i = j
-	}
-	return out
-}
-
-// adminGroups returns the same-ASN group ranges of a lifetime slice
-// sorted by ASN.
-func adminGroups(ls []AdminLifetime) []parallel.Range {
-	var out []parallel.Range
-	for i := 0; i < len(ls); {
-		j := i
-		for j < len(ls) && ls[j].ASN == ls[i].ASN {
+	for i := 0; i < len(xs); {
+		a, j := asnOf(&xs[i]), i+1
+		for j < len(xs) && asnOf(&xs[j]) == a {
 			j++
 		}
 		out = append(out, parallel.Range{Lo: i, Hi: j})
@@ -59,7 +44,7 @@ func adminGroups(ls []AdminLifetime) []parallel.Range {
 // builders themselves are infallible — ctx's error is the only one.
 func BuildAdminLifetimesParallelContext(ctx context.Context, res *restore.Result, workers int) ([]AdminLifetime, AdminStats, error) {
 	runs := res.Runs
-	groups := asnGroups(runs)
+	groups := asnGroups(runs, func(r *restore.Run) asn.ASN { return r.ASN })
 	shards := parallel.Shards(len(groups), workers)
 
 	parts := make([][]AdminLifetime, len(shards))
@@ -116,15 +101,58 @@ func BuildAdminLifetimesParallelContext(ctx context.Context, res *restore.Result
 
 // BuildOpLifetimesParallelContext is BuildOpLifetimes with the per-ASN timeout
 // segmentation sharded across workers goroutines. ASNs are processed in
-// sorted order within contiguous shards; the index is rebuilt by a
-// sequential concatenation pass, so lifetime order and indices match the
-// sequential build exactly. Cancellation is
-// cooperative (ctx's error is the only possible one). The
-// segmentation runs over a columnar view of the activity built here;
-// callers sweeping many timeouts over one activity should build the
-// ActivityColumns once and call its BuildOpLifetimes directly.
+// ascending order within contiguous shards and the shard outputs are
+// concatenated in shard order, so lifetime order and indices are the
+// same for every worker count. The §4.2 rule itself lives in
+// intervals.Set.SplitByTimeout and nowhere else. Cancellation is
+// cooperative (ctx's error is the only possible one).
 func BuildOpLifetimesParallelContext(ctx context.Context, act *bgpscan.Activity, timeout, workers int) (*OpIndex, error) {
-	return NewActivityColumns(act).BuildOpLifetimes(ctx, timeout, workers)
+	asns := sortedASNs(act)
+	shards := parallel.Shards(len(asns), workers)
+	parts := make([][]OpLifetime, len(shards))
+	if err := parallel.ForEach(ctx, len(shards), workers, func(_ context.Context, si int) error {
+		shard := asns[shards[si].Lo:shards[si].Hi]
+		out := make([]OpLifetime, 0, len(shard))
+		for _, a := range shard {
+			for _, seg := range act.ASNs[a].Days.SplitByTimeout(timeout) {
+				out = append(out, OpLifetime{ASN: a, Span: seg})
+			}
+		}
+		parts[si] = out
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	idx := &OpIndex{
+		Timeout:   timeout,
+		Activity:  act,
+		Lifetimes: make([]OpLifetime, 0, total),
+		byASN:     make(map[asn.ASN][]int, len(asns)),
+	}
+	for _, p := range parts {
+		idx.Lifetimes = append(idx.Lifetimes, p...)
+	}
+	// Lifetimes are globally ASN-sorted, so each ASN's indices are one
+	// contiguous run: the per-ASN index slices all view one shared
+	// sequential array instead of growing a small slice per ASN.
+	seq := make([]int, total)
+	for i := range seq {
+		seq[i] = i
+	}
+	for i := 0; i < total; {
+		j := i
+		for j < total && idx.Lifetimes[j].ASN == idx.Lifetimes[i].ASN {
+			j++
+		}
+		idx.byASN[idx.Lifetimes[i].ASN] = seq[i:j:j]
+		i = j
+	}
+	return idx, nil
 }
 
 // AnalyzeParallelContext is Analyze with the admin-side classification sharded
@@ -146,7 +174,7 @@ func AnalyzeParallelContext(ctx context.Context, admin *AdminIndex, ops *OpIndex
 	opOverlapped := make([]bool, len(ops.Lifetimes))
 	opContained := make([]bool, len(ops.Lifetimes))
 
-	groups := adminGroups(admin.Lifetimes)
+	groups := asnGroups(admin.Lifetimes, func(l *AdminLifetime) asn.ASN { return l.ASN })
 	shards := parallel.Shards(len(groups), workers)
 	if err := parallel.ForEach(ctx, len(shards), workers, func(_ context.Context, si int) error {
 		for _, g := range groups[shards[si].Lo:shards[si].Hi] {

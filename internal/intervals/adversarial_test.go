@@ -18,23 +18,11 @@ func TestEmptySetAlgebra(t *testing.T) {
 	var empty Set
 	full := Normalize([]Interval{{onDay("2010-01-01"), onDay("2010-12-31")}})
 
-	if got := empty.Union(empty); len(got) != 0 {
-		t.Errorf("empty ∪ empty = %v, want empty", got)
-	}
-	if got := empty.Union(full); !got.Equal(full) {
-		t.Errorf("empty ∪ full = %v, want full", got)
-	}
 	if got := empty.Intersect(full); len(got) != 0 {
 		t.Errorf("empty ∩ full = %v, want empty", got)
 	}
 	if got := full.Intersect(empty); len(got) != 0 {
 		t.Errorf("full ∩ empty = %v, want empty", got)
-	}
-	if got := empty.Subtract(full); len(got) != 0 {
-		t.Errorf("empty − full = %v, want empty", got)
-	}
-	if got := full.Subtract(empty); !got.Equal(full) {
-		t.Errorf("full − empty = %v, want full", got)
 	}
 	if got := empty.Gaps(); got != nil {
 		t.Errorf("gaps of empty = %v, want nil", got)
@@ -51,17 +39,11 @@ func TestEmptySetAlgebra(t *testing.T) {
 	if _, ok := empty.Span(); ok {
 		t.Error("empty set reports a span")
 	}
-	if got := empty.CoverageOf(New(onDay("2010-01-01"), onDay("2010-12-31"))); got != 0 {
-		t.Errorf("empty coverage = %g, want 0", got)
-	}
 	if !empty.Valid() {
 		t.Error("empty set is not Valid")
 	}
 	if Normalize(nil) != nil {
 		t.Error("Normalize(nil) is not nil")
-	}
-	if FromDays(nil) != nil {
-		t.Error("FromDays(nil) is not nil")
 	}
 }
 
@@ -93,18 +75,9 @@ func TestSingleDayIntervals(t *testing.T) {
 	if got := s.SplitByTimeout(1); len(got) != 1 || got[0] != New(onDay("2010-01-01"), onDay("2010-01-05")) {
 		t.Errorf("timeout 1 split = %v, want one 5-day segment", got)
 	}
-	// Subtracting the middle day splits nothing new but keeps 2 days.
-	rest := s.Subtract(Set{one("2010-01-03")})
-	if rest.TotalDays() != 2 || !rest.Valid() {
-		t.Errorf("subtracting the middle isolated day left %v", rest)
-	}
 	// A single repeated day collapses.
-	if got := FromDays([]dates.Day{onDay("2010-01-01"), onDay("2010-01-01")}); got.TotalDays() != 1 {
+	if got := Normalize([]Interval{one("2010-01-01"), one("2010-01-01")}); got.TotalDays() != 1 {
 		t.Errorf("repeated day compacts to %v", got)
-	}
-	// Full self-coverage of a one-day window.
-	if got := (Set{iv}).CoverageOf(iv); got != 1 {
-		t.Errorf("one-day self coverage = %g, want 1", got)
 	}
 }
 
@@ -121,10 +94,10 @@ func TestTouchingNotOverlapping(t *testing.T) {
 		t.Error("adjacent intervals report a non-empty intersection")
 	}
 
-	// Union of adjacent spans coalesces into one interval, no gap.
-	u := (Set{a}).Union(Set{b})
+	// Normalizing adjacent spans coalesces them into one interval, no gap.
+	u := Normalize([]Interval{a, b})
 	if len(u) != 1 || u[0] != New(onDay("2010-01-01"), onDay("2010-01-20")) {
-		t.Fatalf("adjacent union = %v, want one merged interval", u)
+		t.Fatalf("adjacent spans normalize to %v, want one merged interval", u)
 	}
 	if got := u.Gaps(); got != nil {
 		t.Errorf("merged adjacency has gaps %v", got)
@@ -133,12 +106,9 @@ func TestTouchingNotOverlapping(t *testing.T) {
 	if got := (Set{a}).Intersect(Set{b}); len(got) != 0 {
 		t.Errorf("adjacent set intersection = %v, want empty", got)
 	}
-	// Subtracting one side of a merged run gives back exactly the other.
-	if got := u.Subtract(Set{b}); !got.Equal(Set{a}) {
-		t.Errorf("merged − right = %v, want %v", got, Set{a})
-	}
-	if got := u.Subtract(Set{a}); !got.Equal(Set{b}) {
-		t.Errorf("merged − left = %v, want %v", got, Set{b})
+	// Intersecting the merged run with one side gives back exactly it.
+	if got := u.Intersect(Set{b}); !got.Equal(Set{b}) {
+		t.Errorf("merged ∩ right = %v, want %v", got, Set{b})
 	}
 
 	// Sharing exactly one boundary day IS an overlap of one day.
@@ -162,43 +132,5 @@ func TestTouchingNotOverlapping(t *testing.T) {
 	}
 	if got := s.SplitByTimeout(10); len(got) != 1 {
 		t.Errorf("10-day timeout over 10-day gap = %v, want 1 segment", got)
-	}
-}
-
-// TestSubtractBoundaries exercises Subtract where the subtrahend clips
-// exactly at interval edges.
-func TestSubtractBoundaries(t *testing.T) {
-	s := Set{New(onDay("2010-01-01"), onDay("2010-01-31"))}
-
-	// Clip exactly the first day.
-	got := s.Subtract(Set{one("2010-01-01")})
-	if !got.Equal(Set{New(onDay("2010-01-02"), onDay("2010-01-31"))}) {
-		t.Errorf("minus first day = %v", got)
-	}
-	// Clip exactly the last day.
-	got = s.Subtract(Set{one("2010-01-31")})
-	if !got.Equal(Set{New(onDay("2010-01-01"), onDay("2010-01-30"))}) {
-		t.Errorf("minus last day = %v", got)
-	}
-	// Subtract the entire interval: empty.
-	if got = s.Subtract(s); len(got) != 0 {
-		t.Errorf("self-subtraction = %v", got)
-	}
-	// Subtract a superset: empty.
-	if got = s.Subtract(Set{New(onDay("2009-12-01"), onDay("2010-02-28"))}); len(got) != 0 {
-		t.Errorf("superset subtraction = %v", got)
-	}
-	// Subtrahend touching but outside (adjacent on both flanks): no-op.
-	flanks := Normalize([]Interval{
-		{onDay("2009-12-01"), onDay("2009-12-31")},
-		{onDay("2010-02-01"), onDay("2010-02-28")},
-	})
-	if got = s.Subtract(flanks); !got.Equal(s) {
-		t.Errorf("adjacent-outside subtraction = %v, want unchanged", got)
-	}
-	// Single interior day removed splits into two valid pieces.
-	got = s.Subtract(Set{one("2010-01-15")})
-	if len(got) != 2 || !got.Valid() || got.TotalDays() != 30 {
-		t.Errorf("interior-day subtraction = %v", got)
 	}
 }

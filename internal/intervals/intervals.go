@@ -2,7 +2,7 @@
 //
 // Both the administrative and the operational life of an ASN are unions of
 // day intervals, and the paper's joint analysis (§6) is interval algebra:
-// containment, overlap, gaps, and coverage ratios. Intervals are closed on
+// containment, overlap, intersection and gaps. Intervals are closed on
 // both ends — an allocation that starts and ends on the same day lasted
 // one day — which matches the day granularity of delegation files and of
 // daily BGP activity.
@@ -93,11 +93,6 @@ func Normalize(ivs []Interval) Set {
 	return Set(out)
 }
 
-// Add returns the set with iv merged in.
-func (s Set) Add(iv Interval) Set {
-	return Normalize(append(append([]Interval(nil), s...), iv))
-}
-
 // Contains reports whether any interval in the set covers day d.
 func (s Set) Contains(d dates.Day) bool {
 	i := sort.Search(len(s), func(i int) bool { return s[i].End >= d })
@@ -122,11 +117,6 @@ func (s Set) Span() (Interval, bool) {
 	return Interval{Start: s[0].Start, End: s[len(s)-1].End}, true
 }
 
-// Union merges two sets.
-func (s Set) Union(other Set) Set {
-	return Normalize(append(append([]Interval(nil), s...), other...))
-}
-
 // Intersect returns the set of days covered by both sets.
 func (s Set) Intersect(other Set) Set {
 	var out []Interval
@@ -139,35 +129,6 @@ func (s Set) Intersect(other Set) Set {
 			i++
 		} else {
 			j++
-		}
-	}
-	return Set(out)
-}
-
-// Subtract returns the days covered by s but not by other.
-func (s Set) Subtract(other Set) Set {
-	var out []Interval
-	j := 0
-	for _, iv := range s {
-		cur := iv
-		for j < len(other) && other[j].End < cur.Start {
-			j++
-		}
-		k := j
-		for k < len(other) && other[k].Start <= cur.End {
-			o := other[k]
-			if o.Start > cur.Start {
-				out = append(out, Interval{Start: cur.Start, End: o.Start - 1})
-			}
-			if o.End >= cur.End {
-				cur.Start = cur.End + 1 // fully consumed
-				break
-			}
-			cur.Start = o.End + 1
-			k++
-		}
-		if cur.Start <= cur.End {
-			out = append(out, cur)
 		}
 	}
 	return Set(out)
@@ -187,47 +148,13 @@ func (s Set) Gaps() []Interval {
 	return out
 }
 
-// CoverageOf returns the fraction of the days of outer covered by s,
-// counting only days inside outer. Returns 0 for an empty outer interval.
-func (s Set) CoverageOf(outer Interval) float64 {
-	total := outer.Days()
-	if total <= 0 {
-		return 0
-	}
-	covered := s.Intersect(Set{outer}).TotalDays()
-	return float64(covered) / float64(total)
-}
-
-// FromDays builds a Set out of an unsorted list of individual active days,
-// merging consecutive days into runs. This is how daily BGP activity is
-// compacted into interval form.
-func FromDays(days []dates.Day) Set {
-	if len(days) == 0 {
-		return nil
-	}
-	d := make([]dates.Day, len(days))
-	copy(d, days)
-	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
-	var out []Interval
-	run := Interval{Start: d[0], End: d[0]}
-	for _, x := range d[1:] {
-		switch {
-		case x == run.End || x == run.End+1:
-			run.End = x
-		default:
-			out = append(out, run)
-			run = Interval{Start: x, End: x}
-		}
-	}
-	out = append(out, run)
-	return Set(out)
-}
-
 // SplitByTimeout re-segments the set using an inactivity timeout: runs
 // separated by a gap of strictly more than timeout days are distinct
 // segments, while smaller gaps are bridged. This implements the paper's
 // §4.2 rule: "an ASN starts a new operational lifespan only if it
-// reappears in BGP after > timeout days of inactivity."
+// reappears in BGP after > timeout days of inactivity." It is the only
+// implementation of that rule: every operational-lifetime builder in
+// core segments through it.
 func (s Set) SplitByTimeout(timeout int) []Interval {
 	if len(s) == 0 {
 		return nil

@@ -62,27 +62,11 @@ func TestSetOps(t *testing.T) {
 	a := Normalize([]Interval{iv(0, 10), iv(20, 30)})
 	b := Normalize([]Interval{iv(5, 25), iv(40, 45)})
 
-	if got := a.Union(b); !got.Equal(Set{iv(0, 30), iv(40, 45)}) {
-		t.Errorf("Union = %v", got)
-	}
 	if got := a.Intersect(b); !got.Equal(Set{iv(5, 10), iv(20, 25)}) {
 		t.Errorf("Intersect = %v", got)
 	}
-	if got := a.Subtract(b); !got.Equal(Set{iv(0, 4), iv(26, 30)}) {
-		t.Errorf("Subtract = %v", got)
-	}
-	if got := b.Subtract(a); !got.Equal(Set{iv(11, 19), iv(40, 45)}) {
-		t.Errorf("Subtract reverse = %v", got)
-	}
-}
-
-func TestSubtractSplitsMiddle(t *testing.T) {
-	a := Set{iv(0, 100)}
-	b := Set{iv(10, 20), iv(40, 50)}
-	got := a.Subtract(b)
-	want := Set{iv(0, 9), iv(21, 39), iv(51, 100)}
-	if !got.Equal(want) {
-		t.Errorf("Subtract = %v, want %v", got, want)
+	if got := b.Intersect(a); !got.Equal(Set{iv(5, 10), iv(20, 25)}) {
+		t.Errorf("Intersect reverse = %v", got)
 	}
 }
 
@@ -96,14 +80,8 @@ func TestGapsAndCoverage(t *testing.T) {
 	if len(gl) != 2 || gl[0] != 10 || gl[1] != 10 {
 		t.Errorf("GapLengths = %v", gl)
 	}
-	if c := s.CoverageOf(iv(0, 49)); c != 0.6 {
-		t.Errorf("CoverageOf = %v, want 0.6", c)
-	}
-	if c := s.CoverageOf(iv(0, 9)); c != 1.0 {
-		t.Errorf("full coverage = %v", c)
-	}
-	if c := Set(nil).CoverageOf(iv(0, 9)); c != 0 {
-		t.Errorf("empty coverage = %v", c)
+	if n := s.TotalDays(); n != 30 {
+		t.Errorf("TotalDays = %d, want 30 covered days", n)
 	}
 }
 
@@ -114,18 +92,6 @@ func TestContainsBinarySearch(t *testing.T) {
 		if got := s.Contains(day(n)); got != want {
 			t.Errorf("Contains(%d) = %v, want %v", n, got, want)
 		}
-	}
-}
-
-func TestFromDays(t *testing.T) {
-	days := []dates.Day{day(3), day(1), day(2), day(2), day(10), day(11), day(20)}
-	s := FromDays(days)
-	want := Set{iv(1, 3), iv(10, 11), iv(20, 20)}
-	if !s.Equal(want) {
-		t.Errorf("FromDays = %v, want %v", s, want)
-	}
-	if FromDays(nil) != nil {
-		t.Error("FromDays(nil) should be nil")
 	}
 }
 
@@ -163,51 +129,43 @@ func TestSpan(t *testing.T) {
 	}
 }
 
-// randomSet builds a small random set of days for property tests.
-func randomDays(r *rand.Rand) []dates.Day {
-	n := r.Intn(40)
-	out := make([]dates.Day, n)
-	for i := range out {
-		out[i] = day(r.Intn(120))
+// randomSet builds a small random set out of up to 40 single days, in
+// no particular order and with repeats, for the property tests.
+func randomSet(r *rand.Rand) Set {
+	ivs := make([]Interval, r.Intn(40))
+	for i := range ivs {
+		d := day(r.Intn(120))
+		ivs[i] = Interval{Start: d, End: d}
 	}
-	return out
+	return Normalize(ivs)
 }
 
 func TestQuickAlgebraLaws(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
-	// For sets built from day lists, set algebra must agree with the
-	// equivalent day-by-day boolean operations.
+	// For sets built from day lists, intersection must agree with the
+	// equivalent day-by-day boolean operation.
 	f := func(seedA, seedB int64) bool {
 		ra, rb := rand.New(rand.NewSource(seedA)), rand.New(rand.NewSource(seedB))
-		a, b := FromDays(randomDays(ra)), FromDays(randomDays(rb))
+		a, b := randomSet(ra), randomSet(rb)
 		if !a.Valid() || !b.Valid() {
 			return false
 		}
-		u, x, sub := a.Union(b), a.Intersect(b), a.Subtract(b)
-		if !u.Valid() || !x.Valid() || !sub.Valid() {
+		x := a.Intersect(b)
+		if !x.Valid() || !x.Equal(b.Intersect(a)) {
 			return false
 		}
+		both := 0
 		for n := -1; n <= 121; n++ {
 			d := day(n)
-			ina, inb := a.Contains(d), b.Contains(d)
-			if u.Contains(d) != (ina || inb) {
+			want := a.Contains(d) && b.Contains(d)
+			if x.Contains(d) != want {
 				return false
 			}
-			if x.Contains(d) != (ina && inb) {
-				return false
-			}
-			if sub.Contains(d) != (ina && !inb) {
-				return false
+			if want {
+				both++
 			}
 		}
-		// Cardinality laws.
-		if u.TotalDays() != a.TotalDays()+b.TotalDays()-x.TotalDays() {
-			return false
-		}
-		if sub.TotalDays() != a.TotalDays()-x.TotalDays() {
-			return false
-		}
-		return true
+		return x.TotalDays() == both
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
@@ -218,7 +176,7 @@ func TestQuickSplitByTimeoutCoversSameSpanDays(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	f := func(seed int64, timeoutRaw uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := FromDays(randomDays(r))
+		s := randomSet(r)
 		timeout := int(timeoutRaw % 40)
 		segs := s.SplitByTimeout(timeout)
 		// Segments must be ordered, disjoint, each containing at least one

@@ -5,17 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-
-	"parallellives/internal/pipeline"
 )
 
-// Save captures a dataset and writes its snapshot to path atomically
-// (write to a temp file in the same directory, then rename).
-func Save(ds *pipeline.Dataset, path string) error {
-	return SaveSnapshot(Capture(ds), path)
-}
-
-// SaveSnapshot writes an already-captured snapshot to path.
+// SaveSnapshot writes a captured snapshot to path atomically (write to a
+// temp file in the same directory, then rename).
 func SaveSnapshot(snap *Snapshot, path string) error {
 	b, err := Encode(snap)
 	if err != nil {

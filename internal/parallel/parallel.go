@@ -96,10 +96,15 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 		mu   sync.Mutex
 		wg   sync.WaitGroup
 	)
+	// claim hands out indices in ascending order and refuses once ctx is
+	// done. The check sits under the mutex so that a claimed index always
+	// runs: every index below a failing one was claimed before it, hence
+	// a lower failing index cannot be skipped by the cancellation a
+	// higher one triggers.
 	claim := func() (int, bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		if next >= n {
+		if next >= n || ctx.Err() != nil {
 			return 0, false
 		}
 		i := next
@@ -114,9 +119,6 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 				i, ok := claim()
 				if !ok {
 					return
-				}
-				if ctx.Err() != nil {
-					return // cancelled before this shard started
 				}
 				if err := fn(ctx, i); err != nil {
 					errs[i] = err
@@ -143,25 +145,6 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 		}
 	}
 	return nil
-}
-
-// Map runs fn over [0, n) under the ForEach execution contract and
-// returns the results in index order — the shape a sharded stage uses to
-// compute per-shard partials before a deterministic merge.
-func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEach(ctx, n, workers, func(ctx context.Context, i int) error {
-		v, err := fn(ctx, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // MergeSorted k-way merges already-sorted slices into one sorted slice.

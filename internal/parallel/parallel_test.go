@@ -72,8 +72,8 @@ func TestForEachRunsAll(t *testing.T) {
 func TestForEachLowestErrorWins(t *testing.T) {
 	// Whatever the schedule, the error of the lowest failing index must
 	// come back — run many rounds to shake out timing luck.
-	for round := 0; round < 50; round++ {
-		failAt := map[int]bool{7: true, 23: true, 61: true}
+	failAt := map[int]bool{7: true, 23: true, 61: true}
+	for round := 0; round < 500; round++ {
 		err := ForEach(context.Background(), 64, 8, func(_ context.Context, i int) error {
 			if failAt[i] {
 				return fmt.Errorf("shard %d failed", i)
@@ -82,6 +82,26 @@ func TestForEachLowestErrorWins(t *testing.T) {
 		})
 		if err == nil || err.Error() != "shard 7 failed" {
 			t.Fatalf("round %d: got %v, want shard 7 failed", round, err)
+		}
+	}
+
+	// The low failing index is the slow one: index 7 does not return
+	// until index 23 has failed and cancelled the run, and still wins.
+	for round := 0; round < 500; round++ {
+		highFailed := make(chan struct{})
+		err := ForEach(context.Background(), 64, 8, func(_ context.Context, i int) error {
+			switch i {
+			case 7:
+				<-highFailed
+				return errors.New("shard 7 failed")
+			case 23:
+				close(highFailed)
+				return errors.New("shard 23 failed")
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "shard 7 failed" {
+			t.Fatalf("slow low index, round %d: got %v, want shard 7 failed", round, err)
 		}
 	}
 }
@@ -110,20 +130,6 @@ func TestForEachCallerCancelled(t *testing.T) {
 	err := ForEach(ctx, 10, 4, func(context.Context, int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}
-
-func TestMapOrdered(t *testing.T) {
-	got, err := Map(context.Background(), 50, 7, func(_ context.Context, i int) (int, error) {
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("index %d: got %d", i, v)
-		}
 	}
 }
 

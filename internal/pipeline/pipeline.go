@@ -386,8 +386,7 @@ func scan(ctx context.Context, b *Base, m *runMetrics) (*bgpscan.Activity, OpAcc
 		r := shards[si]
 		_, sp := obs.StartSpanf(ctx, "bgpscan.shard[%d]", si)
 		defer sp.End()
-		s := bgpscan.NewScannerWithVisibility(opts.Visibility)
-		s.Quarantine = opts.FaultPolicy == Degrade
+		s := b.NewScanner()
 		sm := m.shard()
 		tally := &tallies[si]
 		it := inf.IterRange(start.AddDays(r.Lo), start.AddDays(r.Hi-1))
@@ -408,24 +407,13 @@ func scan(ctx context.Context, b *Base, m *runMetrics) (*bgpscan.Activity, OpAcc
 				if ribs, updates, err = it.AppendMRT(ribs, updates); err != nil {
 					return fmt.Errorf("pipeline: encoding day %s: %w", day, err)
 				}
-				for ci, rib := range ribs {
-					if inj != nil {
-						rib = inj.MangleMRT(MRTSalt(day, ci, 0), rib)
-					}
-					tally.archives++
-					sm.archive()
-					if err := s.ObserveMRT(rib); err != nil {
-						return fmt.Errorf("pipeline: scanning day %s collector rrc%02d rib dump: %w", day, ci, err)
-					}
-				}
-				for ci, upd := range updates {
-					if inj != nil {
-						upd = inj.MangleMRT(MRTSalt(day, ci, 1), upd)
-					}
-					tally.archives++
-					sm.archive()
-					if err := s.ObserveMRT(upd); err != nil {
-						return fmt.Errorf("pipeline: scanning day %s collector rrc%02d update dump: %w", day, ci, err)
+				for kind, archives := range [2][][]byte{ribs, updates} {
+					for ci, data := range archives {
+						tally.archives++
+						sm.archive()
+						if err := b.ScanArchive(s, day, ci, kind, data); err != nil {
+							return err
+						}
 					}
 				}
 			} else {
@@ -466,13 +454,38 @@ func scan(ctx context.Context, b *Base, m *runMetrics) (*bgpscan.Activity, OpAcc
 	return bgpscan.MergeActivities(parts...), op, nil
 }
 
-// MRTSalt derives the stable per-archive injection salt from the
+// NewScanner returns a scanner set up from the base's options: their
+// visibility threshold, and quarantine of damaged records under Degrade.
+func (b *Base) NewScanner() *bgpscan.Scanner {
+	s := bgpscan.NewScannerWithVisibility(b.Options.Visibility)
+	s.Quarantine = b.Options.FaultPolicy == Degrade
+	return s
+}
+
+// ScanArchive feeds one MRT archive of s's current day to s — the one
+// step the batch scan and the streaming tailer share. ci is the
+// collector's index and kind is 0 for its RIB dump, 1 for its update
+// dump. With an injector the archive is mangled first, salted with
+// that identity, so a chaos-mode tail re-creates the batch scan's
+// faults bit-for-bit, including on days re-scanned after a crash.
+func (b *Base) ScanArchive(s *bgpscan.Scanner, day dates.Day, ci, kind int, data []byte) error {
+	if b.Injector != nil {
+		data = b.Injector.MangleMRT(mrtSalt(day, ci, kind), data)
+	}
+	if err := s.ObserveMRT(data); err != nil {
+		dump := "rib"
+		if kind != 0 {
+			dump = "update"
+		}
+		return fmt.Errorf("pipeline: scanning day %s collector rrc%02d %s dump: %w", day, ci, dump, err)
+	}
+	return nil
+}
+
+// mrtSalt derives the stable per-archive injection salt from the
 // archive's identity (day, collector index, rib(0)-or-update(1) kind),
-// so reruns mangle exactly the same bytes. The streaming tailer salts
-// its per-day archives with the same identity, which makes a chaos-mode
-// tail re-create the batch scan's faults bit-for-bit — including on
-// days re-scanned after a crash.
-func MRTSalt(d dates.Day, ci, kind int) uint64 {
+// so reruns mangle exactly the same bytes.
+func mrtSalt(d dates.Day, ci, kind int) uint64 {
 	return uint64(uint32(d))<<16 | uint64(ci)<<1 | uint64(kind)
 }
 

@@ -111,21 +111,6 @@ func (a *Archive) Window() (start, end dates.Day) { return a.start, a.end }
 // World returns the underlying ground truth (for validation only).
 func (a *Archive) World() *worldsim.World { return a.world }
 
-// HasFile reports whether the archive holds a parseable file for the
-// given registry, day and format.
-func (a *Archive) HasFile(r asn.RIR, d dates.Day, extended bool) bool {
-	if extended {
-		return d >= firstExtended[r] && d <= a.end && !a.missingExt[r][d] && !a.corruptExt[r][d]
-	}
-	if d < firstRegular[r] || d > a.end {
-		return false
-	}
-	if r == asn.ARIN && d > arinLastRegular {
-		return false
-	}
-	return !a.missingReg[r][d] && !a.corruptReg[r][d]
-}
-
 // FileStatus distinguishes absent, corrupt and present files.
 type FileStatus uint8
 

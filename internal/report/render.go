@@ -51,6 +51,5 @@ func textTable(title string, header []string, rows [][]string) string {
 func pct(x float64) string  { return fmt.Sprintf("%.1f%%", 100*x) }
 func itoa(n int) string     { return fmt.Sprintf("%d", n) }
 func f2(x float64) string   { return fmt.Sprintf("%.2f", x) }
-func i64(n int64) string    { return fmt.Sprintf("%d", n) }
 func day(n int) string      { return fmt.Sprintf("%dd", n) }
 func fday(x float64) string { return fmt.Sprintf("%.0fd", x) }

@@ -574,24 +574,3 @@ func truncateOverlaps(res *Result) {
 	}
 	res.Runs = kept
 }
-
-// DailyAliveCounts computes, for each day in [start, end], the number of
-// delegated ASNs per RIR — the administrative series of Figure 4.
-func (res *Result) DailyAliveCounts(start, end dates.Day) [asn.NumRIRs][]int {
-	var out [asn.NumRIRs][]int
-	n := end.Sub(start) + 1
-	for r := range out {
-		out[r] = make([]int, n)
-	}
-	for _, run := range res.Runs {
-		if !run.Delegated() {
-			continue
-		}
-		lo := dates.Max(run.Span.Start, start)
-		hi := dates.Min(run.Span.End, end)
-		for d := lo; d <= hi; d++ {
-			out[run.RIR][d.Sub(start)]++
-		}
-	}
-	return out
-}

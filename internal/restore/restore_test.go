@@ -315,24 +315,6 @@ func TestStaleTransferTruncated(t *testing.T) {
 	}
 }
 
-func TestDailyAliveCounts(t *testing.T) {
-	res := &Result{Runs: []Run{
-		{ASN: 1500, RIR: asn.ARIN, Status: delegation.StatusAllocated,
-			Span: span("2010-01-01", "2010-01-05")},
-		{ASN: 1501, RIR: asn.ARIN, Status: delegation.StatusAllocated,
-			Span: span("2010-01-03", "2010-01-10")},
-		{ASN: 1502, RIR: asn.ARIN, Status: delegation.StatusReserved,
-			Span: span("2010-01-01", "2010-01-10")},
-	}}
-	counts := res.DailyAliveCounts(d("2010-01-01"), d("2010-01-06"))
-	want := []int{1, 1, 2, 2, 2, 1}
-	for i, w := range want {
-		if counts[asn.ARIN][i] != w {
-			t.Fatalf("day %d = %d, want %d", i, counts[asn.ARIN][i], w)
-		}
-	}
-}
-
 // span is a test shorthand for a day interval.
 func span(a, b string) intervals.Interval { return intervals.New(d(a), d(b)) }
 

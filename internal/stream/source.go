@@ -32,8 +32,9 @@ import (
 )
 
 // ArchiveKind distinguishes a day's RIB snapshot from its update dump.
-// The numeric values are the MRT injection-salt kinds (pipeline.MRTSalt),
-// so a chaos-mode tail mangles archives identically to the batch scan.
+// The numeric values are the kinds pipeline.Base.ScanArchive salts MRT
+// injection with, so a chaos-mode tail mangles archives identically to
+// the batch scan.
 type ArchiveKind uint8
 
 const (

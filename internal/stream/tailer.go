@@ -317,9 +317,8 @@ func (t *Tailer) Run(ctx context.Context) error {
 // ingestDay scans one day through the partial-merge path, folds it into
 // the carry and commits the checkpoint.
 func (t *Tailer) ingestDay(dd *Day) error {
-	opts, inj := t.base.Options, t.base.Injector
-	s := bgpscan.NewScannerWithVisibility(opts.Visibility)
-	s.Quarantine = opts.FaultPolicy == pipeline.Degrade
+	inj := t.base.Injector
+	s := t.base.NewScanner()
 
 	var before faults.Report
 	if inj != nil {
@@ -329,15 +328,9 @@ func (t *Tailer) ingestDay(dd *Day) error {
 		return err
 	}
 	for _, ar := range dd.Archives {
-		data := ar.Data
-		if inj != nil {
-			// Identity-derived salt: the same archive mangles the same way
-			// here as in the batch scan, and again on a post-crash rescan.
-			data = inj.MangleMRT(pipeline.MRTSalt(dd.Day, ar.CollectorIdx, int(ar.Kind)), data)
-		}
 		t.archives++
-		if err := s.ObserveMRT(data); err != nil {
-			return fmt.Errorf("stream: scanning day %s collector %s %s dump: %w", dd.Day, ar.Collector, ar.Kind, err)
+		if err := t.base.ScanArchive(s, dd.Day, ar.CollectorIdx, int(ar.Kind), ar.Data); err != nil {
+			return err
 		}
 	}
 	if err := s.EndDay(); err != nil {

@@ -5,9 +5,10 @@
 set -eu
 
 # Packages whose whole suite runs under -race without -short: the
-# concurrency-sensitive and fault-handling ones. Every other package
+# concurrency-sensitive and fault-handling ones, plus core and intervals
+# (the lifetime rules; their suites take milliseconds). Every other package
 # under internal/, and the CLI under cmd/, races with -short.
-FULL='faults|bgpscan|collector|restore|serve|obs|parallel|router|loadgen|stream|registry'
+FULL='faults|bgpscan|collector|restore|serve|obs|parallel|router|loadgen|stream|registry|core|intervals'
 
 # named PKG TEST: one non-short property test under -race, failing if
 # the name no longer matches a test (a rename must not silently drop it).
@@ -31,6 +32,8 @@ race() {
 	echo "== go test -race (collector prefix-table order and archive-buffer ownership properties)"
 	named ./internal/collector/ TestPrefixTableKeepsRIBOrder
 	named ./internal/collector/ TestAppendMRTReusesAndMatchesMRT
+	echo "== go test -race (parallel.ForEach: the lowest failing index wins)"
+	named ./internal/parallel/ TestForEachLowestErrorWins
 }
 
 if [ "${1:-}" = race ]; then
