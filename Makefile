@@ -21,6 +21,7 @@ fuzz:
 	go test ./internal/bgpscan/ -fuzz FuzzObserveMRT -fuzztime 15s
 	go test ./internal/lifestore/ -fuzz FuzzOpenBytes -fuzztime 15s
 	go test ./internal/stream/ -fuzz FuzzCheckpointDecode -fuzztime 15s
+	go test ./internal/obs/ -fuzz FuzzSpanHeader -fuzztime 15s
 
 verify:
 	./scripts/verify.sh
@@ -53,9 +54,9 @@ shard-smoke:
 	./scripts/shard_smoke.sh
 
 # Fleet-observability smoke: router + 2 shards, one traced request must
-# yield a span tree stitched across processes, the federated /metrics
-# rollup must cover both shards, /v1/debug/slow must aggregate both
-# exemplar rings, and the stat verb must render a row per shard.
+# yield a span tree stitched across processes, /v1/debug/slow must
+# aggregate both exemplar rings, and the stat verb must render a row per
+# shard — the dead one UP 0 — before and after one shard is killed.
 fleet-smoke:
 	./scripts/fleet_smoke.sh
 

@@ -56,8 +56,7 @@ func routeVerb(fs *flag.FlagSet) verbBody {
 	fs.IntVar(&opts.BreakerThreshold, "breaker-threshold", 5, "consecutive failures that open a replica's breaker")
 	fs.DurationVar(&opts.BreakerCooldown, "breaker-cooldown", 5*time.Second, "breaker open time before a half-open probe")
 	fs.DurationVar(&opts.HandshakeTimeout, "handshake-timeout", 10*time.Second, "startup window for every replica to report its identity (topology reloads retire replicas that miss it)")
-	fs.DurationVar(&opts.ProbeInterval, "probe-interval", 2*time.Second, "background replica probe cadence")
-	fs.DurationVar(&opts.ScrapeInterval, "scrape-interval", 5*time.Second, "federation scrape cadence: how often each replica's /metrics folds into the parallellives_fleet_* rollup (-1s disables)")
+	probeEvery := fs.Duration("probe-interval", 2*time.Second, "background replica probe cadence")
 	return func(ctx context.Context, _ []string, stdout, stderr io.Writer) error {
 		if len(opts.Shards) == 0 {
 			return fmt.Errorf("pass -shards with at least one shard URL")
@@ -69,7 +68,7 @@ func routeVerb(fs *flag.FlagSet) verbBody {
 		if err != nil {
 			return err
 		}
-		stopProbes := rt.Start(ctx, opts.ProbeInterval)
+		stopProbes := rt.Start(ctx, *probeEvery)
 		defer stopProbes()
 
 		// SIGHUP re-runs the handshake and swaps the routing table — the

@@ -2,13 +2,15 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"text/tabwriter"
 	"time"
 
@@ -22,25 +24,22 @@ const statUsage = `parallellives stat -url http://127.0.0.1:8080              # 
 parallellives stat -url http://127.0.0.1:8080 -interval 2s # live, qps from deltas
 
 The fleet dashboard: a one-shot (or polling) terminal view of a sharded
-serving tier, read entirely from one /metrics scrape of a parallellives
-route router — or of a single parallellives serve process, which
-renders as a one-row fleet.
-
-Against a router with federation enabled (the default), one row per
-replica comes from the parallellives_fleet_* rollup the router
-re-exports after scraping its fleet, plus the router's own per-replica
-breaker gauges:
+serving tier. Pointed at a parallellives route router it reads the
+topology from /v1/shards and then scrapes /metrics of every replica
+that document lists, directly and concurrently — so the replica URLs
+the router was given must be reachable from here. Pointed at a single
+parallellives serve process (which has no /v1/shards) it scrapes that
+process and renders a one-row fleet.
 
 	SHARD  REPLICA  UP  BREAKER  GEN  REQS  QPS  P99(ms)  ERRS  LAG(d)
 
-REPLICA is the ordinal within the range's replica set (a 1-replica
-fleet shows ordinal 0 everywhere; a bare serve process shows "-"). QPS
-needs two scrapes to difference, so it shows "-" on the first poll and
-in one-shot mode. Replicas whose last federation scrape failed show
-UP 0 with their last-known numbers. Run with -interval against a fresh
-router and the first row may be empty for one federation cycle
-(default 5s) — the rollup does not exist until the router has scraped
-its fleet once.
+SHARD, REPLICA (the ordinal within the range's replica set), BREAKER
+and GEN are the router's view, from /v1/shards; a bare serve process
+shows "-" for the first three and its own generation. The other
+columns come from the replica's own exposition. A replica that does not
+answer its scrape is a row with UP 0 and "-" for its numbers, never an
+error. QPS needs two scrapes to difference, so it shows "-" on the
+first poll and in one-shot mode.
 `
 
 func statVerb(fs *flag.FlagSet) verbBody {
@@ -53,11 +52,23 @@ func statVerb(fs *flag.FlagSet) verbBody {
 	return func(ctx context.Context, _ []string, stdout, stderr io.Writer) error {
 		client := &http.Client{Timeout: *timeout}
 		base := strings.TrimRight(*url, "/")
+		bare := false
 		var prev map[string]float64
 		var prevAt time.Time
 		renders := 0
 		for {
-			samples, err := scrape(client, base+"/metrics")
+			// A process does not change kind: once /v1/shards has answered
+			// 404 later polls stop asking, so they add nothing to the
+			// request counter they read.
+			var rows []row
+			var err error
+			if !bare {
+				rows, err = fleetRows(ctx, client, base)
+				bare = errors.Is(err, errBare)
+			}
+			if bare {
+				rows, err = serveRows(ctx, client, base)
+			}
 			if err != nil {
 				if *interval <= 0 {
 					return err
@@ -65,7 +76,6 @@ func statVerb(fs *flag.FlagSet) verbBody {
 				fmt.Fprintf(stderr, "stat: %v\n", err)
 			} else {
 				now := time.Now()
-				rows := buildRows(samples)
 				render(stdout, base, rows, prev, now.Sub(prevAt))
 				prev, prevAt = requestTotals(rows), now
 			}
@@ -82,166 +92,161 @@ func statVerb(fs *flag.FlagSet) verbBody {
 	}
 }
 
-// scrape reads one exposition, trusting the peer's length no further
-// than the router trusts a shard's.
-func scrape(client *http.Client, url string) (obs.Samples, error) {
-	resp, err := client.Get(url)
+// fetch GETs one URL, trusting the peer's length no further than the
+// router trusts a shard's.
+func fetch(ctx context.Context, client *http.Client, url string) (status int, body []byte, err error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	body, err = router.ReadPeerBody(resp.Body)
+	if err != nil {
+		return 0, nil, fmt.Errorf("%s: %w", url, err)
+	}
+	return resp.StatusCode, body, nil
+}
+
+// scrape reads one process's exposition.
+func scrape(ctx context.Context, client *http.Client, base string) (obs.Samples, error) {
+	status, body, err := fetch(ctx, client, base+"/metrics")
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	body, err := router.ReadPeerBody(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", url, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s answered %d", url, resp.StatusCode)
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("%s/metrics answered %d", base, status)
 	}
 	return obs.ParseExposition(body)
 }
 
 // row is one line of the dashboard: one replica of the fleet, or the
-// single process itself when pointed at a bare serve process.
+// single process itself when pointed at a bare serve process. The
+// numbers mean something only when up.
 type row struct {
-	shard      string
-	replica    string
-	up         float64
-	upKnown    bool
-	breaker    string
-	gen        float64
-	genKnown   bool
+	shard, replica, breaker, gen string
+
+	up         bool
 	reqs, errs float64
 	p99        float64
-	lag        float64
-	lagKnown   bool
+	lag        string
 }
 
-// key identifies a row across scrapes (QPS differencing).
+// key identifies a row across polls (QPS differencing).
 func (r row) key() string { return r.shard + "/" + r.replica }
 
-// buildRows reads the fleet from one exposition. A router exports
-// fleet_* series per (shard, replica) slot plus its own per-replica
-// breaker gauges; a single serve process exports serve_* series, which
-// become one synthetic row.
-func buildRows(samples obs.Samples) []row {
-	replicas := map[string]*row{}
-	get := func(shard, replica string) *row {
-		k := shard + "/" + replica
-		r, ok := replicas[k]
-		if !ok {
-			r = &row{shard: shard, replica: replica, breaker: "-"}
-			replicas[k] = r
-		}
-		return r
+// measure is the one row builder: it fills the row's numbers from what
+// a serve process's own exposition says about it.
+func (r *row) measure(samples obs.Samples) {
+	r.up = true
+	r.reqs = samples.Sum(serve.MetricRequests, nil)
+	r.errs = samples.Sum(serve.MetricErrors, nil)
+	r.p99 = samples.Quantile(serve.MetricLatency, 0.99, nil)
+	r.lag = "-"
+	if v, ok := samples.Value(stream.MetricIngestLagDays, nil); ok {
+		r.lag = strconv.FormatFloat(v, 'g', -1, 64)
 	}
-	for _, s := range samples {
-		shard, hasShard := s.Labels["shard"]
-		if !hasShard {
-			continue
-		}
-		rep, hasRep := s.Labels["replica"]
-		if !hasRep {
-			rep = "-"
-		}
-		switch s.Name {
-		case router.MetricFleetUp:
-			r := get(shard, rep)
-			r.up, r.upKnown = s.Value, true
-		case router.MetricFleetGen:
-			r := get(shard, rep)
-			r.gen, r.genKnown = s.Value, true
-		case router.MetricFleetRequests:
-			get(shard, rep).reqs = s.Value
-		case router.MetricFleetErrors:
-			get(shard, rep).errs = s.Value
-		case router.MetricFleetP99:
-			get(shard, rep).p99 = s.Value
-		case router.MetricFleetLag:
-			r := get(shard, rep)
-			r.lag, r.lagKnown = s.Value, true
-		case router.MetricBreakerState:
-			get(shard, rep).breaker = breakerName(s.Value)
-		}
-	}
-	if len(replicas) == 0 {
-		// Not a router (or federation off): render the process itself.
-		r := &row{shard: "-", replica: "-", breaker: "-", up: 1, upKnown: true}
-		r.reqs = samples.Sum(serve.MetricRequests, nil)
-		r.errs = samples.Sum(serve.MetricErrors, nil)
-		r.p99 = samples.Quantile(serve.MetricLatency, 0.99, nil)
-		if v, ok := samples.Value(serve.MetricGeneration, nil); ok {
-			r.gen, r.genKnown = v, true
-		}
-		if v, ok := samples.Value(stream.MetricIngestLagDays, nil); ok {
-			r.lag, r.lagKnown = v, true
-		}
-		if r.reqs == 0 && r.errs == 0 {
-			return nil
-		}
-		return []row{*r}
-	}
-	out := make([]row, 0, len(replicas))
-	for _, r := range replicas {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, _ := strconv.Atoi(out[i].shard)
-		b, _ := strconv.Atoi(out[j].shard)
-		if a != b {
-			return a < b
-		}
-		c, _ := strconv.Atoi(out[i].replica)
-		d, _ := strconv.Atoi(out[j].replica)
-		return c < d
-	})
-	return out
 }
 
-func breakerName(v float64) string {
-	switch v {
-	case 0:
-		return "closed"
-	case 1:
-		return "open"
-	case 2:
-		return "half-open"
+// errBare says the target has no /v1/shards: not a router, so taken for
+// a bare serve process.
+var errBare = errors.New("no /v1/shards")
+
+// serveRows renders a bare serve process as a one-row fleet.
+func serveRows(ctx context.Context, client *http.Client, base string) ([]row, error) {
+	samples, err := scrape(ctx, client, base)
+	if err != nil {
+		return nil, err
 	}
-	return fmt.Sprintf("?%g", v)
+	r := row{shard: "-", replica: "-", breaker: "-", gen: "-"}
+	if v, ok := samples.Value(serve.MetricGeneration, nil); ok {
+		r.gen = strconv.FormatFloat(v, 'g', -1, 64)
+	}
+	r.measure(samples)
+	return []row{r}, nil
+}
+
+// fleetRows reads a router's routing table from /v1/shards and scrapes
+// every replica it lists, directly and concurrently. Rows follow the
+// document, which the router emits in (shard, ordinal) order.
+func fleetRows(ctx context.Context, client *http.Client, base string) ([]row, error) {
+	status, body, err := fetch(ctx, client, base+"/v1/shards")
+	if err != nil {
+		return nil, err
+	}
+	if status == http.StatusNotFound {
+		return nil, errBare
+	}
+	if status != http.StatusOK {
+		return nil, fmt.Errorf("%s/v1/shards answered %d", base, status)
+	}
+	var topo struct {
+		Shards []struct {
+			Index    int `json:"index"`
+			Replicas []struct {
+				URL     string `json:"url"`
+				Ordinal int    `json:"ordinal"`
+				Breaker string `json:"breaker"`
+				Gen     int64  `json:"gen"`
+			} `json:"replicas"`
+		} `json:"shards"`
+	}
+	if err := json.Unmarshal(body, &topo); err != nil {
+		return nil, fmt.Errorf("%s/v1/shards: %w", base, err)
+	}
+	var rows []row
+	var urls []string
+	for _, sh := range topo.Shards {
+		for _, rep := range sh.Replicas {
+			rows = append(rows, row{
+				shard: strconv.Itoa(sh.Index), replica: strconv.Itoa(rep.Ordinal),
+				breaker: rep.Breaker, gen: strconv.FormatInt(rep.Gen, 10),
+			})
+			urls = append(urls, rep.URL)
+		}
+	}
+	var wg sync.WaitGroup
+	for i := range rows {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if samples, err := scrape(ctx, client, urls[i]); err == nil {
+				rows[i].measure(samples)
+			}
+		}()
+	}
+	wg.Wait()
+	return rows, nil
 }
 
 func requestTotals(rows []row) map[string]float64 {
 	t := make(map[string]float64, len(rows))
 	for _, r := range rows {
-		t[r.key()] = r.reqs
+		if r.up {
+			t[r.key()] = r.reqs
+		}
 	}
 	return t
 }
 
 func render(w io.Writer, target string, rows []row, prev map[string]float64, dt time.Duration) {
 	fmt.Fprintf(w, "%s  %s\n", target, time.Now().Format("15:04:05"))
-	if len(rows) == 0 {
-		fmt.Fprintln(w, "  (no fleet or serve metrics yet — federation may not have scraped)")
-		return
-	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "SHARD\tREPLICA\tUP\tBREAKER\tGEN\tREQS\tQPS\tP99(ms)\tERRS\tLAG(d)")
 	for _, r := range rows {
-		qps := "-"
-		if prev != nil && dt > 0 {
-			if p, ok := prev[r.key()]; ok && r.reqs >= p {
-				qps = fmt.Sprintf("%.1f", (r.reqs-p)/dt.Seconds())
-			}
+		if !r.up {
+			fmt.Fprintf(tw, "%s\t%s\t0\t%s\t%s\t-\t-\t-\t-\t-\n", r.shard, r.replica, r.breaker, r.gen)
+			continue
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%.0f\t%s\t%.2f\t%.0f\t%s\n",
-			r.shard, r.replica, optional(r.up, r.upKnown), r.breaker, optional(r.gen, r.genKnown),
-			r.reqs, qps, r.p99*1000, r.errs, optional(r.lag, r.lagKnown))
+		qps := "-"
+		if p, ok := prev[r.key()]; ok && dt > 0 && r.reqs >= p {
+			qps = fmt.Sprintf("%.1f", (r.reqs-p)/dt.Seconds())
+		}
+		fmt.Fprintf(tw, "%s\t%s\t1\t%s\t%s\t%.0f\t%s\t%.2f\t%.0f\t%s\n",
+			r.shard, r.replica, r.breaker, r.gen, r.reqs, qps, r.p99*1000, r.errs, r.lag)
 	}
 	tw.Flush()
-}
-
-func optional(v float64, known bool) string {
-	if !known {
-		return "-"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -7,8 +7,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -54,7 +52,6 @@ func tailVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 		ckptDir     = fs.String("checkpoint", "checkpoint", "durable checkpoint-journal directory")
 		snapshot    = fs.String("snapshot", "", "write each published snapshot to this path (atomically)")
 		snapEvery   = fs.Int("snapshot-every", 1, "publish a full snapshot every N committed days")
-		notifyURL   = fs.String("notify-url", "", "POST a JSON notification here after each publish")
 		readTimeout = fs.Duration("read-timeout", 30*time.Second, "staleness deadline waiting for the next complete day")
 		poll        = fs.Duration("poll", 25*time.Millisecond, "day-directory poll interval")
 		reconnects  = fs.Int("reconnect-attempts", 4, "reconnect attempts after staleness before giving up")
@@ -87,9 +84,6 @@ func tailVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 					fmt.Fprintln(stderr, "tail: snapshot reload failed, previous generation still serving:", err)
 				}
 				serveMu.Unlock()
-			}
-			if *notifyURL != "" {
-				notify(*notifyURL, day, snap, stderr)
 			}
 		}
 
@@ -199,19 +193,4 @@ func verifyAgainstBatch(ctx context.Context, opts pipeline.Options, tl *stream.T
 	}
 	fmt.Fprintf(stderr, "tail: verify-batch OK: tailed snapshot is byte-identical to the batch build (%d bytes)\n", len(got))
 	return nil
-}
-
-// notify POSTs a small JSON record after a publish — the hook an
-// alerting pipeline or cache warmer listens on. Best-effort: a dead
-// receiver must not stall ingestion.
-func notify(url string, day dates.Day, snap *lifestore.Snapshot, stderr io.Writer) {
-	body := fmt.Sprintf(`{"day":%q,"asns":%d,"adminLives":%d,"opLives":%d}`,
-		day, snap.Meta.ASNCount, snap.Meta.AdminLives, snap.Meta.OpLives)
-	client := &http.Client{Timeout: 2 * time.Second}
-	resp, err := client.Post(url, "application/json", strings.NewReader(body))
-	if err != nil {
-		fmt.Fprintln(stderr, "tail: notify failed:", err)
-		return
-	}
-	resp.Body.Close()
 }

@@ -338,9 +338,6 @@ func (u *Update) AppendMessage(dst []byte, fourByte bool) ([]byte, error) {
 	return dst, nil
 }
 
-// MarshalAttrs encodes the RIB-entry attribute block; see AppendAttrs.
-func (u *Update) MarshalAttrs(fourByte bool) []byte { return u.AppendAttrs(nil, fourByte) }
-
 // AppendAttrs appends just the ORIGIN, AS_PATH and (for an IPv4 next
 // hop) NEXT_HOP attributes of u to dst as a raw attribute block — the
 // form MRT TABLE_DUMP_V2 RIB entries embed. RIB entries always use the

@@ -287,7 +287,7 @@ func TestLongASPathSegmentsSplit(t *testing.T) {
 			u := &Update{Path: []Segment{seq(hops...)}, HasOrigin: true, NextHop: netip.MustParseAddr("10.0.0.1")}
 
 			var got Update
-			if err := DecodeAttrs(&got, u.MarshalAttrs(fourByte), fourByte); err != nil {
+			if err := DecodeAttrs(&got, u.AppendAttrs(nil, fourByte), fourByte); err != nil {
 				t.Fatalf("n=%d fourByte=%v: attrs: %v", n, fourByte, err)
 			}
 			checkLongPath(t, &got, hops)
@@ -328,7 +328,7 @@ func checkLongPath(t *testing.T, got *Update, hops []asn.ASN) {
 
 // TestAppendFormsMatchMarshal pins the append forms on randomised
 // updates: they leave the bytes already in dst alone, append exactly
-// what Marshal / MarshalAttrs return, and what they append decodes back.
+// what Marshal / AppendAttrs(nil) return, and what they append decodes back.
 func TestAppendFormsMatchMarshal(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -369,7 +369,7 @@ func TestAppendFormsMatchMarshal(t *testing.T) {
 			return false
 		}
 
-		attrs := u.MarshalAttrs(fourByte)
+		attrs := u.AppendAttrs(nil, fourByte)
 		appended = u.AppendAttrs(append([]byte(nil), prefix...), fourByte)
 		if !bytes.Equal(appended[:len(prefix)], prefix) || !bytes.Equal(appended[len(prefix):], attrs) {
 			return false
@@ -410,7 +410,7 @@ func TestDecodedPathSegmentsShareOneBacking(t *testing.T) {
 	var blocks [][]byte
 	for _, p := range paths {
 		u := Update{Path: p, HasOrigin: true}
-		blocks = append(blocks, u.MarshalAttrs(true))
+		blocks = append(blocks, u.AppendAttrs(nil, true))
 	}
 	// samePath compares decoded segments with the encoded ones; an empty
 	// segment may decode to a nil or an empty slice.

@@ -36,7 +36,6 @@ import (
 	"io"
 	"math/bits"
 	"net/netip"
-	"sort"
 
 	"parallellives/internal/asn"
 	"parallellives/internal/bgp"
@@ -104,31 +103,6 @@ type ASNActivity struct {
 	// originated prefixes (as opposed to appearing only in transit) —
 	// the §9 origination/transit role split.
 	OriginDays intervals.Set
-}
-
-// RoleOn classifies the ASN's role on day d.
-//
-//	origin:  originated at least one prefix that day
-//	transit: visible on paths but originating nothing
-//	absent:  not visible at all
-func (a *ASNActivity) RoleOn(d dates.Day) string {
-	if a.OriginDays.Contains(d) {
-		return "origin"
-	}
-	if a.Days.Contains(d) {
-		return "transit"
-	}
-	return "absent"
-}
-
-// PrefixCountOn returns the number of distinct prefixes the ASN
-// originated on day d (0 when inactive).
-func (a *ASNActivity) PrefixCountOn(d dates.Day) int {
-	i := sort.Search(len(a.PrefixRuns), func(i int) bool { return a.PrefixRuns[i].To >= d })
-	if i < len(a.PrefixRuns) && a.PrefixRuns[i].From <= d {
-		return a.PrefixRuns[i].Count
-	}
-	return 0
 }
 
 // Activity is the scan result.

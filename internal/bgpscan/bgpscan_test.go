@@ -106,15 +106,11 @@ func TestPrefixCounting(t *testing.T) {
 	s.Observe(p("10.1.0.0/16"), []asn.ASN{174, 100})
 	s.EndDay()
 	act := s.Finish()
-	a := act.ASNs[100]
-	if got := a.PrefixCountOn(day("2020-01-01")); got != 2 {
-		t.Errorf("day1 count = %d, want 2", got)
-	}
-	if got := a.PrefixCountOn(day("2020-01-02")); got != 1 {
-		t.Errorf("day2 count = %d, want 1", got)
-	}
-	if got := a.PrefixCountOn(day("2020-01-03")); got != 0 {
-		t.Errorf("day3 count = %d, want 0", got)
+	d1, d2 := day("2020-01-01"), day("2020-01-02")
+	runs := act.ASNs[100].PrefixRuns
+	if len(runs) != 2 || runs[0].From != d1 || runs[0].To != d1 || runs[0].Count != 2 ||
+		runs[1].From != d2 || runs[1].To != d2 || runs[1].Count != 1 {
+		t.Errorf("prefix runs = %+v, want 2 prefixes on day 1, 1 on day 2, none after", runs)
 	}
 }
 
@@ -315,13 +311,14 @@ func TestOriginDaysVsTransitDays(t *testing.T) {
 	if act.ASNs[50] == nil || act.ASNs[100] == nil {
 		t.Fatal("activity missing")
 	}
-	if act.ASNs[50].RoleOn(day("2020-01-01")) != "transit" {
-		t.Errorf("AS50 role = %s", act.ASNs[50].RoleOn(day("2020-01-01")))
+	d1, d2 := day("2020-01-01"), day("2020-01-02")
+	if transit := act.ASNs[50]; !transit.Days.Contains(d1) || transit.OriginDays.Contains(d1) {
+		t.Errorf("AS50 on day 1: days %v, origin days %v; want visible, not originating", transit.Days, transit.OriginDays)
 	}
-	if act.ASNs[100].RoleOn(day("2020-01-01")) != "origin" {
-		t.Errorf("AS100 role = %s", act.ASNs[100].RoleOn(day("2020-01-01")))
+	if !act.ASNs[100].OriginDays.Contains(d1) {
+		t.Errorf("AS100 origin days = %v, want day 1", act.ASNs[100].OriginDays)
 	}
-	if act.ASNs[50].RoleOn(day("2020-01-02")) != "absent" {
+	if act.ASNs[50].Days.Contains(d2) {
 		t.Error("next day should be absent")
 	}
 }

@@ -69,7 +69,7 @@ func feed(t testing.TB, s scanner, days []scanDay, afterDay func(i int)) {
 // segments, for paths attrsOf cannot express (AS_SETs, empty segments).
 func rawSegments(segs ...bgp.Segment) []byte {
 	u := bgp.Update{HasOrigin: true, Path: segs}
-	return u.MarshalAttrs(true)
+	return u.AppendAttrs(nil, true)
 }
 
 func seqSeg(a ...asn.ASN) bgp.Segment { return bgp.Segment{Type: bgp.SegmentSequence, ASNs: a} }

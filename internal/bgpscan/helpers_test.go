@@ -20,7 +20,7 @@ type ribRecord struct {
 // attrsOf encodes the attribute block of a plain AS_SEQUENCE path.
 func attrsOf(path ...asn.ASN) []byte {
 	u := bgp.Update{HasOrigin: true, Path: []bgp.Segment{{Type: bgp.SegmentSequence, ASNs: path}}}
-	return u.MarshalAttrs(true)
+	return u.AppendAttrs(nil, true)
 }
 
 // ribArchive frames records as a TABLE_DUMP_V2 archive behind a

@@ -343,7 +343,7 @@ func referenceCollectorDay(t *testing.T, col *Collector, ci int, ts uint32, obs 
 			rec.Entries = append(rec.Entries, mrt.RIBEntry{
 				PeerIndex:      uint16(pi),
 				OriginatedTime: ts,
-				Attrs:          u.MarshalAttrs(true),
+				Attrs:          u.AppendAttrs(nil, true),
 			})
 		}
 		if len(rec.Entries) == 0 {

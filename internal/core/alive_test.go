@@ -101,12 +101,12 @@ func TestOpIndexAccessors(t *testing.T) {
 	if ops.ASNs() != 2 {
 		t.Errorf("ASNs = %d", ops.ASNs())
 	}
-	spans := ops.SpansOf(1)
-	if len(spans) != 2 || spans[0] != iv("2010-01-01", "2010-01-10") {
-		t.Errorf("SpansOf = %v", spans)
+	ids := ops.Of(1)
+	if len(ids) != 2 || ops.Lifetimes[ids[0]].Span != iv("2010-01-01", "2010-01-10") {
+		t.Errorf("Of(1) = %v over %v", ids, ops.Lifetimes)
 	}
-	if len(ops.SpansOf(99)) != 0 {
-		t.Error("unknown ASN should have no spans")
+	if len(ops.Of(99)) != 0 {
+		t.Error("unknown ASN should have no lifetimes")
 	}
 }
 

@@ -50,16 +50,6 @@ func sortedASNs(act *bgpscan.Activity) []asn.ASN {
 // Of returns the operational lifetime indices of an ASN in time order.
 func (idx *OpIndex) Of(a asn.ASN) []int { return idx.byASN[a] }
 
-// SpansOf returns the operational spans of an ASN.
-func (idx *OpIndex) SpansOf(a asn.ASN) []intervals.Interval {
-	ids := idx.byASN[a]
-	out := make([]intervals.Interval, len(ids))
-	for i, id := range ids {
-		out[i] = idx.Lifetimes[id].Span
-	}
-	return out
-}
-
 // ASNs returns the number of distinct ASNs with at least one lifetime.
 func (idx *OpIndex) ASNs() int { return len(idx.byASN) }
 

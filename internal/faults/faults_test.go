@@ -43,8 +43,8 @@ func buildRIBArchive(t *testing.T, n int) []byte {
 			Seq:    uint32(i),
 			Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24),
 			Entries: []mrt.RIBEntry{
-				{PeerIndex: 0, Attrs: u.MarshalAttrs(true)},
-				{PeerIndex: 1, Attrs: u.MarshalAttrs(true)},
+				{PeerIndex: 0, Attrs: u.AppendAttrs(nil, true)},
+				{PeerIndex: 1, Attrs: u.AppendAttrs(nil, true)},
 			},
 		}
 		body, err := rec.Marshal()

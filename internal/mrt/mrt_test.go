@@ -108,7 +108,7 @@ func ribAttrs(t *testing.T, origin asn.ASN, hops ...asn.ASN) []byte {
 		NextHop:   netip.MustParseAddr("10.9.9.9"),
 		HasOrigin: true,
 	}
-	return u.MarshalAttrs(true)
+	return u.AppendAttrs(nil, true)
 }
 
 // ribBody marshals rec, failing the test if it cannot be encoded.

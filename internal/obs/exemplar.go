@@ -48,9 +48,6 @@ func NewExemplarRing(capacity int) *ExemplarRing {
 	return &ExemplarRing{cap: capacity}
 }
 
-// Offer submits one finished request. Nil-safe.
-func (r *ExemplarRing) Offer(e Exemplar) { r.offer(e, nil) }
-
 // Arming reports whether the slow side is still filling: until the ring
 // has seen cap requests, every offer is admitted, so callers should
 // capture full detail (span trees) up front. Once the floor is set,
@@ -62,10 +59,9 @@ func (r *ExemplarRing) Arming() bool { return r != nil && r.floor.Load() == 0 }
 // OfferLazy submits one finished request but defers building the span
 // summary to fill, which only runs when the request survives the
 // admission fast path — so the per-request cost of capture on a hot,
-// healthy endpoint stays a counter bump and one atomic load.
-func (r *ExemplarRing) OfferLazy(e Exemplar, fill func() SpanSummary) { r.offer(e, fill) }
-
-func (r *ExemplarRing) offer(e Exemplar, fill func() SpanSummary) {
+// healthy endpoint stays a counter bump and one atomic load. A nil fill
+// submits e as it is. Nil-safe.
+func (r *ExemplarRing) OfferLazy(e Exemplar, fill func() SpanSummary) {
 	if r == nil {
 		return
 	}

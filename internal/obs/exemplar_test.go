@@ -10,7 +10,7 @@ func TestExemplarRingSlowest(t *testing.T) {
 	r := NewExemplarRing(4)
 	// Offer 1..10ms in shuffled order; the ring must keep 7,8,9,10.
 	for _, ms := range []int64{3, 9, 1, 7, 5, 10, 2, 8, 4, 6} {
-		r.Offer(Exemplar{Endpoint: "asn", DurationNs: ms * 1e6, Status: 200})
+		r.OfferLazy(Exemplar{Endpoint: "asn", DurationNs: ms * 1e6, Status: 200}, nil)
 	}
 	snap := r.Snapshot()
 	if snap.Capacity != 4 || snap.Seen != 10 {
@@ -37,7 +37,7 @@ func TestExemplarRingSlowest(t *testing.T) {
 func TestExemplarRingErrors(t *testing.T) {
 	r := NewExemplarRing(3)
 	for i := 1; i <= 5; i++ {
-		r.Offer(Exemplar{Status: 500, DurationNs: int64(i)})
+		r.OfferLazy(Exemplar{Status: 500, DurationNs: int64(i)}, nil)
 	}
 	snap := r.Snapshot()
 	var got []int64
@@ -62,7 +62,7 @@ func TestExemplarRingDisabled(t *testing.T) {
 	if r != nil {
 		t.Fatalf("capacity 0 must return a nil ring")
 	}
-	r.Offer(Exemplar{DurationNs: 1}) // must not panic
+	r.OfferLazy(Exemplar{DurationNs: 1}, nil) // must not panic
 	snap := r.Snapshot()
 	if snap.Capacity != 0 || snap.Slowest != nil || snap.Errors != nil {
 		t.Fatalf("nil snapshot = %+v", snap)
@@ -94,7 +94,7 @@ func TestExemplarRingRace(t *testing.T) {
 				if d%97 == 0 {
 					status = 503
 				}
-				r.Offer(Exemplar{Endpoint: "asn", DurationNs: d, Status: status})
+				r.OfferLazy(Exemplar{Endpoint: "asn", DurationNs: d, Status: status}, nil)
 				if i%257 == 0 {
 					snap := r.Snapshot()
 					if len(snap.Slowest) > cap || len(snap.Errors) > cap {

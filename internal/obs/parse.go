@@ -10,9 +10,8 @@ import (
 
 // Sample is one parsed exposition line: a series name, its label set
 // and value. This is the read half of the Prometheus text format —
-// WritePrometheus is the write half — used by the router's federation
-// scraper, the `parallellives stat` dashboard and tests that assert on exposition
-// output.
+// WritePrometheus is the write half — used by the `parallellives stat`
+// dashboard and tests that assert on exposition output.
 type Sample struct {
 	Name   string
 	Labels map[string]string

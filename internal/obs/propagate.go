@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"strings"
@@ -75,6 +76,47 @@ func ParseTraceparent(v string) (SpanContext, bool) {
 		return SpanContext{}, false
 	}
 	return sc, true
+}
+
+// Bounds on the span tree a peer may hand back in SpanHeader. The trees
+// this system produces are three levels and a dozen nodes; the transport
+// alone would admit 10 MB of header, which the caller then copies into
+// every traced response and exemplar.
+const (
+	MaxSpanHeader = 64 << 10
+	MaxSpanDepth  = 32
+	MaxSpanNodes  = 1024
+)
+
+// ParseSpanHeader parses a SpanHeader value received from another
+// process. An absent, malformed or out-of-bounds value reports false and
+// the caller drops the remote tree — a bad peer must not bloat or break
+// the response it is stitched into.
+func ParseSpanHeader(v string) (SpanSummary, bool) {
+	var sum SpanSummary
+	if v == "" || len(v) > MaxSpanHeader || json.Unmarshal([]byte(v), &sum) != nil {
+		return SpanSummary{}, false
+	}
+	nodes := 0
+	if !spanTreeWithin(&sum, 1, &nodes) {
+		return SpanSummary{}, false
+	}
+	return sum, true
+}
+
+// spanTreeWithin reports whether the tree under sum, itself at the given
+// depth, stays inside MaxSpanDepth and MaxSpanNodes.
+func spanTreeWithin(sum *SpanSummary, depth int, nodes *int) bool {
+	*nodes++
+	if depth > MaxSpanDepth || *nodes > MaxSpanNodes {
+		return false
+	}
+	for i := range sum.Children {
+		if !spanTreeWithin(&sum.Children[i], depth+1, nodes) {
+			return false
+		}
+	}
+	return true
 }
 
 // isHexID reports whether s is exactly n lowercase hex chars and (for

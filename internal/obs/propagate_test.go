@@ -168,3 +168,38 @@ func TestRandomIDsWellFormed(t *testing.T) {
 		t.Fatalf("random traceparent does not parse: %q", root.SpanContext().Traceparent())
 	}
 }
+
+// FuzzSpanHeader: whatever a peer puts in X-Parallellives-Span, parsing
+// it never panics and never yields a tree past the bounds.
+func FuzzSpanHeader(f *testing.F) {
+	f.Add(`{"name":"serve /v1/asn/{n}","traceId":"ab","spanId":"cd","durationNs":5,"attrs":{"status":200},"children":[{"name":"lifestore.lookup","durationNs":1}]}`)
+	f.Add(strings.Repeat(`{"children":[`, MaxSpanDepth) + `{}` + strings.Repeat(`]}`, MaxSpanDepth))
+	f.Add(`{"children":[` + strings.Repeat(`{},`, MaxSpanNodes) + `{}]}`)
+	f.Add(`{"children":[null,{"children":[[]]}]}`)
+	f.Add("")
+	f.Fuzz(func(t *testing.T, h string) {
+		sum, ok := ParseSpanHeader(h)
+		if !ok {
+			if sum.Name != "" || sum.Children != nil {
+				t.Fatalf("a dropped header still returned a tree: %+v", sum)
+			}
+			return
+		}
+		if len(h) > MaxSpanHeader {
+			t.Fatalf("accepted a %d-byte header", len(h))
+		}
+		var measure func(s *SpanSummary, depth int) (nodes, deepest int)
+		measure = func(s *SpanSummary, depth int) (int, int) {
+			nodes, deepest := 1, depth
+			for i := range s.Children {
+				n, d := measure(&s.Children[i], depth+1)
+				nodes += n
+				deepest = max(deepest, d)
+			}
+			return nodes, deepest
+		}
+		if nodes, depth := measure(&sum, 1); nodes > MaxSpanNodes || depth > MaxSpanDepth {
+			t.Fatalf("accepted a tree of %d nodes, depth %d", nodes, depth)
+		}
+	})
+}

@@ -302,7 +302,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 // snapshot: bounds are the sorted finite upper bounds, buckets the
 // per-bucket (not cumulative) counts — one per bound plus the +Inf
 // bucket. This is the single interpolation routine shared by
-// Histogram.Quantile, the health report and the federation layer, so
+// Histogram.Quantile, the health report and parsed expositions, so
 // every consumer of the same bucket state reports the same number.
 func QuantileFromBuckets(bounds []float64, buckets []int64, q float64) float64 {
 	var total int64

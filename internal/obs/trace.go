@@ -214,22 +214,6 @@ func (s *Span) SetAttr(key string, v int64) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: v})
 }
 
-// AddAttr adds delta to an attribute, creating it at delta.
-func (s *Span) AddAttr(key string, delta int64) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.attrs {
-		if s.attrs[i].Key == key {
-			s.attrs[i].Value += delta
-			return
-		}
-	}
-	s.attrs = append(s.attrs, Attr{Key: key, Value: delta})
-}
-
 // Name returns the span name. Nil-safe.
 func (s *Span) Name() string {
 	if s == nil {

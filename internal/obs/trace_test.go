@@ -22,8 +22,8 @@ func TestSpanTreeDeterministicDurations(t *testing.T) {
 
 	_, restore := StartSpan(ctx, "restore")
 	restore.SetAttr(AttrIn, 100)
-	restore.AddAttr(AttrOut, 90)
-	restore.AddAttr(AttrOut, 5)
+	restore.SetAttr(AttrOut, 90)
+	restore.SetAttr(AttrOut, 95)
 	clk.Advance(250 * time.Millisecond)
 	restore.End()
 
@@ -51,7 +51,7 @@ func TestSpanTreeDeterministicDurations(t *testing.T) {
 		t.Fatalf("day duration = %v, want %v", got, want)
 	}
 	if out, _ := restore.Attr(AttrOut); out != 95 {
-		t.Fatalf("restore out attr = %d, want 95 (AddAttr accumulates)", out)
+		t.Fatalf("restore out attr = %d, want 95 (SetAttr overwrites)", out)
 	}
 
 	kids := root.Children()
@@ -97,7 +97,6 @@ func TestNilSpanSafety(t *testing.T) {
 		t.Fatal("context should carry no tracer")
 	}
 	span.SetAttr("x", 1)
-	span.AddAttr("x", 1)
 	span.End()
 	if span.Duration() != 0 || span.Name() != "" || span.Children() != nil {
 		t.Fatal("nil span accessors should return zero values")

@@ -96,10 +96,15 @@ type flaky struct {
 	flood  atomic.Bool
 	delay  atomic.Int64 // nanoseconds added before answering
 	hits   atomic.Int64
+	// scrapes counts /metrics requests: the router must never send one.
+	scrapes atomic.Int64
 }
 
 func (f *flaky) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.hits.Add(1)
+	if r.URL.Path == "/metrics" {
+		f.scrapes.Add(1)
+	}
 	if d := f.delay.Load(); d > 0 {
 		select {
 		case <-time.After(time.Duration(d)):

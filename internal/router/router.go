@@ -162,12 +162,9 @@ type Options struct {
 	// reuse it as the window after which unreachable replicas are
 	// retired.
 	HandshakeTimeout time.Duration
-	// ProbeInterval is the background re-handshake cadence callers pass
-	// to Start (zero or less there means 2s).
-	ProbeInterval time.Duration
-	// ScrapeInterval is the federation cadence: how often Start scrapes
-	// every replica's /metrics into the fleet rollup (default 5s;
-	// negative disables federation).
+	// ScrapeInterval is ignored: the router no longer scrapes its fleet.
+	// The field exists only because benchmark/ names it, and goes with
+	// ROADMAP 3(e)'s surface PR.
 	ScrapeInterval time.Duration
 	// ExemplarCapacity sizes the slow/error exemplar ring serving
 	// /v1/debug/slow (default 32; negative disables capture).
@@ -202,10 +199,8 @@ type Router struct {
 	topo      atomic.Pointer[topology]
 	rebuildMu sync.Mutex // serializes RebuildTopology
 
-	front       *serve.Front
-	cache       *serve.LRU[entry]
-	fed         *federator
-	scrapeEvery time.Duration
+	front *serve.Front
+	cache *serve.LRU[entry]
 
 	shardRequests *obs.CounterVec
 	shardErrors   *obs.CounterVec
@@ -244,9 +239,6 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 	if opts.HandshakeTimeout <= 0 {
 		opts.HandshakeTimeout = 10 * time.Second
 	}
-	if opts.ScrapeInterval == 0 {
-		opts.ScrapeInterval = 5 * time.Second
-	}
 	if opts.Client == nil {
 		opts.Client = &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        4 * len(opts.Shards),
@@ -278,9 +270,8 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 		handshakeTimeout: opts.HandshakeTimeout,
 		client:           opts.Client,
 
-		front:       front,
-		cache:       serve.NewLRU[entry](serve.CacheCapacity(opts.CacheSize)),
-		scrapeEvery: opts.ScrapeInterval,
+		front: front,
+		cache: serve.NewLRU[entry](serve.CacheCapacity(opts.CacheSize)),
 		shardRequests: reg.CounterVec(MetricShardRequests,
 			"Upstream requests by shard range and replica ordinal.", "shard", "replica"),
 		shardErrors: reg.CounterVec(MetricShardErrors,
@@ -308,9 +299,6 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 		breakerShorts: reg.CounterVec(MetricBreakerShortCircuits,
 			"Requests rejected while a replica's breaker was open.", "shard", "replica"),
 	}
-	if opts.ScrapeInterval > 0 {
-		rt.fed = newFederator(reg)
-	}
 	topo, err := rt.buildTopology(ctx, 1, false)
 	if err != nil {
 		return nil, err
@@ -336,41 +324,31 @@ const maxASN = 1<<32 - 1
 // ServeHTTP implements http.Handler (see serve.Front.ServeHTTP).
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.front.ServeHTTP(w, r) }
 
-// Start launches the background probe and federation-scrape loops and
-// returns a stop func. Probing keeps generations fresh and — because
+// Start launches the background probe loop and returns a stop func that
+// waits for it to exit. Probing keeps generations fresh and — because
 // identity requests run through each breaker — turns a recovered
-// replica closed again without sacrificing a client request. Scraping
-// folds every replica's /metrics into the fleet rollup (DESIGN.md §13).
+// replica closed again without sacrificing a client request. The first
+// probe is one interval in: New has only just shaken hands.
 func (rt *Router) Start(ctx context.Context, interval time.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
 	pctx, cancel := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	loop := func(every time.Duration, fn func(context.Context), atStart bool) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if atStart {
-				fn(pctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-pctx.Done():
+				return
+			case <-t.C:
+				rt.Probe(pctx)
 			}
-			t := time.NewTicker(every)
-			defer t.Stop()
-			for {
-				select {
-				case <-pctx.Done():
-					return
-				case <-t.C:
-					fn(pctx)
-				}
-			}
-		}()
-	}
-	loop(interval, rt.Probe, false) // New has only just shaken hands
-	if rt.fed != nil {
-		loop(rt.scrapeEvery, rt.ScrapeFleet, true) // first rollup now, not one interval in
-	}
-	return func() { cancel(); wg.Wait() }
+		}
+	}()
+	return func() { cancel(); <-done }
 }
 
 // Probe re-handshakes every replica of the live topology once,

@@ -110,6 +110,47 @@ func TestDegradedThenRecovered(t *testing.T) {
 	}
 }
 
+// TestStartProbesOnly pins what Start runs: the probe loop and nothing
+// else. A healed replica's breaker closes with no client request spent on
+// it, no replica is ever asked for /metrics — ScrapeInterval is accepted
+// and ignored — the router's exposition carries no fleet_* family, and
+// stop returns only once the loop has exited.
+func TestStartProbesOnly(t *testing.T) {
+	set := startShards(t, fixtureSnapshot(1), 2)
+	rt := newTestRouter(t, set, Options{ScrapeInterval: time.Millisecond, BreakerThreshold: 1, BreakerCooldown: 5 * time.Millisecond})
+
+	set.flakies[1].broken.Store(true)
+	rt.Probe(context.Background()) // one failed identity opens the breaker
+	if got := rt.topo.Load().replicas[1].breakerState(); got != "open" {
+		t.Fatalf("breaker after a failed probe = %s, want open", got)
+	}
+	set.flakies[1].broken.Store(false)
+
+	stop := rt.Start(context.Background(), 5*time.Millisecond)
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.topo.Load().replicas[1].breakerState() != "closed" {
+		if time.Now().After(deadline) {
+			t.Fatal("the probe loop never closed the healed replica's breaker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stop()
+	settled := set.flakies[0].hits.Load()
+	time.Sleep(20 * time.Millisecond)
+	if got := set.flakies[0].hits.Load(); got != settled {
+		t.Errorf("%d upstream request(s) after stop returned", got-settled)
+	}
+
+	for i, f := range set.flakies {
+		if n := f.scrapes.Load(); n != 0 {
+			t.Errorf("shard %d was asked for /metrics %d time(s)", i, n)
+		}
+	}
+	if body := get(rt, "/metrics", nil).Body.String(); strings.Contains(body, "fleet_") {
+		t.Errorf("router exposition still carries a fleet_* family:\n%s", body)
+	}
+}
+
 // TestStrictPolicy proves the other degradation contract: any dead
 // shard turns aggregates into 503s, and readiness drops with the first
 // open breaker.

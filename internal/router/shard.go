@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"parallellives/internal/asn"
 	"parallellives/internal/obs"
@@ -79,7 +78,6 @@ type shardClient struct {
 	mu       sync.Mutex
 	gen      int64
 	asnCount int
-	lastSeen time.Time
 }
 
 // identity fetches /v1/shard and records the reported generation. It is
@@ -105,7 +103,6 @@ func (sc *shardClient) noteIdentity(resp *upstream, err error) (serve.ShardIdent
 	sc.mu.Lock()
 	sc.gen = id.Generation
 	sc.asnCount = id.ASNCount
-	sc.lastSeen = time.Now()
 	sc.mu.Unlock()
 	return id, nil
 }
@@ -183,11 +180,8 @@ func (sc *shardClient) fetch(ctx context.Context, method, pathq, ifNoneMatch str
 	}
 	sc.breaker.OnSuccess()
 	if propagate {
-		if h := resp.Header.Get(obs.SpanHeader); h != "" {
-			var sum obs.SpanSummary
-			if json.Unmarshal([]byte(h), &sum) == nil {
-				sp.AttachRemote(sum)
-			}
+		if sum, ok := obs.ParseSpanHeader(resp.Header.Get(obs.SpanHeader)); ok {
+			sp.AttachRemote(sum)
 		}
 	}
 	return &upstream{

@@ -157,10 +157,6 @@ func (rt *Router) assemble(clients []*shardClient, ids []serve.ShardIdentity, ge
 		}
 		clients[i].index = id.Shard.Index
 		clients[i].lo, clients[i].hi = id.Shard.Lo, id.Shard.Hi
-		sc := clients[i]
-		sc.mu.Lock()
-		sc.asnCount = ids[i].ASNCount
-		sc.mu.Unlock()
 		groups[id.Shard.Index] = append(groups[id.Shard.Index], clients[i])
 	}
 
@@ -280,9 +276,6 @@ func (rt *Router) RebuildTopology(ctx context.Context) (*TopologyReport, error) 
 	rt.topoGen.Set(float64(topo.generation))
 	rt.topoReloads.With("ok").Inc()
 	rt.dropRetiredSeries(old, topo)
-	if rt.fed != nil {
-		rt.fed.prune(topo)
-	}
 	return report, nil
 }
 

@@ -1,8 +1,11 @@
 package router
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -181,5 +184,66 @@ func TestRouterSlowAggregation(t *testing.T) {
 	}
 	if doc.Shards[1].Error == "" {
 		t.Errorf("dark shard row reports no error: %+v", doc.Shards[1])
+	}
+}
+
+// nestedSpans is a span-summary JSON chain `depth` levels deep.
+func nestedSpans(depth int) string {
+	return strings.Repeat(`{"name":"s","durationNs":1,"children":[`, depth-1) +
+		`{"name":"s","durationNs":1}` + strings.Repeat("]}", depth-1)
+}
+
+// wideSpans is a root with n-1 leaf children: n nodes in all.
+func wideSpans(n int) string {
+	leaves := strings.TrimSuffix(strings.Repeat(`{"name":"s","durationNs":1},`, n-1), ",")
+	return `{"name":"root","durationNs":1,"children":[` + leaves + `]}`
+}
+
+// TestHostileSpanHeaderDropped pins the bounds on the one piece of
+// shard-authored content the router interprets beyond /v1/shard
+// identity: a span header past the size, depth or node limit is dropped
+// — the response is still served, the caller's tree just lacks the
+// remote subtree — and one exactly at a limit is kept.
+func TestHostileSpanHeaderDropped(t *testing.T) {
+	pad := func(n int) string { // a valid summary of exactly n bytes
+		const frame = `{"name":"","durationNs":1}`
+		return `{"name":"` + strings.Repeat("x", n-len(frame)) + `","durationNs":1}`
+	}
+	for _, tc := range []struct {
+		name, header string
+		kept         bool
+	}{
+		{"at the size limit", pad(obs.MaxSpanHeader), true},
+		{"past the size limit", pad(obs.MaxSpanHeader + 1), false},
+		{"at the depth limit", nestedSpans(obs.MaxSpanDepth), true},
+		{"past the depth limit", nestedSpans(obs.MaxSpanDepth + 1), false},
+		{"at the node limit", wideSpans(obs.MaxSpanNodes), true},
+		{"past the node limit", wideSpans(obs.MaxSpanNodes + 1), false},
+		{"not JSON", `{"name":`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set(obs.SpanHeader, tc.header)
+				w.Write([]byte("body"))
+			}))
+			defer shard.Close()
+			sc := &shardClient{baseURL: shard.URL, client: shard.Client()}
+
+			parent := obs.SpanContext{TraceID: strings.Repeat("ab", 16), SpanID: strings.Repeat("cd", 8)}
+			ctx := obs.WithTracer(context.Background(), obs.NewTracerWithIDs(nil, seqIDs()))
+			ctx, root := obs.StartSpan(obs.WithRemoteParent(ctx, parent), "route")
+			u, err := sc.fetch(ctx, http.MethodGet, "/x", "")
+			root.End()
+			if err != nil || string(u.body) != "body" {
+				t.Fatalf("fetch = %v, %v; the response must be served whatever the span header holds", u, err)
+			}
+			call, ok := findChild(obs.Summarize(root), "shard[")
+			if !ok {
+				t.Fatal("no shard-call span")
+			}
+			if kept := len(call.Children) == 1; kept != tc.kept {
+				t.Errorf("remote tree attached = %v, want %v", kept, tc.kept)
+			}
+		})
 	}
 }

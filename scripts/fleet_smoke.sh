@@ -1,11 +1,11 @@
 #!/bin/sh
 # Fleet-observability smoke: build a small snapshot, cut it 2 ways,
-# serve the shards behind the router with a fast federation scrape, and
-# prove the cross-process story end to end — one traced request must
-# come back with a span tree stitched across router and shard, the
-# router's /metrics must grow the parallellives_fleet_* rollup for both
-# shards, /v1/debug/slow must aggregate both shards' exemplar rings, and
-# the stat dashboard must render a row per shard from one scrape.
+# serve the shards behind the router, and prove the cross-process story
+# end to end — one traced request must come back with a span tree
+# stitched across router and shard, /v1/debug/slow must aggregate both
+# shards' exemplar rings, and the stat dashboard must render a row per
+# shard from /v1/shards plus each shard's own /metrics — and keep
+# rendering, with the dead shard's row UP 0, after one shard is killed.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -37,13 +37,14 @@ wait_ready() { # url
     done
 }
 
-echo "== start 2 shards + router (scrape every 300ms)"
+echo "== start 2 shards + router"
 shard_urls=""
 n=0
 while [ "$n" -lt 2 ]; do
     "$pl" serve -listen "127.0.0.1:$((PORT + 1 + n))" \
         -snapshot "$work/lives.$n.snap" -mmap >/dev/null 2>&1 &
     pids="$pids $!"
+    shard1_pid="$!" # ends up naming the last shard started: shard 1
     shard_urls="$shard_urls${shard_urls:+,}http://127.0.0.1:$((PORT + 1 + n))"
     n=$((n + 1))
 done
@@ -52,8 +53,7 @@ while [ "$n" -lt 2 ]; do
     wait_ready "http://127.0.0.1:$((PORT + 1 + n))"
     n=$((n + 1))
 done
-"$pl" route -listen "127.0.0.1:$PORT" -shards "$shard_urls" \
-    -scrape-interval 300ms >/dev/null 2>&1 &
+"$pl" route -listen "127.0.0.1:$PORT" -shards "$shard_urls" >/dev/null 2>&1 &
 pids="$pids $!"
 R="http://127.0.0.1:$PORT"
 wait_ready "$R"
@@ -74,24 +74,6 @@ echo "   trace joined, $stitched shard-side spans stitched in"
 plain="$(curl -sf -D - -o /dev/null "$R/v1/taxonomy" | grep -ic x-parallellives-span || true)"
 [ "$plain" = 0 ] || { echo "fleet-smoke: untraced request leaked a span header" >&2; exit 1; }
 
-echo "== federated metrics"
-_tries=0
-while :; do
-    up="$(curl -sf "$R/metrics" | grep -c '^parallellives_fleet_shard_up{[^}]*} 1$' || true)"
-    [ "$up" = 2 ] && break
-    _tries=$((_tries + 1))
-    [ "$_tries" -gt 50 ] && { echo "fleet-smoke: fleet rollup never saw both shards up" >&2; exit 1; }
-    sleep 0.1
-done
-metrics="$(curl -sf "$R/metrics")"
-echo "$metrics" | grep -q '^parallellives_fleet_shards 2$' \
-    || { echo "fleet-smoke: parallellives_fleet_shards != 2" >&2; exit 1; }
-echo "$metrics" | grep -q '^parallellives_fleet_generation_skew 0$' \
-    || { echo "fleet-smoke: generation skew != 0 on a fresh fleet" >&2; exit 1; }
-echo "$metrics" | grep -q '^parallellives_fleet_requests{shard="0",replica="0"}' \
-    || { echo "fleet-smoke: no per-replica request rollup" >&2; exit 1; }
-echo "   both shards up, skew 0, per-replica rollup present"
-
 echo "== slow-request exemplars"
 curl -sf "$R/v1/debug/slow" | jq -e \
     '(.router.seen >= 1) and (.shards | length == 2) and ([.shards[] | select(.error == null or .error == "")] | length == 2)' >/dev/null \
@@ -99,9 +81,22 @@ curl -sf "$R/v1/debug/slow" | jq -e \
 echo "   router + both shard rings aggregated"
 
 echo "== stat dashboard"
+# stat_rows OUTPUT: the data rows (SHARD is a number), one per line.
+stat_rows() { echo "$1" | awk '$1 == "0" || $1 == "1"'; }
 stat="$("$pl" stat -url "$R")"
 echo "$stat" | sed 's/^/   /'
-rows="$(echo "$stat" | awk '$1 == "0" || $1 == "1"' | grep -c closed)"
-[ "$rows" = 2 ] || { echo "fleet-smoke: stat rendered $rows shard rows, want 2" >&2; exit 1; }
+# Both shards UP 1, breaker closed, GEN 1, and REQS > 0 after the traced
+# requests above (every shard answered the taxonomy scatter).
+rows="$(stat_rows "$stat" | awk '$3 == "1" && $4 == "closed" && $5 == "1" && $6 > 0' | wc -l)"
+[ "$rows" -eq 2 ] || { echo "fleet-smoke: stat rendered $rows healthy shard rows, want 2" >&2; exit 1; }
 
-echo "fleet-smoke: OK (stitched trace + federated metrics + exemplars + dashboard)"
+echo "== stat with one shard dead"
+kill -9 "$shard1_pid"
+wait "$shard1_pid" 2>/dev/null || true
+stat="$("$pl" stat -url "$R")" \
+    || { echo "fleet-smoke: stat exited non-zero with one shard dead" >&2; exit 1; }
+echo "$stat" | sed 's/^/   /'
+stat_rows "$stat" | awk '$1 == "1" && $3 == "0" && $6 == "-" { dead++ } $1 == "0" && $3 == "1" && $6 > 0 { live++ } END { exit !(dead == 1 && live == 1) }' \
+    || { echo "fleet-smoke: want shard 1 UP 0 with - numbers and shard 0 still UP 1" >&2; exit 1; }
+
+echo "fleet-smoke: OK (stitched trace + exemplars + dashboard, one shard dead included)"

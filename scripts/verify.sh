@@ -34,6 +34,10 @@ race() {
 	named ./internal/collector/ TestAppendMRTReusesAndMatchesMRT
 	echo "== go test -race (parallel.ForEach: the lowest failing index wins)"
 	named ./internal/parallel/ TestForEachLowestErrorWins
+	echo "== go test -race (operational oracle: pipeline.Run against the slow obvious reading of §4.2 + §6)"
+	named ./internal/pipeline/ TestOperationalOracle
+	echo "== go test -race (stat: fleet rows from /v1/shards + each replica's own /metrics)"
+	named ./cmd/parallellives/ TestStatFleet
 }
 
 if [ "${1:-}" = race ]; then
