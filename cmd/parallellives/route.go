@@ -56,7 +56,7 @@ func routeVerb(fs *flag.FlagSet) verbBody {
 	fs.IntVar(&opts.BreakerThreshold, "breaker-threshold", 5, "consecutive failures that open a replica's breaker")
 	fs.DurationVar(&opts.BreakerCooldown, "breaker-cooldown", 5*time.Second, "breaker open time before a half-open probe")
 	fs.DurationVar(&opts.HandshakeTimeout, "handshake-timeout", 10*time.Second, "startup window for every replica to report its identity (topology reloads retire replicas that miss it)")
-	probeEvery := fs.Duration("probe-interval", 2*time.Second, "background replica probe cadence")
+	probeEvery := fs.Duration("probe-interval", 2*time.Second, "background replica probe cadence; also bounds how long a replica reloaded behind the router's back is served from the router cache")
 	return func(ctx context.Context, _ []string, stdout, stderr io.Writer) error {
 		if len(opts.Shards) == 0 {
 			return fmt.Errorf("pass -shards with at least one shard URL")

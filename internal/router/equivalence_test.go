@@ -271,8 +271,8 @@ func TestShardedEquivalence(t *testing.T) {
 						want := fetchRec(baseline, path)
 						got := fetchRec(rt, path)
 						compareResponses(t, path, want, got)
-						// Warm pass: the router's cache-and-revalidate
-						// path must stay byte-identical too.
+						// Warm pass: answers from the router's cache
+						// must stay byte-identical too.
 						got2 := fetchRec(rt, path)
 						compareResponses(t, path+" (warm)", want, got2)
 					}

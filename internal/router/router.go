@@ -23,7 +23,7 @@
 //	/v1/shards         the live topology: ranges, replicas, generations,
 //	                   breakers
 //	/v1/admin/reload   snapshot reload, fanned out to every replica; the
-//	                   router cache flushes after any swap
+//	                   router cache is invalidated afterwards
 //	/v1/admin/topology/reload
 //	                   POST: re-run the handshake against the configured
 //	                   URL set and swap the routing table — admit
@@ -48,11 +48,12 @@
 // marks the response with the X-Parallellives-Partial header; "strict"
 // answers 503 as soon as any range is dark.
 //
-// The router keeps a small response cache, tagged with each entry's
-// upstream ETag. A hit is revalidated against the owning range with
-// If-None-Match: any same-generation replica answers 304 from its
-// generation counter without rebuilding the body, so a warm router
-// serves mostly 304-sized upstream traffic. See DESIGN.md §12 and §14.
+// The router keeps a small response cache and answers its hits itself,
+// with no upstream request, for as long as it can vouch for the range's
+// generation: a reload fan-out, a topology rebuild or a probe that sees a
+// replica's generation move invalidates every entry at once, and a hit
+// whose range is dark takes the live path instead. See DESIGN.md §12
+// and §14.
 package router
 
 import (
@@ -89,7 +90,6 @@ const (
 
 	MetricPartials      = "parallellives_route_partial_total"
 	MetricDisagreements = "parallellives_route_disagreements_total"
-	MetricRevalidations = "parallellives_route_revalidations_total"
 
 	// Replica failover + hedging (§14). Failovers are labelled by shard
 	// range; hedges are fleet-wide totals.
@@ -201,6 +201,7 @@ type Router struct {
 
 	front *serve.Front
 	cache *serve.LRU[entry]
+	epoch atomic.Uint64 // cache epoch: entries from an older one are never answered
 
 	shardRequests *obs.CounterVec
 	shardErrors   *obs.CounterVec
@@ -209,7 +210,6 @@ type Router struct {
 	hedgeWins     *obs.Counter
 	partials      *obs.Counter
 	disagreements *obs.Counter
-	revalidations *obs.CounterVec
 	topoGen       *obs.Gauge
 	topoReloads   *obs.CounterVec
 	breakerState  *obs.GaugeVec
@@ -286,8 +286,6 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 			"Aggregate responses served without every shard range."),
 		disagreements: reg.Counter(MetricDisagreements,
 			"Scatter gathers where healthy ranges returned different answers."),
-		revalidations: reg.CounterVec(MetricRevalidations,
-			"Cache revalidations by outcome (fresh = upstream 304, stale = refetched).", "outcome"),
 		topoGen: reg.Gauge(MetricTopologyGen,
 			"Routing-table generation: bumps on every accepted topology reload."),
 		topoReloads: reg.CounterVec(MetricTopologyReloads,
@@ -352,45 +350,46 @@ func (rt *Router) Start(ctx context.Context, interval time.Duration) (stop func(
 }
 
 // Probe re-handshakes every replica of the live topology once,
-// concurrently.
+// concurrently. A replica whose generation moved since it last reported
+// was reloaded behind the router's back, so the cache is invalidated.
 func (rt *Router) Probe(ctx context.Context) {
+	moved := false
 	for _, rep := range askReplicas(ctx, rt.topo.Load(), 2*time.Second, http.MethodGet, "/v1/shard") {
-		rep.sc.noteIdentity(rep.u, rep.err)
+		_, before, _ := rep.sc.state()
+		id, err := rep.sc.noteIdentity(rep.u, rep.err)
+		moved = moved || (err == nil && id.Generation != before)
+	}
+	if moved {
+		rt.invalidate()
 	}
 }
 
-// serveVia proxies one request through the router cache against a
-// replica set: a cached entry is revalidated with If-None-Match
-// (upstream 304 keeps the cached body without a byte of payload
-// transfer), a miss fetches and caches. Fetches run through fetchSet,
-// so replica failover and hedging apply to cold and warm paths alike;
-// the cache trusts entries only from the same range index it stored
-// them from — any same-generation replica of that range validates them.
+// invalidate retires every cached entry: the epoch bump fences out
+// entries whose fetch was still in flight, the flush frees the rest.
+func (rt *Router) invalidate() {
+	rt.epoch.Add(1)
+	rt.cache.Flush()
+}
+
+// usable reports whether a cached entry may be answered locally from set:
+// it was fetched from that range in the current cache epoch, and the range
+// is not dark — a dark range's reads take the live path and its
+// degradation answers.
+func (e entry) usable(epoch uint64, set *replicaSet) bool {
+	return e.epoch == epoch && e.shard == set.index && !set.dark()
+}
+
+// serveVia answers one request against a replica set through the router
+// cache: a usable entry is answered locally, anything else is fetched
+// through fetchSet (replica failover and hedging apply) and a 200 with a
+// validator is cached under the epoch read before the fetch began.
 func (rt *Router) serveVia(w http.ResponseWriter, r *http.Request, set *replicaSet) {
 	key := serve.PathQuery(r)
 	clientINM := r.Header.Get("If-None-Match")
+	epoch := rt.epoch.Load()
 
-	if e, ok := rt.cache.Get(key); ok && e.shard == set.index && e.resp.etag != "" {
-		u, _, meta, err := rt.fetchSet(r.Context(), set, http.MethodGet, key, e.resp.etag)
-		if err == nil && u.status == http.StatusNotModified {
-			rt.revalidations.With("fresh").Inc()
-			meta.mark(w.Header())
-			answer(w, clientINM, &e.resp)
-			return
-		}
-		if err == nil {
-			rt.revalidations.With("stale").Inc()
-			if u.status == http.StatusOK && u.etag != "" {
-				rt.cache.Put(key, entry{shard: set.index, resp: *u})
-			} else {
-				rt.cache.Drop(key)
-			}
-			meta.mark(w.Header())
-			answer(w, clientINM, u)
-			return
-		}
-		rt.cache.Drop(key)
-		rt.rangeError(w, r, set)
+	if e, ok := rt.cache.Get(key); ok && e.usable(epoch, set) {
+		answer(w, clientINM, &e.resp)
 		return
 	}
 
@@ -400,16 +399,14 @@ func (rt *Router) serveVia(w http.ResponseWriter, r *http.Request, set *replicaS
 		return
 	}
 	if u.status == http.StatusOK && u.etag != "" {
-		rt.cache.Put(key, entry{shard: set.index, resp: *u})
+		rt.cache.Put(key, entry{shard: set.index, epoch: epoch, resp: *u})
 	}
 	meta.mark(w.Header())
 	relay(w, u)
 }
 
-// answer relays a cached or freshly fetched upstream response,
-// downgraded to 304 when the client's own validator already matches it
-// (the upstream request may have carried the cache's validator instead
-// of the client's).
+// answer relays a cached response, downgraded to an empty 304 when the
+// client's own validator already matches it.
 func answer(w http.ResponseWriter, clientINM string, u *upstream) {
 	if u.status == http.StatusOK && clientINM != "" && clientINM == u.etag {
 		u = &upstream{status: http.StatusNotModified, etag: u.etag}
@@ -472,25 +469,19 @@ func (rt *Router) firstHealthy(topo *topology) *replicaSet {
 // ties-to-lower rule the pipeline's MergeSorted uses — and an agreement
 // check across the other healthy answers feeds a disagreement counter
 // (mixed shard generations are legal mid-rollout, but persistent
-// disagreement means a mixed shard set and deserves an alert).
+// disagreement means a mixed shard set and deserves an alert). A cached
+// answer is served locally while its winner range is usable; a dark
+// winner takes the full gather, so the partial mark or the strict 503
+// still apply.
 func (rt *Router) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	topo := rt.topo.Load()
 	key := serve.PathQuery(r)
 	clientINM := r.Header.Get("If-None-Match")
+	epoch := rt.epoch.Load()
 
-	// A cached scatter answer revalidates against its winner range only
-	// — one conditional request, not a full fan-out.
-	if e, ok := rt.cache.Get(key); ok && e.resp.etag != "" && e.shard < len(topo.sets) {
-		set := topo.sets[e.shard]
-		u, _, meta, err := rt.fetchSet(r.Context(), set, http.MethodGet, key, e.resp.etag)
-		if err == nil && u.status == http.StatusNotModified {
-			rt.revalidations.With("fresh").Inc()
-			meta.mark(w.Header())
-			answer(w, clientINM, &e.resp)
-			return
-		}
-		rt.cache.Drop(key)
-		// Fall through to a full gather on any other outcome.
+	if e, ok := rt.cache.Get(key); ok && e.shard < len(topo.sets) && e.usable(epoch, topo.sets[e.shard]) {
+		answer(w, clientINM, &e.resp)
+		return
 	}
 
 	type result struct {
@@ -545,7 +536,7 @@ func (rt *Router) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(PartialHeader, strings.Join(down, ","))
 	}
 	if winner.status == http.StatusOK && winner.etag != "" && len(down) == 0 {
-		rt.cache.Put(key, entry{shard: winnerSet, resp: *winner})
+		rt.cache.Put(key, entry{shard: winnerSet, epoch: epoch, resp: *winner})
 	}
 	meta.mark(w.Header())
 	relay(w, winner)
@@ -723,7 +714,7 @@ func (r reply) failure() string {
 }
 
 // handleReload fans the snapshot reload out to every replica of every
-// range and flushes the router cache afterwards — cached bodies must
+// range and invalidates the router cache afterwards — cached bodies must
 // not outlive the generations that rendered them. 200 only when every
 // replica swapped; any failure reports 502 with the per-replica
 // outcomes (the replicas that did swap keep their new generation; the
@@ -746,7 +737,7 @@ func (rt *Router) handleReload(w http.ResponseWriter, r *http.Request) {
 		}
 		outcomes = append(outcomes, o)
 	}
-	rt.cache.Flush()
+	rt.invalidate()
 	serve.WriteJSON(w, status, map[string]any{"results": outcomes})
 }
 

@@ -4,12 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"parallellives/internal/asn"
+	"parallellives/internal/serve"
 )
 
 // TestRoutingAndLocal400 proves the basics: every populated ASN
@@ -176,44 +180,180 @@ func TestStrictPolicy(t *testing.T) {
 	}
 }
 
-// TestCacheRevalidation proves the router cache answers warm traffic
-// with one conditional upstream request: the shard's 304 carries no
-// body, the client still gets the full cached 200 — and a client
-// sending the same validator gets a 304 end to end.
-func TestCacheRevalidation(t *testing.T) {
+// TestCacheAnswersLocally pins the router cache's contract: a warm hit
+// costs no upstream request (a client's matching validator gets an empty
+// 304 the same way), a shard reloaded behind the router's back keeps
+// being served from the cache until the next probe sees its generation
+// move, and a hit whose range is dark takes the live degradation path —
+// 503 for an ASN read, the gather (partial mark, or strict 503) for an
+// aggregate.
+func TestCacheAnswersLocally(t *testing.T) {
+	ctx := context.Background()
 	set := startShards(t, fixtureSnapshot(1), 2)
-	rt := newTestRouter(t, set, Options{})
+	rt := newTestRouter(t, set, Options{BreakerThreshold: 1, BreakerCooldown: time.Minute})
+	hits := func() [2]int64 { return [2]int64{set.flakies[0].hits.Load(), set.flakies[1].hits.Load()} }
 
-	w1 := get(rt, "/v1/asn/10", nil)
-	if w1.Code != http.StatusOK {
-		t.Fatalf("first = %d", w1.Code)
+	asn1, tax1 := get(rt, "/v1/asn/10", nil), get(rt, "/v1/taxonomy", nil)
+	if asn1.Code != http.StatusOK || tax1.Code != http.StatusOK {
+		t.Fatalf("cold reads = %d, %d", asn1.Code, tax1.Code)
 	}
-	etag := w1.Header().Get("ETag")
+	etag := asn1.Header().Get("ETag")
+	before := hits()
+	for _, cold := range []struct {
+		path string
+		w    *httptest.ResponseRecorder
+	}{{"/v1/asn/10", asn1}, {"/v1/taxonomy", tax1}} {
+		w := get(rt, cold.path, nil)
+		if w.Code != http.StatusOK || w.Body.String() != cold.w.Body.String() || w.Header().Get("ETag") != cold.w.Header().Get("ETag") {
+			t.Fatalf("warm %s drifted from its cold answer: %d", cold.path, w.Code)
+		}
+	}
+	if w := get(rt, "/v1/asn/10", map[string]string{"If-None-Match": etag}); w.Code != http.StatusNotModified || w.Body.Len() != 0 {
+		t.Fatalf("client conditional = %d with %d-byte body, want empty 304", w.Code, w.Body.Len())
+	}
+	if after := hits(); after != before {
+		t.Fatalf("warm reads reached the shards: hits %v -> %v", before, after)
+	}
 
-	w2 := get(rt, "/v1/asn/10", nil)
-	if w2.Code != http.StatusOK || w2.Body.String() != w1.Body.String() || w2.Header().Get("ETag") != etag {
-		t.Fatalf("revalidated response drifted: %d, body/etag mismatch", w2.Code)
+	// Shard 0 reloads new content on its own: the router cannot know until
+	// a probe reports the new generation.
+	set.rewriteShards(t, fixtureSnapshot(2))
+	resp, err := http.Post(set.urls[0]+"/v1/admin/reload", "", nil)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("direct shard reload = %v, %v", resp, err)
 	}
-	if fresh := rt.revalidations.With("fresh").Value(); fresh != 1 {
-		t.Fatalf("fresh revalidations = %d, want 1", fresh)
+	resp.Body.Close()
+	if w := get(rt, "/v1/asn/10", nil); w.Body.String() != asn1.Body.String() || w.Header().Get("ETag") != etag {
+		t.Fatal("a reload behind the router's back showed before any probe")
+	}
+	resp, err = http.Get(set.urls[0] + "/v1/asn/10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	rt.Probe(ctx)
+	w := get(rt, "/v1/asn/10", nil)
+	if w.Body.String() != string(fresh) || w.Header().Get("ETag") != resp.Header.Get("ETag") || w.Header().Get("ETag") == etag {
+		t.Fatalf("after the probe the router serves ETag %s, the shard %s (was %s)", w.Header().Get("ETag"), resp.Header.Get("ETag"), etag)
 	}
 
-	// End-to-end conditional request.
-	w3 := get(rt, "/v1/asn/10", map[string]string{"If-None-Match": etag})
-	if w3.Code != http.StatusNotModified || w3.Body.Len() != 0 {
-		t.Fatalf("client conditional = %d with %d-byte body, want empty 304", w3.Code, w3.Body.Len())
+	// A dark range's cached entries stay in the cache but are not answered.
+	darken := func(rt *Router, set *shardSet) {
+		get(rt, "/v1/taxonomy", nil) // warm the aggregate, winner range 0
+		set.flakies[0].broken.Store(true)
+		rt.Probe(ctx) // threshold 1: one failed identity opens the breaker
+		if !rt.topo.Load().sets[0].dark() {
+			t.Fatal("range 0 is not dark after a failed probe")
+		}
+	}
+	darken(rt, set)
+	if _, _, size, _ := rt.cache.Stats(); size != 2 {
+		t.Fatalf("cache holds %d entries, want the 2 warm ones", size)
+	}
+	if w := get(rt, "/v1/asn/10", nil); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("cached ASN in a dark range = %d, want 503", w.Code)
+	}
+	if w := get(rt, "/v1/taxonomy", nil); w.Code != http.StatusOK || w.Header().Get(PartialHeader) != "0" {
+		t.Fatalf("cached aggregate with a dark winner = %d (%s %q), want the partial gather", w.Code, PartialHeader, w.Header().Get(PartialHeader))
 	}
 
-	// Scatter aggregates revalidate against the winner only.
-	a1 := get(rt, "/v1/taxonomy", nil)
-	hits0 := set.flakies[0].hits.Load()
-	hits1 := set.flakies[1].hits.Load()
-	a2 := get(rt, "/v1/taxonomy", nil)
-	if a2.Body.String() != a1.Body.String() {
-		t.Fatal("cached aggregate body drifted")
+	strictSet := startShards(t, fixtureSnapshot(1), 2)
+	strict := newTestRouter(t, strictSet, Options{Policy: PolicyStrict, BreakerThreshold: 1, BreakerCooldown: time.Minute})
+	darken(strict, strictSet)
+	if w := get(strict, "/v1/taxonomy", nil); w.Code != http.StatusServiceUnavailable {
+		t.Fatalf("strict cached aggregate with a dark winner = %d, want 503", w.Code)
 	}
-	if d0, d1 := set.flakies[0].hits.Load()-hits0, set.flakies[1].hits.Load()-hits1; d0 != 1 || d1 != 0 {
-		t.Fatalf("warm aggregate hit shards (%d,%d) times, want (1,0): winner-only revalidation", d0, d1)
+}
+
+// fenceShard is a one-range unsharded replica stub for the cache-epoch
+// fence. It reports a generation that POST /v1/admin/reload bumps, and
+// answers every /v1/asn read with a body and ETag naming the generation
+// current when the read arrived. While armed, the next read announces
+// itself on entered and waits for release before answering — a fetch
+// held in flight across an invalidation.
+type fenceShard struct {
+	gen     atomic.Int64
+	reads   atomic.Int64
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *fenceShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch {
+	case r.URL.Path == "/v1/shard":
+		json.NewEncoder(w).Encode(serve.ShardIdentity{Generation: s.gen.Load(), ASNCount: 1, Replica: "stub"})
+	case r.Method == http.MethodPost && r.URL.Path == "/v1/admin/reload":
+		fmt.Fprintf(w, `{"gen":%d}`, s.gen.Add(1))
+	case strings.HasPrefix(r.URL.Path, "/v1/asn/"):
+		gen := s.gen.Load()
+		s.reads.Add(1)
+		if s.armed.CompareAndSwap(true, false) {
+			s.entered <- struct{}{}
+			<-s.release
+		}
+		w.Header().Set("ETag", serve.EtagFor(gen, r.URL.Path))
+		fmt.Fprintf(w, `{"gen":%d}`, gen)
+	default:
+		http.NotFound(w, r)
+	}
+}
+
+// TestCacheNeverOutlivesInvalidation holds one shard response open
+// across each of the three invalidating events. The held fetch lands in
+// the cache after the flush; the epoch it read before starting is what
+// keeps the router from answering that old-generation body afterwards.
+func TestCacheNeverOutlivesInvalidation(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name       string
+		invalidate func(t *testing.T, rt *Router, s *fenceShard)
+	}{
+		{"reload fan-out", func(t *testing.T, rt *Router, _ *fenceShard) {
+			if w := post(rt, "/v1/admin/reload"); w.Code != http.StatusOK {
+				t.Fatalf("reload = %d: %s", w.Code, w.Body)
+			}
+		}},
+		{"topology rebuild", func(t *testing.T, rt *Router, s *fenceShard) {
+			s.gen.Add(1)
+			if _, err := rt.RebuildTopology(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"probe sees a new generation", func(t *testing.T, rt *Router, s *fenceShard) {
+			s.gen.Add(1)
+			rt.Probe(ctx)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := &fenceShard{entered: make(chan struct{}), release: make(chan struct{})}
+			s.gen.Store(1)
+			ts := httptest.NewServer(s)
+			t.Cleanup(ts.Close)
+			t.Cleanup(func() { close(s.release) }) // runs first: frees a read a failed step left held
+			rt := newRouterOver(t, []string{ts.URL}, Options{})
+			const path = "/v1/asn/10"
+
+			s.armed.Store(true)
+			held := make(chan *httptest.ResponseRecorder, 1)
+			go func() { held <- get(rt, path, nil) }()
+			<-s.entered
+			tc.invalidate(t, rt, s)
+			s.release <- struct{}{}
+			if got, want := (<-held).Header().Get("ETag"), serve.EtagFor(1, path); got != want {
+				t.Fatalf("held read = ETag %s, want the old generation's %s", got, want)
+			}
+
+			reads := s.reads.Load()
+			w := get(rt, path, nil)
+			if s.reads.Load() == reads {
+				t.Fatal("the read after the invalidation was answered from the cache")
+			}
+			if got, want := w.Header().Get("ETag"), serve.EtagFor(2, path); got != want {
+				t.Fatalf("read after the invalidation = ETag %s, want %s", got, want)
+			}
+		})
 	}
 }
 

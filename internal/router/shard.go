@@ -47,11 +47,13 @@ type upstream struct {
 	body        []byte
 }
 
-// entry is one cached upstream response plus the shard index it came
-// from — revalidation must go back to the same shard, whose generation
-// counter the entry's validator encodes.
+// entry is one cached upstream response, the shard index it came from,
+// and the cache epoch read before its fetch began. The router answers it
+// without asking that shard for as long as the epoch is current: every
+// event that may move a range's generation bumps it (Router.invalidate).
 type entry struct {
 	shard int
+	epoch uint64
 	resp  upstream
 }
 
@@ -130,12 +132,16 @@ func (sc *shardClient) fetch(ctx context.Context, method, pathq, ifNoneMatch str
 	if !sc.breaker.Allow() {
 		return nil, fmt.Errorf("%w: breaker open for %s", errShardDown, sc.baseURL)
 	}
-	// One child span per upstream call (no-op unless the request carries
-	// a tracer). When the caller's trace crossed a process boundary to
+	// One child span per upstream call, named only when the request
+	// carries a tracer (an untraced fetch would allocate the name just to
+	// discard it). When the caller's trace crossed a process boundary to
 	// reach us, cross the next one too: inject traceparent so the shard
 	// joins the same trace, and stitch its span summary back under this
 	// span (DESIGN.md §13).
-	ctx, sp := obs.StartSpan(ctx, "shard["+strconv.Itoa(sc.index)+"] "+method+" "+pathq)
+	var sp *obs.Span
+	if obs.TracerFrom(ctx) != nil {
+		ctx, sp = obs.StartSpan(ctx, "shard["+strconv.Itoa(sc.index)+"] "+method+" "+pathq)
+	}
 	defer sp.End()
 	// Replica identity rides as an attribute, not in the span name: the
 	// name stays stable per range so cross-replica traces aggregate.

@@ -231,8 +231,8 @@ func (rt *Router) finish(generation int64, sum string, sets []*replicaSet) (*top
 // and swaps the routing table: replicas that answer are admitted (with
 // fresh closed breakers), replicas that don't are retired, and the swap
 // only happens if the survivors still form one complete plan — a failed
-// rebuild keeps the old topology serving. The router cache flushes on
-// swap, and per-replica metric series that no longer correspond to a
+// rebuild keeps the old topology serving. The router cache is invalidated
+// on swap, and per-replica metric series that no longer correspond to a
 // live replica are dropped.
 func (rt *Router) RebuildTopology(ctx context.Context) (*TopologyReport, error) {
 	rt.rebuildMu.Lock()
@@ -272,7 +272,7 @@ func (rt *Router) RebuildTopology(ctx context.Context) (*TopologyReport, error) 
 	sort.Strings(report.Retired)
 
 	rt.topo.Store(topo)
-	rt.cache.Flush()
+	rt.invalidate()
 	rt.topoGen.Set(float64(topo.generation))
 	rt.topoReloads.With("ok").Inc()
 	rt.dropRetiredSeries(old, topo)

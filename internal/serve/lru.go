@@ -8,8 +8,8 @@ import (
 
 // cached is one stored response body with its content type, plus the
 // validator rendered for it and the generation it belongs to — carrying
-// the ETag with the entry lets a cache hit revalidate or respond without
-// rebuilding the string.
+// the ETag with the entry lets a cache hit answer, or match a client's
+// If-None-Match, without rebuilding the string.
 type cached struct {
 	contentType string
 	body        []byte
@@ -100,17 +100,6 @@ func (c *LRU[V]) Put(key string, val V) {
 		delete(c.entries, oldest.Value.(*lruEntry[V]).key)
 	}
 	c.entries[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val})
-}
-
-// Drop removes one entry (the router's failed revalidation must not pin
-// it).
-func (c *LRU[V]) Drop(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		c.order.Remove(el)
-		delete(c.entries, key)
-	}
 }
 
 // Flush drops every entry, keeping the hit/miss history. A snapshot

@@ -12,7 +12,7 @@ import (
 func TestLRU(t *testing.T) {
 	const miss = -1
 	type op struct {
-		do  string // "put", "get", "drop" or "flush"
+		do  string // "put", "get" or "flush"
 		key string
 		val int // put: the value stored; get: the value expected, or miss
 	}
@@ -35,19 +35,13 @@ func TestLRU(t *testing.T) {
 			{"put", "c", 3},  // evicts b, not a
 			{"get", "a", 10}, {"get", "b", miss}, {"get", "c", 3},
 		}, 2, 1, 2},
-		{"drop frees a slot", 2, []op{
-			{"put", "a", 1}, {"put", "b", 2},
-			{"drop", "a", 0}, {"drop", "absent", 0}, {"get", "a", miss},
-			{"put", "c", 3}, // fits in the freed slot: b survives
-			{"get", "b", 2}, {"get", "c", 3},
-		}, 2, 1, 2},
 		{"flush keeps the counters", 4, []op{
 			{"put", "a", 1}, {"get", "a", 1}, {"get", "x", miss},
 			{"flush", "", 0}, {"get", "a", miss},
 			{"put", "a", 2}, {"get", "a", 2},
 		}, 2, 2, 1},
 		{"capacity zero stores nothing", 0, []op{
-			{"put", "a", 1}, {"get", "a", miss}, {"drop", "a", 0}, {"flush", "", 0},
+			{"put", "a", 1}, {"get", "a", miss}, {"flush", "", 0},
 		}, 0, 1, 0},
 		{"negative capacity stores nothing", -1, []op{
 			{"put", "a", 1}, {"put", "b", 2}, {"get", "a", miss}, {"get", "b", miss},
@@ -61,8 +55,6 @@ func TestLRU(t *testing.T) {
 				switch o.do {
 				case "put":
 					c.Put(o.key, o.val)
-				case "drop":
-					c.Drop(o.key)
 				case "flush":
 					c.Flush()
 				case "get":
@@ -97,14 +89,13 @@ func TestLRUConcurrentCountersExact(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				// One key per round of eight ops — drop, get (a miss unless
-				// another worker stored it), put, gets — so hits and misses
-				// both occur however the goroutines interleave.
+				// One key per round of eight ops — gets (a miss unless the
+				// key survived eviction or another worker stored it), put,
+				// gets — so hits and misses both occur however the
+				// goroutines interleave.
 				k := (w + i/8*5) % keys
 				key := strconv.Itoa(k)
 				switch {
-				case i%8 == 0:
-					c.Drop(key)
 				case i%8 == 2:
 					c.Put(key, k)
 				case i%200 == 3:

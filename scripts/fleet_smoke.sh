@@ -6,6 +6,8 @@
 # shards' exemplar rings, and the stat dashboard must render a row per
 # shard from /v1/shards plus each shard's own /metrics — and keep
 # rendering, with the dead shard's row UP 0, after one shard is killed.
+# In between, a shard reloaded directly must show through the router's
+# cache within the probe interval.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -89,6 +91,25 @@ echo "$stat" | sed 's/^/   /'
 # requests above (every shard answered the taxonomy scatter).
 rows="$(stat_rows "$stat" | awk '$3 == "1" && $4 == "closed" && $5 == "1" && $6 > 0' | wc -l)"
 [ "$rows" -eq 2 ] || { echo "fleet-smoke: stat rendered $rows healthy shard rows, want 2" >&2; exit 1; }
+
+echo "== router cache follows a reload behind its back"
+# etag URL: the ETag header of one GET.
+etag() { curl -sf -D - -o /dev/null "$1" | tr -d '\r' | awk -F': ' 'tolower($1) == "etag" {print $2}'; }
+cached="$(etag "$R/v1/taxonomy")"
+[ "$(etag "$R/v1/taxonomy")" = "$cached" ] || { echo "fleet-smoke: warm taxonomy changed ETag" >&2; exit 1; }
+# Shard 0 is the aggregates' winner range; reload it directly, not
+# through the router, so only the router's probe can notice.
+S0="http://127.0.0.1:$((PORT + 1))"
+curl -sf -X POST "$S0/v1/admin/reload" >/dev/null || { echo "fleet-smoke: direct shard reload failed" >&2; exit 1; }
+want="$(etag "$S0/v1/taxonomy")"
+[ "$want" != "$cached" ] || { echo "fleet-smoke: shard reload did not rotate its ETag" >&2; exit 1; }
+_tries=0
+while [ "$(etag "$R/v1/taxonomy")" != "$want" ]; do
+    _tries=$((_tries + 1))
+    [ "$_tries" -gt 50 ] && { echo "fleet-smoke: router still serves $(etag "$R/v1/taxonomy") 5s after the shard moved to $want" >&2; exit 1; }
+    sleep 0.1
+done
+echo "   router ETag $cached -> $want within the probe interval"
 
 echo "== stat with one shard dead"
 kill -9 "$shard1_pid"

@@ -56,10 +56,10 @@ while [ "$n" -lt 4 ]; do
     wait_ready "http://127.0.0.1:$((PORT + 1 + n))"
     n=$((n + 1))
 done
-# Cache disabled: a cached aggregate revalidates against its winner
-# shard only, so it would (correctly) keep serving the complete cached
-# body while shard 3 is down — this smoke wants the live scatter path
-# and its partial header instead.
+# Cache disabled: a cached aggregate is answered by the router itself
+# while its winner range (shard 0) is lit, so it would (correctly) keep
+# serving the complete cached body while shard 3 is down — this smoke
+# wants the live scatter path and its partial header instead.
 "$pl" route -listen "127.0.0.1:$PORT" -shards "$shard_urls" -cache -1 \
     -breaker-threshold 2 -breaker-cooldown 500ms -probe-interval 300ms >/dev/null 2>&1 &
 pids="$pids $!"

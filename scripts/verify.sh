@@ -38,6 +38,8 @@ race() {
 	named ./internal/pipeline/ TestOperationalOracle
 	echo "== go test -race (stat: fleet rows from /v1/shards + each replica's own /metrics)"
 	named ./cmd/parallellives/ TestStatFleet
+	echo "== go test -race (router cache: no entry outlives an invalidation, in-flight fetches included)"
+	named ./internal/router/ TestCacheNeverOutlivesInvalidation
 }
 
 if [ "${1:-}" = race ]; then
