@@ -1,4 +1,4 @@
-.PHONY: build test vet race verify loc fuzz snapshot-smoke chaos-serve stage-report tail-smoke shard-smoke fleet-smoke replica-smoke
+.PHONY: build test vet race verify loc fuzz snapshot-smoke chaos-serve stage-report tail-smoke shard-smoke fleet-smoke replica-smoke bench-smoke
 
 build:
 	go build ./...
@@ -80,3 +80,15 @@ stage-report:
 	go run ./cmd/parallellives run -scale 0.01 -start 2006-01-01 -end 2007-01-01 \
 		-experiments none -stage-report | grep -q bgpscan
 	@echo "stage-report: OK"
+
+# Benchmark-harness smoke: every workload for one second through the
+# run.sh the benchmark itself runs — each must exit 0 and report
+# "correct":true — then the harness's own tests. A build that compiles
+# can still fail the harness; this catches it before a benchmark run.
+bench-smoke:
+	@for w in archive_analyse sim_run serve_direct serve_routed; do \
+		out=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || exit 1; \
+		echo "$$out" | grep -q '"correct":true' || { echo "bench-smoke: $$w is not correct:"; echo "$$out"; exit 1; }; \
+		echo "bench-smoke: $$w OK"; \
+	done
+	go test ./benchmark

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"parallellives/internal/collector"
+	"parallellives/internal/pipeline"
 	"parallellives/internal/stream"
 	"parallellives/internal/worldsim"
 )
@@ -34,30 +35,31 @@ func feedVerb(fs *flag.FlagSet) verbBody {
 		if err != nil {
 			return err
 		}
-		inf := collector.New(worldsim.Generate(cfg))
+		src := pipeline.NewCollectorSource(collector.New(worldsim.Generate(cfg)), cfg.Start, cfg.End)
 		fmt.Fprintf(stderr, "feed: feeding %s..%s into %s every %v\n", cfg.Start, cfg.End, *dir, *every)
 		tick := time.NewTicker(*every)
 		defer tick.Stop()
 		n := 0
-		it := inf.IterRange(cfg.Start, cfg.End)
-		var ribs, upds [][]byte // written out and encoded over, day after day
-		for it.Next() {
-			var err error
-			if ribs, upds, err = it.AppendMRT(ribs, upds); err != nil {
-				return fmt.Errorf("rendering day %s: %w", it.Day(), err)
-			}
-			if err := w.WriteDay(stream.DayFromMRT(it.Day(), ribs, upds)); err != nil {
-				return err
-			}
-			n++
-			select {
-			case <-ctx.Done():
+		for last := cfg.Start.AddDays(-1); ; n++ {
+			day, err := src.Next(ctx, last)
+			switch {
+			case err == io.EOF:
+				fmt.Fprintf(stderr, "feed: complete, %d days published\n", n)
+				return nil
+			case ctx.Err() != nil:
 				fmt.Fprintf(stderr, "feed: stopped after %d days\n", n)
 				return nil
+			case err != nil:
+				return err
+			}
+			if err := w.WriteDay(day); err != nil {
+				return err
+			}
+			last = day.Day
+			select {
+			case <-ctx.Done():
 			case <-tick.C:
 			}
 		}
-		fmt.Fprintf(stderr, "feed: complete, %d days published\n", n)
-		return nil
 	}
 }

@@ -15,7 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"parallellives/internal/collector"
+	"parallellives/internal/dates"
 	"parallellives/internal/pipeline"
+	"parallellives/internal/stream"
+	"parallellives/internal/worldsim"
 )
 
 // syncBuffer is a bytes.Buffer a verb's goroutines may write while the
@@ -193,6 +197,47 @@ func TestMistakesTheFlagPackageCannotSee(t *testing.T) {
 		}
 		if !strings.Contains(stdout.String(), "Table 3: ") || !strings.Contains(stdout.String(), "Fault policy") {
 			t.Errorf("%v: stdout lacks the two selected experiments:\n%s", args, stdout.String())
+		}
+	}
+}
+
+// TestExportMRTIsADayDirectory: run -export-mrt writes the layout the
+// tail verb reads, so a DirSource over the output yields the day, with
+// the collector's archives byte for byte in scan order.
+func TestExportMRTIsADayDirectory(t *testing.T) {
+	dir := t.TempDir()
+	day := dates.MustParse("2006-01-15")
+	args := []string{"run", "-scale", "0.005", "-start", "2006-01-01", "-end", "2006-01-31",
+		"-experiments", "none", "-export-mrt", day.String(), "-out", dir}
+	var stderr bytes.Buffer
+	if err := run(context.Background(), args, io.Discard, &stderr); err != nil {
+		t.Fatalf("%v: %v\n%s", args, err, stderr.String())
+	}
+
+	cfg := worldsim.DefaultConfig()
+	cfg.Scale, cfg.Start, cfg.End = 0.005, dates.MustParse("2006-01-01"), dates.MustParse("2006-01-31")
+	it := collector.New(worldsim.Generate(cfg)).IterRange(day, day)
+	if !it.Next() {
+		t.Fatal("reference iterator yielded no day")
+	}
+	ribs, upds, err := it.MRT()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(ribs, upds...)
+
+	src := stream.NewDirSource(dir, stream.DirOptions{ReadTimeout: time.Second})
+	defer src.Close()
+	got, err := src.Next(context.Background(), day.AddDays(-1))
+	if err != nil {
+		t.Fatalf("DirSource over the export: %v", err)
+	}
+	if got.Day != day || len(got.Archives) != len(want) {
+		t.Fatalf("DirSource yielded %s with %d archives, want %s with %d", got.Day, len(got.Archives), day, len(want))
+	}
+	for i, ar := range got.Archives {
+		if !bytes.Equal(ar.Data, want[i]) {
+			t.Errorf("archive %d (%s %s) differs from Iter.MRT", i, ar.Collector, ar.Kind)
 		}
 	}
 }

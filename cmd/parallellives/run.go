@@ -17,6 +17,7 @@ import (
 	"parallellives/internal/obs"
 	"parallellives/internal/pipeline"
 	"parallellives/internal/report"
+	"parallellives/internal/stream"
 )
 
 var runUsage = `parallellives run [flags]
@@ -69,7 +70,7 @@ func runVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 		experiments = fs.String("experiments", "all", "comma list of experiments (named above), or 'all', or 'none'")
 		datasets    = fs.String("datasets", "", "write the Listing-1 JSON datasets into this directory")
 		snapshotOut = fs.String("snapshot-out", "", "write a lifestore snapshot of the run to this path (servable by the serve verb)")
-		exportMRT   = fs.String("export-mrt", "", "export one day's MRT archives into -out (YYYY-MM-DD)")
+		exportMRT   = fs.String("export-mrt", "", "export one day's MRT archives into -out as a tail day directory (YYYY-MM-DD)")
 		exportFiles = fs.String("export-files", "", "export one day's delegation files into -out (YYYY-MM-DD)")
 		outDir      = fs.String("out", ".", "output directory for exports")
 		lookupASN   = fs.Uint64("asn", 0, "print one ASN's parallel lives and exit")
@@ -121,7 +122,7 @@ func runVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 			fmt.Fprintf(stderr, "serve it with: parallellives serve -listen :8080 -snapshot %s\n", *snapshotOut)
 		}
 		if *exportMRT != "" {
-			if err := doExportMRT(ds, *exportMRT, *outDir, stderr); err != nil {
+			if err := doExportMRT(ctx, ds, *exportMRT, *outDir, stderr); err != nil {
 				return err
 			}
 		}
@@ -237,31 +238,26 @@ func writeDatasets(ds *pipeline.Dataset, dir string, stderr io.Writer) error {
 	return nil
 }
 
-func doExportMRT(ds *pipeline.Dataset, dateStr, dir string, stderr io.Writer) error {
+// doExportMRT writes the day's MRT archives in the day-directory layout
+// that stream.DirSource and the tail verb read.
+func doExportMRT(ctx context.Context, ds *pipeline.Dataset, dateStr, dir string, stderr io.Writer) error {
 	day, err := dates.Parse(dateStr)
 	if err != nil {
 		return err
 	}
-	it := collector.New(ds.World).IterRange(day, day)
-	if !it.Next() {
+	d, err := pipeline.NewCollectorSource(collector.New(ds.World), day, day).Next(ctx, day.AddDays(-1))
+	if err == io.EOF {
 		return fmt.Errorf("day %s outside the window", day)
 	}
-	ribs, updates, err := it.MRT()
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	w, err := stream.NewDirWriter(dir)
+	if err != nil {
 		return err
 	}
-	for i := range ribs {
-		name := fmt.Sprintf("rrc%02d.rib.%s.mrt", i, day.Compact())
-		if err := os.WriteFile(filepath.Join(dir, name), ribs[i], 0o644); err != nil {
-			return err
-		}
-		name = fmt.Sprintf("rrc%02d.updates.%s.mrt", i, day.Compact())
-		if err := os.WriteFile(filepath.Join(dir, name), updates[i], 0o644); err != nil {
-			return err
-		}
+	if err := w.WriteDay(d); err != nil {
+		return err
 	}
 	fmt.Fprintf(stderr, "MRT archives for %s written to %s\n", day, dir)
 	return nil

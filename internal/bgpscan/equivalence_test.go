@@ -173,7 +173,7 @@ func worldDays(t testing.TB, seed int64, in *faults.Injector) []scanDay {
 		d := scanDay{day: it.Day()}
 		for k, a := range append(ribs, upds...) {
 			if in != nil {
-				a = in.MangleMRT(uint64(i)<<8|uint64(k), a)
+				a, _ = in.MangleMRT(uint64(i)<<8|uint64(k), a)
 			}
 			d.archives = append(d.archives, a)
 		}

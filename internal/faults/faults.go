@@ -202,14 +202,17 @@ func mrtRouteRecord(typ mrt.Type, subtype uint16) bool {
 
 const mrtHeaderLen = 12
 
-// MangleMRT applies the plan's MRT faults to one archive. salt must be
-// stable and unique per archive (e.g. a hash of day, collector and
-// rib/update kind) so rerunning the pipeline mangles identically. The
-// input slice is never modified; when no fault hits, it is returned
-// as-is.
-func (in *Injector) MangleMRT(salt uint64, data []byte) []byte {
+// MangleMRT applies the plan's MRT faults to one archive and returns
+// the bytes together with what it injected into them (only the MRT
+// classes are ever set); the same counts are also added to the
+// injector's running Report. salt must be stable and unique per archive
+// (e.g. a hash of day, collector and rib/update kind) so rerunning the
+// pipeline mangles identically. The input slice is never modified; when
+// no fault hits, it is returned as-is.
+func (in *Injector) MangleMRT(salt uint64, data []byte) ([]byte, Report) {
+	var rep Report
 	if in.plan.TruncateRecordRate <= 0 && in.plan.TailChopRate <= 0 {
-		return data
+		return data, rep
 	}
 	type recInfo struct {
 		off, bodyLen int
@@ -221,13 +224,13 @@ func (in *Injector) MangleMRT(salt uint64, data []byte) []byte {
 		subtype := binary.BigEndian.Uint16(data[off+6 : off+8])
 		bodyLen := int(binary.BigEndian.Uint32(data[off+8 : off+12]))
 		if off+mrtHeaderLen+bodyLen > len(data) {
-			return data // already truncated upstream; nothing to add
+			return data, rep // already truncated upstream; nothing to add
 		}
 		recs = append(recs, recInfo{off, bodyLen, mrtRouteRecord(typ, subtype) && bodyLen >= 16})
 		off += mrtHeaderLen + bodyLen
 	}
 	if len(recs) == 0 {
-		return data
+		return data, rep
 	}
 	out := make([]byte, 0, len(data))
 	last := len(recs) - 1
@@ -242,7 +245,8 @@ func (in *Injector) MangleMRT(salt uint64, data []byte) []byte {
 				out = append(out, hdr...)
 				out = append(out, body[:rc.bodyLen/2]...)
 				in.rep.tailChops.Add(1)
-				return out
+				rep.TailChops = 1
+				return out, rep
 			}
 		} else if rc.eligible && in.coin(in.plan.TruncateRecordRate, saltTruncate, salt, uint64(i)) {
 			cut := rc.bodyLen / 2
@@ -252,10 +256,11 @@ func (in *Injector) MangleMRT(salt uint64, data []byte) []byte {
 			out = append(out, h2[:]...)
 			out = append(out, body[:cut]...)
 			in.rep.truncatedRecords.Add(1)
+			rep.TruncatedRecords++
 			continue
 		}
 		out = append(out, hdr...)
 		out = append(out, body...)
 	}
-	return out
+	return out, rep
 }

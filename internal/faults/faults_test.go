@@ -3,6 +3,7 @@ package faults
 import (
 	"bytes"
 	"net/netip"
+	"sync"
 	"testing"
 	"time"
 
@@ -78,18 +79,18 @@ func scanArchive(t *testing.T, data []byte) bgpscan.Stats {
 func TestMangleMRTDeterministic(t *testing.T) {
 	data := buildRIBArchive(t, 50)
 	plan := Plan{Seed: 3, TruncateRecordRate: 0.3, TailChopRate: 1}
-	a := NewInjector(plan).MangleMRT(7, data)
-	b := NewInjector(plan).MangleMRT(7, data)
+	a, _ := NewInjector(plan).MangleMRT(7, data)
+	b, _ := NewInjector(plan).MangleMRT(7, data)
 	if !bytes.Equal(a, b) {
 		t.Fatal("same plan and salt mangled differently")
 	}
 	if bytes.Equal(a, data) {
 		t.Fatal("storm-level plan left the archive untouched")
 	}
-	if c := NewInjector(Plan{Seed: 4, TruncateRecordRate: 0.3, TailChopRate: 1}).MangleMRT(7, data); bytes.Equal(a, c) {
+	if c, _ := NewInjector(Plan{Seed: 4, TruncateRecordRate: 0.3, TailChopRate: 1}).MangleMRT(7, data); bytes.Equal(a, c) {
 		t.Fatal("different seeds mangled identically")
 	}
-	if c := NewInjector(plan).MangleMRT(8, data); bytes.Equal(a, c) {
+	if c, _ := NewInjector(plan).MangleMRT(8, data); bytes.Equal(a, c) {
 		t.Fatal("different salts mangled identically")
 	}
 }
@@ -105,10 +106,12 @@ func TestMangleMRTAccounting(t *testing.T) {
 		t.Fatalf("clean archive stats = %+v", st)
 	}
 	in := NewInjector(Plan{Seed: 11, TruncateRecordRate: 0.1, TailChopRate: 1})
-	mangled := in.MangleMRT(1, data)
-	rep := in.Report()
+	mangled, rep := in.MangleMRT(1, data)
 	if rep.TruncatedRecords == 0 || rep.TailChops != 1 {
-		t.Fatalf("injector report = %+v", rep)
+		t.Fatalf("MangleMRT returned %+v", rep)
+	}
+	if total := in.Report(); total != rep {
+		t.Fatalf("injector report = %+v, MangleMRT returned %+v", total, rep)
 	}
 	st := scanArchive(t, mangled)
 	if st.QuarantinedTruncated != rep.TruncatedRecords {
@@ -125,6 +128,34 @@ func TestMangleMRTAccounting(t *testing.T) {
 	if st.DropMalformed != 0 {
 		t.Errorf("DropMalformed = %d, want 0 (all injected damage is truncation)", st.DropMalformed)
 	}
+
+	// What MangleMRT returns is per archive: summed over archives mangled
+	// by concurrent goroutines (as the day-sharded scan does), it equals
+	// the injector's running totals.
+	shared := NewInjector(Plan{Seed: 11, TruncateRecordRate: 0.1, TailChopRate: 0.5})
+	const goroutines, perG = 8, 16
+	returned := make([]Report, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perG {
+				_, r := shared.MangleMRT(uint64(g*perG+i), data)
+				returned[g].TruncatedRecords += r.TruncatedRecords
+				returned[g].TailChops += r.TailChops
+			}
+		}()
+	}
+	wg.Wait()
+	var sum Report
+	for _, r := range returned {
+		sum.TruncatedRecords += r.TruncatedRecords
+		sum.TailChops += r.TailChops
+	}
+	if total := shared.Report(); total != sum || sum.TailChops == 0 || sum.TailChops == goroutines*perG {
+		t.Errorf("concurrent mangles returned %+v in sum, injector totals %+v", sum, total)
+	}
 }
 
 // TestMangleMRTFailFast: without quarantine the tail chop is a hard
@@ -132,7 +163,7 @@ func TestMangleMRTAccounting(t *testing.T) {
 func TestMangleMRTFailFast(t *testing.T) {
 	data := buildRIBArchive(t, 10)
 	in := NewInjector(Plan{Seed: 2, TailChopRate: 1})
-	mangled := in.MangleMRT(1, data)
+	mangled, _ := in.MangleMRT(1, data)
 	s := bgpscan.NewScanner()
 	if err := s.BeginDay(d("2010-01-01")); err != nil {
 		t.Fatal(err)
@@ -313,7 +344,7 @@ func TestFlakyReaderPreservesStream(t *testing.T) {
 func TestZeroPlanInjectsNothing(t *testing.T) {
 	data := buildRIBArchive(t, 20)
 	in := NewInjector(Plan{Seed: 1})
-	if got := in.MangleMRT(1, data); !bytes.Equal(got, data) {
+	if got, _ := in.MangleMRT(1, data); !bytes.Equal(got, data) {
 		t.Error("zero-rate plan changed MRT bytes")
 	}
 	ret := NewRetrier(in.WrapSource(delegationDays(asn.ARIN, "2010-01-01", 30)), RetryPolicy{})

@@ -95,21 +95,15 @@ func (m *runMetrics) shard() *shardMetrics {
 	return &shardMetrics{m: m}
 }
 
-// archive counts one MRT archive handed to the shard's scanner.
-func (sm *shardMetrics) archive() {
-	if sm == nil {
-		return
-	}
-	sm.m.archives.Inc()
-}
-
-// endOfDay publishes the day's scanner-stat deltas so samplers watching
-// the registry see records and quarantines grow while the scan runs.
-func (sm *shardMetrics) endOfDay(st bgpscan.Stats) {
+// endOfDay publishes the day's archive count and scanner-stat deltas so
+// samplers watching the registry see records and quarantines grow while
+// the scan runs.
+func (sm *shardMetrics) endOfDay(archives int64, st bgpscan.Stats) {
 	if sm == nil {
 		return
 	}
 	sm.m.days.Inc()
+	sm.m.archives.Add(archives)
 	sm.m.records.Add((st.RIBRecords + st.UpdateMessages) - (sm.prev.RIBRecords + sm.prev.UpdateMessages))
 	sm.m.routes.Add(st.Routes - sm.prev.Routes)
 	sm.m.quarTruncated.Add(st.QuarantinedTruncated - sm.prev.QuarantinedTruncated)

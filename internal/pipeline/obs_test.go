@@ -263,8 +263,7 @@ func TestRunMetricsNilSafe(t *testing.T) {
 	if sm != nil {
 		t.Fatal("(*runMetrics)(nil).shard() must return nil")
 	}
-	sm.archive()
-	sm.endOfDay(bgpscan.Stats{})
+	sm.endOfDay(1, bgpscan.Stats{})
 
 	// A live root span with a nil metrics sink must also be harmless —
 	// the shape Run hits when tracing is on but the registry is absent.

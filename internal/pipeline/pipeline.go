@@ -82,6 +82,19 @@ func DefaultOptions() Options {
 	}
 }
 
+// WithDefaults returns o with a zero Timeout or Visibility resolved to
+// the paper's value — the form Base and Dataset carry and a tailer's
+// checkpoint fingerprint hashes.
+func (o Options) WithDefaults() Options {
+	if o.Timeout == 0 {
+		o.Timeout = core.DefaultInactivityTimeout
+	}
+	if o.Visibility == 0 {
+		o.Visibility = bgpscan.MinPeerVisibility
+	}
+	return o
+}
+
 // Dataset is the fully built dual-lens dataset.
 type Dataset struct {
 	Options    Options
@@ -183,11 +196,10 @@ type Base struct {
 
 // OpAccount carries the scan-side tallies Complete needs to finish the
 // Health report: how many days and archives went through the scanner,
-// and how many MRT-side faults the injector planted while they did. The
-// streaming tailer persists these in its checkpoint so that after a
-// crash-and-resume every committed day is accounted exactly once, even
-// though re-scanned days re-mangle (deterministically) on the live
-// injector.
+// and how many MRT-side faults were injected into those archives. It is
+// a plain sum of ScanDay's per-day accounts; the streaming tailer
+// persists it in its checkpoint, so after a crash-and-resume every
+// committed day is accounted exactly once.
 type OpAccount struct {
 	Days     int
 	Archives int64
@@ -198,18 +210,21 @@ type OpAccount struct {
 	InjectedTailChops        int64
 }
 
+// Add accumulates another account into a.
+func (a *OpAccount) Add(o OpAccount) {
+	a.Days += o.Days
+	a.Archives += o.Archives
+	a.InjectedTruncatedRecords += o.InjectedTruncatedRecords
+	a.InjectedTailChops += o.InjectedTailChops
+}
+
 // BuildBase runs the administrative (window-static) half of the
 // pipeline: world simulation, delegation archive, restoration and admin
 // lifetime segmentation, with the same spans and fault plumbing as a
 // full run. The returned Base is ready for the operational side —
 // either the batch scan or the tailer's day-append loop.
 func BuildBase(ctx context.Context, opts Options) (*Base, error) {
-	if opts.Timeout == 0 {
-		opts.Timeout = core.DefaultInactivityTimeout
-	}
-	if opts.Visibility == 0 {
-		opts.Visibility = bgpscan.MinPeerVisibility
-	}
+	opts = opts.WithDefaults()
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -359,77 +374,53 @@ func (b *Base) Complete(ctx context.Context, act *bgpscan.Activity, op OpAccount
 }
 
 // scan runs the operational side of the pipeline, sharding the day
-// range across workers scanners. Each day is self-contained (per-day
-// peer bitmaps), the collector renders any day identically from any
-// iterator position, and chaos-mode injection salts are identity-derived
-// (mrtSalt), so per-shard partials merge into bit-for-bit the sequential
-// activity. Day-granular spans would explode the trace tree, so each
-// shard gets one span (bgpscan.shard[i]) and publishes per-day registry
-// deltas through its shardMetrics view; m may be nil (observability
-// off).
+// range across workers scanners, each a loop of ScanDay over its own
+// collector source. Each day is self-contained (per-day peer bitmaps),
+// the collector renders any day identically from any iterator position,
+// and chaos-mode injection salts are identity-derived (mrtSalt), so
+// per-shard partials and accounts merge into bit-for-bit the sequential
+// ones. Day-granular spans would explode the trace tree, so each shard
+// gets one span (bgpscan.shard[i]) and publishes per-day registry deltas
+// through its shardMetrics view; m may be nil (observability off).
 func scan(ctx context.Context, b *Base, m *runMetrics) (*bgpscan.Activity, OpAccount, error) {
-	w, opts, inj, workers := b.World, b.Options, b.Injector, b.Workers
-	inf := collector.New(w)
-	start, end := w.Config.Start, w.Config.End
-	shards := parallel.Shards(end.Sub(start)+1, workers)
+	inf := collector.New(b.World)
+	start, end := b.World.Config.Start, b.World.Config.End
+	shards := parallel.Shards(end.Sub(start)+1, b.Workers)
 
-	// Per-shard tallies, reduced in shard order after the scan so the
+	// Per-shard accounts, reduced in shard order after the scan so the
 	// Health accounting is schedule-independent.
-	type shardTally struct {
-		days     int
-		archives int64
-	}
 	parts := make([]*bgpscan.Activity, len(shards))
-	tallies := make([]shardTally, len(shards))
+	accounts := make([]OpAccount, len(shards))
 
-	err := parallel.ForEach(ctx, len(shards), workers, func(ctx context.Context, si int) error {
+	err := parallel.ForEach(ctx, len(shards), b.Workers, func(ctx context.Context, si int) error {
 		r := shards[si]
 		_, sp := obs.StartSpanf(ctx, "bgpscan.shard[%d]", si)
 		defer sp.End()
 		s := b.NewScanner()
 		sm := m.shard()
-		tally := &tallies[si]
-		it := inf.IterRange(start.AddDays(r.Lo), start.AddDays(r.Hi-1))
-		// A day's archives are scanned and dropped (ObserveMRT keeps
-		// nothing of them), so the next day is encoded over them.
-		var ribs, updates [][]byte
-		for it.Next() {
-			if err := ctx.Err(); err != nil {
+		acc := &accounts[si]
+		last := start.AddDays(r.Lo - 1)
+		src := newCollectorSource(inf, last.AddDays(1), start.AddDays(r.Hi-1), b.Options.Wire)
+		for {
+			d, err := src.Next(ctx, last)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
 				return err // cancelled mid-shard: abandon the remaining days
 			}
-			day := it.Day()
-			if err := s.BeginDay(day); err != nil {
+			op, err := b.ScanDay(s, d)
+			if err != nil {
 				return err
 			}
-			tally.days++
-			if opts.Wire {
-				var err error
-				if ribs, updates, err = it.AppendMRT(ribs, updates); err != nil {
-					return fmt.Errorf("pipeline: encoding day %s: %w", day, err)
-				}
-				for kind, archives := range [2][][]byte{ribs, updates} {
-					for ci, data := range archives {
-						tally.archives++
-						sm.archive()
-						if err := b.ScanArchive(s, day, ci, kind, data); err != nil {
-							return err
-						}
-					}
-				}
-			} else {
-				for _, o := range it.Observations() {
-					s.ObserveRoutes(o.Prefixes, o.Path)
-				}
-			}
-			if err := s.EndDay(); err != nil {
-				return err
-			}
-			sm.endOfDay(s.Stats())
+			acc.Add(op)
+			sm.endOfDay(op.Archives, s.Stats())
+			last = d.Day
 		}
 		part := s.FinishPartial()
 		parts[si] = part
-		sp.SetAttr("days", int64(tally.days))
-		sp.SetAttr(obs.AttrIn, tally.archives)
+		sp.SetAttr("days", int64(acc.Days))
+		sp.SetAttr(obs.AttrIn, acc.Archives)
 		sp.SetAttr(obs.AttrOut, part.Stats.Routes)
 		sp.SetAttr(obs.AttrDrops, part.Stats.DropPrefixLen+part.Stats.DropLoop+
 			part.Stats.DropMalformed+part.Stats.DropLowVis)
@@ -440,16 +431,8 @@ func scan(ctx context.Context, b *Base, m *runMetrics) (*bgpscan.Activity, OpAcc
 		return nil, OpAccount{}, err
 	}
 	var op OpAccount
-	for _, t := range tallies {
-		op.Days += t.days
-		op.Archives += t.archives
-	}
-	if inj != nil {
-		// The batch scan mangles every archive exactly once, so the
-		// injector's running MRT tallies are the whole-window account.
-		rep := inj.Report()
-		op.InjectedTruncatedRecords = rep.TruncatedRecords
-		op.InjectedTailChops = rep.TailChops
+	for _, a := range accounts {
+		op.Add(a)
 	}
 	return bgpscan.MergeActivities(parts...), op, nil
 }
@@ -462,31 +445,41 @@ func (b *Base) NewScanner() *bgpscan.Scanner {
 	return s
 }
 
-// ScanArchive feeds one MRT archive of s's current day to s — the one
-// step the batch scan and the streaming tailer share. ci is the
-// collector's index and kind is 0 for its RIB dump, 1 for its update
-// dump. With an injector the archive is mangled first, salted with
-// that identity, so a chaos-mode tail re-creates the batch scan's
-// faults bit-for-bit, including on days re-scanned after a crash.
-func (b *Base) ScanArchive(s *bgpscan.Scanner, day dates.Day, ci, kind int, data []byte) error {
-	if b.Injector != nil {
-		data = b.Injector.MangleMRT(mrtSalt(day, ci, kind), data)
+// ScanDay feeds one day to s — the one day step the batch scan shards
+// and the streaming tailer share — and returns that day's account. With
+// an injector each archive is mangled first, salted with its identity,
+// so a chaos-mode tail re-creates the batch scan's faults bit-for-bit,
+// and the faults injected into these archives are what the account
+// credits: a day re-scanned after a crash is counted by whoever commits
+// it, never twice.
+func (b *Base) ScanDay(s *bgpscan.Scanner, d *Day) (OpAccount, error) {
+	if err := s.BeginDay(d.Day); err != nil {
+		return OpAccount{}, err
 	}
-	if err := s.ObserveMRT(data); err != nil {
-		dump := "rib"
-		if kind != 0 {
-			dump = "update"
+	op := OpAccount{Days: 1, Archives: int64(len(d.Archives))}
+	for _, ar := range d.Archives {
+		data := ar.Data
+		if b.Injector != nil {
+			var inj faults.Report
+			data, inj = b.Injector.MangleMRT(mrtSalt(d.Day, ar), data)
+			op.InjectedTruncatedRecords += inj.TruncatedRecords
+			op.InjectedTailChops += inj.TailChops
 		}
-		return fmt.Errorf("pipeline: scanning day %s collector rrc%02d %s dump: %w", day, ci, dump, err)
+		if err := s.ObserveMRT(data); err != nil {
+			return op, fmt.Errorf("pipeline: scanning day %s collector %s %s dump: %w", d.Day, ar.Collector, ar.Kind, err)
+		}
 	}
-	return nil
+	for _, o := range d.direct {
+		s.ObserveRoutes(o.Prefixes, o.Path)
+	}
+	return op, s.EndDay()
 }
 
 // mrtSalt derives the stable per-archive injection salt from the
-// archive's identity (day, collector index, rib(0)-or-update(1) kind),
-// so reruns mangle exactly the same bytes.
-func mrtSalt(d dates.Day, ci, kind int) uint64 {
-	return uint64(uint32(d))<<16 | uint64(ci)<<1 | uint64(kind)
+// archive's identity (day, collector index, kind), so reruns mangle
+// exactly the same bytes.
+func mrtSalt(d dates.Day, ar Archive) uint64 {
+	return uint64(uint32(d))<<16 | uint64(ar.CollectorIdx)<<1 | uint64(ar.Kind)
 }
 
 // Cones exposes the world's customer-cone ground truth as the ASRank

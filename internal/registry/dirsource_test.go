@@ -15,19 +15,19 @@ import (
 func TestExportDirRoundTrip(t *testing.T) {
 	cfg := worldsim.DefaultConfig()
 	cfg.Scale = 0.01
-	cfg.Start = dates.MustParse("2004-01-01")
-	cfg.End = dates.MustParse("2004-06-30")
+	cfg.Start = dates.MustParse("2005-01-01")
+	cfg.End = dates.MustParse("2005-06-30")
 	w := worldsim.Generate(cfg)
 	a := Build(w)
 
 	dir := t.TempDir()
-	from := dates.MustParse("2004-02-01")
-	to := dates.MustParse("2004-03-31")
+	from := dates.MustParse("2005-03-01")
+	to := dates.MustParse("2005-04-30")
 	if err := a.ExportDir(dir, from, to); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, r := range []asn.RIR{asn.APNIC, asn.ARIN} {
+	for _, r := range asn.All() {
 		src, err := NewDirSource(dir, r)
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func TestExportDirRoundTrip(t *testing.T) {
 		}
 		return snaps, src.Report()
 	}
-	rirs := []asn.RIR{asn.APNIC, asn.ARIN}
+	rirs := asn.All()
 	wantSnaps, wantReports := make([][]Snapshot, len(rirs)), make([]IngestReport, len(rirs))
 	for i, r := range rirs {
 		wantSnaps[i], wantReports[i] = drain(r)

@@ -16,6 +16,7 @@ import (
 	"parallellives/internal/dates"
 	"parallellives/internal/intervals"
 	"parallellives/internal/lifestore"
+	"parallellives/internal/pipeline"
 )
 
 // Checkpoint file format (little-endian, CRC-32C sealed):
@@ -66,12 +67,8 @@ type Checkpoint struct {
 	Seq uint64
 	// LastDay is the newest committed day.
 	LastDay dates.Day
-	// Days and Archives mirror pipeline.OpAccount for the committed
-	// range, as do the injected-MRT-fault tallies.
-	Days                int
-	Archives            int64
-	InjTruncatedRecords int64
-	InjTailChops        int64
+	// Op is the scan account of the committed days.
+	Op pipeline.OpAccount
 	// Carry is the absorbed partial activity of all committed days
 	// (invisible ASNs kept — see bgpscan.Finalize).
 	Carry *bgpscan.Activity
@@ -85,10 +82,10 @@ func (c *Checkpoint) Encode() []byte {
 	p = binary.LittleEndian.AppendUint64(p, c.Fingerprint)
 	p = binary.LittleEndian.AppendUint64(p, c.Seq)
 	p = binary.LittleEndian.AppendUint32(p, uint32(int32(c.LastDay)))
-	p = binary.LittleEndian.AppendUint32(p, uint32(c.Days))
-	p = binary.LittleEndian.AppendUint64(p, uint64(c.Archives))
-	p = binary.LittleEndian.AppendUint64(p, uint64(c.InjTruncatedRecords))
-	p = binary.LittleEndian.AppendUint64(p, uint64(c.InjTailChops))
+	p = binary.LittleEndian.AppendUint32(p, uint32(c.Op.Days))
+	p = binary.LittleEndian.AppendUint64(p, uint64(c.Op.Archives))
+	p = binary.LittleEndian.AppendUint64(p, uint64(c.Op.InjectedTruncatedRecords))
+	p = binary.LittleEndian.AppendUint64(p, uint64(c.Op.InjectedTailChops))
 	p = appendActivity(p, c.Carry)
 
 	out := make([]byte, 0, ckptFixedLen+len(p)+4)
@@ -239,13 +236,15 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 
 	r := &ckptReader{b: b[ckptFixedLen : ckptFixedLen+plen]}
 	c := &Checkpoint{
-		Fingerprint:         r.u64("fingerprint"),
-		Seq:                 r.u64("seq"),
-		LastDay:             r.day("lastDay"),
-		Days:                int(r.u32("days")),
-		Archives:            int64(r.u64("archives")),
-		InjTruncatedRecords: int64(r.u64("injTruncatedRecords")),
-		InjTailChops:        int64(r.u64("injTailChops")),
+		Fingerprint: r.u64("fingerprint"),
+		Seq:         r.u64("seq"),
+		LastDay:     r.day("lastDay"),
+		Op: pipeline.OpAccount{
+			Days:                     int(r.u32("days")),
+			Archives:                 int64(r.u64("archives")),
+			InjectedTruncatedRecords: int64(r.u64("injTruncatedRecords")),
+			InjectedTailChops:        int64(r.u64("injTailChops")),
+		},
 	}
 	act := bgpscan.NewPartial()
 	act.Start = r.day("activity.start")

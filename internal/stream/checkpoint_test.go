@@ -13,6 +13,7 @@ import (
 	"parallellives/internal/dates"
 	"parallellives/internal/intervals"
 	"parallellives/internal/lifestore"
+	"parallellives/internal/pipeline"
 )
 
 // testCheckpoint builds a nontrivial checkpoint: two ASNs, one with
@@ -37,14 +38,11 @@ func testCheckpoint() *Checkpoint {
 		Days: intervals.Set{{Start: d("2006-01-01"), End: d("2006-01-20")}},
 	}
 	return &Checkpoint{
-		Fingerprint:         0x0123456789abcdef,
-		Seq:                 42,
-		LastDay:             d("2006-01-20"),
-		Days:                20,
-		Archives:            80,
-		InjTruncatedRecords: 3,
-		InjTailChops:        1,
-		Carry:               carry,
+		Fingerprint: 0x0123456789abcdef,
+		Seq:         42,
+		LastDay:     d("2006-01-20"),
+		Op:          pipeline.OpAccount{Days: 20, Archives: 80, InjectedTruncatedRecords: 3, InjectedTailChops: 1},
+		Carry:       carry,
 	}
 }
 
@@ -152,7 +150,7 @@ func TestJournalCommitReopen(t *testing.T) {
 	}
 	c2 := testCheckpoint()
 	c2.LastDay = c2.LastDay.AddDays(1)
-	c2.Days++
+	c2.Op.Days++
 	if err := j.Commit(c2); err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"parallellives/internal/dates"
+	"parallellives/internal/pipeline"
 )
 
 // Directory layout: one file per archive plus a marker per complete day.
@@ -29,7 +30,7 @@ import (
 func markerName(d dates.Day) string { return d.String() + ".ok" }
 
 // archiveName returns an archive's filename.
-func archiveName(d dates.Day, collector string, kind ArchiveKind) string {
+func archiveName(d dates.Day, collector string, kind pipeline.ArchiveKind) string {
 	return fmt.Sprintf("%s.%s.%s.mrt", d, collector, kind)
 }
 
@@ -92,7 +93,7 @@ func writeFileAtomic(path string, data []byte) error {
 // DirOptions tunes a DirSource's read behaviour.
 type DirOptions struct {
 	// ReadTimeout bounds one Next call's wait for the day marker to
-	// appear (ris-live's --read-timeout); expiry returns ErrStale.
+	// appear (ris-live's --read-timeout); expiry returns pipeline.ErrStale.
 	// Default 30s.
 	ReadTimeout time.Duration
 	// Poll is the marker re-check interval. Default 25ms.
@@ -153,7 +154,7 @@ func NewDirSource(dir string, opt DirOptions) *DirSource {
 }
 
 // Next implements Source: it waits for the marker of day after+1,
-// polling until the read deadline (ErrStale) or ctx cancellation.
+// polling until the read deadline (pipeline.ErrStale) or ctx cancellation.
 func (s *DirSource) Next(ctx context.Context, after dates.Day) (*Day, error) {
 	day := after.AddDays(1)
 	slot := &s.slots[s.fill]
@@ -200,7 +201,7 @@ func (s *DirSource) poll(ctx context.Context, day dates.Day, slot *daySlot) erro
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-deadline.C:
-			return fmt.Errorf("%w (day %s after %v)", ErrStale, day, s.opt.ReadTimeout)
+			return fmt.Errorf("%w (day %s after %v)", pipeline.ErrStale, day, s.opt.ReadTimeout)
 		case <-tick.C:
 		}
 		if err := s.load(day, slot); !errors.Is(err, fs.ErrNotExist) {
@@ -240,12 +241,12 @@ func (s *DirSource) load(day dates.Day, slot *daySlot) error {
 		if len(f) != 3 {
 			return corruptf("day marker %s: bad line %q", markerName(day), line)
 		}
-		var kind ArchiveKind
+		var kind pipeline.ArchiveKind
 		switch string(f[0]) {
 		case "rib":
-			kind = KindRIB
+			kind = pipeline.KindRIB
 		case "upd":
-			kind = KindUpdates
+			kind = pipeline.KindUpdates
 		default:
 			return corruptf("day marker %s: unknown kind %q", markerName(day), f[0])
 		}
@@ -256,7 +257,7 @@ func (s *DirSource) load(day dates.Day, slot *daySlot) error {
 			return corruptf("day marker %s: archive name %q is not a bare file name", markerName(day), name)
 		}
 		if n == len(archives) {
-			archives = append(archives, Archive{})
+			archives = append(archives, pipeline.Archive{})
 		}
 		ar := &archives[n]
 		if ar.Collector != string(f[1]) { // the comparison does not allocate; a new name does, once
@@ -275,7 +276,7 @@ func (s *DirSource) load(day dates.Day, slot *daySlot) error {
 
 // collectorIdx numbers each kind's collectors in marker order: the index
 // an earlier archive of the same kind and collector has, else the next.
-func collectorIdx(earlier []Archive, kind ArchiveKind, collector string) int {
+func collectorIdx(earlier []pipeline.Archive, kind pipeline.ArchiveKind, collector string) int {
 	next := 0
 	for i := range earlier {
 		switch ar := &earlier[i]; {

@@ -12,6 +12,7 @@ import (
 
 	"parallellives/internal/dates"
 	"parallellives/internal/lifestore"
+	"parallellives/internal/pipeline"
 )
 
 func fastDirOptions() DirOptions {
@@ -62,8 +63,8 @@ func TestDirRoundTrip(t *testing.T) {
 func TestDirSourceStale(t *testing.T) {
 	s := NewDirSource(t.TempDir(), fastDirOptions())
 	_, err := s.Next(context.Background(), dates.MustParse("2006-01-01"))
-	if !errors.Is(err, ErrStale) {
-		t.Fatalf("Next on empty dir = %v, want ErrStale", err)
+	if !errors.Is(err, pipeline.ErrStale) {
+		t.Fatalf("Next on empty dir = %v, want pipeline.ErrStale", err)
 	}
 }
 
@@ -72,12 +73,12 @@ func TestDirSourceStale(t *testing.T) {
 func TestDirSourceIncompleteDayInvisible(t *testing.T) {
 	dir := t.TempDir()
 	day := dates.MustParse("2006-01-01")
-	if err := os.WriteFile(filepath.Join(dir, archiveName(day, "rrc00", KindRIB)), []byte{1}, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, archiveName(day, "rrc00", pipeline.KindRIB)), []byte{1}, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := NewDirSource(dir, fastDirOptions())
-	if _, err := s.Next(context.Background(), day.AddDays(-1)); !errors.Is(err, ErrStale) {
-		t.Fatalf("Next with archives but no marker = %v, want ErrStale", err)
+	if _, err := s.Next(context.Background(), day.AddDays(-1)); !errors.Is(err, pipeline.ErrStale) {
+		t.Fatalf("Next with archives but no marker = %v, want pipeline.ErrStale", err)
 	}
 }
 
@@ -327,8 +328,8 @@ func TestDirSourceTailFollow(t *testing.T) {
 
 	// Nothing follows day 3.
 	s.opt.ReadTimeout = 80 * time.Millisecond
-	if _, err := s.Next(ctx, days[2].Day); !errors.Is(err, ErrStale) {
-		t.Fatalf("Next past the head = %v, want ErrStale", err)
+	if _, err := s.Next(ctx, days[2].Day); !errors.Is(err, pipeline.ErrStale) {
+		t.Fatalf("Next past the head = %v, want pipeline.ErrStale", err)
 	}
 	s.opt.ReadTimeout = time.Hour
 	cctx, cancel := context.WithCancel(ctx)

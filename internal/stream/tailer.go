@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"parallellives/internal/bgpscan"
-	"parallellives/internal/core"
 	"parallellives/internal/dates"
 	"parallellives/internal/faults"
 	"parallellives/internal/lifestore"
@@ -25,7 +24,7 @@ type Options struct {
 	// bytes, there is no direct-observation streaming path.
 	Pipeline pipeline.Options
 	// Source yields complete days. Required.
-	Source Source
+	Source pipeline.Source
 	// CheckpointDir holds the checkpoint journal. Required.
 	CheckpointDir string
 	// SnapshotPath, when set, is where each published snapshot is saved
@@ -90,13 +89,10 @@ type Tailer struct {
 	m        *tailMetrics
 
 	// Tail-loop state (owned by Run's goroutine).
-	base     *pipeline.Base
-	carry    *bgpscan.Activity
-	last     dates.Day
-	days     int
-	archives int64
-	injTrunc int64
-	injChops int64
+	base  *pipeline.Base
+	carry *bgpscan.Activity
+	last  dates.Day
+	op    pipeline.OpAccount // the committed days' account
 
 	mu         sync.Mutex
 	status     Status
@@ -117,12 +113,7 @@ type Tailer struct {
 // corruption — the carry would silently diverge from the batch result —
 // so NewTailer rejects it outright.
 func Fingerprint(opts pipeline.Options) uint64 {
-	if opts.Timeout == 0 {
-		opts.Timeout = core.DefaultInactivityTimeout
-	}
-	if opts.Visibility == 0 {
-		opts.Visibility = bgpscan.MinPeerVisibility
-	}
+	opts = opts.WithDefaults()
 	h := fnv.New64a()
 	inject := ""
 	if opts.Inject != nil {
@@ -180,7 +171,7 @@ func NewTailer(opt Options) (*Tailer, error) {
 	if ckpt != nil {
 		t.status.LastCommittedDay = ckpt.LastDay.String()
 		t.status.CheckpointSeq = ckpt.Seq
-		t.status.DaysCommitted = int64(ckpt.Days)
+		t.status.DaysCommitted = int64(ckpt.Op.Days)
 	}
 	return t, nil
 }
@@ -233,10 +224,7 @@ func (t *Tailer) Run(ctx context.Context) error {
 	if t.ckpt != nil {
 		t.carry = t.ckpt.Carry
 		t.last = t.ckpt.LastDay
-		t.days = t.ckpt.Days
-		t.archives = t.ckpt.Archives
-		t.injTrunc = t.ckpt.InjTruncatedRecords
-		t.injChops = t.ckpt.InjTailChops
+		t.op = t.ckpt.Op
 	} else {
 		t.carry = bgpscan.NewPartial()
 		t.last = start.AddDays(-1)
@@ -259,7 +247,7 @@ func (t *Tailer) Run(ctx context.Context) error {
 			t.setHealthy(true)
 		case ctx.Err() != nil:
 			return t.drain(published)
-		case errors.Is(err, ErrStale):
+		case errors.Is(err, pipeline.ErrStale):
 			// Watchdog: the source is wedged. Flag unhealthy, pace a
 			// reconnect, try again; give up when the ladder runs out.
 			t.setHealthy(false)
@@ -273,11 +261,10 @@ func (t *Tailer) Run(ctx context.Context) error {
 			}
 			t.m.counter(t.m.reconnects, 1)
 			t.bumpStatus(func(s *Status) { s.Reconnects++ })
-			if rerr := t.opt.Source.Reconnect(ctx); rerr != nil && ctx.Err() == nil {
-				// A failed reconnect burns an attempt and loops back into
-				// the next paced Wait via another stale read.
-				continue
-			}
+			// A failed reconnect needs no handling of its own: it burns an
+			// attempt and loops back into the next paced Wait via another
+			// stale read.
+			_ = t.opt.Source.Reconnect(ctx)
 			continue
 		default:
 			return fmt.Errorf("stream: reading next day after %s: %w", t.last, err)
@@ -314,49 +301,19 @@ func (t *Tailer) Run(ctx context.Context) error {
 	return nil
 }
 
-// ingestDay scans one day through the partial-merge path, folds it into
-// the carry and commits the checkpoint.
+// ingestDay scans one day, folds it into the carry and commits the
+// checkpoint.
 func (t *Tailer) ingestDay(dd *Day) error {
-	inj := t.base.Injector
 	s := t.base.NewScanner()
-
-	var before faults.Report
-	if inj != nil {
-		before = inj.Report()
-	}
-	if err := s.BeginDay(dd.Day); err != nil {
-		return err
-	}
-	for _, ar := range dd.Archives {
-		t.archives++
-		if err := t.base.ScanArchive(s, dd.Day, ar.CollectorIdx, int(ar.Kind), ar.Data); err != nil {
-			return err
-		}
-	}
-	if err := s.EndDay(); err != nil {
+	op, err := t.base.ScanDay(s, dd)
+	if err != nil {
 		return err
 	}
 	t.carry.Absorb(s.FinishPartial())
-	if inj != nil {
-		// Only the delta is credited to this day: a day re-scanned after
-		// a crash re-mangles on the live injector, but its faults were
-		// already committed, so absolute tallies would double-count.
-		after := inj.Report()
-		t.injTrunc += after.TruncatedRecords - before.TruncatedRecords
-		t.injChops += after.TailChops - before.TailChops
-	}
 	t.last = dd.Day
-	t.days++
+	t.op.Add(op)
 
-	ckpt := &Checkpoint{
-		Fingerprint:         t.fp,
-		LastDay:             t.last,
-		Days:                t.days,
-		Archives:            t.archives,
-		InjTruncatedRecords: t.injTrunc,
-		InjTailChops:        t.injChops,
-		Carry:               t.carry,
-	}
+	ckpt := &Checkpoint{Fingerprint: t.fp, LastDay: t.last, Op: t.op, Carry: t.carry}
 	if err := t.journal.Commit(ckpt); err != nil {
 		return err
 	}
@@ -378,13 +335,7 @@ func (t *Tailer) ingestDay(dd *Day) error {
 // captures it as a snapshot.
 func (t *Tailer) publish(ctx context.Context) error {
 	act := bgpscan.Finalize(t.carry)
-	op := pipeline.OpAccount{
-		Days:                     t.days,
-		Archives:                 t.archives,
-		InjectedTruncatedRecords: t.injTrunc,
-		InjectedTailChops:        t.injChops,
-	}
-	ds, err := t.base.Complete(ctx, act, op)
+	ds, err := t.base.Complete(ctx, act, t.op)
 	if err != nil {
 		return err
 	}
@@ -411,7 +362,7 @@ func (t *Tailer) publish(ctx context.Context) error {
 // is cancelled — and report a clean exit.
 func (t *Tailer) drain(published dates.Day) error {
 	t.bumpStatus(func(s *Status) { s.Draining = true })
-	if t.days == 0 || t.last == published {
+	if t.op.Days == 0 || t.last == published {
 		return nil // nothing committed, or latest state already out
 	}
 	return t.publish(context.Background())

@@ -119,7 +119,7 @@ func (f *fakeSource) Next(ctx context.Context, after dates.Day) (*Day, error) {
 	}
 	d, ok := f.days[after.AddDays(1)]
 	if !ok {
-		return nil, ErrStale
+		return nil, pipeline.ErrStale
 	}
 	return d, nil
 }
@@ -186,8 +186,8 @@ func TestTailerStaleTriggersReconnect(t *testing.T) {
 	want := batchBytes(t, opts)
 
 	src := newFakeSource(days,
-		fakeEvent{err: ErrStale},
-		fakeEvent{err: ErrStale},
+		fakeEvent{err: pipeline.ErrStale},
+		fakeEvent{err: pipeline.ErrStale},
 	)
 	tl, err := NewTailer(Options{
 		Pipeline:      opts,
