@@ -7,7 +7,7 @@
 package core
 
 import (
-	"context"
+	"sort"
 
 	"parallellives/internal/asn"
 	"parallellives/internal/dates"
@@ -55,14 +55,50 @@ type AdminStats struct {
 	ReservedRunsSkipped int
 }
 
-// BuildAdminLifetimes applies the §4.1 rules to the restored status runs.
+// BuildAdminLifetimes applies the §4.1 rules to the restored status runs,
+// one same-ASN group of runs at a time, and returns the lifetimes sorted
+// by ASN, then span start.
 func BuildAdminLifetimes(res *restore.Result) ([]AdminLifetime, AdminStats) {
-	out, stats, _ := BuildAdminLifetimesParallelContext(context.Background(), res, 1)
+	var (
+		out   []AdminLifetime
+		stats AdminStats
+		sc    runScratch // one partition scratch, reused per group
+	)
+	runs := res.Runs
+	for i := 0; i < len(runs); {
+		j := i + 1
+		for j < len(runs) && runs[j].ASN == runs[i].ASN {
+			j++
+		}
+		out = appendLifetimes(out, runs[i:j], &stats, &sc)
+		i = j
+	}
+
+	sort.SliceStable(out, func(a, b int) bool {
+		if out[a].ASN != out[b].ASN {
+			return out[a].ASN < out[b].ASN
+		}
+		return out[a].Span.Start < out[b].Span.Start
+	})
+	stats.Lifetimes = len(out)
+	seen := make(map[asn.ASN]int)
+	for _, l := range out {
+		seen[l.ASN]++
+		if l.Open {
+			stats.OpenLifetimes++
+		}
+	}
+	stats.ASNs = len(seen)
+	for _, n := range seen {
+		if n > 1 {
+			stats.ReallocatedASNs++
+		}
+	}
 	return out, stats
 }
 
 // runScratch holds the reusable per-group partitions of appendLifetimes.
-// One scratch serves one goroutine's group loop: nothing built from it
+// One scratch serves one BuildAdminLifetimes call: nothing built from it
 // outlives the call, so the backing arrays are recycled group to group.
 type runScratch struct {
 	delegated []restore.Run

@@ -4,8 +4,10 @@ import (
 	"context"
 
 	"parallellives/internal/asn"
+	"parallellives/internal/bgpscan"
 	"parallellives/internal/dates"
 	"parallellives/internal/intervals"
+	"parallellives/internal/restore"
 )
 
 // Category is the paper's four-way taxonomy of admin/op alignment (§6,
@@ -57,10 +59,74 @@ type Joint struct {
 	OverlapOps [][]int
 }
 
-// Analyze aligns the two dimensions and classifies every lifetime.
+// Analyze aligns the two dimensions and classifies every lifetime in one
+// pass over the admin lifetimes: an operational life is complete once
+// any admin life contains it, partial if one only overlaps it, and
+// outside if none does.
 func Analyze(admin *AdminIndex, ops *OpIndex) *Joint {
-	j, _ := AnalyzeParallelContext(context.Background(), admin, ops, 1)
+	j := &Joint{
+		Admin:        admin,
+		Ops:          ops,
+		AdminCat:     make([]Category, len(admin.Lifetimes)),
+		OpCat:        make([]Category, len(ops.Lifetimes)),
+		ContainedOps: make([][]int, len(admin.Lifetimes)),
+		OverlapOps:   make([][]int, len(admin.Lifetimes)),
+	}
+	for oi := range j.OpCat {
+		j.OpCat[oi] = CatOutside
+	}
+	for ai := range admin.Lifetimes {
+		al := &admin.Lifetimes[ai]
+		cat := CatUnused
+		for _, oi := range ops.Of(al.ASN) {
+			ol := &ops.Lifetimes[oi]
+			if !al.Span.Overlaps(ol.Span) {
+				continue
+			}
+			j.OverlapOps[ai] = append(j.OverlapOps[ai], oi)
+			if al.Span.ContainsInterval(ol.Span) {
+				j.ContainedOps[ai] = append(j.ContainedOps[ai], oi)
+				j.OpCat[oi] = CatComplete
+				if cat == CatUnused {
+					cat = CatComplete
+				}
+				continue
+			}
+			if j.OpCat[oi] == CatOutside {
+				j.OpCat[oi] = CatPartial
+			}
+			cat = CatPartial
+		}
+		j.AdminCat[ai] = cat
+	}
 	return j
+}
+
+// The names the benchmark harness compiles against (benchmark/README.md,
+// "Pinned public surface"). They stay until the harness moves to the
+// plain names (ROADMAP 1(f)); nothing else calls them. Each returns
+// ctx's error if ctx is done, else the plain function's result, and
+// ignores the worker count: these stages are sequential.
+
+func BuildAdminLifetimesParallelContext(ctx context.Context, res *restore.Result, _ int) (out []AdminLifetime, stats AdminStats, err error) {
+	if err = ctx.Err(); err == nil {
+		out, stats = BuildAdminLifetimes(res)
+	}
+	return out, stats, err
+}
+
+func BuildOpLifetimesParallelContext(ctx context.Context, act *bgpscan.Activity, timeout, _ int) (*OpIndex, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return BuildOpLifetimes(act, timeout), nil
+}
+
+func AnalyzeParallelContext(ctx context.Context, admin *AdminIndex, ops *OpIndex, _ int) (*Joint, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return Analyze(admin, ops), nil
 }
 
 // TaxonomyCounts is the Table 3 summary.

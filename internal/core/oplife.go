@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"slices"
 	"sort"
 
@@ -30,9 +29,34 @@ type OpIndex struct {
 }
 
 // BuildOpLifetimes segments each ASN's activity days into operational
-// lifetimes using the inactivity timeout.
+// lifetimes using the inactivity timeout, ASNs in ascending order. The
+// §4.2 rule itself lives in intervals.Set.SplitByTimeout and nowhere
+// else.
 func BuildOpLifetimes(act *bgpscan.Activity, timeout int) *OpIndex {
-	idx, _ := BuildOpLifetimesParallelContext(context.Background(), act, timeout, 1)
+	asns := sortedASNs(act)
+	idx := &OpIndex{
+		Timeout:   timeout,
+		Activity:  act,
+		Lifetimes: make([]OpLifetime, 0, len(asns)),
+		byASN:     make(map[asn.ASN][]int, len(asns)),
+	}
+	for _, a := range asns {
+		for _, seg := range act.ASNs[a].Days.SplitByTimeout(timeout) {
+			idx.Lifetimes = append(idx.Lifetimes, OpLifetime{ASN: a, Span: seg})
+		}
+	}
+	// Lifetimes are ASN-sorted, so each ASN's indices are one contiguous
+	// run: the per-ASN index slices all view one shared sequential array
+	// instead of growing a small slice per ASN.
+	seq := make([]int, len(idx.Lifetimes))
+	for i := 0; i < len(seq); {
+		j := i
+		for ; j < len(seq) && idx.Lifetimes[j].ASN == idx.Lifetimes[i].ASN; j++ {
+			seq[j] = j
+		}
+		idx.byASN[idx.Lifetimes[i].ASN] = seq[i:j:j]
+		i = j
+	}
 	return idx
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -125,10 +124,9 @@ func TestGapDistributionLiteral(t *testing.T) {
 	}
 }
 
-// TestOpLifetimesSameForEveryWorkerCount requires the sharded builder to
-// return the workers=1 index exactly — lifetimes, their order, and every
-// ASN's index list — when the ASNs do not divide evenly into shards.
-func TestOpLifetimesSameForEveryWorkerCount(t *testing.T) {
+// TestOpIndexOf requires every ASN's Of list to name exactly its own
+// lifetimes, in time order, and an ASN with no activity day to have none.
+func TestOpIndexOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	runs := make(map[asn.ASN][]intervals.Interval)
 	for a := asn.ASN(64500); a < 64561; a++ {
@@ -142,22 +140,24 @@ func TestOpLifetimesSameForEveryWorkerCount(t *testing.T) {
 	act := buildActivity(runs)
 	act.ASNs[64999] = &bgpscan.ASNActivity{} // seen in no RIB: no days, no lifetime
 
-	want := BuildOpLifetimes(act, DefaultInactivityTimeout)
-	if len(want.Lifetimes) < len(runs) || want.Of(64999) != nil {
-		t.Fatalf("reference index: %d lifetimes for %d ASNs, AS64999 → %v", len(want.Lifetimes), len(runs), want.Of(64999))
+	idx := BuildOpLifetimes(act, DefaultInactivityTimeout)
+	if len(idx.Lifetimes) < len(runs) || idx.Of(64999) != nil {
+		t.Fatalf("%d lifetimes for %d ASNs, AS64999 → %v", len(idx.Lifetimes), len(runs), idx.Of(64999))
 	}
-	for _, workers := range []int{1, 2, 7} {
-		got, err := BuildOpLifetimesParallelContext(context.Background(), act, DefaultInactivityTimeout, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Lifetimes, want.Lifetimes) {
-			t.Errorf("workers=%d: lifetimes differ from workers=1", workers)
-		}
-		for a := range act.ASNs {
-			if !reflect.DeepEqual(got.Of(a), want.Of(a)) {
-				t.Errorf("workers=%d: Of(%v) = %v, want %v", workers, a, got.Of(a), want.Of(a))
+	listed := 0
+	for a := range act.ASNs {
+		of := idx.Of(a)
+		listed += len(of)
+		for k, i := range of {
+			if idx.Lifetimes[i].ASN != a {
+				t.Errorf("Of(%v)[%d] = %d, a lifetime of %v", a, k, i, idx.Lifetimes[i].ASN)
+			}
+			if k > 0 && idx.Lifetimes[of[k-1]].Span.End >= idx.Lifetimes[i].Span.Start {
+				t.Errorf("Of(%v) = %v is not in time order", a, of)
 			}
 		}
+	}
+	if listed != len(idx.Lifetimes) {
+		t.Errorf("Of lists %d lifetimes in total, the index holds %d", listed, len(idx.Lifetimes))
 	}
 }

@@ -1,13 +1,13 @@
-// Package parallel provides the bounded worker-pool and deterministic
-// ordered-merge primitives the pipeline's sharded stages are built on.
-// The design contract, shared by every helper here, is that parallel
-// execution must be *invisible in the output*: a computation split into
-// shards and recombined with these primitives produces bit-for-bit the
-// result of the sequential run, for any worker count and any goroutine
-// schedule. The primitives therefore fix everything the scheduler could
-// otherwise make nondeterministic — result order (index-addressed),
-// error selection (lowest failing index wins), and merge tie-breaking
-// (lower-indexed input first).
+// Package parallel provides the static sharding and bounded worker pool
+// that the scan's day shards and restoration's per-registry reads run
+// on (lifestore also cuts snapshots with Shards). The design contract,
+// shared by every helper here, is that parallel execution must be
+// *invisible in the output*: a computation split into shards with these
+// primitives produces bit-for-bit the result of the sequential run, for
+// any worker count and any goroutine schedule. The primitives therefore
+// fix everything the scheduler could otherwise make nondeterministic —
+// shard boundaries (a function of the counts alone), result order
+// (index-addressed) and error selection (lowest failing index wins).
 package parallel
 
 import (
@@ -28,8 +28,8 @@ func (r Range) Len() int { return r.Hi - r.Lo }
 // ranges, in order. Fewer ranges are returned when n < workers; zero or
 // negative n yields nil. The first n%workers shards are one item longer,
 // so shard sizes differ by at most one — the balanced static partition
-// that suits uniform per-item cost (days of a scan, ASN groups of a
-// segmentation).
+// that suits uniform per-item cost (days of a scan, lives of a
+// snapshot).
 func Shards(n, workers int) []Range {
 	if n <= 0 {
 		return nil
@@ -145,48 +145,4 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 		}
 	}
 	return nil
-}
-
-// MergeSorted k-way merges already-sorted slices into one sorted slice.
-// The merge is stable across inputs: on ties, the element from the
-// lower-indexed part comes first. Combined with a stable per-part sort,
-// this reproduces exactly what a sequential concatenate-then-stable-sort
-// over the same parts would produce — the property the restore stage's
-// by-ASN run merge relies on for byte-identical output.
-func MergeSorted[T any](less func(a, b T) bool, parts ...[]T) []T {
-	total := 0
-	nonEmpty := 0
-	for _, p := range parts {
-		total += len(p)
-		if len(p) > 0 {
-			nonEmpty++
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	if nonEmpty == 1 {
-		for _, p := range parts {
-			if len(p) > 0 {
-				return append(make([]T, 0, len(p)), p...)
-			}
-		}
-	}
-	out := make([]T, 0, total)
-	heads := make([]int, len(parts))
-	for len(out) < total {
-		best := -1
-		for i, p := range parts {
-			if heads[i] >= len(p) {
-				continue
-			}
-			// Strict less keeps ties on the lower-indexed part.
-			if best == -1 || less(p[heads[i]], parts[best][heads[best]]) {
-				best = i
-			}
-		}
-		out = append(out, parts[best][heads[best]])
-		heads[best]++
-	}
-	return out
 }

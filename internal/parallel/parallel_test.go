@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
 	"sync/atomic"
 	"testing"
 )
@@ -130,51 +128,5 @@ func TestForEachCallerCancelled(t *testing.T) {
 	err := ForEach(ctx, 10, 4, func(context.Context, int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}
-
-type kv struct{ k, part, seq int }
-
-func TestMergeSortedMatchesStableSort(t *testing.T) {
-	// Property: MergeSorted over per-part stable-sorted slices equals
-	// stable-sorting the concatenation — including tie order.
-	rng := rand.New(rand.NewSource(42))
-	for round := 0; round < 200; round++ {
-		nParts := 1 + rng.Intn(6)
-		parts := make([][]kv, nParts)
-		var concat []kv
-		seq := 0
-		for p := 0; p < nParts; p++ {
-			n := rng.Intn(20)
-			for i := 0; i < n; i++ {
-				parts[p] = append(parts[p], kv{k: rng.Intn(8), part: p, seq: seq})
-				seq++
-			}
-			concat = append(concat, parts[p]...)
-			sort.SliceStable(parts[p], func(a, b int) bool { return parts[p][a].k < parts[p][b].k })
-		}
-		sort.SliceStable(concat, func(a, b int) bool { return concat[a].k < concat[b].k })
-		got := MergeSorted(func(a, b kv) bool { return a.k < b.k }, parts...)
-		if len(got) != len(concat) {
-			t.Fatalf("round %d: len %d want %d", round, len(got), len(concat))
-		}
-		for i := range got {
-			if got[i] != concat[i] {
-				t.Fatalf("round %d: index %d: got %+v want %+v", round, i, got[i], concat[i])
-			}
-		}
-	}
-}
-
-func TestMergeSortedEmpty(t *testing.T) {
-	if got := MergeSorted(func(a, b int) bool { return a < b }); got != nil {
-		t.Fatalf("got %v", got)
-	}
-	if got := MergeSorted(func(a, b int) bool { return a < b }, nil, nil); got != nil {
-		t.Fatalf("got %v", got)
-	}
-	got := MergeSorted(func(a, b int) bool { return a < b }, nil, []int{1, 2}, nil)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("got %v", got)
 	}
 }

@@ -61,10 +61,10 @@ type Options struct {
 	// Nil costs nothing on the hot paths.
 	Obs *obs.Obs
 
-	// Workers bounds the goroutines each parallelizable stage uses:
-	// restoration runs the five RIR sources concurrently, the scan shards
-	// the day range, and the segmentation/join passes shard per ASN. 0
-	// means runtime.GOMAXPROCS(0); 1 runs fully sequentially. The output
+	// Workers bounds the goroutines of the two parallel stages: the scan
+	// shards the day range, and restoration reads the five RIR sources
+	// concurrently. Segmentation and the join are sequential. 0 means
+	// runtime.GOMAXPROCS(0); 1 runs fully sequentially. The output
 	// is bit-for-bit identical for every value — parallelism here is a
 	// wall-clock knob, never a results knob (pinned by the equivalence
 	// property test).
@@ -119,9 +119,9 @@ func Run(opts Options) (*Dataset, error) {
 }
 
 // RunContext is Run with cooperative cancellation: a cancelled ctx
-// aborts the build promptly — between stages, between restoration
-// sources, and day-by-day inside the scan shards — returning ctx's
-// error instead of running the window to completion. Output is
+// aborts the build promptly — at every stage boundary, between
+// restoration sources, and day-by-day inside the scan shards — returning
+// ctx's error instead of running the window to completion. Output is
 // unaffected for a ctx that never cancels.
 func RunContext(ctx context.Context, opts Options) (*Dataset, error) {
 	var m *runMetrics
@@ -176,8 +176,8 @@ type Base struct {
 	// Options is the run configuration with zero Timeout/Visibility
 	// resolved to their defaults (the form Dataset.Options carries).
 	Options Options
-	// Workers is the resolved stage parallelism (Options.Workers with 0
-	// mapped to GOMAXPROCS).
+	// Workers is the resolved scan and restoration parallelism
+	// (Options.Workers with 0 mapped to GOMAXPROCS).
 	Workers    int
 	World      *worldsim.World
 	Archive    *registry.Archive
@@ -293,11 +293,11 @@ func BuildBase(ctx context.Context, opts Options) (*Base, error) {
 		return nil, fmt.Errorf("pipeline: %d delegation day reads abandoned after retries (policy failfast)",
 			b.health.Delegation.AbandonedReads)
 	}
-	_, spAdmin := obs.StartSpan(ctx, "segment.admin")
-	lifetimes, stats, err := core.BuildAdminLifetimesParallelContext(ctx, b.Restored, workers)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	_, spAdmin := obs.StartSpan(ctx, "segment.admin")
+	lifetimes, stats := core.BuildAdminLifetimes(b.Restored)
 	b.Admin = core.NewAdminIndex(lifetimes)
 	b.AdminStats = stats
 	spAdmin.SetAttr(obs.AttrIn, int64(len(b.Restored.Runs)))
@@ -328,12 +328,11 @@ func (b *Base) Complete(ctx context.Context, act *bgpscan.Activity, op OpAccount
 	health.DaysProcessed = op.Days
 	health.MRT.Archives = op.Archives
 
-	_, spOp := obs.StartSpan(ctx, "segment.op")
-	ops, err := core.BuildOpLifetimesParallelContext(ctx, act, b.Options.Timeout, b.Workers)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ds.Ops = ops
+	_, spOp := obs.StartSpan(ctx, "segment.op")
+	ds.Ops = core.BuildOpLifetimes(act, b.Options.Timeout)
 	spOp.SetAttr(obs.AttrIn, int64(len(act.ASNs)))
 	spOp.SetAttr(obs.AttrOut, int64(len(ds.Ops.Lifetimes)))
 	spOp.End()
@@ -358,12 +357,11 @@ func (b *Base) Complete(ctx context.Context, act *bgpscan.Activity, op OpAccount
 		}
 	}
 
-	_, spJoin := obs.StartSpan(ctx, "join")
-	joint, err := core.AnalyzeParallelContext(ctx, ds.Admin, ds.Ops, b.Workers)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ds.Joint = joint
+	_, spJoin := obs.StartSpan(ctx, "join")
+	ds.Joint = core.Analyze(ds.Admin, ds.Ops)
 	tax := ds.Joint.Taxonomy()
 	spJoin.SetAttr(obs.AttrIn, int64(len(ds.Admin.Lifetimes)+len(ds.Ops.Lifetimes)))
 	spJoin.SetAttr(obs.AttrOut, int64(tax.AdminComplete+tax.AdminPartial+tax.AdminUnused))

@@ -2,13 +2,17 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"parallellives/internal/asn"
 	"parallellives/internal/core"
 	"parallellives/internal/dates"
+	"parallellives/internal/obs"
 	"parallellives/internal/worldsim"
 )
 
@@ -405,6 +409,64 @@ func TestShortWindowsRun(t *testing.T) {
 		}
 		if len(ds.Admin.Lifetimes) == 0 {
 			t.Errorf("%d-day window: no administrative lifetimes", days)
+		}
+	}
+}
+
+// TestRunContextCancellation holds RunContext to its cancellation
+// points: a ctx cancelled before the run returns at once, and one
+// cancelled once the scan has processed a day stops the run within
+// seconds, at one worker and at two.
+func TestRunContextCancellation(t *testing.T) {
+	opts := DefaultOptions()
+	opts.World.Scale = 0.01
+	opts.World.Start = dates.MustParse("2004-01-01")
+	opts.World.End = dates.MustParse("2005-12-31")
+	opts.Wire = true
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if ds, err := RunContext(ctx, opts); !errors.Is(err, context.Canceled) || ds != nil {
+		t.Fatalf("pre-cancelled ctx: got (%v, %v), want (nil, context.Canceled)", ds, err)
+	}
+
+	type result struct {
+		ds  *Dataset
+		err error
+	}
+	for _, workers := range []int{1, 2} {
+		opts := opts
+		opts.Workers = workers
+		opts.Obs = obs.New()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan result, 1)
+		go func() {
+			ds, err := RunContext(ctx, opts)
+			done <- result{ds, err}
+		}()
+		tick := time.NewTicker(time.Millisecond)
+		for days := 0.0; days == 0; {
+			select {
+			case r := <-done:
+				cancel()
+				t.Fatalf("workers=%d: run returned (err %v) before any scanned day was seen", workers, r.err)
+			case <-tick.C:
+				days, _ = opts.Obs.Registry.Value(MetricDaysProcessed)
+			}
+		}
+		tick.Stop()
+		cancel()
+		select {
+		case r := <-done:
+			if !errors.Is(r.err, context.Canceled) || r.ds != nil {
+				t.Errorf("workers=%d: cancelled mid-scan: got (%v, %v), want (nil, context.Canceled)", workers, r.ds, r.err)
+			}
+			window := opts.World.End.Sub(opts.World.Start) + 1
+			if days, _ := opts.Obs.Registry.Value(MetricDaysProcessed); int(days) >= window {
+				t.Errorf("workers=%d: the scan ran all %d days after the cancel", workers, window)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("workers=%d: run still going 5 s after cancel", workers)
 		}
 	}
 }

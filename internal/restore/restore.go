@@ -21,7 +21,9 @@
 package restore
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sort"
 
 	"parallellives/internal/asn"
@@ -153,24 +155,13 @@ func RestoreWithOptions(sources []registry.Source, erx []registry.ERXEntry, opts
 	return res
 }
 
-// runLess is the canonical (ASN, span start) run order the restored view
-// is published in.
-func runLess(a, b Run) bool {
-	if a.ASN != b.ASN {
-		return a.ASN < b.ASN
-	}
-	return a.Span.Start < b.Span.Start
-}
-
 // RestoreParallelContext is RestoreWithOptions with the per-registry
 // scans running on up to workers goroutines: each source's day stream is
-// consumed by one goroutine (sources never share state), so the result
-// is bit-for-bit the sequential one for any worker count.
-// Every source is restored into its own sub-result; the merge
-// stable-sorts each source's runs and k-way merges them with ties kept
-// in source order, which reproduces exactly the sequential
-// append-all-then-stable-sort ordering. The cross-registry repair (step
-// vi) needs the merged by-ASN view, so it stays a sequential epilogue.
+// consumed by one goroutine (sources never share state). The sources'
+// runs are concatenated in source order and stable-sorted once by (ASN,
+// span start), so ties keep source order and the result is bit-for-bit
+// the same for any worker count. The cross-registry repair (step vi)
+// needs that by-ASN view, so it runs after the sort.
 // Cancellation is cooperative: a cancelled ctx abandons the sources not
 // yet scanned and returns ctx's error instead of a partial result.
 // Restoration itself is infallible — the only possible error is ctx's.
@@ -180,30 +171,35 @@ func RestoreParallelContext(ctx context.Context, sources []registry.Source, erx 
 		erxDates[e.ASN] = e.RegDate
 	}
 	parts := make([]*Result, len(sources))
+	runs := make([][]Run, len(sources))
 	err := parallel.ForEach(ctx, len(sources), workers, func(_ context.Context, i int) error {
-		sub := &Result{Start: dates.None, End: dates.None}
-		scanSource(sub, sources[i], erxDates, opts)
-		sort.SliceStable(sub.Runs, func(a, b int) bool { return runLess(sub.Runs[a], sub.Runs[b]) })
-		parts[i] = sub
+		parts[i] = &Result{Start: dates.None, End: dates.None}
+		scanSource(parts[i], sources[i], erxDates, opts)
+		runs[i] = parts[i].Runs
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	res := mergeResults(parts)
+	res.Runs = slices.Concat(runs...)
+	slices.SortStableFunc(res.Runs, func(a, b Run) int {
+		if a.ASN != b.ASN {
+			return cmp.Compare(a.ASN, b.ASN)
+		}
+		return cmp.Compare(a.Span.Start, b.Span.Start)
+	})
 	if !opts.NoInterRIRFix {
 		fixInterRIR(res)
 	}
 	return res, nil
 }
 
-// mergeResults reduces per-source restoration results into one, in
-// source order.
+// mergeResults sums per-source reports, coverages and windows into one
+// result with no runs.
 func mergeResults(parts []*Result) *Result {
 	res := &Result{Start: dates.None, End: dates.None}
-	runParts := make([][]Run, len(parts))
-	for i, p := range parts {
-		runParts[i] = p.Runs
+	for _, p := range parts {
 		res.Report.add(p.Report)
 		for r := range p.Coverage {
 			res.Coverage[r].Days += p.Coverage[r].Days
@@ -218,7 +214,6 @@ func mergeResults(parts []*Result) *Result {
 			res.End = p.End
 		}
 	}
-	res.Runs = parallel.MergeSorted(runLess, runParts...)
 	return res
 }
 

@@ -1,6 +1,8 @@
 package restore
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"parallellives/internal/asn"
@@ -351,5 +353,92 @@ func TestPlaceholderCountedOncePerRun(t *testing.T) {
 	}
 	if res.RunsOf(20500)[0].RegDate != d("1995-04-10") {
 		t.Errorf("regDate = %v", res.RunsOf(20500)[0].RegDate)
+	}
+}
+
+// tieSources returns five fresh sources, RIPE NCC's first, in which two
+// transfers leave a run of the origin registry and a run of the
+// destination registry starting on the same day: AS1500 moves ARIN →
+// RIPE NCC and AS20500 moves RIPE NCC → ARIN on 2010-01-05, and each
+// origin keeps the record a day longer as reserved.
+func tieSources() []registry.Source {
+	const start = "2010-01-01"
+	alloc := func(rir asn.RIR, a asn.ASN, reg string) delegation.Record { return rec(rir, a, "US", reg) }
+	reserved := func(rir asn.RIR, a asn.ASN, reg string) delegation.Record {
+		return recStatus(rir, a, reg, delegation.StatusReserved)
+	}
+	var arin, ripe []*delegation.File
+	for i := 0; i < 6; i++ {
+		if i < 4 {
+			arin = append(arin, file(asn.ARIN, alloc(asn.ARIN, 1500, start)))
+			ripe = append(ripe, file(asn.RIPENCC, alloc(asn.RIPENCC, 20500, start)))
+			continue
+		}
+		arin = append(arin, file(asn.ARIN, reserved(asn.ARIN, 1500, start), alloc(asn.ARIN, 20500, "2010-01-05")))
+		ripe = append(ripe, file(asn.RIPENCC, alloc(asn.RIPENCC, 1500, "2010-01-05"), reserved(asn.RIPENCC, 20500, start)))
+	}
+	apnic := file(asn.APNIC, alloc(asn.APNIC, 40000, start))
+	lacnic := file(asn.LACNIC, alloc(asn.LACNIC, 46500, start))
+	afrinic := file(asn.AfriNIC, alloc(asn.AfriNIC, 36500, start))
+	return []registry.Source{
+		days(asn.RIPENCC, start, ripe...),
+		days(asn.ARIN, start, arin...),
+		days(asn.APNIC, start, apnic, apnic, apnic),
+		days(asn.LACNIC, start, lacnic),
+		days(asn.AfriNIC, start, afrinic, afrinic, afrinic, afrinic, afrinic, afrinic),
+	}
+}
+
+// TestRestoreOrderUnderTies pins the one ordering decision of the
+// per-registry fan-out: runs are sorted by (ASN, span start), ties keep
+// source order, and the result is the same for every worker count —
+// with and without the inter-RIR repair.
+func TestRestoreOrderUnderTies(t *testing.T) {
+	srcIdx := map[asn.RIR]int{}
+	for i, s := range tieSources() {
+		srcIdx[s.Registry()] = i
+	}
+	for _, opts := range []Options{{NoInterRIRFix: true}, {}} {
+		ref, err := RestoreParallelContext(context.Background(), tieSources(), nil, opts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ties := 0
+		for i := 1; i < len(ref.Runs); i++ {
+			p, r := ref.Runs[i-1], ref.Runs[i]
+			switch {
+			case p.ASN > r.ASN || p.ASN == r.ASN && p.Span.Start > r.Span.Start:
+				t.Errorf("%+v: run %d (%v from %v) sorts after run %d (%v from %v)", opts, i-1, p.ASN, p.Span.Start, i, r.ASN, r.Span.Start)
+			case p.ASN == r.ASN && p.Span.Start == r.Span.Start:
+				ties++
+				if srcIdx[p.RIR] >= srcIdx[r.RIR] {
+					t.Errorf("%+v: tie on %v at %v: %v before %v, against source order", opts, r.ASN, r.Span.Start, p.RIR, r.RIR)
+				}
+			}
+		}
+		if ties != 2 {
+			t.Errorf("%+v: %d ties, want 2 (the table no longer tests tie order)", opts, ties)
+		}
+		for a, want := range map[asn.ASN][]asn.RIR{
+			1500:  {asn.ARIN, asn.RIPENCC, asn.ARIN},
+			20500: {asn.RIPENCC, asn.RIPENCC, asn.ARIN},
+		} {
+			var got []asn.RIR
+			for _, r := range ref.RunsOf(a) {
+				got = append(got, r.RIR)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%+v: AS%d runs from %v, want %v", opts, a, got, want)
+			}
+		}
+		for _, workers := range []int{2, 5} {
+			got, err := RestoreParallelContext(context.Background(), tieSources(), nil, opts, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Errorf("%+v: workers=%d result differs from workers=1", opts, workers)
+			}
+		}
 	}
 }

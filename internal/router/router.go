@@ -14,8 +14,8 @@
 //	                   tier's exact 400
 //	/v1/rir/{r}/series every shard carries the global sections whole, so
 //	/v1/taxonomy       aggregates scatter to all ranges and keep the
-//	                   lowest-index answer (ties-to-lower, the same
-//	                   determinism rule parallel.MergeSorted uses)
+//	                   lowest-index healthy answer, whatever order the
+//	                   answers arrive in
 //	/v1/stages         proxied to the lowest-index healthy range
 //	/v1/health         router lifecycle + per-range states, with the
 //	                   store/pipeline sections gathered from the lowest
@@ -465,10 +465,9 @@ func (rt *Router) firstHealthy(topo *topology) *replicaSet {
 // Every shard carries the global sections whole, so the router needs
 // any one authoritative copy: it fans the request out to every range —
 // one failover-capable fetch per range, not per replica. The winner is
-// deterministic — the lowest-index healthy range, the same
-// ties-to-lower rule the pipeline's MergeSorted uses — and an agreement
-// check across the other healthy answers feeds a disagreement counter
-// (mixed shard generations are legal mid-rollout, but persistent
+// deterministic — the lowest-index healthy range, whichever answers
+// first — and an agreement check across the other healthy answers
+// feeds a disagreement counter (mixed shard generations are legal mid-rollout, but persistent
 // disagreement means a mixed shard set and deserves an alert). A cached
 // answer is served locally while its winner range is usable; a dark
 // winner takes the full gather, so the partial mark or the strict 503

@@ -25,6 +25,8 @@ race() {
 	go test -race -short $(go list ./internal/... | grep -vE "/($FULL)\$") ./cmd/...
 	echo "== go test -race (parallel/sequential equivalence property)"
 	named ./internal/pipeline/ TestParallelEquivalence
+	echo "== go test -race (RunContext: cancelled before and during the scan)"
+	named ./internal/pipeline/ TestRunContextCancellation
 	echo "== go test -race (stream crash-equivalence property)"
 	named ./internal/stream/ TestCrashEquivalence
 	echo "== go test -race (stream read-ahead: recycled look-ahead reads match plain reads)"
