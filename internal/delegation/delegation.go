@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -130,6 +131,17 @@ type File struct {
 	Other     []string // ipv4/ipv6 lines, preserved verbatim
 }
 
+// Clone returns a deep copy of f that shares no slice with it (the
+// strings are immutable and shared); it returns nil for a nil f.
+func (f *File) Clone() *File {
+	if f == nil {
+		return nil
+	}
+	c := *f
+	c.Summaries, c.ASNs, c.Other = slices.Clone(f.Summaries), slices.Clone(f.ASNs), slices.Clone(f.Other)
+	return &c
+}
+
 // LineError describes one malformed line encountered by ParseLenient.
 type LineError struct {
 	Line int
@@ -214,11 +226,24 @@ func (p *Parser) split(line []byte) [][]byte {
 	return f
 }
 
-// ParseLenient parses one in-memory delegation file leniently, collecting
-// per-line errors rather than stopping; see the package-level ParseLenient.
+// ParseLenient parses one in-memory delegation file leniently into a
+// fresh File; see ParseLenientInto.
 func (p *Parser) ParseLenient(data []byte) (*File, []LineError) {
+	return p.ParseLenientInto(new(File), data)
+}
+
+// ParseLenientInto parses one in-memory delegation file leniently into
+// dst, collecting per-line errors rather than stopping; see the
+// package-level ParseLenient. Every field of dst is reset first: the
+// ASNs, Summaries and Other slices are truncated with their capacity
+// kept, so parsing a day series into one File allocates only when a file
+// outgrows the ones before it. Summaries and Other are left nil when the
+// file has none, as a fresh parse leaves them. It returns dst, or nil
+// when no header line parses.
+func (p *Parser) ParseLenientInto(dst *File, data []byte) (*File, []LineError) {
+	*dst = File{Summaries: dst.Summaries[:0], ASNs: dst.ASNs[:0], Other: dst.Other[:0]}
 	var errs []LineError
-	var f *File
+	header := false
 	lineNo := 0
 	for len(data) > 0 {
 		lineNo++
@@ -234,26 +259,32 @@ func (p *Parser) ParseLenient(data []byte) (*File, []LineError) {
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		if f == nil {
-			hdr, err := p.parseHeader(line)
-			if err != nil {
+		if !header {
+			if err := p.parseHeader(dst, line); err != nil {
 				errs = append(errs, LineError{Line: lineNo, Text: string(line), Err: err})
 				continue
 			}
-			f = hdr
+			header = true
 			// Size the record slice off the line count left: every
 			// remaining line is at most one record.
-			f.ASNs = make([]Record, 0, bytes.Count(data, []byte{'\n'})+1)
+			dst.ASNs = slices.Grow(dst.ASNs, bytes.Count(data, []byte{'\n'})+1)
 			continue
 		}
-		if err := p.parseLine(f, line); err != nil {
+		if err := p.parseLine(dst, line); err != nil {
 			errs = append(errs, LineError{Line: lineNo, Text: string(line), Err: err})
 		}
 	}
-	if f == nil {
+	if !header {
 		errs = append(errs, LineError{Line: 0, Err: fmt.Errorf("delegation: no header line")})
+		return nil, errs
 	}
-	return f, errs
+	if len(dst.Summaries) == 0 {
+		dst.Summaries = nil
+	}
+	if len(dst.Other) == 0 {
+		dst.Other = nil
+	}
+	return dst, errs
 }
 
 // parseRIR maps a registry token field to an RIR without allocating.
@@ -322,36 +353,31 @@ func parseASN(b []byte) (asn.ASN, bool) {
 	return asn.ASN(n), true
 }
 
-func (p *Parser) parseHeader(line []byte) (*File, error) {
+// parseHeader fills f's header fields from the header line.
+func (p *Parser) parseHeader(f *File, line []byte) error {
 	fields := p.split(line)
 	if len(fields) != 7 {
-		return nil, fmt.Errorf("delegation: header has %d fields, want 7", len(fields))
+		return fmt.Errorf("delegation: header has %d fields, want 7", len(fields))
 	}
 	rir, err := parseRIR(fields[1])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	records, ok := atoi(fields[3])
 	if !ok {
-		return nil, fmt.Errorf("delegation: bad record count %q", fields[3])
+		return fmt.Errorf("delegation: bad record count %q", fields[3])
 	}
 	start, err := dates.ParseCompactBytes(fields[4])
 	if err != nil {
-		return nil, fmt.Errorf("delegation: bad start date: %w", err)
+		return fmt.Errorf("delegation: bad start date: %w", err)
 	}
 	end, err := dates.ParseCompactBytes(fields[5])
 	if err != nil {
-		return nil, fmt.Errorf("delegation: bad end date: %w", err)
+		return fmt.Errorf("delegation: bad end date: %w", err)
 	}
-	return &File{
-		Version:   p.str(fields[0]),
-		Registry:  rir,
-		Serial:    p.str(fields[2]),
-		Records:   records,
-		Start:     start,
-		End:       end,
-		UTCOffset: p.str(fields[6]),
-	}, nil
+	f.Version, f.Registry, f.Serial, f.Records = p.str(fields[0]), rir, p.str(fields[2]), records
+	f.Start, f.End, f.UTCOffset = start, end, p.str(fields[6])
+	return nil
 }
 
 func (p *Parser) parseLine(f *File, line []byte) error {

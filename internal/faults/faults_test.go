@@ -3,6 +3,7 @@ package faults
 import (
 	"bytes"
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -265,6 +266,71 @@ func TestSourceInjectorRecoversThroughRetrier(t *testing.T) {
 	}
 	if last := got[n-1]; last.Extended == nil {
 		t.Error("lookahead failed: the stream's final day was mangled")
+	}
+}
+
+// recyclingSource re-parses each of inner's extended files into one
+// reused File, as the registry's text and directory sources do: a
+// snapshot is valid only until the next Next.
+type recyclingSource struct {
+	inner  registry.Source
+	parser delegation.Parser
+	rend   delegation.Renderer
+	slot   delegation.File
+}
+
+func (s *recyclingSource) Registry() asn.RIR { return s.inner.Registry() }
+
+func (s *recyclingSource) Next() (registry.Snapshot, bool) {
+	snap, ok := s.inner.Next()
+	if ok && snap.Extended != nil {
+		snap.Extended, _ = s.parser.ParseLenientInto(&s.slot, s.rend.Render(snap.Extended))
+	}
+	return snap, ok
+}
+
+// TestSourceInjectorOverRecyclingSource: the injector's one-day lookahead
+// holds a snapshot across the inner Next, so over a source that recycles
+// its File it must yield the same records, day by day, as over one that
+// hands out fresh files.
+func TestSourceInjectorOverRecyclingSource(t *testing.T) {
+	const n = 400
+	plan := Plan{Seed: 5, TransientRate: 0.1, TransientBurst: 2, CorruptDayRate: 0.05, DropDayRate: 0.05}
+	days := func(recycle bool) (out [][]delegation.Record, rep Report) {
+		src := delegationDays(asn.ARIN, "2010-01-01", n)
+		for i := range src.snaps {
+			src.snaps[i].Extended.ASNs[0].ASN += asn.ASN(i) // a different record every day
+		}
+		var inner registry.Source = src
+		if recycle {
+			inner = &recyclingSource{inner: src}
+		}
+		in := NewInjector(plan)
+		ret := NewRetrier(in.WrapSource(inner), RetryPolicy{})
+		for snap, ok := ret.Next(); ok; snap, ok = ret.Next() {
+			var recs []delegation.Record
+			if snap.Extended != nil {
+				recs = append([]delegation.Record{}, snap.Extended.ASNs...)
+			}
+			out = append(out, recs)
+		}
+		return out, in.Report()
+	}
+	want, wantRep := days(false)
+	got, gotRep := days(true)
+	if wantRep.TransientErrs == 0 || wantRep.CorruptDays == 0 || wantRep.DroppedDays == 0 {
+		t.Fatalf("storm injected nothing: %+v", wantRep)
+	}
+	if gotRep != wantRep {
+		t.Errorf("injected over a recycling source %+v, over fresh files %+v", gotRep, wantRep)
+	}
+	if len(got) != n || len(want) != n {
+		t.Fatalf("yielded %d and %d days, want %d", len(got), len(want), n)
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("day %d: records %+v over a recycling source, %+v over fresh files", i, got[i], want[i])
+		}
 	}
 }
 

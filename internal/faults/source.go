@@ -68,6 +68,9 @@ func (s *SourceInjector) pull() (snap registry.Snapshot, isLast, ok bool) {
 		return registry.Snapshot{}, false, false
 	}
 	snap = s.peek
+	// The inner Next may parse into the very files snap points to (they
+	// are valid only until then), so the held day takes its own copies.
+	snap.Regular, snap.Extended = snap.Regular.Clone(), snap.Extended.Clone()
 	s.peek, s.peekOK = s.src.Next()
 	return snap, !s.peekOK, true
 }

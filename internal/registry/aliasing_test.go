@@ -8,13 +8,14 @@ import (
 	"parallellives/internal/delegation"
 )
 
-// TestTextSourceFilesDoNotAliasScratch pins the textSource pooling
-// contract: the parsed files a snapshot yields must be independent of
-// the source's reused renderer, parser and build scratch. We capture a
-// day's files, drain many more days through the same source (recycling
-// all three), scribble the scratch directly, and assert the captured
-// files render to the same bytes as before.
-func TestTextSourceFilesDoNotAliasScratch(t *testing.T) {
+// TestTextSourceFilesValidUntilNext pins the textSource contract: the
+// files a snapshot yields are the source's own File slots, valid until
+// the next Next. Until then they must be independent of the source's
+// reused renderer, parser and build scratch: we capture a day's regular
+// file, recycle and scribble all three without calling Next, and assert
+// the file renders to the same bytes. The next day's regular file must
+// then be parsed into the same slot.
+func TestTextSourceFilesValidUntilNext(t *testing.T) {
 	w := smallWorld(t)
 	a := Build(w)
 	src := a.TextSource(asn.RIPENCC).(*textSource)
@@ -31,14 +32,19 @@ func TestTextSourceFilesDoNotAliasScratch(t *testing.T) {
 	var rd delegation.Renderer
 	before := append([]byte(nil), rd.Render(held)...)
 
-	// Drain more days through the same source: every Next reuses the
-	// renderer buffer, the parser's field scratch and the file scratch.
-	for i := 0; i < 30; i++ {
-		if _, ok := src.Next(); !ok {
-			break
-		}
+	// Push another file through the renderer and the parser (recycling
+	// the render buffer, the field scratch and the interning map), then
+	// scribble the render buffer and the build scratch directly.
+	other := &delegation.File{Version: "2", Registry: asn.ARIN, Serial: "20200102", ASNs: []delegation.Record{
+		{Registry: asn.ARIN, CC: "US", ASN: 701, Count: 1, Status: delegation.StatusAssigned, OpaqueID: "other-org"},
+	}}
+	buf := src.rend.Render(other)
+	if f, _ := src.parser.ParseLenient(buf); f == nil {
+		t.Fatal("other file did not parse")
 	}
-	// Scribble the build scratch directly for good measure.
+	for i := range buf {
+		buf[i] = '#'
+	}
 	for i := range src.scratch.recs {
 		src.scratch.recs[i] = delegation.Record{}
 	}
@@ -52,6 +58,19 @@ func TestTextSourceFilesDoNotAliasScratch(t *testing.T) {
 
 	after := rd.Render(held)
 	if !bytes.Equal(before, after) {
-		t.Fatal("held snapshot file changed after source scratch was recycled and scribbled")
+		t.Fatal("held snapshot file changed before the next Next, after source scratch was recycled and scribbled")
+	}
+
+	for {
+		snap, ok := src.Next()
+		if !ok {
+			t.Fatal("source exhausted before a second regular file")
+		}
+		if snap.Regular != nil {
+			if snap.Regular != held {
+				t.Fatal("next day's regular file is not parsed into the source's regular slot")
+			}
+			return
+		}
 	}
 }

@@ -26,9 +26,9 @@ import (
 // corrupt (also missing).
 //
 // Like textSource, one parser (so country codes and opaque ids are
-// interned once per source, not once per file) and one read buffer serve
-// every file: a source is consumed by one goroutine, and the parsed files
-// it yields never alias the buffer.
+// interned once per source, not once per file), one read buffer and one
+// regular and one extended File slot serve every file: a source is
+// consumed by one goroutine, and a snapshot is valid until the next Next.
 type DirSource struct {
 	rir    asn.RIR
 	dir    string
@@ -39,6 +39,8 @@ type DirSource struct {
 	rep    IngestReport
 	parser delegation.Parser
 	buf    bytes.Buffer
+
+	regFile, extFile delegation.File // every day's files are parsed into these
 }
 
 // IngestReport classifies what a DirSource scan and stream skipped, so
@@ -133,19 +135,20 @@ func (s *DirSource) Next() (Snapshot, bool) {
 	d := s.days[s.i]
 	s.i++
 	snap := Snapshot{Day: d}
-	snap.Regular, snap.RegularCorrupt = s.load(s.reg[d])
-	snap.Extended, snap.ExtendedCorrupt = s.load(s.ext[d])
+	snap.Regular, snap.RegularCorrupt = s.load(s.reg[d], &s.regFile)
+	snap.Extended, snap.ExtendedCorrupt = s.load(s.ext[d], &s.extFile)
 	return snap, true
 }
 
-// load parses one file leniently; corrupt reports a file that existed on
-// disk but was unusable (open or read failure, or unparseable content).
-func (s *DirSource) load(name string) (parsed *delegation.File, corrupt bool) {
+// load parses one file leniently into slot; corrupt reports a file that
+// existed on disk but was unusable (open or read failure, or unparseable
+// content).
+func (s *DirSource) load(name string, slot *delegation.File) (parsed *delegation.File, corrupt bool) {
 	if name == "" {
 		return nil, false
 	}
 	if s.read(name) == nil {
-		parsed, _ = s.parser.ParseLenient(s.buf.Bytes())
+		parsed, _ = s.parser.ParseLenientInto(slot, s.buf.Bytes())
 	}
 	if parsed == nil || (len(parsed.ASNs) == 0 && len(parsed.Other) == 0) {
 		s.rep.UnusableFiles++

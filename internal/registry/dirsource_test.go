@@ -86,6 +86,8 @@ func TestExportDirRoundTrip(t *testing.T) {
 		}
 		var snaps []Snapshot
 		for snap, ok := src.Next(); ok; snap, ok = src.Next() {
+			// A snapshot is valid until the next Next: keep copies.
+			snap.Regular, snap.Extended = snap.Regular.Clone(), snap.Extended.Clone()
 			snaps = append(snaps, snap)
 		}
 		return snaps, src.Report()
@@ -190,11 +192,11 @@ func TestDirSourceCountsCorruptNames(t *testing.T) {
 	}
 }
 
-// TestDirSourceSharedParserMatchesFreshParse: the one parser and one read
-// buffer a DirSource holds change nothing it yields. Every file of an
-// exported archive (corrupt days included) is compared, after the whole
-// source has been drained and the buffer reused for every later file,
-// with a fresh parse of the file's own bytes.
+// TestDirSourceSharedParserMatchesFreshParse: the one parser, one read
+// buffer and two File slots a DirSource holds change nothing it yields.
+// Every file of an exported archive (corrupt days included) is compared,
+// while its snapshot is valid (before the next Next parses into the same
+// slots), with a fresh parse of the file's own bytes.
 func TestDirSourceSharedParserMatchesFreshParse(t *testing.T) {
 	a := Build(smallWorld(t))
 	start, end := a.Window()
@@ -213,12 +215,8 @@ func TestDirSourceSharedParserMatchesFreshParse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var snaps []Snapshot
-		for snap, ok := src.Next(); ok; snap, ok = src.Next() {
-			snaps = append(snaps, snap)
-		}
 		files := 0
-		for _, snap := range snaps {
+		for snap, ok := src.Next(); ok; snap, ok = src.Next() {
 			for _, f := range []struct {
 				name    string
 				got     *delegation.File

@@ -19,7 +19,9 @@ func (a *Archive) dropped(r asn.RIR, x asn.ASN, d dates.Day) bool {
 }
 
 // Snapshot is one registry-day of delegation data: either file may be nil
-// when absent or unparseable.
+// when absent or unparseable. A Snapshot and its files are valid until the
+// next Next on the Source that yielded it, which may parse into the same
+// File slots; a consumer that keeps a day longer clones its files.
 type Snapshot struct {
 	Day      dates.Day
 	Regular  *delegation.File
@@ -39,6 +41,7 @@ type Snapshot struct {
 type Source interface {
 	Registry() asn.RIR
 	// Next returns the next day's snapshot; ok is false at end of stream.
+	// The snapshot and its files are valid until the following Next.
 	Next() (Snapshot, bool)
 }
 
@@ -78,8 +81,9 @@ func (s *directSource) Next() (Snapshot, bool) {
 // textSource serializes each file to delegation-file text and re-parses
 // it leniently — the full wire-format round trip, including corrupt days
 // whose mangled bytes fail to parse. The renderer, parser and build
-// scratch are reused across days: a source is consumed by exactly one
-// goroutine, and the parsed files it yields never alias the scratch.
+// scratch are reused across days, and every day is parsed into the same
+// regular and extended File slots: a source is consumed by exactly one
+// goroutine, and a snapshot is valid until the next Next.
 type textSource struct {
 	a       *Archive
 	rir     asn.RIR
@@ -87,6 +91,8 @@ type textSource struct {
 	rend    delegation.Renderer
 	parser  delegation.Parser
 	scratch fileScratch
+
+	reg, ext delegation.File // every day's files are parsed into these
 }
 
 // TextSource returns a Source that round-trips every file through its
@@ -113,6 +119,10 @@ func (s *textSource) Next() (Snapshot, bool) {
 // roundTrip yields the day's file after the text round trip; corrupt
 // reports a file that existed but did not survive parsing.
 func (s *textSource) roundTrip(d dates.Day, extended bool) (f *delegation.File, corrupt bool) {
+	slot := &s.reg
+	if extended {
+		slot = &s.ext
+	}
 	switch s.a.Status(s.rir, d, extended) {
 	case FileAbsent:
 		return nil, false
@@ -120,14 +130,14 @@ func (s *textSource) roundTrip(d dates.Day, extended bool) (f *delegation.File, 
 		// Corrupt files exist on disk but do not survive parsing; the
 		// pipeline treats them like missing days while counting them as
 		// corrupt retrievals.
-		f, _ := s.parser.ParseLenient(s.a.CorruptBytes(s.rir, d, extended))
+		f, _ := s.parser.ParseLenientInto(slot, s.a.CorruptBytes(s.rir, d, extended))
 		if f != nil && len(f.ASNs) > 0 {
 			return f, false
 		}
 		return nil, true
 	}
 	f = s.a.buildFileScratch(s.rir, d, extended, &s.scratch)
-	parsed, _ := s.parser.ParseLenient(s.rend.Render(f))
+	parsed, _ := s.parser.ParseLenientInto(slot, s.rend.Render(f))
 	return parsed, parsed == nil
 }
 

@@ -217,19 +217,9 @@ func mergeResults(parts []*Result) *Result {
 	return res
 }
 
-// sortedKeys returns map keys in ascending order for deterministic
-// iteration.
-func sortedKeys(m map[asn.ASN]*liveState) []asn.ASN {
-	out := make([]asn.ASN, 0, len(m))
-	for a := range m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // liveState tracks one ASN's open run while scanning a registry.
 type liveState struct {
+	asn             asn.ASN
 	status          delegation.Status
 	cc, opaque      string
 	regDate         dates.Day
@@ -239,25 +229,26 @@ type liveState struct {
 	placeholderSeen bool
 }
 
-// scanSource walks one registry's days, maintaining per-ASN state.
+// run is the Run st has covered so far in registry rir.
+func (st *liveState) run(rir asn.RIR) Run {
+	return Run{
+		ASN: st.asn, RIR: rir, Status: st.status, CC: st.cc, OpaqueID: st.opaque,
+		RegDate: st.regDate, FirstRegDate: st.firstRegDate,
+		Span: intervals.New(st.start, st.lastSeen),
+	}
+}
+
+// scanSource walks one registry's days. The open runs are a slice sorted
+// by ASN, and each file day is one merge of it with the day's effective
+// records (also sorted by ASN) into a second slice: vanished runs close,
+// new ones open, shared ones continue or flip. The two slices swap every
+// file day, so the walk allocates only while they grow.
 func scanSource(res *Result, src registry.Source, erxDates map[asn.ASN]dates.Day, opts Options) {
 	rir := src.Registry()
-	state := make(map[asn.ASN]*liveState)
-	// The day's merged records: one map for the whole walk, cleared per
-	// file day, so its buckets are allocated once per registry.
-	today := make(map[asn.ASN]delegation.Record, 1024)
+	var live, next []liveState
+	var sc dayScratch
 	var lastDay dates.Day = dates.None
 	var firstFileDay dates.Day = dates.None
-	gapOpen := false // true while file days are missing
-
-	closeRun := func(a asn.ASN, st *liveState) {
-		res.Runs = append(res.Runs, Run{
-			ASN: a, RIR: rir, Status: st.status, CC: st.cc, OpaqueID: st.opaque,
-			RegDate: st.regDate, FirstRegDate: st.firstRegDate,
-			Span: intervals.New(st.start, st.lastSeen),
-		})
-		delete(state, a)
-	}
 
 	for {
 		snap, ok := src.Next()
@@ -265,6 +256,7 @@ func scanSource(res *Result, src registry.Source, erxDates map[asn.ASN]dates.Day
 			break
 		}
 		day := snap.Day
+		lastDay = day
 		if res.Start == dates.None || day < res.Start {
 			res.Start = day
 		}
@@ -282,18 +274,15 @@ func scanSource(res *Result, src registry.Source, erxDates map[asn.ASN]dates.Day
 			if opts.NoGapBridging {
 				// Ablation: treat the missing day as an empty file,
 				// terminating every open run.
-				asns := sortedKeys(state)
-				for _, a := range asns {
-					closeRun(a, state[a])
+				for i := range live {
+					res.Runs = append(res.Runs, live[i].run(rir))
 				}
-				lastDay = day
+				live = live[:0]
 				continue
 			}
 			// Step (i): no usable file today. Carry all state forward;
 			// runs are bridged if their ASNs reappear later, otherwise
 			// they end at their last-seen day.
-			gapOpen = true
-			lastDay = day
 			continue
 		}
 		res.Report.FilesScanned++
@@ -301,86 +290,89 @@ func scanSource(res *Result, src registry.Source, erxDates map[asn.ASN]dates.Day
 		if firstFileDay == dates.None {
 			firstFileDay = day
 		}
-		clear(today)
-		effectiveRecords(res, today, snap, opts)
+		today := sc.effectiveRecords(res, snap, opts)
 
-		// Update or open runs for every ASN present today.
-		for a, rec := range today {
-			st := state[a]
-			if st != nil && st.status.Delegated() == rec.Status.Delegated() &&
-				(st.status == rec.Status || rec.Status.Delegated()) {
-				// Same state (allocated/assigned treated as one class).
-				if gapOpen || st.lastSeen != day.AddDays(-1) {
-					res.Report.GapBridgedASNDays += int64(day.Sub(st.lastSeen) - 1)
-				}
-				st.lastSeen = day
-				updateRegDate(res, st, a, rec, day, erxDates, opts)
-				st.cc = rec.CC
-				if rec.OpaqueID != "" {
-					st.opaque = rec.OpaqueID
-				}
+		next = next[:0]
+		i, j := 0, 0
+		for i < len(live) || j < len(today) {
+			if j == len(today) || (i < len(live) && live[i].asn < today[j].ASN) {
+				// The ASN vanished from a present file: its run closes.
+				res.Runs = append(res.Runs, live[i].run(rir))
+				i++
 				continue
 			}
-			if st != nil {
-				closeRun(a, st) // status flip: allocated <-> reserved
-			}
-			reg := rec.Date
-			if !opts.NoDateRepair && reg != dates.None && reg > day {
-				// Step (v): future registration date; use the first
-				// appearance day instead.
-				reg = day
-				res.Report.FutureDatesFixed++
-			}
-			if !opts.NoDateRepair && reg == ripePlaceholder {
-				// Step (v): a run opening directly on the placeholder
-				// date (the true date never visible in files) is
-				// restored from the ERX reference data.
-				if orig, ok := erxDates[a]; ok {
-					reg = orig
-					res.Report.PlaceholdersRestored++
+			rec := &today[j]
+			j++
+			if i < len(live) && live[i].asn == rec.ASN {
+				st := &live[i]
+				i++
+				if st.status.Delegated() == rec.Status.Delegated() &&
+					(st.status == rec.Status || rec.Status.Delegated()) {
+					// Same state (allocated/assigned treated as one class).
+					// Days bridged since it was last seen (none if yesterday).
+					res.Report.GapBridgedASNDays += int64(day.Sub(st.lastSeen) - 1)
+					st.lastSeen = day
+					updateRegDate(res, st, rec, day, erxDates, opts)
+					st.cc = rec.CC
+					if rec.OpaqueID != "" {
+						st.opaque = rec.OpaqueID
+					}
+					next = append(next, *st)
+					continue
 				}
+				res.Runs = append(res.Runs, st.run(rir)) // status flip: allocated <-> reserved
 			}
-			start := day
-			if day == firstFileDay && reg != dates.None && reg < day && rec.Status.Delegated() {
-				// An ASN already present in the registry's very first
-				// file was allocated before the archive begins: its
-				// administrative life starts at the registration date,
-				// not at the archive boundary. (Without this, every
-				// historic allocation would spuriously land in the
-				// partial-overlap category once BGP data predates the
-				// registry's first file.)
-				start = reg
-			}
-			state[a] = &liveState{
-				status: rec.Status, cc: rec.CC, opaque: rec.OpaqueID,
-				regDate: reg, firstRegDate: rec.Date,
-				start: start, lastSeen: day,
-			}
+			next = append(next, openRun(res, rec, day, firstFileDay, erxDates, opts))
 		}
-		// Close runs whose ASNs vanished from a present file.
-		for a, st := range state {
-			if _, ok := today[a]; !ok {
-				closeRun(a, st)
-			}
-		}
-		gapOpen = false
-		lastDay = day
+		live, next = next, live
 	}
 	// End of stream: everything still open was alive on the last day.
-	asns := make([]asn.ASN, 0, len(state))
-	for a := range state {
-		asns = append(asns, a)
+	for i := range live {
+		r := live[i].run(rir)
+		r.OpenAtEnd = live[i].lastSeen == lastDay
+		res.Runs = append(res.Runs, r)
 	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	for _, a := range asns {
-		st := state[a]
-		res.Runs = append(res.Runs, Run{
-			ASN: a, RIR: rir, Status: st.status, CC: st.cc, OpaqueID: st.opaque,
-			RegDate: st.regDate, FirstRegDate: st.firstRegDate,
-			Span:      intervals.New(st.start, st.lastSeen),
-			OpenAtEnd: st.lastSeen == lastDay,
-		})
+}
+
+// openRun starts the run of an ASN that appears (or flips status) in
+// the file of day.
+func openRun(res *Result, rec *delegation.Record, day, firstFileDay dates.Day, erxDates map[asn.ASN]dates.Day, opts Options) liveState {
+	reg := rec.Date
+	if !opts.NoDateRepair && reg != dates.None && reg > day {
+		// Step (v): future registration date; use the first appearance day.
+		reg = day
+		res.Report.FutureDatesFixed++
 	}
+	if !opts.NoDateRepair && reg == ripePlaceholder {
+		// Step (v): a run opening directly on the placeholder date (the
+		// true date never visible in files) is restored from ERX data.
+		if orig, ok := erxDates[rec.ASN]; ok {
+			reg = orig
+			res.Report.PlaceholdersRestored++
+		}
+	}
+	start := day
+	if day == firstFileDay && reg != dates.None && reg < day && rec.Status.Delegated() {
+		// An ASN already present in the registry's very first file was
+		// allocated before the archive begins: its administrative life
+		// starts at the registration date, not at the archive boundary.
+		// (Without this, every historic allocation would spuriously land
+		// in the partial-overlap category once BGP data predates the
+		// registry's first file.)
+		start = reg
+	}
+	return liveState{
+		asn: rec.ASN, status: rec.Status, cc: rec.CC, opaque: rec.OpaqueID,
+		regDate: reg, firstRegDate: rec.Date,
+		start: start, lastSeen: day,
+	}
+}
+
+// dayScratch is one source's per-file-day working memory, reused from
+// day to day: the expanded rows of the day's two files and their merge,
+// each sorted by ASN. It never aliases the files it reads.
+type dayScratch struct {
+	main, regular, merged []delegation.Record
 }
 
 // effectiveRecords merges the day's regular and extended files per the
@@ -388,66 +380,90 @@ func scanSource(res *Result, src registry.Source, erxDates map[asn.ASN]dates.Day
 // (step iii), records present only in the regular file are recovered
 // (step ii), and duplicate records are resolved by preferring delegated
 // status (step iv — matching the evidence-based disambiguation, which in
-// the archives resolved in favour of the live allocation). The result is
-// written into out, which the caller hands over empty.
-func effectiveRecords(res *Result, out map[asn.ASN]delegation.Record, snap registry.Snapshot, opts Options) {
-	add := func(f *delegation.File, recovered bool) {
-		if f == nil {
-			return
+// the archives resolved in favour of the live allocation). The result
+// holds one record per ASN, sorted by ASN, and lives in sc until the
+// next call.
+func (sc *dayScratch) effectiveRecords(res *Result, snap registry.Snapshot, opts Options) []delegation.Record {
+	f := snap.Extended
+	if f == nil {
+		f = snap.Regular
+	}
+	sc.main = expand(sc.main, f)
+	today := resolveDuplicates(res, sc.main)
+	if snap.Extended == nil || snap.Regular == nil || opts.NoRegularRecovery {
+		return today
+	}
+	// Step (ii)/(iii): the regular file backfills records the newer
+	// extended file dropped — the first regular row of each such ASN.
+	sc.regular = expand(sc.regular, snap.Regular)
+	merged, reg := sc.merged[:0], sc.regular
+	var recovered int64
+	for i, j := 0, 0; i < len(today) || j < len(reg); {
+		if j == len(reg) || (i < len(today) && today[i].ASN <= reg[j].ASN) {
+			merged = append(merged, today[i])
+			i++
+		} else {
+			merged = append(merged, reg[j])
+			recovered++
 		}
-		for _, blk := range f.ASNs {
-			if blk.Status == delegation.StatusAvailable {
-				continue
-			}
-			for k := 0; k < blk.Count; k++ {
-				rec := blk
-				rec.ASN = blk.ASN + asn.ASN(k)
-				rec.Count = 1
-				addOne(res, out, rec, recovered)
-			}
+		// Skip the regular rows of the ASN just taken.
+		for a := merged[len(merged)-1].ASN; j < len(reg) && reg[j].ASN == a; j++ {
 		}
 	}
-	switch {
-	case snap.Extended != nil && snap.Regular != nil:
-		add(snap.Extended, false)
-		if opts.NoRegularRecovery {
-			break
-		}
-		// Step (ii)/(iii): the regular file backfills records the newer
-		// extended file dropped.
-		before := len(out)
-		add(snap.Regular, true)
-		if len(out) != before {
-			res.Report.DivergenceReconciled++
-		}
-	case snap.Extended != nil:
-		add(snap.Extended, false)
-	default:
-		add(snap.Regular, false)
+	sc.merged = merged
+	if recovered > 0 {
+		res.Report.RecoveredFromRegular += recovered
+		res.Report.DivergenceReconciled++
 	}
+	return merged
 }
 
-// addOne merges one unit record into the day map, resolving duplicates.
-func addOne(res *Result, out map[asn.ASN]delegation.Record, rec delegation.Record, recovered bool) {
-	if prev, dup := out[rec.ASN]; dup {
-		if !recovered {
-			// Duplicate rows inside one file (step iv): keep the
-			// delegated row over the reserved one.
-			if !prev.Status.Delegated() && rec.Status.Delegated() {
-				out[rec.ASN] = rec
-			}
-			res.Report.DuplicatesResolved++
+// expand writes f's asn rows into dst one per ASN — blocks split,
+// available rows dropped — sorted by ASN and, within an ASN, in file
+// order. The stable sort runs only when the rows are out of order: a
+// rendered file is sorted by first ASN, so only a block overlapping a
+// later row needs it.
+func expand(dst []delegation.Record, f *delegation.File) []delegation.Record {
+	dst = dst[:0]
+	for _, blk := range f.ASNs {
+		if blk.Status == delegation.StatusAvailable {
+			continue
 		}
-		return
+		for k := 0; k < blk.Count; k++ {
+			rec := blk
+			rec.ASN = blk.ASN + asn.ASN(k)
+			rec.Count = 1
+			dst = append(dst, rec)
+		}
 	}
-	if recovered {
-		res.Report.RecoveredFromRegular++
+	byASN := func(a, b delegation.Record) int { return cmp.Compare(a.ASN, b.ASN) }
+	if !slices.IsSortedFunc(dst, byASN) {
+		slices.SortStableFunc(dst, byASN)
 	}
-	out[rec.ASN] = rec
+	return dst
+}
+
+// resolveDuplicates keeps one row per ASN of the sorted recs, in place:
+// duplicate rows inside one file (step iv) resolve to the first
+// delegated row, else the first row. Every dropped row is counted.
+func resolveDuplicates(res *Result, recs []delegation.Record) []delegation.Record {
+	out := recs[:0]
+	for i := 0; i < len(recs); {
+		keep, j := i, i+1
+		for ; j < len(recs) && recs[j].ASN == recs[i].ASN; j++ {
+			if !recs[keep].Status.Delegated() && recs[j].Status.Delegated() {
+				keep = j
+			}
+		}
+		res.Report.DuplicatesResolved += j - i - 1
+		out = append(out, recs[keep])
+		i = j
+	}
+	return out
 }
 
 // updateRegDate applies the step (v) date repairs on a continuing run.
-func updateRegDate(res *Result, st *liveState, a asn.ASN, rec delegation.Record, day dates.Day, erxDates map[asn.ASN]dates.Day, opts Options) {
+func updateRegDate(res *Result, st *liveState, rec *delegation.Record, day dates.Day, erxDates map[asn.ASN]dates.Day, opts Options) {
 	newDate := rec.Date
 	if newDate == st.regDate || newDate == dates.None {
 		return
@@ -465,7 +481,7 @@ func updateRegDate(res *Result, st *liveState, a asn.ASN, rec delegation.Record,
 		// when available, else keep the earlier date already held.
 		// Counted once per run; the placeholder persists in later files.
 		if !st.placeholderSeen {
-			if orig, ok := erxDates[a]; ok {
+			if orig, ok := erxDates[st.asn]; ok {
 				st.regDate = orig
 			}
 			res.Report.PlaceholdersRestored++

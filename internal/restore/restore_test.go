@@ -1,8 +1,11 @@
 package restore
 
 import (
+	"cmp"
 	"context"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"parallellives/internal/asn"
@@ -439,6 +442,118 @@ func TestRestoreOrderUnderTies(t *testing.T) {
 			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("%+v: workers=%d result differs from workers=1", opts, workers)
 			}
+		}
+	}
+}
+
+// mergeDays returns six days of one source whose files hold every case
+// the per-day merge resolves: a block overlapping single records,
+// reserved/allocated duplicates in both orders, an available row, a
+// status flip, a vanished ASN, a missing day, and a regular file that
+// repeats an ASN the extended file dropped. Rows are sorted by ASN; rows
+// whose ASN ranges overlap are in the order the test means them. Several
+// days share one *File, as sources may yield.
+func mergeDays() []registry.Snapshot {
+	const start = "2010-01-01"
+	alloc := func(a asn.ASN, cc string) delegation.Record { return rec(asn.ARIN, a, cc, start) }
+	with := func(r delegation.Record, st delegation.Status) delegation.Record {
+		r.Status = st
+		return r
+	}
+	block := alloc(1500, "US")
+	block.Count = 4
+	ext := func(recs1610, recs1620 []delegation.Record) *delegation.File {
+		recs := []delegation.Record{
+			block,
+			with(alloc(1501, "CA"), delegation.StatusAssigned), // both delegated: the block's row wins
+			with(alloc(1502, ""), delegation.StatusReserved),   // the block's delegated row wins
+			with(alloc(1600, ""), delegation.StatusReserved), alloc(1600, "BR"),
+		}
+		recs = append(recs, recs1610...)
+		recs = append(recs, recs1620...)
+		recs = append(recs, with(alloc(1700, ""), delegation.StatusAvailable))
+		for a := asn.ASN(1900); a < 1940; a++ { // enough rows that sorting leaves insertion sort
+			recs = append(recs, alloc(a, "US"))
+		}
+		return file(asn.ARIN, recs...)
+	}
+	reserved1620 := []delegation.Record{with(alloc(1620, ""), delegation.StatusReserved), with(alloc(1620, "ZZ"), delegation.StatusReserved)}
+	e0 := ext([]delegation.Record{alloc(1610, "AR"), with(alloc(1610, ""), delegation.StatusReserved)}, reserved1620)
+	e1 := ext(nil, []delegation.Record{alloc(1620, "CL")})
+	reg := &delegation.File{Registry: asn.ARIN, ASNs: []delegation.Record{
+		block, alloc(1600, "BR"),
+		alloc(1800, "MX"), with(alloc(1800, ""), delegation.StatusReserved), alloc(1800, "US"),
+	}}
+	day := d(start)
+	return []registry.Snapshot{
+		{Day: day, Extended: e0, Regular: reg},
+		{Day: day.AddDays(1), Extended: e1, Regular: reg},
+		{Day: day.AddDays(2), ExtendedCorrupt: true},
+		{Day: day.AddDays(3), Extended: e0, Regular: reg},
+		{Day: day.AddDays(4), Regular: reg},
+		{Day: day.AddDays(5), Extended: e0},
+	}
+}
+
+// TestRestoreMergeIgnoresRowOrder: restoration depends on each ASN's rows
+// in file order, not on where they sit among other ASNs' rows, and never
+// writes into the files it reads. Every file of mergeDays is permuted by
+// random swaps of adjacent rows whose ASN ranges do not overlap; the
+// result must equal the sorted files' result, and every file must equal
+// its copy taken before the scan (rendering would not show a reordering:
+// the renderer sorts rows).
+func TestRestoreMergeIgnoresRowOrder(t *testing.T) {
+	restoreUnchanged := func(snaps []registry.Snapshot) *Result {
+		t.Helper()
+		before := map[*delegation.File]*delegation.File{}
+		for _, s := range snaps {
+			for _, f := range []*delegation.File{s.Regular, s.Extended} {
+				before[f] = f.Clone()
+			}
+		}
+		res := restoreOne(&fakeSource{rir: asn.ARIN, snaps: snaps})
+		for f, c := range before {
+			if !reflect.DeepEqual(f, c) {
+				t.Fatalf("Restore changed a file it was given: %+v, was %+v", f, c)
+			}
+		}
+		return res
+	}
+	want := restoreUnchanged(mergeDays())
+	if rep := want.Report; rep.DuplicatesResolved == 0 || rep.RecoveredFromRegular == 0 ||
+		rep.DivergenceReconciled == 0 || rep.MissingFileDays != 1 {
+		t.Fatalf("mergeDays no longer exercises the merge: %+v", rep)
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		perm := map[*delegation.File]*delegation.File{}
+		shuffled := false
+		permute := func(f *delegation.File) *delegation.File {
+			if f == nil || perm[f] != nil {
+				return perm[f]
+			}
+			p := f.Clone()
+			rows := p.ASNs
+			for n := 0; n < 50*len(rows); n++ {
+				i := rng.Intn(len(rows) - 1)
+				a, b := rows[i], rows[i+1]
+				if a.ASN+asn.ASN(a.Count) <= b.ASN || b.ASN+asn.ASN(b.Count) <= a.ASN {
+					rows[i], rows[i+1] = b, a
+				}
+			}
+			shuffled = shuffled || !slices.IsSortedFunc(rows, func(a, b delegation.Record) int { return cmp.Compare(a.ASN, b.ASN) })
+			perm[f] = p
+			return p
+		}
+		snaps := mergeDays()
+		for i := range snaps {
+			snaps[i].Regular, snaps[i].Extended = permute(snaps[i].Regular), permute(snaps[i].Extended)
+		}
+		if !shuffled {
+			t.Fatalf("seed %d: no file left out of ASN order", seed)
+		}
+		if got := restoreUnchanged(snaps); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: permuted files restore to\n%+v\nsorted files to\n%+v", seed, got, want)
 		}
 	}
 }
