@@ -38,10 +38,9 @@ func addWorldFlags(fs *flag.FlagSet, cfg *worldsim.Config) {
 // pipeline.DefaultOptions(): the one place a command line becomes
 // pipeline.Options, for every verb that builds a dataset.
 type pipelineFlags struct {
-	opts        pipeline.Options
-	directFiles bool
-	chaos       bool
-	chaosSeed   int64
+	opts      pipeline.Options
+	chaos     bool
+	chaosSeed int64
 }
 
 func addPipelineFlags(fs *flag.FlagSet) *pipelineFlags {
@@ -49,7 +48,6 @@ func addPipelineFlags(fs *flag.FlagSet) *pipelineFlags {
 	o := &p.opts
 	addWorldFlags(fs, &o.World)
 	fs.BoolVar(&o.Wire, "wire", o.Wire, "route BGP data through binary MRT encode/decode")
-	fs.BoolVar(&p.directFiles, "direct-files", !o.TextFiles, "skip the delegation-file text round trip")
 	fs.IntVar(&o.Timeout, "timeout", o.Timeout, "§4.2 operational inactivity timeout (days)")
 	fs.IntVar(&o.Visibility, "visibility", o.Visibility, "minimum distinct peers per active ASN-day")
 	fs.IntVar(&o.Workers, "workers", o.Workers, "worker goroutines for the scan's day shards and restoration's per-registry reads (0 = GOMAXPROCS); output is identical for any value")
@@ -65,7 +63,6 @@ func addPipelineFlags(fs *flag.FlagSet) *pipelineFlags {
 // options is what the parsed flags say, whatever verb parsed them.
 func (p *pipelineFlags) options() pipeline.Options {
 	opts := p.opts
-	opts.TextFiles = !p.directFiles
 	if p.chaos {
 		plan := faults.DefaultStorm(p.chaosSeed)
 		opts.Inject = &plan

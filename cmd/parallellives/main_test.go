@@ -87,7 +87,7 @@ func TestUnknownVerbListsVerbs(t *testing.T) {
 func TestSharedFlagsMeanOneThing(t *testing.T) {
 	shared := map[string]int{ // name -> verbs expected to register it
 		"scale": 5, "start": 5, "end": 5, // run, serve, watch, tail, feed
-		"wire": 4, "direct-files": 4, "visibility": 4, "workers": 4,
+		"wire": 4, "visibility": 4, "workers": 4,
 		"fault-policy": 4, "chaos": 4, "chaos-seed": 4,
 		"listen": 3, "exemplars": 3, // serve, route, tail
 		"cache": 2, "drain": 2, "max-inflight": 2, "request-timeout": 2, // serve, route
@@ -143,7 +143,7 @@ func TestPipelineFlagsOneMeaning(t *testing.T) {
 		return pf.options()
 	}
 	full := []string{"-scale", "0.01", "-seed", "7", "-start", "2006-01-01", "-end", "2006-04-01",
-		"-direct-files", "-timeout", "50", "-visibility", "3", "-workers", "2",
+		"-timeout", "50", "-visibility", "3", "-workers", "2",
 		"-fault-policy", "degrade", "-chaos", "-chaos-seed", "9"}
 	for verb := range pipelineVerbs {
 		if got, want := parse(verb), pipeline.DefaultOptions(); !reflect.DeepEqual(got, want) {
@@ -160,7 +160,7 @@ func TestPipelineFlagsOneMeaning(t *testing.T) {
 	}
 	got := parse("run", full...)
 	if got.World.Scale != 0.01 || got.World.Seed != 7 || got.World.Start.String() != "2006-01-01" ||
-		got.World.End.String() != "2006-04-01" || got.TextFiles || got.Timeout != 50 || got.Visibility != 3 ||
+		got.World.End.String() != "2006-04-01" || got.Timeout != 50 || got.Visibility != 3 ||
 		got.Workers != 2 || got.FaultPolicy != pipeline.Degrade || got.Inject == nil || got.Inject.Seed != 9 {
 		t.Errorf("run %v parsed to %+v", full, got)
 	}

@@ -16,7 +16,9 @@
 // The package offers a strict parser (any malformed line is an error) and
 // a lenient parser that collects per-line errors and keeps going — the
 // mode the restoration pipeline uses, since real archives contain
-// corrupted files (§3.1).
+// corrupted files (§3.1). It also reads archives of these files: the
+// Source contract restoration consumes, and DirSource over a directory
+// in RIR FTP naming.
 package delegation
 
 import (

@@ -14,7 +14,6 @@ import (
 	"parallellives/internal/dates"
 	"parallellives/internal/delegation"
 	"parallellives/internal/mrt"
-	"parallellives/internal/registry"
 )
 
 func d(s string) dates.Day { return dates.MustParse(s) }
@@ -188,22 +187,22 @@ func delegationDays(rir asn.RIR, start string, n int) *fakeSource {
 				Date: d(start), Status: delegation.StatusAllocated, OpaqueID: "o-1",
 			}},
 		}
-		src.snaps = append(src.snaps, registry.Snapshot{Day: day, Extended: f})
+		src.snaps = append(src.snaps, delegation.Snapshot{Day: day, Extended: f})
 	}
 	return src
 }
 
 type fakeSource struct {
 	rir   asn.RIR
-	snaps []registry.Snapshot
+	snaps []delegation.Snapshot
 	i     int
 }
 
 func (f *fakeSource) Registry() asn.RIR { return f.rir }
 
-func (f *fakeSource) Next() (registry.Snapshot, bool) {
+func (f *fakeSource) Next() (delegation.Snapshot, bool) {
 	if f.i >= len(f.snaps) {
-		return registry.Snapshot{}, false
+		return delegation.Snapshot{}, false
 	}
 	s := f.snaps[f.i]
 	f.i++
@@ -211,8 +210,8 @@ func (f *fakeSource) Next() (registry.Snapshot, bool) {
 }
 
 // drain pulls every snapshot through a Retrier-wrapped injector.
-func drain(src registry.Source) []registry.Snapshot {
-	var out []registry.Snapshot
+func drain(src delegation.Source) []delegation.Snapshot {
+	var out []delegation.Snapshot
 	for {
 		snap, ok := src.Next()
 		if !ok {
@@ -273,7 +272,7 @@ func TestSourceInjectorRecoversThroughRetrier(t *testing.T) {
 // reused File, as the registry's text and directory sources do: a
 // snapshot is valid only until the next Next.
 type recyclingSource struct {
-	inner  registry.Source
+	inner  delegation.Source
 	parser delegation.Parser
 	rend   delegation.Renderer
 	slot   delegation.File
@@ -281,7 +280,7 @@ type recyclingSource struct {
 
 func (s *recyclingSource) Registry() asn.RIR { return s.inner.Registry() }
 
-func (s *recyclingSource) Next() (registry.Snapshot, bool) {
+func (s *recyclingSource) Next() (delegation.Snapshot, bool) {
 	snap, ok := s.inner.Next()
 	if ok && snap.Extended != nil {
 		snap.Extended, _ = s.parser.ParseLenientInto(&s.slot, s.rend.Render(snap.Extended))
@@ -301,7 +300,7 @@ func TestSourceInjectorOverRecyclingSource(t *testing.T) {
 		for i := range src.snaps {
 			src.snaps[i].Extended.ASNs[0].ASN += asn.ASN(i) // a different record every day
 		}
-		var inner registry.Source = src
+		var inner delegation.Source = src
 		if recycle {
 			inner = &recyclingSource{inner: src}
 		}

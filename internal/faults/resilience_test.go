@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"parallellives/internal/asn"
-	"parallellives/internal/registry"
+	"parallellives/internal/delegation"
 )
 
 // alwaysFailSource is a FallibleSource whose reads never succeed — the
@@ -21,14 +21,14 @@ type alwaysFailSource struct{ nexts, abandons int }
 
 func (s *alwaysFailSource) Registry() asn.RIR { return asn.ARIN }
 
-func (s *alwaysFailSource) Next() (registry.Snapshot, bool, error) {
+func (s *alwaysFailSource) Next() (delegation.Snapshot, bool, error) {
 	s.nexts++
-	return registry.Snapshot{}, false, fmt.Errorf("%w: mirror down", ErrTransient)
+	return delegation.Snapshot{}, false, fmt.Errorf("%w: mirror down", ErrTransient)
 }
 
-func (s *alwaysFailSource) Abandon() (registry.Snapshot, bool) {
+func (s *alwaysFailSource) Abandon() (delegation.Snapshot, bool) {
 	s.abandons++
-	return registry.Snapshot{}, false
+	return delegation.Snapshot{}, false
 }
 
 // TestRetrierContextCancelMidBackoff pins the serving-path contract:

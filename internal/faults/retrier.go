@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"parallellives/internal/asn"
-	"parallellives/internal/registry"
+	"parallellives/internal/delegation"
 )
 
 // RetryPolicy bounds the Retrier's attempts and backoff. The zero value
@@ -68,7 +68,7 @@ type RetryStats struct {
 }
 
 // Retrier adapts a FallibleSource back into an infallible
-// registry.Source by retrying transient failures with bounded,
+// delegation.Source by retrying transient failures with bounded,
 // deterministic backoff. Reads that keep failing are abandoned: the day
 // is yielded with no files, which the restoration pipeline bridges like
 // any other missing day — skip-and-continue rather than abort.
@@ -83,17 +83,17 @@ func NewRetrier(src FallibleSource, pol RetryPolicy) *Retrier {
 	return &Retrier{src: src, pol: pol.withDefaults()}
 }
 
-// Registry implements registry.Source.
+// Registry implements delegation.Source.
 func (r *Retrier) Registry() asn.RIR { return r.src.Registry() }
 
 // Stats returns the recovery counters accumulated so far.
 func (r *Retrier) Stats() RetryStats { return r.stats }
 
-// Next implements registry.Source. With no Sleep injected the backoff
+// Next implements delegation.Source. With no Sleep injected the backoff
 // is virtual (recorded, not waited), which keeps batch pipeline runs
 // deterministic in time; long-lived services that need real, cancellable
 // waits use NextContext instead.
-func (r *Retrier) Next() (registry.Snapshot, bool) {
+func (r *Retrier) Next() (delegation.Snapshot, bool) {
 	snap, ok, _ := r.next(nil)
 	return snap, ok
 }
@@ -103,17 +103,17 @@ func (r *Retrier) Next() (registry.Snapshot, bool) {
 // returns promptly with ctx.Err() — the pending day is neither consumed
 // nor abandoned, so a later call can resume it. The error is non-nil
 // only when ctx ended the wait.
-func (r *Retrier) NextContext(ctx context.Context) (registry.Snapshot, bool, error) {
+func (r *Retrier) NextContext(ctx context.Context) (delegation.Snapshot, bool, error) {
 	return r.next(ctx)
 }
 
 // next runs the retry loop. A nil ctx selects virtual backoff (the
 // legacy Next semantics); a real ctx selects cancellable sleeping.
-func (r *Retrier) next(ctx context.Context) (registry.Snapshot, bool, error) {
+func (r *Retrier) next(ctx context.Context) (delegation.Snapshot, bool, error) {
 	for attempt := 1; ; attempt++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return registry.Snapshot{}, false, err
+				return delegation.Snapshot{}, false, err
 			}
 		}
 		snap, ok, err := r.src.Next()
@@ -125,7 +125,7 @@ func (r *Retrier) next(ctx context.Context) (registry.Snapshot, bool, error) {
 			if lost, ok := r.src.Abandon(); ok {
 				return lost, true, nil
 			}
-			return registry.Snapshot{}, false, nil
+			return delegation.Snapshot{}, false, nil
 		}
 		r.stats.Retries++
 		d := r.pol.Backoff(attempt)
@@ -138,7 +138,7 @@ func (r *Retrier) next(ctx context.Context) (registry.Snapshot, bool, error) {
 			select {
 			case <-ctx.Done():
 				t.Stop()
-				return registry.Snapshot{}, false, ctx.Err()
+				return delegation.Snapshot{}, false, ctx.Err()
 			case <-t.C:
 			}
 		}

@@ -7,14 +7,13 @@ import (
 
 	"parallellives/internal/asn"
 	"parallellives/internal/delegation"
-	"parallellives/internal/registry"
 )
 
 // ErrTransient marks a source failure that a retry may recover from —
 // the class the Retrier exists for.
 var ErrTransient = errors.New("faults: transient source error")
 
-// FallibleSource is a registry.Source whose reads can fail. A failed
+// FallibleSource is a delegation.Source whose reads can fail. A failed
 // Next leaves the pending snapshot in place, so a retry re-reads the
 // same day; Abandon gives up on it, yielding the day as missing — the
 // remote-archive semantics a Retrier needs.
@@ -22,28 +21,28 @@ type FallibleSource interface {
 	Registry() asn.RIR
 	// Next returns the next snapshot; ok is false at end of stream. On
 	// error, the read can be retried (same day) or Abandoned.
-	Next() (registry.Snapshot, bool, error)
+	Next() (delegation.Snapshot, bool, error)
 	// Abandon consumes the pending (failing) snapshot as a lost day.
-	Abandon() (registry.Snapshot, bool)
+	Abandon() (delegation.Snapshot, bool)
 }
 
-// SourceInjector wraps a registry.Source, injecting transient read
+// SourceInjector wraps a delegation.Source, injecting transient read
 // errors, dropped days and bit-flip corruption. It does not implement
-// registry.Source itself (its Next can fail); wrap it in a Retrier to
+// delegation.Source itself (its Next can fail); wrap it in a Retrier to
 // feed the restoration pipeline.
 type SourceInjector struct {
 	in  *Injector
-	src registry.Source
+	src delegation.Source
 
 	// One-snapshot lookahead: the window's final day is never content-
 	// mangled, so injected faults cannot silently truncate the archive
 	// window itself (which would shift every OpenAtEnd decision rather
 	// than exercising degrade paths).
-	peek   registry.Snapshot
+	peek   delegation.Snapshot
 	peekOK bool
 	primed bool
 
-	held     registry.Snapshot
+	held     delegation.Snapshot
 	heldOK   bool
 	heldLast bool
 	failLeft int
@@ -51,7 +50,7 @@ type SourceInjector struct {
 }
 
 // WrapSource wraps src with the injector's delegation-side faults.
-func (in *Injector) WrapSource(src registry.Source) *SourceInjector {
+func (in *Injector) WrapSource(src delegation.Source) *SourceInjector {
 	return &SourceInjector{in: in, src: src}
 }
 
@@ -59,13 +58,13 @@ func (in *Injector) WrapSource(src registry.Source) *SourceInjector {
 func (s *SourceInjector) Registry() asn.RIR { return s.src.Registry() }
 
 // pull fetches the next underlying snapshot, maintaining the lookahead.
-func (s *SourceInjector) pull() (snap registry.Snapshot, isLast, ok bool) {
+func (s *SourceInjector) pull() (snap delegation.Snapshot, isLast, ok bool) {
 	if !s.primed {
 		s.peek, s.peekOK = s.src.Next()
 		s.primed = true
 	}
 	if !s.peekOK {
-		return registry.Snapshot{}, false, false
+		return delegation.Snapshot{}, false, false
 	}
 	snap = s.peek
 	// The inner Next may parse into the very files snap points to (they
@@ -78,11 +77,11 @@ func (s *SourceInjector) pull() (snap registry.Snapshot, isLast, ok bool) {
 // Next returns the next snapshot or a transient error. After an error
 // the same snapshot stays pending: a successful retry returns the real
 // data. Drop and corruption faults are applied on successful reads.
-func (s *SourceInjector) Next() (registry.Snapshot, bool, error) {
+func (s *SourceInjector) Next() (delegation.Snapshot, bool, error) {
 	if !s.heldOK {
 		snap, isLast, ok := s.pull()
 		if !ok {
-			return registry.Snapshot{}, false, nil
+			return delegation.Snapshot{}, false, nil
 		}
 		s.held, s.heldLast, s.heldOK = snap, isLast, true
 		s.pos++
@@ -97,7 +96,7 @@ func (s *SourceInjector) Next() (registry.Snapshot, bool, error) {
 	if s.failLeft > 0 {
 		s.failLeft--
 		s.in.rep.transientErrs.Add(1)
-		return registry.Snapshot{}, false, fmt.Errorf("%w: %s day %s",
+		return delegation.Snapshot{}, false, fmt.Errorf("%w: %s day %s",
 			ErrTransient, s.src.Registry().Token(), s.held.Day)
 	}
 	snap := s.held
@@ -111,19 +110,19 @@ func (s *SourceInjector) Next() (registry.Snapshot, bool, error) {
 // Abandon consumes the pending snapshot after repeated failures,
 // returning it with its files dropped — the day is lost, but the stream
 // continues. ok is false when nothing is pending.
-func (s *SourceInjector) Abandon() (registry.Snapshot, bool) {
+func (s *SourceInjector) Abandon() (delegation.Snapshot, bool) {
 	if !s.heldOK {
-		return registry.Snapshot{}, false
+		return delegation.Snapshot{}, false
 	}
 	s.heldOK = false
 	s.failLeft = 0
-	return registry.Snapshot{Day: s.held.Day}, true
+	return delegation.Snapshot{Day: s.held.Day}, true
 }
 
 // mangle applies drop and corruption faults to one snapshot. Days that
 // are already damaged (missing or corrupt upstream) are left untouched,
 // so each injected fault maps to exactly one newly damaged day.
-func (s *SourceInjector) mangle(snap registry.Snapshot) registry.Snapshot {
+func (s *SourceInjector) mangle(snap delegation.Snapshot) delegation.Snapshot {
 	if snap.Regular == nil && snap.Extended == nil {
 		return snap
 	}
@@ -177,4 +176,4 @@ func corruptFile(f *delegation.File) *delegation.File {
 }
 
 // rirKey derives a stable per-registry hash key.
-func rirKey(src registry.Source) uint64 { return uint64(src.Registry()) }
+func rirKey(src delegation.Source) uint64 { return uint64(src.Registry()) }

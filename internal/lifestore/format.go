@@ -57,7 +57,7 @@ func encodeMeta(m Meta) []byte {
 	e.count(m.Visibility)
 	e.byte(uint8(m.Policy))
 	e.bool(m.Wire)
-	e.bool(m.TextFiles)
+	e.bool(true) // the retired text-files flag: delegation data always takes the text round trip
 	e.float(m.Scale)
 	e.varint(m.Seed)
 	e.count(m.Collectors)
@@ -71,24 +71,22 @@ func encodeMeta(m Meta) []byte {
 
 func decodeMeta(b []byte) (Meta, error) {
 	d := dec{b: b}
-	m := Meta{
-		FormatVersion:     FormatVersion,
-		Start:             d.day(),
-		End:               d.day(),
-		Timeout:           int(d.uvarint()),
-		Visibility:        int(d.uvarint()),
-		Policy:            pipeline.FaultPolicy(d.byte()),
-		Wire:              d.bool(),
-		TextFiles:         d.bool(),
-		Scale:             d.float(),
-		Seed:              d.varint(),
-		Collectors:        int(d.uvarint()),
-		PeersPerCollector: int(d.uvarint()),
-		Chaos:             d.bool(),
-		ASNCount:          int(d.uvarint()),
-		AdminLives:        int(d.uvarint()),
-		OpLives:           int(d.uvarint()),
-	}
+	m := Meta{FormatVersion: FormatVersion}
+	m.Start = d.day()
+	m.End = d.day()
+	m.Timeout = int(d.uvarint())
+	m.Visibility = int(d.uvarint())
+	m.Policy = pipeline.FaultPolicy(d.byte())
+	m.Wire = d.bool()
+	d.bool() // the retired text-files flag, dropped
+	m.Scale = d.float()
+	m.Seed = d.varint()
+	m.Collectors = int(d.uvarint())
+	m.PeersPerCollector = int(d.uvarint())
+	m.Chaos = d.bool()
+	m.ASNCount = int(d.uvarint())
+	m.AdminLives = int(d.uvarint())
+	m.OpLives = int(d.uvarint())
 	return m, d.done()
 }
 

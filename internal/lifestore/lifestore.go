@@ -33,13 +33,12 @@ type Meta struct {
 	FormatVersion uint16
 	// Start and End bound the observation window.
 	Start, End dates.Day
-	// Timeout, Visibility, Policy, Wire and TextFiles echo the pipeline
-	// options of the run.
+	// Timeout, Visibility, Policy and Wire echo the pipeline options of
+	// the run.
 	Timeout    int
 	Visibility int
 	Policy     pipeline.FaultPolicy
 	Wire       bool
-	TextFiles  bool
 	// Scale and Seed identify the simulated world.
 	Scale             float64
 	Seed              int64
@@ -106,7 +105,6 @@ func Capture(ds *pipeline.Dataset) *Snapshot {
 			Visibility:        ds.Options.Visibility,
 			Policy:            ds.Options.FaultPolicy,
 			Wire:              ds.Options.Wire,
-			TextFiles:         ds.Options.TextFiles,
 			Scale:             ds.Options.World.Scale,
 			Seed:              ds.Options.World.Seed,
 			Collectors:        ds.Options.World.Collectors,

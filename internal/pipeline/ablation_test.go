@@ -5,22 +5,22 @@ import (
 
 	"parallellives/internal/asn"
 	"parallellives/internal/core"
-	"parallellives/internal/registry"
+	"parallellives/internal/delegation"
 	"parallellives/internal/restore"
 )
 
-// directSources returns the dataset archive's direct (non-text) sources.
-func directSources(ds *Dataset) []registry.Source {
-	out := make([]registry.Source, 0, asn.NumRIRs)
+// textSources returns fresh text sources over the dataset's archive.
+func textSources(ds *Dataset) []delegation.Source {
+	out := make([]delegation.Source, 0, asn.NumRIRs)
 	for _, r := range asn.All() {
-		out = append(out, ds.Archive.Source(r))
+		out = append(out, ds.Archive.TextSource(r))
 	}
 	return out
 }
 
 func TestAblationRestorationOffFragmentsLifetimes(t *testing.T) {
 	ds := getSmall(t)
-	raw := restore.RestoreWithOptions(directSources(ds), nil, restore.Options{
+	raw := restore.RestoreWithOptions(textSources(ds), nil, restore.Options{
 		NoGapBridging:     true,
 		NoRegularRecovery: true,
 		NoDateRepair:      true,
@@ -40,7 +40,7 @@ func TestAblationRestorationOffFragmentsLifetimes(t *testing.T) {
 	// registry was never delegated.
 	foundMistaken := false
 	for _, l := range rawLifetimes {
-		if !registry.IANABlockHolds(l.RIR, l.ASN) {
+		if !delegation.IANABlockHolds(l.RIR, l.ASN) {
 			foundMistaken = true
 			break
 		}
@@ -55,7 +55,7 @@ func TestAblationNoDateRepairKeepsPlaceholders(t *testing.T) {
 	if ds.Archive.InjectionStats().PlaceholderASNs == 0 {
 		t.Skip("no placeholder quirks in this world")
 	}
-	raw := restore.RestoreWithOptions(directSources(ds), ds.Archive.ERXReference(),
+	raw := restore.RestoreWithOptions(textSources(ds), ds.Archive.ERXReference(),
 		restore.Options{NoDateRepair: true})
 	found := false
 	for _, run := range raw.Runs {

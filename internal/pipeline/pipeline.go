@@ -18,6 +18,7 @@ import (
 	"parallellives/internal/collector"
 	"parallellives/internal/core"
 	"parallellives/internal/dates"
+	"parallellives/internal/delegation"
 	"parallellives/internal/faults"
 	"parallellives/internal/obs"
 	"parallellives/internal/parallel"
@@ -34,8 +35,8 @@ type Options struct {
 	// scanner consumes the collector's observations directly (identical
 	// results, verified by tests — wire mode simply exercises the codec).
 	Wire bool
-	// TextFiles routes all delegation data through file-text
-	// serialization and lenient re-parsing.
+	// Pinned by benchmark/README.md; ignored: delegation data always
+	// takes the file-text round trip.
 	TextFiles bool
 	// Timeout is the operational inactivity timeout (0 = the paper's 30).
 	Timeout int
@@ -76,7 +77,6 @@ func DefaultOptions() Options {
 	return Options{
 		World:      worldsim.DefaultConfig(),
 		Wire:       false,
-		TextFiles:  true,
 		Timeout:    core.DefaultInactivityTimeout,
 		Visibility: bgpscan.MinPeerVisibility,
 	}
@@ -248,15 +248,10 @@ func BuildBase(ctx context.Context, opts Options) (*Base, error) {
 
 	// Administrative dimension: restore the archive, build lifetimes.
 	_, spRestore := obs.StartSpan(ctx, "restore")
-	sources := make([]registry.Source, 0, asn.NumRIRs)
+	sources := make([]delegation.Source, 0, asn.NumRIRs)
 	var retriers []*faults.Retrier
 	for _, r := range asn.All() {
-		var src registry.Source
-		if opts.TextFiles {
-			src = b.Archive.TextSource(r)
-		} else {
-			src = b.Archive.Source(r)
-		}
+		src := b.Archive.TextSource(r)
 		if b.Injector != nil {
 			// Chaos mode: the source becomes fallible; a Retrier recovers
 			// transient errors with bounded deterministic backoff and

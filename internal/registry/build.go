@@ -136,7 +136,7 @@ func (a *Archive) addLifeSpans(rng *rand.Rand, l *worldsim.Life, count int) {
 	a.spans[l.RIR] = append(a.spans[l.RIR], recordSpan{From: from, To: to, Rec: rec})
 
 	if l.Kind == worldsim.LifeERX {
-		a.erx = append(a.erx, ERXEntry{ASN: l.ASN, RegDate: l.RegDate})
+		a.erx = append(a.erx, delegation.ERXEntry{ASN: l.ASN, RegDate: l.RegDate})
 	}
 
 	// Reserved quarantine after deallocation, extended files only.
@@ -292,7 +292,8 @@ func (a *Archive) injectMistakenAllocations(rng *rand.Rand) {
 		victim := asn.RIR((int(wrong) + 1 + rng.Intn(int(asn.NumRIRs)-1)) % int(asn.NumRIRs))
 		// Pick ASNs high in the victim's 16-bit pool, beyond what the
 		// generator allocated.
-		base := poolRanges[victim].hi16 - asn.ASN(20+rng.Intn(100))
+		_, hi16, _ := delegation.IANABlocks(victim)
+		base := hi16 - asn.ASN(20+rng.Intn(100))
 		n := 3 + rng.Intn(6)
 		from := a.start.AddDays(200 + rng.Intn(a.end.Sub(a.start)-600))
 		to := from.AddDays(50 + rng.Intn(200))
@@ -314,7 +315,7 @@ func (a *Archive) injectMistakenAllocations(rng *rand.Rand) {
 // with RIPE's 7-consecutive-day regular-file gap as the worst case).
 func (a *Archive) injectFileGaps(rng *rand.Rand) {
 	for _, r := range asn.All() {
-		for d := firstRegular[r]; d <= a.end; d = d.AddDays(1) {
+		for d := delegation.FirstRegular(r); d <= a.end; d = d.AddDays(1) {
 			switch x := rng.Float64(); {
 			case x < 0.006:
 				a.missingReg[r][d] = true
@@ -324,7 +325,7 @@ func (a *Archive) injectFileGaps(rng *rand.Rand) {
 				a.injectStats.CorruptFileDays++
 			}
 		}
-		for d := firstExtended[r]; d <= a.end; d = d.AddDays(1) {
+		for d := delegation.FirstExtended(r); d <= a.end; d = d.AddDays(1) {
 			switch x := rng.Float64(); {
 			case x < 0.006:
 				a.missingExt[r][d] = true
@@ -356,13 +357,14 @@ func (a *Archive) injectDropEpisodes(rng *rand.Rand) {
 		}
 		n := 1 + rng.Intn(2)
 		for e := 0; e < n; e++ {
-			lo := poolRanges[r].lo16 + asn.ASN(rng.Intn(500))
+			lo16, _, _ := delegation.IANABlocks(r)
+			lo := lo16 + asn.ASN(rng.Intn(500))
 			hi := lo + asn.ASN(150+rng.Intn(400))
-			span := a.end.Sub(firstExtended[r])
+			span := a.end.Sub(delegation.FirstExtended(r))
 			if span < 400 {
 				continue
 			}
-			day := firstExtended[r].AddDays(100 + rng.Intn(span-200))
+			day := delegation.FirstExtended(r).AddDays(100 + rng.Intn(span-200))
 			dur := 1 + rng.Intn(2)
 			a.dropEpisodes[r] = append(a.dropEpisodes[r], dropEpisode{
 				Days: intervals.New(day, day.AddDays(dur-1)),
@@ -381,7 +383,7 @@ func (a *Archive) injectDivergence(rng *rand.Rand) {
 		if r == asn.AfriNIC {
 			continue
 		}
-		for d := firstExtended[r]; d <= a.end; d = d.AddDays(1) {
+		for d := delegation.FirstExtended(r); d <= a.end; d = d.AddDays(1) {
 			if rng.Float64() < 0.018 {
 				a.divergeDays[r][d] = true
 			}

@@ -27,49 +27,43 @@ func TestExportDirRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The exported files and the text source parse the same bytes, so
+	// each day must yield the same records and the same corrupt flags.
 	for _, r := range asn.All() {
-		src, err := NewDirSource(dir, r)
+		src, err := delegation.NewDirSource(dir, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if src.Registry() != r {
 			t.Fatal("wrong registry")
 		}
-		direct := a.Source(r)
-		// Skip the direct source ahead to the export window.
-		var dsnap Snapshot
-		for {
-			var ok bool
-			dsnap, ok = direct.Next()
-			if !ok {
-				t.Fatal("direct source exhausted early")
-			}
-			if dsnap.Day >= from {
-				break
-			}
-		}
+		text := a.TextSource(r)
 		days := 0
-		for {
-			fsnap, ok := src.Next()
-			if !ok {
-				break
+		for fsnap, ok := src.Next(); ok; fsnap, ok = src.Next() {
+			tsnap, ok := text.Next()
+			for ok && tsnap.Day < fsnap.Day {
+				tsnap, ok = text.Next()
 			}
-			if fsnap.Day != dsnap.Day {
-				t.Fatalf("day mismatch: %v vs %v", fsnap.Day, dsnap.Day)
+			if !ok || tsnap.Day != fsnap.Day {
+				t.Fatalf("%s: text source has no day %v", r.Token(), fsnap.Day)
 			}
-			if (fsnap.Regular == nil) != (dsnap.Regular == nil) {
-				t.Fatalf("%v regular presence differs", fsnap.Day)
-			}
-			if fsnap.Regular != nil && len(fsnap.Regular.ASNs) != len(dsnap.Regular.ASNs) {
-				t.Fatalf("%v regular record count differs: %d vs %d",
-					fsnap.Day, len(fsnap.Regular.ASNs), len(dsnap.Regular.ASNs))
+			for _, f := range []struct {
+				format           string
+				file, want       *delegation.File
+				corrupt, wantCor bool
+			}{
+				{"regular", fsnap.Regular, tsnap.Regular, fsnap.RegularCorrupt, tsnap.RegularCorrupt},
+				{"extended", fsnap.Extended, tsnap.Extended, fsnap.ExtendedCorrupt, tsnap.ExtendedCorrupt},
+			} {
+				if (f.file == nil) != (f.want == nil) || f.corrupt != f.wantCor {
+					t.Fatalf("%s %v %s: exported file (present=%v corrupt=%v) vs text source (present=%v corrupt=%v)",
+						r.Token(), fsnap.Day, f.format, f.file != nil, f.corrupt, f.want != nil, f.wantCor)
+				}
+				if f.file != nil && !reflect.DeepEqual(f.file.ASNs, f.want.ASNs) {
+					t.Fatalf("%s %v %s: exported records differ from the text source's", r.Token(), fsnap.Day, f.format)
+				}
 			}
 			days++
-			var ok2 bool
-			dsnap, ok2 = direct.Next()
-			if !ok2 && days < to.Sub(from) {
-				t.Fatal("direct source ended early")
-			}
 		}
 		if days < 50 {
 			t.Fatalf("only %d days streamed", days)
@@ -79,12 +73,12 @@ func TestExportDirRoundTrip(t *testing.T) {
 	// What RIR FTP mirrors keep beside every snapshot — a checksum, a
 	// signature — must not change anything: the siblings embed the same
 	// date, and matching them would shadow the real files.
-	drain := func(r asn.RIR) ([]Snapshot, IngestReport) {
-		src, err := NewDirSource(dir, r)
+	drain := func(r asn.RIR) ([]delegation.Snapshot, delegation.IngestReport) {
+		src, err := delegation.NewDirSource(dir, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var snaps []Snapshot
+		var snaps []delegation.Snapshot
 		for snap, ok := src.Next(); ok; snap, ok = src.Next() {
 			// A snapshot is valid until the next Next: keep copies.
 			snap.Regular, snap.Extended = snap.Regular.Clone(), snap.Extended.Clone()
@@ -93,7 +87,7 @@ func TestExportDirRoundTrip(t *testing.T) {
 		return snaps, src.Report()
 	}
 	rirs := asn.All()
-	wantSnaps, wantReports := make([][]Snapshot, len(rirs)), make([]IngestReport, len(rirs))
+	wantSnaps, wantReports := make([][]delegation.Snapshot, len(rirs)), make([]delegation.IngestReport, len(rirs))
 	for i, r := range rirs {
 		wantSnaps[i], wantReports[i] = drain(r)
 	}
@@ -119,79 +113,6 @@ func TestExportDirRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNewDirSourceErrors(t *testing.T) {
-	if _, err := NewDirSource(t.TempDir(), asn.APNIC); err == nil {
-		t.Error("empty dir should fail")
-	}
-	if _, err := NewDirSource("/nonexistent-path-xyz", asn.APNIC); err == nil {
-		t.Error("missing dir should fail")
-	}
-}
-
-func TestDirSourceSkipsForeignAndJunkFiles(t *testing.T) {
-	dir := t.TempDir()
-	// One valid APNIC file, one RIPE file, one junk file, one unparseable.
-	valid := "2|apnic|20040101|1|19930901|20040101|+1000\napnic|JP|asn|38500|1|20040101|allocated\n"
-	if err := os.WriteFile(filepath.Join(dir, "delegated-apnic-20040101"), []byte(valid), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "delegated-ripencc-20040101"), []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("hi"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "delegated-apnic-20040102"), []byte("garbage|file"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	src, err := NewDirSource(dir, asn.APNIC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, ok := src.Next()
-	if !ok || snap.Regular == nil || len(snap.Regular.ASNs) != 1 {
-		t.Fatalf("first snapshot = %+v, ok=%v", snap, ok)
-	}
-	snap, ok = src.Next()
-	if !ok || snap.Regular != nil {
-		t.Fatalf("garbage file should read as missing: %+v", snap)
-	}
-	if !snap.RegularCorrupt {
-		t.Error("garbage file should read as corrupt, not merely missing")
-	}
-	if _, ok := src.Next(); ok {
-		t.Error("source should end after the last named day")
-	}
-	rep := src.Report()
-	if rep.FilesMatched != 2 || rep.UnusableFiles != 1 || len(rep.CorruptNames) != 0 {
-		t.Errorf("ingest report = %+v", rep)
-	}
-}
-
-func TestDirSourceCountsCorruptNames(t *testing.T) {
-	dir := t.TempDir()
-	valid := "2|apnic|20040101|1|19930901|20040101|+1000\napnic|JP|asn|38500|1|20040101|allocated\n"
-	for name, content := range map[string]string{
-		"delegated-apnic-20040101": valid,
-		// Delegation-named files whose embedded date is garbage: corrupt
-		// snapshots, recorded by name rather than silently skipped.
-		"delegated-apnic-2004010x":          valid,
-		"delegated-apnic-extended-00000000": valid,
-	} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	src, err := NewDirSource(dir, asn.APNIC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := src.Report()
-	if rep.FilesMatched != 1 || len(rep.CorruptNames) != 2 {
-		t.Errorf("ingest report = %+v", rep)
-	}
-}
-
 // TestDirSourceSharedParserMatchesFreshParse: the one parser, one read
 // buffer and two File slots a DirSource holds change nothing it yields.
 // Every file of an exported archive (corrupt days included) is compared,
@@ -211,7 +132,7 @@ func TestDirSourceSharedParserMatchesFreshParse(t *testing.T) {
 		if err := a.ExportDir(dir, from, from.AddDays(60)); err != nil {
 			t.Fatal(err)
 		}
-		src, err := NewDirSource(dir, r)
+		src, err := delegation.NewDirSource(dir, r)
 		if err != nil {
 			t.Fatal(err)
 		}

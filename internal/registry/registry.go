@@ -6,7 +6,9 @@
 // corrupted files, record groups dropped from extended files, same-day
 // regular/extended divergence, duplicate records with inconsistent
 // status, registration dates that sit in the future, travel back to a
-// placeholder, and inter-RIR overlaps from stale transfer data.
+// placeholder, and inter-RIR overlaps from stale transfer data. It only
+// renders: the archive reader and the Source contract restoration
+// consumes live in delegation.
 package registry
 
 import (
@@ -18,31 +20,22 @@ import (
 	"parallellives/internal/worldsim"
 )
 
-// Format adoption dates per RIR (paper Table 1).
-var (
-	firstRegular = [asn.NumRIRs]dates.Day{
-		asn.AfriNIC: dates.MustParse("2005-02-18"),
-		asn.APNIC:   dates.MustParse("2003-10-09"),
-		asn.ARIN:    dates.MustParse("2003-11-20"),
-		asn.LACNIC:  dates.MustParse("2004-01-01"),
-		asn.RIPENCC: dates.MustParse("2003-11-26"),
-	}
-	firstExtended = [asn.NumRIRs]dates.Day{
-		asn.AfriNIC: dates.MustParse("2012-10-02"),
-		asn.APNIC:   dates.MustParse("2008-02-14"),
-		asn.ARIN:    dates.MustParse("2013-03-05"),
-		asn.LACNIC:  dates.MustParse("2012-06-28"),
-		asn.RIPENCC: dates.MustParse("2010-04-22"),
-	}
-	// ARIN stopped publishing regular files on 2013-08-12 (§3.1 fn. 3).
-	arinLastRegular = dates.MustParse("2013-08-12")
+// ARIN stopped publishing regular files on 2013-08-12 (§3.1 fn. 3).
+var arinLastRegular = dates.MustParse("2013-08-12")
+
+// Pinned by benchmark/README.md: the names the harness compiles against,
+// kept as aliases of the archive reader in delegation; nothing else uses
+// them.
+type (
+	Source   = delegation.Source
+	Snapshot = delegation.Snapshot
+	ERXEntry = delegation.ERXEntry
 )
 
-// FirstRegular returns the date of an RIR's first regular delegation file.
-func FirstRegular(r asn.RIR) dates.Day { return firstRegular[r] }
-
-// FirstExtended returns the date of an RIR's first extended file.
-func FirstExtended(r asn.RIR) dates.Day { return firstExtended[r] }
+var (
+	NewDirSource = delegation.NewDirSource
+	FirstRegular = delegation.FirstRegular
+)
 
 // recordSpan is one resource record valid over a day range in one RIR's
 // files. Block records (Count > 1) cover consecutive ASNs.
@@ -51,13 +44,6 @@ type recordSpan struct {
 	Rec      delegation.Record
 	ExtOnly  bool // only in extended files (reserved entries)
 	RegOnly  bool // only in regular files (extended-drop corruption)
-}
-
-// ERXEntry is one line of the pre-delegation-era ARIN reference data the
-// paper used to restore original ERX registration dates (§3.1 step v).
-type ERXEntry struct {
-	ASN     asn.ASN
-	RegDate dates.Day
 }
 
 // Archive is the rendered delegation-file archive for one world.
@@ -77,7 +63,7 @@ type Archive struct {
 	corruptExt   [asn.NumRIRs]map[dates.Day]bool
 	dropEpisodes [asn.NumRIRs][]dropEpisode
 	divergeDays  [asn.NumRIRs]map[dates.Day]bool
-	erx          []ERXEntry
+	erx          []delegation.ERXEntry
 	injectStats  InjectionStats
 }
 
@@ -99,17 +85,14 @@ type InjectionStats struct {
 func (a *Archive) InjectionStats() InjectionStats { return a.injectStats }
 
 // ERXReference returns the ERX original-registration reference table.
-func (a *Archive) ERXReference() []ERXEntry {
-	out := make([]ERXEntry, len(a.erx))
+func (a *Archive) ERXReference() []delegation.ERXEntry {
+	out := make([]delegation.ERXEntry, len(a.erx))
 	copy(out, a.erx)
 	return out
 }
 
 // Window returns the archive's day range (the world's window).
 func (a *Archive) Window() (start, end dates.Day) { return a.start, a.end }
-
-// World returns the underlying ground truth (for validation only).
-func (a *Archive) World() *worldsim.World { return a.world }
 
 // FileStatus distinguishes absent, corrupt and present files.
 type FileStatus uint8
@@ -124,7 +107,7 @@ const (
 // Status returns the archive's file status for the triple.
 func (a *Archive) Status(r asn.RIR, d dates.Day, extended bool) FileStatus {
 	if extended {
-		if d < firstExtended[r] || d > a.end {
+		if d < delegation.FirstExtended(r) || d > a.end {
 			return FileAbsent
 		}
 		if a.missingExt[r][d] {
@@ -135,7 +118,7 @@ func (a *Archive) Status(r asn.RIR, d dates.Day, extended bool) FileStatus {
 		}
 		return FilePresent
 	}
-	if d < firstRegular[r] || d > a.end || (r == asn.ARIN && d > arinLastRegular) {
+	if d < delegation.FirstRegular(r) || d > a.end || (r == asn.ARIN && d > arinLastRegular) {
 		return FileAbsent
 	}
 	if a.missingReg[r][d] {
@@ -154,20 +137,15 @@ func (a *Archive) File(r asn.RIR, d dates.Day, extended bool) *delegation.File {
 	if a.Status(r, d, extended) != FilePresent {
 		return nil
 	}
-	return a.buildFile(r, d, extended)
+	return a.buildFile(r, d, extended, nil)
 }
 
-func (a *Archive) buildFile(r asn.RIR, d dates.Day, extended bool) *delegation.File {
-	return a.buildFileScratch(r, d, extended, nil)
-}
-
-// buildFileScratch is buildFile with the record slices built inside
-// caller-owned scratch (which may be nil). The returned file aliases the
-// scratch's backing arrays, so the caller must be done with the file
-// before reusing the scratch — the contract the render→reparse text
-// source relies on to build each day's transient file without fresh
-// allocations.
-func (a *Archive) buildFileScratch(r asn.RIR, d dates.Day, extended bool, sc *fileScratch) *delegation.File {
+// buildFile materializes the file for the triple inside caller-owned
+// scratch (nil for a fresh file). The returned file aliases the scratch's
+// backing arrays, so the caller must be done with the file before reusing
+// the scratch — the contract the render→reparse text source relies on to
+// build each day's transient file without fresh allocations.
+func (a *Archive) buildFile(r asn.RIR, d dates.Day, extended bool, sc *fileScratch) *delegation.File {
 	if sc == nil {
 		sc = &fileScratch{}
 	}
@@ -221,7 +199,7 @@ func (a *Archive) buildFileScratch(r asn.RIR, d dates.Day, extended bool, sc *fi
 	return f
 }
 
-// fileScratch holds the reusable backing state for buildFileScratch: the
+// fileScratch holds the reusable backing state for buildFile: the
 // transient File value itself plus its record, summary and
 // occupied-ASN slices. One scratch serves one goroutine's day loop.
 type fileScratch struct {
@@ -277,7 +255,7 @@ func (a *Archive) appendAvailable(f *delegation.File, sc *fileScratch, r asn.RIR
 // poolBounds returns the registry's 16-bit range and the extent of its
 // 32-bit range actually touched by the world.
 func (a *Archive) poolBounds(r asn.RIR) (lo16, hi16, base32 asn.ASN, used32 int) {
-	lo16, hi16, base32 = poolRanges[r].lo16, poolRanges[r].hi16, poolRanges[r].base32
+	lo16, hi16, base32 = delegation.IANABlocks(r)
 	maxUsed := asn.ASN(0)
 	for _, l := range a.world.Lives {
 		if l.RIR == r && l.ASN >= base32 && l.ASN > maxUsed {
@@ -288,30 +266,4 @@ func (a *Archive) poolBounds(r asn.RIR) (lo16, hi16, base32 asn.ASN, used32 int)
 		used32 = int(maxUsed-base32) + 64 // a little headroom, like IANA blocks
 	}
 	return lo16, hi16, base32, used32
-}
-
-// poolRanges mirrors the worldsim registry pools; the registry package
-// publishes availability against the same ranges the generator draws
-// from.
-var poolRanges = [asn.NumRIRs]struct {
-	lo16, hi16, base32 asn.ASN
-}{
-	asn.AfriNIC: {36000, 37999, 327680},
-	asn.APNIC:   {38000, 45999, 131072},
-	asn.ARIN:    {1000, 19999, 393216},
-	asn.LACNIC:  {46000, 52999, 262144},
-	asn.RIPENCC: {20000, 35999, 196608},
-}
-
-// IANABlockHolds reports whether ASN x falls inside the blocks IANA
-// delegated to registry r — the public knowledge the paper's §3.1
-// step (vi) uses to identify mistaken apparent allocations. The 32-bit
-// blocks extend 60,000 numbers above each registry's base, mirroring the
-// simulated IANA delegations.
-func IANABlockHolds(r asn.RIR, x asn.ASN) bool {
-	p := poolRanges[r]
-	if x >= p.lo16 && x <= p.hi16 {
-		return true
-	}
-	return x >= p.base32 && x < p.base32+60000
 }

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"parallellives/internal/asn"
@@ -111,37 +112,31 @@ func TestAvailablePartitionsPool(t *testing.T) {
 	}
 }
 
-func TestTextSourceMatchesDirectSource(t *testing.T) {
+// TestTextSourceMatchesBuiltFiles: the text round trip yields the
+// archive's own files, and flags exactly its corrupt days.
+func TestTextSourceMatchesBuiltFiles(t *testing.T) {
 	w := smallWorld(t)
 	a := Build(w)
-	direct := a.Source(asn.APNIC)
-	text := a.TextSource(asn.APNIC)
+	r := asn.APNIC
+	text := a.TextSource(r)
 	days := 0
-	for {
-		ds, ok1 := direct.Next()
-		ts, ok2 := text.Next()
-		if ok1 != ok2 {
-			t.Fatal("sources disagree on length")
-		}
-		if !ok1 {
-			break
-		}
-		if ds.Day != ts.Day {
-			t.Fatalf("day mismatch: %v vs %v", ds.Day, ts.Day)
-		}
-		comparable := func(d, x *delegation.File) {
-			if (d == nil) != (x == nil) {
-				t.Fatalf("day %v: presence mismatch", ds.Day)
+	for ts, ok := text.Next(); ok; ts, ok = text.Next() {
+		for _, f := range []struct {
+			extended bool
+			got      *delegation.File
+			corrupt  bool
+		}{{false, ts.Regular, ts.RegularCorrupt}, {true, ts.Extended, ts.ExtendedCorrupt}} {
+			want := a.File(r, ts.Day, f.extended)
+			if (f.got == nil) != (want == nil) {
+				t.Fatalf("day %v extended=%v: presence mismatch", ts.Day, f.extended)
 			}
-			if d == nil {
-				return
+			if want != nil && !reflect.DeepEqual(f.got.ASNs, want.ASNs) {
+				t.Fatalf("day %v extended=%v: round-tripped records differ from the built file", ts.Day, f.extended)
 			}
-			if len(d.ASNs) != len(x.ASNs) {
-				t.Fatalf("day %v: %d vs %d records", ds.Day, len(d.ASNs), len(x.ASNs))
+			if f.corrupt != (a.Status(r, ts.Day, f.extended) == FileCorrupt) {
+				t.Fatalf("day %v extended=%v: corrupt=%v, status %v", ts.Day, f.extended, f.corrupt, a.Status(r, ts.Day, f.extended))
 			}
 		}
-		comparable(ds.Regular, ts.Regular)
-		comparable(ds.Extended, ts.Extended)
 		days++
 		if days > 1200 {
 			break // a few years of days is plenty for this check
@@ -180,7 +175,7 @@ func TestFileCountsNearWindowLength(t *testing.T) {
 	a := Build(w)
 	for _, r := range asn.All() {
 		n := a.FileCount(r)
-		total := w.Config.End.Sub(FirstRegular(r)) + 1
+		total := w.Config.End.Sub(delegation.FirstRegular(r)) + 1
 		if n > total || float64(n) < 0.97*float64(total) {
 			t.Errorf("%v: file count %d vs %d window days", r, n, total)
 		}

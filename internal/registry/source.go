@@ -2,6 +2,8 @@ package registry
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 
 	"parallellives/internal/asn"
 	"parallellives/internal/dates"
@@ -16,66 +18,6 @@ func (a *Archive) dropped(r asn.RIR, x asn.ASN, d dates.Day) bool {
 		}
 	}
 	return false
-}
-
-// Snapshot is one registry-day of delegation data: either file may be nil
-// when absent or unparseable. A Snapshot and its files are valid until the
-// next Next on the Source that yielded it, which may parse into the same
-// File slots; a consumer that keeps a day longer clones its files.
-type Snapshot struct {
-	Day      dates.Day
-	Regular  *delegation.File
-	Extended *delegation.File
-	// RegularCorrupt / ExtendedCorrupt report that the day's file existed
-	// in the archive but was unusable — retrieved bytes that failed to
-	// parse, as opposed to a file that was never there. The corresponding
-	// File field is nil; the restoration pipeline bridges the day either
-	// way but counts the two classes separately.
-	RegularCorrupt  bool
-	ExtendedCorrupt bool
-}
-
-// Source streams one registry's snapshots in day order — the interface
-// the restoration pipeline consumes. Implementations outside this package
-// can feed the pipeline from real archives.
-type Source interface {
-	Registry() asn.RIR
-	// Next returns the next day's snapshot; ok is false at end of stream.
-	// The snapshot and its files are valid until the following Next.
-	Next() (Snapshot, bool)
-}
-
-// directSource yields file objects straight from the archive.
-type directSource struct {
-	a   *Archive
-	rir asn.RIR
-	day dates.Day
-}
-
-// Source returns a Source yielding materialized file objects, one day at
-// a time from the registry's first file date (clamped to the archive
-// window, so truncated-window configurations do not emit empty
-// pre-window files) to the window end.
-func (a *Archive) Source(r asn.RIR) Source {
-	return &directSource{a: a, rir: r, day: dates.Max(firstRegular[r], a.start)}
-}
-
-func (s *directSource) Registry() asn.RIR { return s.rir }
-
-func (s *directSource) Next() (Snapshot, bool) {
-	_, end := s.a.Window()
-	if s.day > end {
-		return Snapshot{}, false
-	}
-	d := s.day
-	s.day = s.day.AddDays(1)
-	return Snapshot{
-		Day:             d,
-		Regular:         s.a.File(s.rir, d, false),
-		Extended:        s.a.File(s.rir, d, true),
-		RegularCorrupt:  s.a.Status(s.rir, d, false) == FileCorrupt,
-		ExtendedCorrupt: s.a.Status(s.rir, d, true) == FileCorrupt,
-	}, true
 }
 
 // textSource serializes each file to delegation-file text and re-parses
@@ -96,55 +38,54 @@ type textSource struct {
 }
 
 // TextSource returns a Source that round-trips every file through its
-// textual delegation-file form before yielding it.
-func (a *Archive) TextSource(r asn.RIR) Source {
-	return &textSource{a: a, rir: r, day: dates.Max(firstRegular[r], a.start)}
+// textual delegation-file form before yielding it, one day at a time
+// from the registry's first file date (clamped to the archive window,
+// so truncated-window configurations do not emit empty pre-window
+// files) to the window end.
+func (a *Archive) TextSource(r asn.RIR) delegation.Source {
+	return &textSource{a: a, rir: r, day: dates.Max(delegation.FirstRegular(r), a.start)}
 }
 
 func (s *textSource) Registry() asn.RIR { return s.rir }
 
-func (s *textSource) Next() (Snapshot, bool) {
+func (s *textSource) Next() (delegation.Snapshot, bool) {
 	_, end := s.a.Window()
 	if s.day > end {
-		return Snapshot{}, false
+		return delegation.Snapshot{}, false
 	}
 	d := s.day
 	s.day = s.day.AddDays(1)
-	snap := Snapshot{Day: d}
+	snap := delegation.Snapshot{Day: d}
 	snap.Regular, snap.RegularCorrupt = s.roundTrip(d, false)
 	snap.Extended, snap.ExtendedCorrupt = s.roundTrip(d, true)
 	return snap, true
 }
 
 // roundTrip yields the day's file after the text round trip; corrupt
-// reports a file that existed but did not survive parsing.
+// reports a file that existed but was unusable (delegation.ParseUsable).
+// Corrupt days round-trip their mangled bytes.
 func (s *textSource) roundTrip(d dates.Day, extended bool) (f *delegation.File, corrupt bool) {
 	slot := &s.reg
 	if extended {
 		slot = &s.ext
 	}
+	var data []byte
 	switch s.a.Status(s.rir, d, extended) {
 	case FileAbsent:
 		return nil, false
 	case FileCorrupt:
-		// Corrupt files exist on disk but do not survive parsing; the
-		// pipeline treats them like missing days while counting them as
-		// corrupt retrievals.
-		f, _ := s.parser.ParseLenientInto(slot, s.a.CorruptBytes(s.rir, d, extended))
-		if f != nil && len(f.ASNs) > 0 {
-			return f, false
-		}
-		return nil, true
+		data = s.a.CorruptBytes(s.rir, d, extended)
+	default:
+		data = s.rend.Render(s.a.buildFile(s.rir, d, extended, &s.scratch))
 	}
-	f = s.a.buildFileScratch(s.rir, d, extended, &s.scratch)
-	parsed, _ := s.parser.ParseLenientInto(slot, s.rend.Render(f))
-	return parsed, parsed == nil
+	f = s.parser.ParseUsable(slot, data)
+	return f, f == nil
 }
 
 // CorruptBytes renders the mangled content of a corrupt file day: a
 // truncated file with a broken header, as found in real archives.
 func (a *Archive) CorruptBytes(r asn.RIR, d dates.Day, extended bool) []byte {
-	f := a.buildFile(r, d, extended)
+	f := a.buildFile(r, d, extended, nil)
 	if f == nil {
 		return nil
 	}
@@ -170,10 +111,48 @@ func (a *Archive) CorruptBytes(r asn.RIR, d dates.Day, extended bool) []byte {
 // inventory reported in Table 1.
 func (a *Archive) FileCount(r asn.RIR) int {
 	n := 0
-	for d := firstRegular[r]; d <= a.end; d = d.AddDays(1) {
+	for d := delegation.FirstRegular(r); d <= a.end; d = d.AddDays(1) {
 		if a.Status(r, d, false) != FileAbsent || a.Status(r, d, true) != FileAbsent {
 			n++
 		}
 	}
 	return n
+}
+
+// ExportDir writes the archive's files for [from, to] into dir under
+// their RIR FTP names (delegation.FileName), producing an on-disk archive
+// delegation.NewDirSource can read back. Corrupt days are written with
+// their mangled bytes; missing days are skipped.
+func (a *Archive) ExportDir(dir string, from, to dates.Day) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, r := range asn.All() {
+		for d := from; d <= to; d = d.AddDays(1) {
+			for _, extended := range []bool{false, true} {
+				path := filepath.Join(dir, delegation.FileName(r, d, extended))
+				switch a.Status(r, d, extended) {
+				case FileAbsent:
+					continue
+				case FileCorrupt:
+					if err := os.WriteFile(path, a.CorruptBytes(r, d, extended), 0o644); err != nil {
+						return err
+					}
+				case FilePresent:
+					f, err := os.Create(path)
+					if err != nil {
+						return err
+					}
+					if _, err := a.buildFile(r, d, extended, nil).WriteTo(f); err != nil {
+						f.Close()
+						return err
+					}
+					if err := f.Close(); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"parallellives/internal/bgpscan"
 	"parallellives/internal/core"
 	"parallellives/internal/dates"
+	"parallellives/internal/delegation"
 	"parallellives/internal/registry"
 )
 
@@ -29,8 +30,8 @@ func BuildTable1(a *registry.Archive) Table1 {
 	for _, r := range asn.All() {
 		t.Rows = append(t.Rows, Table1Row{
 			RIR:           r,
-			FirstRegular:  registry.FirstRegular(r),
-			FirstExtended: registry.FirstExtended(r),
+			FirstRegular:  delegation.FirstRegular(r),
+			FirstExtended: delegation.FirstExtended(r),
 			FileCount:     a.FileCount(r),
 		})
 	}

@@ -31,7 +31,6 @@ import (
 	"parallellives/internal/delegation"
 	"parallellives/internal/intervals"
 	"parallellives/internal/parallel"
-	"parallellives/internal/registry"
 )
 
 // ripePlaceholder is the placeholder registration date of §3.1 step (v).
@@ -145,12 +144,12 @@ type Options struct {
 // every repair enabled. The erx table carries original registration
 // dates for early-registration transfers, used to repair placeholder
 // dates.
-func Restore(sources []registry.Source, erx []registry.ERXEntry) *Result {
+func Restore(sources []delegation.Source, erx []delegation.ERXEntry) *Result {
 	return RestoreWithOptions(sources, erx, Options{})
 }
 
 // RestoreWithOptions is Restore with selected repairs disabled.
-func RestoreWithOptions(sources []registry.Source, erx []registry.ERXEntry, opts Options) *Result {
+func RestoreWithOptions(sources []delegation.Source, erx []delegation.ERXEntry, opts Options) *Result {
 	res, _ := RestoreParallelContext(context.Background(), sources, erx, opts, 1)
 	return res
 }
@@ -165,7 +164,7 @@ func RestoreWithOptions(sources []registry.Source, erx []registry.ERXEntry, opts
 // Cancellation is cooperative: a cancelled ctx abandons the sources not
 // yet scanned and returns ctx's error instead of a partial result.
 // Restoration itself is infallible — the only possible error is ctx's.
-func RestoreParallelContext(ctx context.Context, sources []registry.Source, erx []registry.ERXEntry, opts Options, workers int) (*Result, error) {
+func RestoreParallelContext(ctx context.Context, sources []delegation.Source, erx []delegation.ERXEntry, opts Options, workers int) (*Result, error) {
 	erxDates := make(map[asn.ASN]dates.Day, len(erx))
 	for _, e := range erx {
 		erxDates[e.ASN] = e.RegDate
@@ -243,7 +242,7 @@ func (st *liveState) run(rir asn.RIR) Run {
 // records (also sorted by ASN) into a second slice: vanished runs close,
 // new ones open, shared ones continue or flip. The two slices swap every
 // file day, so the walk allocates only while they grow.
-func scanSource(res *Result, src registry.Source, erxDates map[asn.ASN]dates.Day, opts Options) {
+func scanSource(res *Result, src delegation.Source, erxDates map[asn.ASN]dates.Day, opts Options) {
 	rir := src.Registry()
 	var live, next []liveState
 	var sc dayScratch
@@ -383,7 +382,7 @@ type dayScratch struct {
 // the archives resolved in favour of the live allocation). The result
 // holds one record per ASN, sorted by ASN, and lives in sc until the
 // next call.
-func (sc *dayScratch) effectiveRecords(res *Result, snap registry.Snapshot, opts Options) []delegation.Record {
+func (sc *dayScratch) effectiveRecords(res *Result, snap delegation.Snapshot, opts Options) []delegation.Record {
 	f := snap.Extended
 	if f == nil {
 		f = snap.Regular
@@ -514,7 +513,7 @@ func fixInterRIR(res *Result) {
 		}
 		group := res.Runs[i:j]
 		for _, r := range group {
-			if registry.IANABlockHolds(r.RIR, r.ASN) || transferEvidence(r, group) {
+			if delegation.IANABlockHolds(r.RIR, r.ASN) || transferEvidence(r, group) {
 				kept = append(kept, r)
 				continue
 			}

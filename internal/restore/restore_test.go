@@ -12,7 +12,6 @@ import (
 	"parallellives/internal/dates"
 	"parallellives/internal/delegation"
 	"parallellives/internal/intervals"
-	"parallellives/internal/registry"
 )
 
 func d(s string) dates.Day { return dates.MustParse(s) }
@@ -20,15 +19,15 @@ func d(s string) dates.Day { return dates.MustParse(s) }
 // fakeSource replays scripted snapshots.
 type fakeSource struct {
 	rir   asn.RIR
-	snaps []registry.Snapshot
+	snaps []delegation.Snapshot
 	i     int
 }
 
 func (f *fakeSource) Registry() asn.RIR { return f.rir }
 
-func (f *fakeSource) Next() (registry.Snapshot, bool) {
+func (f *fakeSource) Next() (delegation.Snapshot, bool) {
 	if f.i >= len(f.snaps) {
-		return registry.Snapshot{}, false
+		return delegation.Snapshot{}, false
 	}
 	s := f.snaps[f.i]
 	f.i++
@@ -60,13 +59,13 @@ func days(rir asn.RIR, start string, files ...*delegation.File) *fakeSource {
 	s := &fakeSource{rir: rir}
 	day := d(start)
 	for i, f := range files {
-		s.snaps = append(s.snaps, registry.Snapshot{Day: day.AddDays(i), Extended: f})
+		s.snaps = append(s.snaps, delegation.Snapshot{Day: day.AddDays(i), Extended: f})
 	}
 	return s
 }
 
-func restoreOne(src registry.Source, erx ...registry.ERXEntry) *Result {
-	return Restore([]registry.Source{src}, erx)
+func restoreOne(src delegation.Source, erx ...delegation.ERXEntry) *Result {
+	return Restore([]delegation.Source{src}, erx)
 }
 
 func TestBasicRun(t *testing.T) {
@@ -151,7 +150,7 @@ func TestRecordRecoveredFromRegular(t *testing.T) {
 	regular := &delegation.File{Registry: asn.ARIN, ASNs: []delegation.Record{
 		rec(asn.ARIN, 1500, "US", "2010-01-01"),
 	}}
-	src := &fakeSource{rir: asn.ARIN, snaps: []registry.Snapshot{
+	src := &fakeSource{rir: asn.ARIN, snaps: []delegation.Snapshot{
 		{Day: d("2010-01-01"), Extended: ext, Regular: regular},
 		{Day: d("2010-01-02"), Extended: extMissingRecord, Regular: regular},
 		{Day: d("2010-01-03"), Extended: ext, Regular: regular},
@@ -198,7 +197,7 @@ func TestFutureRegDateFixed(t *testing.T) {
 }
 
 func TestPlaceholderRestoredFromERX(t *testing.T) {
-	erx := registry.ERXEntry{ASN: 20500, RegDate: d("1995-04-10")}
+	erx := delegation.ERXEntry{ASN: 20500, RegDate: d("1995-04-10")}
 	// Day 1 shows the true date, then it travels back to the placeholder.
 	src := days(asn.RIPENCC, "2010-01-01",
 		file(asn.RIPENCC, rec(asn.RIPENCC, 20500, "FR", "1995-04-10")),
@@ -343,7 +342,7 @@ func TestTransferredRunKeptDespiteBlockMismatch(t *testing.T) {
 }
 
 func TestPlaceholderCountedOncePerRun(t *testing.T) {
-	erx := registry.ERXEntry{ASN: 20500, RegDate: d("1995-04-10")}
+	erx := delegation.ERXEntry{ASN: 20500, RegDate: d("1995-04-10")}
 	files := []*delegation.File{
 		file(asn.RIPENCC, rec(asn.RIPENCC, 20500, "FR", "1995-04-10")),
 	}
@@ -364,7 +363,7 @@ func TestPlaceholderCountedOncePerRun(t *testing.T) {
 // destination registry starting on the same day: AS1500 moves ARIN →
 // RIPE NCC and AS20500 moves RIPE NCC → ARIN on 2010-01-05, and each
 // origin keeps the record a day longer as reserved.
-func tieSources() []registry.Source {
+func tieSources() []delegation.Source {
 	const start = "2010-01-01"
 	alloc := func(rir asn.RIR, a asn.ASN, reg string) delegation.Record { return rec(rir, a, "US", reg) }
 	reserved := func(rir asn.RIR, a asn.ASN, reg string) delegation.Record {
@@ -383,7 +382,7 @@ func tieSources() []registry.Source {
 	apnic := file(asn.APNIC, alloc(asn.APNIC, 40000, start))
 	lacnic := file(asn.LACNIC, alloc(asn.LACNIC, 46500, start))
 	afrinic := file(asn.AfriNIC, alloc(asn.AfriNIC, 36500, start))
-	return []registry.Source{
+	return []delegation.Source{
 		days(asn.RIPENCC, start, ripe...),
 		days(asn.ARIN, start, arin...),
 		days(asn.APNIC, start, apnic, apnic, apnic),
@@ -453,7 +452,7 @@ func TestRestoreOrderUnderTies(t *testing.T) {
 // repeats an ASN the extended file dropped. Rows are sorted by ASN; rows
 // whose ASN ranges overlap are in the order the test means them. Several
 // days share one *File, as sources may yield.
-func mergeDays() []registry.Snapshot {
+func mergeDays() []delegation.Snapshot {
 	const start = "2010-01-01"
 	alloc := func(a asn.ASN, cc string) delegation.Record { return rec(asn.ARIN, a, cc, start) }
 	with := func(r delegation.Record, st delegation.Status) delegation.Record {
@@ -485,7 +484,7 @@ func mergeDays() []registry.Snapshot {
 		alloc(1800, "MX"), with(alloc(1800, ""), delegation.StatusReserved), alloc(1800, "US"),
 	}}
 	day := d(start)
-	return []registry.Snapshot{
+	return []delegation.Snapshot{
 		{Day: day, Extended: e0, Regular: reg},
 		{Day: day.AddDays(1), Extended: e1, Regular: reg},
 		{Day: day.AddDays(2), ExtendedCorrupt: true},
@@ -503,7 +502,7 @@ func mergeDays() []registry.Snapshot {
 // its copy taken before the scan (rendering would not show a reordering:
 // the renderer sorts rows).
 func TestRestoreMergeIgnoresRowOrder(t *testing.T) {
-	restoreUnchanged := func(snaps []registry.Snapshot) *Result {
+	restoreUnchanged := func(snaps []delegation.Snapshot) *Result {
 		t.Helper()
 		before := map[*delegation.File]*delegation.File{}
 		for _, s := range snaps {

@@ -119,8 +119,10 @@ func Fingerprint(opts pipeline.Options) uint64 {
 	if opts.Inject != nil {
 		inject = fmt.Sprintf("%+v", *opts.Inject)
 	}
-	fmt.Fprintf(h, "world=%+v wire=%t text=%t timeout=%d vis=%d policy=%d inject=%s",
-		opts.World, true, opts.TextFiles, opts.Timeout, opts.Visibility, opts.FaultPolicy, inject)
+	// A tailer always takes the MRT wire and the delegation text round
+	// trip; both stay in the hash so older journals still resume.
+	fmt.Fprintf(h, "world=%+v wire=true text=true timeout=%d vis=%d policy=%d inject=%s",
+		opts.World, opts.Timeout, opts.Visibility, opts.FaultPolicy, inject)
 	return h.Sum64()
 }
 

@@ -329,6 +329,24 @@ func TestTailerFingerprintMismatch(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned: a journal written by an earlier build resumes
+// under this one. The constant is the hash of these options from a build
+// that still read TextFiles (then true in DefaultOptions); the field no
+// longer changes the hash.
+func TestFingerprintPinned(t *testing.T) {
+	opts := pipeline.DefaultOptions()
+	opts.World.Scale = 0.01
+	opts.World.Start = dates.MustParse("2004-01-01")
+	opts.World.End = dates.MustParse("2004-03-31")
+	const want = 0xd33289709a5da0ab
+	for _, text := range []bool{true, false} {
+		opts.TextFiles = text
+		if got := Fingerprint(opts); got != want {
+			t.Errorf("TextFiles=%v: fingerprint %#x, want %#x", text, got, uint64(want))
+		}
+	}
+}
+
 // TestTailerDrain: cancelling the context mid-tail commits what is in
 // flight, publishes the committed state, and returns nil.
 func TestTailerDrain(t *testing.T) {

@@ -29,6 +29,8 @@ race() {
 	named ./internal/pipeline/ TestRunContextCancellation
 	echo "== go test -race (chaos over recycled archives: the fault lookahead copies what sources recycle)"
 	named ./internal/pipeline/ TestChaosScanOverRecycledArchives
+	echo "== go test -race (layering: the analysis packages link no simulator)"
+	named ./internal/pipeline/ TestAnalysisLinksNoSimulator
 	echo "== go test -race (stream crash-equivalence property)"
 	named ./internal/stream/ TestCrashEquivalence
 	echo "== go test -race (stream read-ahead: recycled look-ahead reads match plain reads)"
