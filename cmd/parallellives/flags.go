@@ -50,7 +50,7 @@ func addPipelineFlags(fs *flag.FlagSet) *pipelineFlags {
 	fs.BoolVar(&o.Wire, "wire", o.Wire, "route BGP data through binary MRT encode/decode")
 	fs.IntVar(&o.Timeout, "timeout", o.Timeout, "§4.2 operational inactivity timeout (days)")
 	fs.IntVar(&o.Visibility, "visibility", o.Visibility, "minimum distinct peers per active ASN-day")
-	fs.IntVar(&o.Workers, "workers", o.Workers, "worker goroutines for the scan's day shards and restoration's per-registry reads (0 = GOMAXPROCS); output is identical for any value")
+	fs.IntVar(&o.Workers, "workers", o.Workers, "worker goroutines for each of the scan's day shards and restoration's per-registry reads, which run side by side above 1 (0 = GOMAXPROCS); output is identical for any value")
 	fs.Func("fault-policy", fmt.Sprintf("input damage handling `policy`: failfast, or degrade (quarantine damaged inputs, finish, report them in the health block) (default %s)", o.FaultPolicy), func(s string) (err error) {
 		o.FaultPolicy, err = pipeline.ParseFaultPolicy(s)
 		return err

@@ -878,15 +878,24 @@ func MergeActivities(parts ...*Activity) *Activity {
 
 func popcount(x uint64) int { return bits.OnesCount64(x) }
 
-// prefixHash is a per-prefix FNV-1a hash.
+// prefixHash is a per-prefix FNV-1a hash over Addr().As16() then
+// Bits(). Checkpoints persist PrefixRun.Sig, which folds it, so its
+// values are pinned (TestPrefixHashPinned).
 func prefixHash(p netip.Prefix) uint64 {
 	h := uint64(14695981039346656037)
-	a := p.Addr().As16()
-	for _, b := range a {
-		h ^= uint64(b)
-		h *= 1099511628211
+	if a := p.Addr(); a.Is4() {
+		h = fnv4Mapped
+		for _, b := range a.As4() {
+			h = (h ^ uint64(b)) * 1099511628211
+		}
+	} else {
+		for _, b := range a.As16() {
+			h = (h ^ uint64(b)) * 1099511628211
+		}
 	}
-	h ^= uint64(p.Bits())
-	h *= 1099511628211
-	return h
+	return (h ^ uint64(p.Bits())) * 1099511628211
 }
+
+// fnv4Mapped is prefixHash's state after the 12 bytes every IPv4
+// address's As16 form starts with (10 × 0x00, 2 × 0xff).
+const fnv4Mapped = 0x540b81da1cc1b60b

@@ -1,6 +1,7 @@
 package bgpscan
 
 import (
+	"math/rand"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -344,6 +345,55 @@ func TestPrefixRunSignatureSplitsRuns(t *testing.T) {
 	}
 	if runs[0].Count != 1 || runs[1].Count != 1 {
 		t.Error("counts wrong")
+	}
+}
+
+// TestPrefixHashPinned pins prefixHash: PrefixRun.Sig is an XOR of its
+// values and checkpoint journals persist it, so a changed hash silently
+// splits or merges runs across a resume. The constants are FNV-1a over
+// As16()‖Bits(); the property half checks the same definition on random
+// prefixes of both families.
+func TestPrefixHashPinned(t *testing.T) {
+	for _, c := range []struct {
+		prefix string
+		want   uint64
+	}{
+		{"0.0.0.0/0", 0x923e9bb9e0aef441},
+		{"10.0.0.0/8", 0x1369c410fb94d9fb},
+		{"203.0.113.0/24", 0x07f6ebc4303d1773},
+		{"192.0.2.1/32", 0x04127f97d26ba7a2},
+		{"::/0", 0x4dfa4cffd1f7979f},
+		{"2001:db8::/32", 0x99c8a50b3c0ccf85},
+		{"2001:db8:1:2::/64", 0xd5cf0371e7de3846},
+		{"2001:db8::1/128", 0x99c59f0b3c0a8f7c},
+		{"::ffff:192.0.2.0/120", 0x04162d97d26f0523},
+	} {
+		if got := prefixHash(p(c.prefix)); got != c.want {
+			t.Errorf("prefixHash(%s) = %#x, want %#x", c.prefix, got, c.want)
+		}
+	}
+
+	byteLoop := func(q netip.Prefix) uint64 {
+		h := uint64(14695981039346656037)
+		a := q.Addr().As16()
+		for _, b := range append(a[:], byte(q.Bits())) {
+			h ^= uint64(b)
+			h *= 1099511628211
+		}
+		return h
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		var a [16]byte
+		rng.Read(a[:])
+		addr, bits := netip.AddrFrom16(a), rng.Intn(129)
+		if i%2 == 0 {
+			addr, bits = netip.AddrFrom4([4]byte(a[:4])), rng.Intn(33)
+		}
+		q := netip.PrefixFrom(addr, bits)
+		if got, want := prefixHash(q), byteLoop(q); got != want {
+			t.Fatalf("prefixHash(%s) = %#x, byte loop %#x", q, got, want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -287,7 +288,7 @@ func TestConcurrentItersShareNoScratch(t *testing.T) {
 			continue
 		}
 		derived++
-		if want := inf.outageSchedule(&inf.segments[si]); !slices.Equal(c.set, want) {
+		if want := inf.outageSchedule(&inf.segments[si], rand.New(rand.NewSource(1))); !slices.Equal(c.set, want) {
 			t.Errorf("segment %d: shared outage schedule %v, want %v", si, c.set, want)
 		}
 	}

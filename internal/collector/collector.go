@@ -115,9 +115,10 @@ func (inf *Infrastructure) hash64(a asn.ASN, d dates.Day, salt uint32) uint64 {
 // frequent 1–3 day flaps and rarer 4–28 day outages (both shorter than
 // the 30-day lifetime timeout, which must bridge them; the mid-length
 // ones are exactly what breaks apart under the 15-day timeout of the
-// paper's sensitivity analysis).
-func (inf *Infrastructure) outageSchedule(seg *worldsim.Segment) intervals.Set {
-	rng := rand.New(rand.NewSource(int64(inf.hash64(seg.ASN, seg.Span.Start, 0x0bad))))
+// paper's sensitivity analysis). rng is re-seeded, so it draws what a
+// fresh rand.New(rand.NewSource(seed)) would, without allocating one.
+func (inf *Infrastructure) outageSchedule(seg *worldsim.Segment, rng *rand.Rand) intervals.Set {
+	rng.Seed(int64(inf.hash64(seg.ASN, seg.Span.Start, 0x0bad)))
 	var out []intervals.Interval
 	cur := seg.Span.Start
 	for {
@@ -140,10 +141,10 @@ func (inf *Infrastructure) outageSchedule(seg *worldsim.Segment) intervals.Set {
 // outagesOf returns segment si's outage schedule, derived once for all
 // iterators: seeding its generator costs more than rendering the segment
 // for a day, and every day-shard's iterator meets the same segments. The
-// set is shared, so read-only.
-func (inf *Infrastructure) outagesOf(si int) intervals.Set {
+// set is shared, so read-only; rng is the calling iterator's own.
+func (inf *Infrastructure) outagesOf(si int, rng *rand.Rand) intervals.Set {
 	c := &inf.outages[si]
-	c.once.Do(func() { c.set = inf.outageSchedule(&inf.segments[si]) })
+	c.once.Do(func() { c.set = inf.outageSchedule(&inf.segments[si], rng) })
 	return c.set
 }
 
@@ -237,6 +238,8 @@ type Iter struct {
 	// enc is AppendMRT's scratch (encode.go): reset by every call, never
 	// reallocated, and never reachable from the archives it returns.
 	enc encoder
+	// rng is re-seeded for every outage schedule this iterator derives.
+	rng *rand.Rand
 }
 
 // segState is the cached per-segment rendering state.
@@ -270,6 +273,7 @@ func (inf *Infrastructure) IterRange(start, end dates.Day) *Iter {
 		day:      start.AddDays(-1),
 		end:      end,
 		segCache: make(map[int]*segState),
+		rng:      rand.New(rand.NewSource(0)),
 	}
 }
 
@@ -402,7 +406,7 @@ func (it *Iter) segmentState(si int, seg *worldsim.Segment) *segState {
 	st := &segState{
 		prefixes: prefixes,
 		ids:      it.table.internAll(make([]int32, 0, len(prefixes)), prefixes),
-		outages:  it.inf.outagesOf(si),
+		outages:  it.inf.outagesOf(si, it.rng),
 		reps:     it.inf.prepends(seg.ASN),
 	}
 	it.segCache[si] = st

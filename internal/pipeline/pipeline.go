@@ -62,13 +62,13 @@ type Options struct {
 	// Nil costs nothing on the hot paths.
 	Obs *obs.Obs
 
-	// Workers bounds the goroutines of the two parallel stages: the scan
-	// shards the day range, and restoration reads the five RIR sources
-	// concurrently. Segmentation and the join are sequential. 0 means
-	// runtime.GOMAXPROCS(0); 1 runs fully sequentially. The output
-	// is bit-for-bit identical for every value — parallelism here is a
-	// wall-clock knob, never a results knob (pinned by the equivalence
-	// property test).
+	// Workers bounds the goroutines of each parallel stage: the scan
+	// shards the day range, restoration reads the five RIR sources, and
+	// above 1 Run restores and segments the admin lens beside the scan.
+	// The rest is sequential. 0 means runtime.GOMAXPROCS(0); 1 runs fully
+	// sequentially. The output is bit-for-bit identical for every value —
+	// parallelism here is a wall-clock knob, never a results knob (pinned
+	// by the equivalence property test).
 	Workers int
 }
 
@@ -131,26 +131,26 @@ func RunContext(ctx context.Context, opts Options) (*Dataset, error) {
 	}
 	ctx, root := obs.StartSpan(ctx, "pipeline.run")
 
-	base, err := BuildBase(ctx, opts)
+	base, err := buildWorld(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
-	m.collect()
-
-	// Operational dimension: scan the collectors.
-	sctx, spScan := obs.StartSpan(ctx, "bgpscan")
-	act, op, err := scan(sctx, base, m)
+	// The two lenses share nothing until the join, so above one worker
+	// the admin lens runs beside the scan. It keeps the caller's ctx: a
+	// scan error never cancels it, and its own error (index 0) still wins
+	// over the scan's, as in the sequential order.
+	var act *bgpscan.Activity
+	var op OpAccount
+	err = parallel.ForEach(ctx, 2, base.Workers, func(sctx context.Context, i int) (err error) {
+		if i == 0 {
+			return base.buildAdmin(ctx)
+		}
+		act, op, err = scan(sctx, base, m)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	spScan.SetAttr("days", int64(op.Days))
-	spScan.SetAttr(obs.AttrIn, op.Archives)
-	spScan.SetAttr(obs.AttrOut, act.Stats.Routes)
-	spScan.SetAttr("records", act.Stats.RIBRecords+act.Stats.UpdateMessages)
-	spScan.SetAttr(obs.AttrDrops, act.Stats.DropPrefixLen+act.Stats.DropLoop+
-		act.Stats.DropMalformed+act.Stats.DropLowVis)
-	spScan.SetAttr(obs.AttrQuarantined, act.Stats.QuarantinedTruncated+act.Stats.QuarantinedTails)
-	spScan.End()
 	m.collect()
 
 	ds, err := base.Complete(ctx, act, op)
@@ -224,6 +224,19 @@ func (a *OpAccount) Add(o OpAccount) {
 // full run. The returned Base is ready for the operational side —
 // either the batch scan or the tailer's day-append loop.
 func BuildBase(ctx context.Context, opts Options) (*Base, error) {
+	b, err := buildWorld(ctx, opts)
+	if err == nil {
+		err = b.buildAdmin(ctx)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// buildWorld starts a Base: the simulated world, its delegation
+// archive, the run's fault injector and the health report's seed.
+func buildWorld(ctx context.Context, opts Options) (*Base, error) {
 	opts = opts.WithDefaults()
 	workers := opts.Workers
 	if workers <= 0 {
@@ -245,8 +258,12 @@ func BuildBase(ctx context.Context, opts Options) (*Base, error) {
 		b.Injector = faults.NewInjector(*opts.Inject)
 	}
 	b.health = Health{Policy: opts.FaultPolicy}
+	return b, nil
+}
 
-	// Administrative dimension: restore the archive, build lifetimes.
+// buildAdmin restores the archive and builds the admin lifetimes. It
+// writes only fields the scan never reads, so it may run beside it.
+func (b *Base) buildAdmin(ctx context.Context) error {
 	_, spRestore := obs.StartSpan(ctx, "restore")
 	sources := make([]delegation.Source, 0, asn.NumRIRs)
 	var retriers []*faults.Retrier
@@ -262,9 +279,9 @@ func BuildBase(ctx context.Context, opts Options) (*Base, error) {
 		}
 		sources = append(sources, src)
 	}
-	restored, err := restore.RestoreParallelContext(ctx, sources, b.Archive.ERXReference(), restore.Options{}, workers)
+	restored, err := restore.RestoreParallelContext(ctx, sources, b.Archive.ERXReference(), restore.Options{}, b.Workers)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	b.Restored = restored
 	for _, ret := range retriers {
@@ -284,12 +301,12 @@ func BuildBase(ctx context.Context, opts Options) (*Base, error) {
 	spRestore.SetAttr("corrupt_file_days", int64(b.Restored.Report.CorruptFileDays))
 	spRestore.SetAttr("retries", b.health.Delegation.Retries)
 	spRestore.End()
-	if opts.FaultPolicy == FailFast && b.health.Delegation.AbandonedReads > 0 {
-		return nil, fmt.Errorf("pipeline: %d delegation day reads abandoned after retries (policy failfast)",
+	if b.Options.FaultPolicy == FailFast && b.health.Delegation.AbandonedReads > 0 {
+		return fmt.Errorf("pipeline: %d delegation day reads abandoned after retries (policy failfast)",
 			b.health.Delegation.AbandonedReads)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	_, spAdmin := obs.StartSpan(ctx, "segment.admin")
 	lifetimes, stats := core.BuildAdminLifetimes(b.Restored)
@@ -299,7 +316,7 @@ func BuildBase(ctx context.Context, opts Options) (*Base, error) {
 	spAdmin.SetAttr(obs.AttrOut, int64(len(b.Admin.Lifetimes)))
 	spAdmin.SetAttr("asns", int64(stats.ASNs))
 	spAdmin.End()
-	return b, nil
+	return nil
 }
 
 // Complete assembles the full Dataset from the base and a finalized
@@ -376,6 +393,7 @@ func (b *Base) Complete(ctx context.Context, act *bgpscan.Activity, op OpAccount
 // gets one span (bgpscan.shard[i]) and publishes per-day registry deltas
 // through its shardMetrics view; m may be nil (observability off).
 func scan(ctx context.Context, b *Base, m *runMetrics) (*bgpscan.Activity, OpAccount, error) {
+	ctx, spScan := obs.StartSpan(ctx, "bgpscan")
 	inf := collector.New(b.World)
 	start, end := b.World.Config.Start, b.World.Config.End
 	shards := parallel.Shards(end.Sub(start)+1, b.Workers)
@@ -427,7 +445,16 @@ func scan(ctx context.Context, b *Base, m *runMetrics) (*bgpscan.Activity, OpAcc
 	for _, a := range accounts {
 		op.Add(a)
 	}
-	return bgpscan.MergeActivities(parts...), op, nil
+	act := bgpscan.MergeActivities(parts...)
+	spScan.SetAttr("days", int64(op.Days))
+	spScan.SetAttr(obs.AttrIn, op.Archives)
+	spScan.SetAttr(obs.AttrOut, act.Stats.Routes)
+	spScan.SetAttr("records", act.Stats.RIBRecords+act.Stats.UpdateMessages)
+	spScan.SetAttr(obs.AttrDrops, act.Stats.DropPrefixLen+act.Stats.DropLoop+
+		act.Stats.DropMalformed+act.Stats.DropLowVis)
+	spScan.SetAttr(obs.AttrQuarantined, act.Stats.QuarantinedTruncated+act.Stats.QuarantinedTails)
+	spScan.End()
+	return act, op, nil
 }
 
 // NewScanner returns a scanner set up from the base's options: their

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"parallellives/internal/asn"
 	"parallellives/internal/core"
 	"parallellives/internal/dates"
+	"parallellives/internal/faults"
 	"parallellives/internal/obs"
 	"parallellives/internal/worldsim"
 )
@@ -468,5 +470,90 @@ func TestRunContextCancellation(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("workers=%d: run still going 5 s after cancel", workers)
 		}
+	}
+}
+
+// TestRunContextLensOverlap holds the Workers > 1 build, where the admin
+// lens runs beside the scan, to the sequential run's failure behaviour:
+// (i) a failing admin lens returns the Workers=1 error, also when the
+// scan fails too, and stops the scan early; (ii) a cancel while both
+// lenses run returns context.Canceled and no dataset; (iii) on every
+// path the goroutine count settles back to its value before the call.
+func TestRunContextLensOverlap(t *testing.T) {
+	opts := DefaultOptions()
+	opts.World.Scale = 0.01
+	opts.World.Start = dates.MustParse("2004-01-01")
+	opts.World.End = dates.MustParse("2006-12-31")
+	opts.Wire = true
+	window := opts.World.End.Sub(opts.World.Start) + 1
+
+	settled := func(path string, before int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after RunContext returned, %d before", path, runtime.NumGoroutine(), before)
+			}
+		}
+	}
+
+	// (i) Transient bursts longer than the retrier's 4 attempts abandon
+	// delegation reads, which FailFast turns into an admin-lens error;
+	// the second plan also chops MRT archive tails, so the scan fails too.
+	for _, plan := range []faults.Plan{
+		{Seed: 5, TransientRate: 0.01, TransientBurst: 6},
+		{Seed: 5, TransientRate: 0.01, TransientBurst: 6, TailChopRate: 0.05},
+	} {
+		opts := opts
+		opts.Inject = &plan
+		opts.Workers = 1
+		_, want := RunContext(context.Background(), opts)
+		if want == nil || !strings.Contains(want.Error(), "delegation day reads abandoned") {
+			t.Fatalf("%+v: Workers=1 returned %v, want the abandoned-reads error", plan, want)
+		}
+		opts.Workers = 2
+		opts.Obs = obs.New()
+		before := runtime.NumGoroutine()
+		ds, err := RunContext(context.Background(), opts)
+		settled("admin failure", before)
+		if ds != nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("%+v: Workers=2 returned (%v, %v), want (nil, %v)", plan, ds, err, want)
+		}
+		if days, _ := opts.Obs.Registry.Value(MetricDaysProcessed); int(days) >= window {
+			t.Errorf("%+v: the scan ran all %d days after the admin lens failed", plan, window)
+		}
+	}
+
+	// (ii) Cancel once the scan has finished a day, while restoration
+	// (which reads every file day of the window) is still going.
+	opts.Workers = 2
+	opts.Obs = obs.New()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	before := runtime.NumGoroutine()
+	type result struct {
+		ds  *Dataset
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		ds, err := RunContext(ctx, opts)
+		done <- result{ds, err}
+	}()
+	for days := 0.0; days == 0; time.Sleep(time.Millisecond) {
+		days, _ = opts.Obs.Registry.Value(MetricDaysProcessed)
+	}
+	cancel()
+	var r result
+	select {
+	case r = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("run still going 5 s after cancel")
+	}
+	settled("cancel", before)
+	if !errors.Is(r.err, context.Canceled) || r.ds != nil {
+		t.Errorf("cancelled: got (%v, %v), want (nil, context.Canceled)", r.ds, r.err)
+	}
+	if root := opts.Obs.Tracer.Roots()[0]; root.Child("segment.admin") != nil {
+		t.Error("the admin lens finished before the cancel; nothing ran beside the scan")
 	}
 }

@@ -169,6 +169,16 @@ func opaqueID(org int) string {
 // placeholder back-travel (RIPE ERX), future dates (AfriNIC) and benign
 // same-life corrections.
 func (a *Archive) injectRegDateQuirks(rng *rand.Rand) {
+	type life struct {
+		asn asn.ASN
+		reg dates.Day
+	}
+	placeholder := make(map[life]bool)
+	for _, l := range a.world.Lives {
+		if l.PlaceholderQuirk {
+			placeholder[life{l.ASN, l.RegDate}] = true
+		}
+	}
 	for _, r := range asn.All() {
 		spans := a.spans[r]
 		var rebuilt []recordSpan
@@ -176,7 +186,7 @@ func (a *Archive) injectRegDateQuirks(rng *rand.Rand) {
 			switch {
 			case sp.Rec.Status == delegation.StatusReserved || sp.Rec.Status == delegation.StatusAvailable:
 				rebuilt = append(rebuilt, sp)
-			case r == asn.RIPENCC && a.isPlaceholderLife(sp.Rec.ASN, sp.Rec.Date):
+			case r == asn.RIPENCC && placeholder[life{sp.Rec.ASN, sp.Rec.Date}]:
 				// The date shows correctly at first, then travels back to
 				// the 1993-09-01 placeholder from a switch day onward.
 				sw := dates.MustParse("2004-06-01").AddDays(rng.Intn(400))
@@ -219,17 +229,6 @@ func (a *Archive) injectRegDateQuirks(rng *rand.Rand) {
 		}
 		a.spans[r] = rebuilt
 	}
-}
-
-// isPlaceholderLife reports whether (asn, regdate) matches a ground-truth
-// life carrying the RIPE placeholder quirk.
-func (a *Archive) isPlaceholderLife(x asn.ASN, reg dates.Day) bool {
-	for _, l := range a.world.Lives {
-		if l.ASN == x && l.RegDate == reg && l.PlaceholderQuirk {
-			return true
-		}
-	}
-	return false
 }
 
 // injectDuplicates plants AfriNIC's duplicate records with inconsistent

@@ -27,6 +27,10 @@ race() {
 	named ./internal/pipeline/ TestParallelEquivalence
 	echo "== go test -race (RunContext: cancelled before and during the scan)"
 	named ./internal/pipeline/ TestRunContextCancellation
+	echo "== go test -race (RunContext: the admin lens beside the scan fails, cancels and exits as the sequential run)"
+	named ./internal/pipeline/ TestRunContextLensOverlap
+	echo "== go test -race (bgpscan: prefix hash values pinned; checkpoints persist them)"
+	named ./internal/bgpscan/ TestPrefixHashPinned
 	echo "== go test -race (chaos over recycled archives: the fault lookahead copies what sources recycle)"
 	named ./internal/pipeline/ TestChaosScanOverRecycledArchives
 	echo "== go test -race (layering: the analysis packages link no simulator)"
