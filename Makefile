@@ -13,10 +13,12 @@ vet:
 race:
 	./scripts/verify.sh race
 
-# Short fuzz pass over the parser no-panic targets and the scanner's
-# equivalence with its reference.
+# Short fuzz pass over the parser no-panic targets, the delegation
+# series against fresh parses, and the scanner's equivalence with its
+# reference.
 fuzz:
 	go test ./internal/delegation/ -fuzz FuzzLenientParse -fuzztime 15s
+	go test ./internal/delegation/ -fuzz FuzzParseSeries -fuzztime 15s
 	go test ./internal/mrt/ -fuzz FuzzDecodeMRT -fuzztime 15s
 	go test ./internal/bgpscan/ -fuzz FuzzObserveMRT -fuzztime 15s
 	go test ./internal/lifestore/ -fuzz FuzzOpenBytes -fuzztime 15s

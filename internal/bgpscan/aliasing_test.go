@@ -19,9 +19,9 @@ func scribble[T any](s []T, v T) {
 
 // scribbleScratch overwrites every piece of reusable scanner state a
 // finished Activity could conceivably share memory with: the dense
-// per-ASN slices (peer masks, origin sets), the day's touched list, both
-// generations of the attribute table (arena, paths, entries, index), and
-// the decode scratch.
+// per-ASN slices (peer masks, origin sets), the day's touched list, the
+// attribute table (arena, paths, entries, index) with its list of the
+// day's entries, and the decode scratch.
 func scribbleScratch(t *testing.T, s *Scanner) {
 	t.Helper()
 	sets := 0
@@ -39,12 +39,11 @@ func scribbleScratch(t *testing.T, s *Scanner) {
 	}
 	scribble(s.peers, ^uint64(0))
 	scribble(s.touched, ^uint32(0))
-	for _, tab := range []*attrTable{s.cur, s.prev} {
-		scribble(tab.arena, 0xa5)
-		scribble(tab.paths, ^uint32(0))
-		scribble(tab.ents, attrEntry{hits: 1 << 40})
-		scribble(tab.slots, ^uint32(0))
-	}
+	scribble(s.table.arena, 0xa5)
+	scribble(s.table.paths, ^uint32(0))
+	scribble(s.table.ents, attrEntry{hits: 1 << 40})
+	scribble(s.table.slots, ^uint32(0))
+	scribble(s.today, ^uint32(0))
 	scribble(s.keep, netip.MustParsePrefix("192.0.2.0/24"))
 	scribble(s.flat, 65000)
 	scribble(s.pathIDs, ^uint32(0))
@@ -98,7 +97,7 @@ func TestPooledScratchDoesNotAliasActivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.cur.arena)+len(s.prev.arena) == 0 {
+	if len(s.table.arena) == 0 {
 		t.Fatal("attribute table empty after MRT days — interning gone?")
 	}
 	scribbleScratch(t, s)
@@ -111,7 +110,7 @@ func TestPooledScratchDoesNotAliasActivity(t *testing.T) {
 	}
 }
 
-// TestPooledScratchDoesNotAliasPartial is the FinishPartial variant:
+// TestPooledScratchDoesNotAliasPartial is the TakePartial variant:
 // shard outputs feed MergeActivities later, so they too must be
 // independent of the recycled scratch.
 func TestPooledScratchDoesNotAliasPartial(t *testing.T) {
@@ -123,7 +122,7 @@ func TestPooledScratchDoesNotAliasPartial(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Origin 200 is seen by two peers (visible); 201 by one (invisible,
-		// but kept by FinishPartial).
+		// but kept by TakePartial).
 		s.Observe(p, []asn.ASN{1, 5, 200})
 		s.Observe(p, []asn.ASN{2, 5, 200})
 		s.Observe(p, []asn.ASN{1, 6, 201})
@@ -131,7 +130,7 @@ func TestPooledScratchDoesNotAliasPartial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	act := s.FinishPartial()
+	act := s.TakePartial()
 	before, err := json.Marshal(act)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,10 @@
 package bgpscan
 
-import "bytes"
+import (
+	"bytes"
+
+	"parallellives/internal/dates"
+)
 
 // attrTable interns RIB attribute blocks: it maps the raw bytes of a
 // block to what sanitization made of them, so a block is decoded,
@@ -12,6 +16,11 @@ import "bytes"
 // the call — and find compares the full block, so two blocks that
 // collide on hash (or differ in one byte) are two entries. The hash only
 // picks where probing starts.
+//
+// The table is cross-day state: each entry records the day it was last
+// folded in. BeginDay compacts it to the blocks the previous day applied
+// once the others reach a third of it, so it holds at most 3/2 of those
+// plus the day's newly decoded blocks (TestTableBoundedAcrossDays).
 type attrTable struct {
 	arena []byte      // block bytes, back to back
 	paths []uint32    // the blocks' paths as ASN ids, back to back
@@ -24,41 +33,43 @@ type attrTable struct {
 // attrEntry is one interned block.
 type attrEntry struct {
 	route
-	hash          uint64
-	off, pathOff  int
+	hash          uint32
+	off, pathOff  uint32
 	size, pathLen uint32
+	day           dates.Day // the scan day the block was last folded in
 	// hits counts the routes that carried the block today; EndDay turns
 	// it into the origin's upstream count in one map write per block
 	// instead of one per route.
 	hits int64
 }
 
-// find returns the entry whose bytes are exactly b, or nil. h must be the
-// hash add was given for the same bytes.
-func (t *attrTable) find(h uint64, b []byte) *attrEntry {
+// find returns the index of the entry whose bytes are exactly b, or -1.
+// h must be the hash add was given for the same bytes.
+func (t *attrTable) find(h uint32, b []byte) int {
 	if len(t.slots) == 0 {
-		return nil
+		return -1
 	}
-	mask := uint64(len(t.slots) - 1)
+	mask := uint32(len(t.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		x := t.slots[i]
 		if x == 0 {
-			return nil
+			return -1
 		}
 		e := &t.ents[x-1]
-		if e.hash == h && bytes.Equal(t.arena[e.off:e.off+int(e.size)], b) {
-			return e
+		if e.hash == h && bytes.Equal(t.arena[e.off:e.off+e.size], b) {
+			return int(x - 1)
 		}
 	}
 }
 
 // add interns b, which find must have just missed, with its route and
-// path, copying both. The returned entry is valid until the next add.
-func (t *attrTable) add(h uint64, b []byte, path []uint32, r route) *attrEntry {
+// path, copying both, as folded in on day d. The returned entry is valid
+// until the next add.
+func (t *attrTable) add(h uint32, b []byte, path []uint32, r route, d dates.Day) *attrEntry {
 	t.ents = append(t.ents, attrEntry{
-		route: r, hash: h,
-		off: len(t.arena), size: uint32(len(b)),
-		pathOff: len(t.paths), pathLen: uint32(len(path)),
+		route: r, hash: h, day: d,
+		off: uint32(len(t.arena)), size: uint32(len(b)),
+		pathOff: uint32(len(t.paths)), pathLen: uint32(len(path)),
 	})
 	t.arena = append(t.arena, b...)
 	t.paths = append(t.paths, path...)
@@ -75,7 +86,7 @@ func (t *attrTable) add(h uint64, b []byte, path []uint32, r route) *attrEntry {
 
 // place indexes ents[i] in the first free slot of its probe sequence.
 func (t *attrTable) place(i int) {
-	mask := uint64(len(t.slots) - 1)
+	mask := uint32(len(t.slots) - 1)
 	for j := t.ents[i].hash & mask; ; j = (j + 1) & mask {
 		if t.slots[j] == 0 {
 			t.slots[j] = uint32(i + 1)
@@ -86,13 +97,19 @@ func (t *attrTable) place(i int) {
 
 // pathOf returns the path of e, one of t's entries, aliasing t.
 func (t *attrTable) pathOf(e *attrEntry) []uint32 {
-	return t.paths[e.pathOff : e.pathOff+int(e.pathLen)]
+	return t.paths[e.pathOff : e.pathOff+e.pathLen]
 }
 
-// reset empties the table, keeping every capacity.
-func (t *attrTable) reset() {
-	t.arena = t.arena[:0]
-	t.paths = t.paths[:0]
-	t.ents = t.ents[:0]
+// compact keeps only the entries last folded in on day d, moving them
+// down in place (a kept block's bytes never lie below where they move)
+// and keeping every capacity.
+func (t *attrTable) compact(d dates.Day) {
+	old := t.ents
+	t.arena, t.paths, t.ents = t.arena[:0], t.paths[:0], t.ents[:0]
 	clear(t.slots)
+	for _, e := range old {
+		if e.day == d {
+			t.add(e.hash, t.arena[e.off:e.off+e.size], t.paths[e.pathOff:e.pathOff+e.pathLen], e.route, d)
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"parallellives/internal/asn"
+	"parallellives/internal/dates"
 )
 
 // TestTableKeysAreBytes: two blocks that differ only in their last byte
@@ -19,41 +20,53 @@ func TestTableKeysAreBytes(t *testing.T) {
 	b[len(b)-1]++
 	const h = 0x5ca1ab1e // forced collision: the hash may only pick the probe start
 	var tab attrTable
-	if tab.find(h, a) != nil {
+	d0 := day("2020-01-01")
+	if tab.find(h, a) >= 0 {
 		t.Fatal("empty table found a block")
 	}
-	tab.add(h, a, []uint32{1, 2, 3}, route{origin: 3})
-	if tab.find(h, b) != nil {
+	tab.add(h, a, []uint32{1, 2, 3}, route{origin: 3}, d0)
+	if tab.find(h, b) >= 0 {
 		t.Fatal("a block was found by bytes that differ in the last byte")
 	}
-	if tab.find(h, a[:len(a)-1]) != nil || tab.find(h, append(slices.Clone(a), 0)) != nil {
+	if tab.find(h, a[:len(a)-1]) >= 0 || tab.find(h, append(slices.Clone(a), 0)) >= 0 {
 		t.Fatal("a block was found by a prefix or an extension of its bytes")
 	}
-	tab.add(h, b, []uint32{1, 2, 4}, route{origin: 4})
-	ea, eb := tab.find(h, a), tab.find(h, b)
-	if ea == nil || eb == nil || ea == eb || ea.origin != 3 || eb.origin != 4 {
-		t.Fatalf("colliding blocks share an entry: %+v %+v", ea, eb)
+	tab.add(h, b, []uint32{1, 2, 4}, route{origin: 4}, d0)
+	ia, ib := tab.find(h, a), tab.find(h, b)
+	if ia < 0 || ib < 0 || ia == ib || tab.ents[ia].origin != 3 || tab.ents[ib].origin != 4 {
+		t.Fatalf("colliding blocks share an entry: %d %d", ia, ib)
 	}
-	if !slices.Equal(tab.pathOf(ea), []uint32{1, 2, 3}) || !slices.Equal(tab.pathOf(eb), []uint32{1, 2, 4}) {
+	if !slices.Equal(tab.pathOf(&tab.ents[ia]), []uint32{1, 2, 3}) || !slices.Equal(tab.pathOf(&tab.ents[ib]), []uint32{1, 2, 4}) {
 		t.Fatal("colliding blocks share a path")
 	}
 
-	// Past several index growths every block is still found by its bytes,
-	// and nothing is after a reset.
+	// Past several index growths every block is still found by its bytes;
+	// after a compaction that keeps the odd ones, exactly those are, with
+	// their own paths; nothing is after a compaction to a day none has.
 	blocks := [][]byte{a, b}
 	for i := 0; i < 5000; i++ {
 		blk := binary.BigEndian.AppendUint32(slices.Clone(a), uint32(i))
 		blocks = append(blocks, blk)
-		tab.add(uint64(i%7), blk, nil, route{origin: uint32(100 + i)})
+		tab.add(uint32(i%7), blk, []uint32{uint32(i)}, route{origin: uint32(100 + i)}, d0.AddDays(i%2))
 	}
 	for i, blk := range blocks[2:] {
-		if e := tab.find(uint64(i%7), blk); e == nil || e.origin != uint32(100+i) {
-			t.Fatalf("block %d lost after growth: %+v", i, e)
+		if e := tab.find(uint32(i%7), blk); e < 0 || tab.ents[e].origin != uint32(100+i) {
+			t.Fatalf("block %d lost after growth: %d", i, e)
 		}
 	}
-	tab.reset()
-	if tab.find(h, a) != nil || len(tab.arena)+len(tab.paths)+len(tab.ents) != 0 {
-		t.Fatal("reset left entries behind")
+	tab.compact(d0.AddDays(1))
+	for i, blk := range blocks[2:] {
+		e := tab.find(uint32(i%7), blk)
+		if (e >= 0) != (i%2 == 1) || e >= 0 && (tab.ents[e].origin != uint32(100+i) || !slices.Equal(tab.pathOf(&tab.ents[e]), []uint32{uint32(i)})) {
+			t.Fatalf("block %d after compaction: %d", i, e)
+		}
+	}
+	if tab.find(h, a) >= 0 || len(tab.ents) != 2500 || len(tab.arena) != 2500*len(blocks[2]) {
+		t.Fatalf("compaction kept %d entries, %d bytes", len(tab.ents), len(tab.arena))
+	}
+	tab.compact(dates.None) // a day no entry has: the table empties
+	if tab.find(1, blocks[3]) >= 0 || len(tab.arena)+len(tab.paths)+len(tab.ents) != 0 {
+		t.Fatal("emptying compaction left entries behind")
 	}
 
 	s := NewScannerWithVisibility(1)
@@ -117,34 +130,83 @@ func freshDay(t testing.TB, d, n int) []byte {
 	return ribArchive(t, []ribRecord{{netip.MustParsePrefix("10.1.0.0/16"), attrs}})
 }
 
-// TestTableBoundedByTwoDays: with every block fresh every day, the table
-// retains two days' worth — today's and yesterday's — not thirty.
-func TestTableBoundedByTwoDays(t *testing.T) {
+// boundProbe checks attrTable's stated bound after every day: the table
+// holds at most 3/2 of the blocks the day before applied plus the blocks
+// the day decoded, and records the largest table it saw.
+type boundProbe struct {
+	t                    *testing.T
+	s                    *Scanner
+	prevLive, most       int
+	decoded, compactions int64
+}
+
+func (p *boundProbe) afterDay(i int) {
+	st := p.s.TableStats()
+	n := len(p.s.table.ents)
+	if limit := 3*p.prevLive/2 + int(st.Decoded-p.decoded); n > limit {
+		p.t.Fatalf("day %d: %d blocks in the table, bound %d", i, n, limit)
+	}
+	p.prevLive, p.most, p.decoded, p.compactions = len(p.s.today), max(p.most, n), st.Decoded, st.Compactions
+}
+
+// TestTableBoundedAcrossDays: with every block fresh every day, the table
+// keeps to its stated bound — here two days' worth, not thirty — and so
+// do its capacities.
+func TestTableBoundedAcrossDays(t *testing.T) {
 	const perDay = 300
 	blockBytes := len(attrsOf(1, 2, 3))
 	s := NewScanner()
+	probe := &boundProbe{t: t, s: s}
 	for d := 0; d < 30; d++ {
 		s.BeginDay(day("2020-01-01").AddDays(d))
 		if err := s.ObserveMRT(freshDay(t, d, perDay)); err != nil {
 			t.Fatal(err)
 		}
 		s.EndDay()
-		if n := len(s.cur.ents) + len(s.prev.ents); n > 2*perDay {
-			t.Fatalf("day %d: %d blocks retained, want at most %d", d, n, 2*perDay)
-		}
+		probe.afterDay(d)
 	}
-	if len(s.cur.ents) != perDay || len(s.prev.ents) != perDay {
-		t.Fatalf("generations hold %d and %d blocks, want %d each", len(s.cur.ents), len(s.prev.ents), perDay)
+	if probe.most != 2*perDay || probe.compactions < 14 {
+		t.Fatalf("table peaked at %d blocks over %d compactions, want %d over one every other day", probe.most, probe.compactions, 2*perDay)
 	}
-	for _, tab := range []*attrTable{s.cur, s.prev} {
-		// Capacities too: append may have doubled past a day's need, never more.
-		if cap(tab.arena) > 4*perDay*blockBytes || cap(tab.ents) > 4*perDay || cap(tab.paths) > 4*perDay*3 || len(tab.slots) > 8*perDay {
-			t.Errorf("a generation grew past one day's worth: arena %d ents %d paths %d slots %d",
-				cap(tab.arena), cap(tab.ents), cap(tab.paths), len(tab.slots))
-		}
+	// Capacities too: append may have doubled past the peak, never more.
+	tab := &s.table
+	if cap(tab.arena) > 4*perDay*blockBytes || cap(tab.ents) > 4*perDay || cap(tab.paths) > 4*perDay*3 || len(tab.slots) > 8*perDay {
+		t.Errorf("the table grew past its bound: arena %d ents %d paths %d slots %d",
+			cap(tab.arena), cap(tab.ents), cap(tab.paths), len(tab.slots))
 	}
 	if got := s.Finish().Stats.Routes; got != 30*perDay {
 		t.Errorf("routes = %d", got)
+	}
+}
+
+// TestTableCompactsUnderChurn: a third of the blocks are new each day and
+// a third retire, so compactions run among carried blocks; the table
+// keeps to its bound every day, and the activity is the reference's.
+func TestTableCompactsUnderChurn(t *testing.T) {
+	const perDay, step = 240, 80
+	var days []scanDay
+	for d := 0; d < 24; d++ {
+		var recs []ribRecord
+		for i := d * step; i < d*step+perDay; i++ {
+			attrs := [][]byte{attrsOf(61000+asn.ASN(i%3), 62000+asn.ASN(i%11), 100000+asn.ASN(i))}
+			if i%4 == 0 {
+				attrs = append(attrs, attrsOf(61003, 62000+asn.ASN(i%11), 100000+asn.ASN(i)))
+			}
+			recs = append(recs, ribRecord{netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24), attrs})
+		}
+		days = append(days, scanDay{day: day("2020-01-01").AddDays(d), archives: [][]byte{ribArchive(t, recs)}})
+	}
+	ref := newReferenceScanner(MinPeerVisibility)
+	feed(t, ref, days, nil)
+	s := NewScanner()
+	probe := &boundProbe{t: t, s: s}
+	feed(t, s, days, probe.afterDay)
+	if d := diffActivity(s.Finish(), ref.Finish()); d != "" {
+		t.Fatal(d)
+	}
+	st := s.TableStats()
+	if st.Compactions == 0 || st.Carried == 0 || probe.most >= 3*perDay*5/4 {
+		t.Fatalf("no churn exercised: %+v, table peaked at %d blocks", st, probe.most)
 	}
 }
 
@@ -174,7 +236,7 @@ func TestRepeatedDayAllocatesNothing(t *testing.T) {
 			}
 		}
 		scanDay()
-		scanDay() // both generations at capacity
+		scanDay() // the table and the day's state at capacity
 		if allocs := testing.AllocsPerRun(20, scanDay); allocs > 2 {
 			t.Errorf("%d routes: %.0f allocations per repeated day", records*entries, allocs)
 		}

@@ -19,14 +19,14 @@
 // bytes (attrTable): a block is decoded, loop-checked and folded into the
 // day's peer masks once per day, and every further route carrying it
 // costs a lookup, a counter and at most one prefix-set insert. The table
-// survives BeginDay as a cache of decode outcomes only — yesterday's
-// block is applied to today when, and only if, one of today's routes
-// carries it, at that route's position in the stream — so a day's result
-// still depends on that day's input alone, and day-sharded scans merge
-// exactly (MergeActivities). It holds two days' blocks at most, copies
-// what it keeps, and compares bytes, never just hashes. All per-ASN
-// state, for RIB entries, BGP4MP messages and ObserveRoutes alike, lives
-// in slices indexed by a dense scanner-local ASN id.
+// is cross-day state, a cache of decode outcomes — an earlier day's block
+// is applied to today when, and only if, one of today's routes carries
+// it, at that route's position in the stream — so a day's result still
+// depends on that day's input alone, and day-sharded scans merge exactly
+// (MergeActivities). It holds a small multiple of one day's blocks,
+// copies what it keeps, and compares bytes, never just hashes. All
+// per-ASN state, for RIB entries, BGP4MP messages and ObserveRoutes
+// alike, lives in slices indexed by a dense scanner-local ASN id.
 package bgpscan
 
 import (
@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"io"
+	"math"
 	"math/bits"
 	"net/netip"
 
@@ -155,13 +156,13 @@ type Scanner struct {
 	// Accumulated per-ASN runs.
 	built []builder
 
-	// Interned RIB attribute blocks (see attrTable): cur holds the blocks
-	// seen today, already folded into the day's state; prev holds
-	// yesterday's, still decoded but not yet applied today. BeginDay swaps
-	// them and empties the new cur, which bounds the table to two days.
-	cur, prev *attrTable
-	seed      maphash.Seed
-	record    uint64 // RIB records scanned today: the originSet.record stamp
+	// Interned RIB attribute blocks (see attrTable); today lists the ones
+	// folded into the day's state so far.
+	table  attrTable
+	today  []uint32
+	tstats TableStats
+	seed   maphash.Seed
+	record uint64 // RIB records scanned today: the originSet.record stamp
 
 	// Reusable decode scratch.
 	keep    []netip.Prefix
@@ -272,8 +273,6 @@ func NewScannerWithVisibility(minPeers int) *Scanner {
 		minPeers: minPeers,
 		ids:      make(map[asn.ASN]uint32),
 		peerIdx:  make(map[asn.ASN]int),
-		cur:      &attrTable{},
-		prev:     &attrTable{},
 		seed:     maphash.MakeSeed(),
 		start:    dates.None,
 		end:      dates.None,
@@ -300,7 +299,7 @@ func (s *Scanner) BeginDay(d dates.Day) error {
 	if s.inDay {
 		return fmt.Errorf("bgpscan: BeginDay(%v) before EndDay", d)
 	}
-	if s.start != dates.None && d <= s.end {
+	if s.end != dates.None && d <= s.end {
 		return fmt.Errorf("bgpscan: day %v not after %v", d, s.end)
 	}
 	if s.start == dates.None {
@@ -315,8 +314,11 @@ func (s *Scanner) BeginDay(d dates.Day) error {
 	}
 	s.touched = s.touched[:0]
 	s.record = 0
-	s.cur, s.prev = s.prev, s.cur
-	s.cur.reset()
+	if 2*len(s.table.ents) > 3*len(s.today) { // see attrTable
+		s.table.compact(s.end)
+		s.tstats.Compactions++
+	}
+	s.today = s.today[:0]
 	return nil
 }
 
@@ -593,41 +595,54 @@ func (s *Scanner) scanRIBRecord() {
 	}
 }
 
-// intern returns today's table entry for a RIB attribute block, valid
-// until the next call. A block not yet seen today is decoded and
-// sanitized — or, if yesterday's table still has it, taken from there —
-// and its path is folded into the day's state on the spot: the first
-// route carrying a block registers its peer's bit exactly when the
+// intern returns the table entry for a RIB attribute block, valid until
+// the next call. A block not yet folded in today is decoded and
+// sanitized — or, if an earlier day left it in the table, taken from
+// there — and its path is folded into the day's state on the spot: the
+// first route carrying a block registers its peer's bit exactly when the
 // uninterned scan would have, so bits are assigned in the same order.
 func (s *Scanner) intern(attrs []byte) *attrEntry {
-	h := maphash.Bytes(s.seed, attrs)
-	if e := s.cur.find(h, attrs); e != nil {
+	h := uint32(maphash.Bytes(s.seed, attrs))
+	t := &s.table
+	if i := t.find(h, attrs); i >= 0 {
+		e := &t.ents[i]
+		if e.day != s.curDay {
+			e.day = s.curDay
+			s.today = append(s.today, uint32(i))
+			s.tstats.Carried++
+			if e.class == pathOK {
+				s.markPath(e.peer, t.pathOf(e))
+			}
+		}
 		return e
 	}
 	var r route
 	var path []uint32
-	if e := s.prev.find(h, attrs); e != nil {
-		r, path = e.route, s.prev.pathOf(e)
+	s.upd.Reset()
+	if err := bgp.DecodeAttrs(&s.upd, attrs, true); err != nil {
+		r = route{class: errClass(err)}
 	} else {
-		s.upd.Reset()
-		if err := bgp.DecodeAttrs(&s.upd, attrs, true); err != nil {
-			r = route{class: errClass(err)}
-		} else {
-			r = s.classify(&s.upd)
-			path = s.pathIDs
-		}
+		r = s.classify(&s.upd)
+		path = s.pathIDs
 	}
+	s.tstats.Decoded++
 	if r.class == pathOK {
 		s.markPath(r.peer, path)
 	}
-	return s.cur.add(h, attrs, path, r)
+	if len(t.arena)+len(attrs) > math.MaxUint32 { // past the offsets (paths is shorter)
+		s.flushHits() // start over; blocks met again today re-mark marked paths
+		t.compact(dates.None)
+		s.today = s.today[:0]
+	}
+	s.today = append(s.today, uint32(len(t.ents)))
+	return t.add(h, attrs, path, r, s.curDay)
 }
 
 // flushHits moves today's per-block route counts into the origins'
 // upstream counters.
 func (s *Scanner) flushHits() {
-	for i := range s.cur.ents {
-		e := &s.cur.ents[i]
+	for _, i := range s.today {
+		e := &s.table.ents[i]
 		if e.hits > 0 && e.hasUpstream {
 			s.addUpstream(e.origin, e.upstream, e.hits)
 		}
@@ -651,6 +666,14 @@ func (s *Scanner) scanBGP4MP() {
 		s.observe(r, kept, int64(len(kept)))
 	}
 }
+
+// TableStats counts the attribute table's blocks decoded, blocks carried
+// over from an earlier day, and compactions: unlike Stats, which
+// checkpoints persist, they depend on where a scan started.
+type TableStats struct{ Decoded, Carried, Compactions int64 }
+
+// TableStats returns the table counters accumulated so far.
+func (s *Scanner) TableStats() TableStats { return s.tstats }
 
 // Stats returns the counters accumulated so far. It is valid mid-scan —
 // the observability hook the pipeline uses to publish per-day deltas
@@ -703,13 +726,16 @@ func (s *Scanner) EndDay() error {
 // afterwards.
 func (s *Scanner) Finish() *Activity { return s.finish(false) }
 
-// FinishPartial returns the activity of one shard of a day-sharded scan.
-// Unlike Finish it keeps ASNs that never passed the visibility threshold
-// in this shard: their upstream counts may combine with another shard's
-// visible days, so the invisible-ASN drop must happen on the union (see
-// MergeActivities), not per shard. The scanner must not be used
-// afterwards.
-func (s *Scanner) FinishPartial() *Activity { return s.finish(true) }
+// TakePartial returns the activity, Stats included, of the days scanned
+// since the last take. Unlike Finish it keeps ASNs that never passed the
+// visibility threshold: their upstream counts may combine with other
+// days' visible ones, so the invisible-ASN drop happens on the union
+// (see MergeActivities). The scanner keeps its ids and table and scans on.
+func (s *Scanner) TakePartial() *Activity {
+	act := s.finish(true)
+	s.stats, s.start = Stats{}, dates.None
+	return act
+}
 
 func (s *Scanner) finish(keepInvisible bool) *Activity {
 	s.flushHits() // a day left open still owes its adjacencies
@@ -733,7 +759,7 @@ func (s *Scanner) finish(keepInvisible bool) *Activity {
 			Upstreams:  b.upstreams,
 		}
 	}
-	s.built = nil
+	clear(s.built) // the activity owns what the builders held
 	return act
 }
 
@@ -781,7 +807,7 @@ func appendRuns(dst, src []PrefixRun) []PrefixRun {
 	return dst
 }
 
-// Absorb folds a later partial activity (a FinishPartial result whose
+// Absorb folds a later partial activity (a TakePartial result whose
 // days all follow the receiver's) into the receiver in place: day and
 // origin-day intervals concatenate with boundary coalescing, prefix
 // runs coalesce when count and signature match across the boundary, and
@@ -854,7 +880,7 @@ func Finalize(a *Activity) *Activity {
 	return out
 }
 
-// MergeActivities combines the FinishPartial results of consecutive day
+// MergeActivities combines the TakePartial results of consecutive day
 // shards — given in ascending day order — into the activity a single
 // scanner fed the whole range would have produced. Day and origin-day
 // intervals concatenate with boundary coalescing, prefix runs coalesce

@@ -449,7 +449,7 @@ func TestScannerDayShardIndependence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return s.FinishPartial()
+		return s.TakePartial()
 	}
 
 	seq := NewScanner()

@@ -24,7 +24,7 @@ type scanner interface {
 	ObserveRoutes([]netip.Prefix, []asn.ASN)
 	EndDay() error
 	Finish() *Activity
-	FinishPartial() *Activity
+	TakePartial() *Activity
 	Stats() Stats
 }
 
@@ -200,22 +200,16 @@ func worldDays(t testing.TB, seed int64, in *faults.Injector) []scanDay {
 }
 
 // tableProbe watches the production scanner's intern table from outside
-// the scan: how many blocks the days held, how many of them were carried
-// over from the day before, and the most peers a day registered.
+// the scan: how many blocks the days applied, how many of them were
+// carried over from an earlier day, and the most peers a day registered.
 type tableProbe struct {
 	s                         *Scanner
 	blockDays, carried, peers int
 }
 
 func (p *tableProbe) afterDay(int) {
-	cur, prev := p.s.cur, p.s.prev
-	p.blockDays += len(cur.ents)
-	for i := range prev.ents {
-		e := &prev.ents[i]
-		if cur.find(e.hash, prev.arena[e.off:e.off+int(e.size)]) != nil {
-			p.carried++
-		}
-	}
+	p.blockDays += len(p.s.today)
+	p.carried = int(p.s.TableStats().Carried)
 	p.peers = max(p.peers, len(p.s.peerIdx))
 }
 
@@ -285,13 +279,13 @@ func TestReferenceEquivalence(t *testing.T) {
 						rs := newReferenceScanner(minPeers)
 						rs.Quarantine = mangled
 						feed(t, rs, shard, nil)
-						wantParts = append(wantParts, rs.FinishPartial())
+						wantParts = append(wantParts, rs.TakePartial())
 						ns := NewScannerWithVisibility(minPeers)
 						ns.Quarantine = mangled
 						feed(t, ns, shard, nil)
-						gotParts = append(gotParts, ns.FinishPartial())
+						gotParts = append(gotParts, ns.TakePartial())
 						if d := diffActivity(gotParts[k], wantParts[k]); d != "" {
-							t.Fatalf("FinishPartial of shard %d: %s", k, d)
+							t.Fatalf("TakePartial of shard %d: %s", k, d)
 						}
 					}
 					if d := diffActivity(MergeActivities(gotParts...), want); d != "" {

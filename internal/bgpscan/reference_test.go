@@ -441,13 +441,13 @@ func (s *referenceScanner) EndDay() error {
 // afterwards.
 func (s *referenceScanner) Finish() *Activity { return s.finish(false) }
 
-// FinishPartial returns the activity of one shard of a day-sharded scan.
+// TakePartial returns the activity of one shard of a day-sharded scan.
 // Unlike Finish it keeps ASNs that never passed the visibility threshold
 // in this shard: their upstream counts may combine with another shard's
 // visible days, so the invisible-ASN drop must happen on the union (see
-// MergeActivities), not per shard. The scanner must not be used
-// afterwards.
-func (s *referenceScanner) FinishPartial() *Activity { return s.finish(true) }
+// MergeActivities), not per shard. Unlike Scanner's, the reference
+// scanner must not be used afterwards.
+func (s *referenceScanner) TakePartial() *Activity { return s.finish(true) }
 
 func (s *referenceScanner) finish(keepInvisible bool) *Activity {
 	act := &Activity{

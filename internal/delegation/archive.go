@@ -77,7 +77,8 @@ type ERXEntry struct {
 // Snapshot is one registry-day of delegation data: either file may be nil
 // when absent or unparseable. A Snapshot and its files are valid until the
 // next Next on the Source that yielded it, which may parse into the same
-// File slots; a consumer that keeps a day longer clones its files.
+// File slots and reuse their records: a consumer never writes into them,
+// and one that keeps a day longer clones its files.
 type Snapshot struct {
 	Day      dates.Day
 	Regular  *File
@@ -100,17 +101,6 @@ type Source interface {
 	Next() (Snapshot, bool)
 }
 
-// ParseUsable parses data leniently into dst and returns the file, or nil
-// when the bytes are unusable: no header parses, or no asn or other
-// resource row follows it. Every archive reader applies this one rule.
-func (p *Parser) ParseUsable(dst *File, data []byte) *File {
-	f, _ := p.ParseLenientInto(dst, data)
-	if f == nil || (len(f.ASNs) == 0 && len(f.Other) == 0) {
-		return nil
-	}
-	return f
-}
-
 // FileName is the RIR FTP name of registry r's file for day d:
 //
 //	delegated-<registry>-<YYYYMMDD>            (regular format)
@@ -126,24 +116,23 @@ func FileName(r asn.RIR, d dates.Day, extended bool) string {
 // restoration pipeline can run over real downloaded archives. Files must
 // be named as FileName names them. Days present in neither form are
 // reported as missing snapshots, which the restoration's step (i)
-// bridges. Unusable files (see ParseUsable) are reported as corrupt.
+// bridges. Unusable files (see Series.Parse) are reported as corrupt.
 //
-// One parser (so country codes and opaque ids are interned once per
-// source, not once per file), one read buffer and one regular and one
-// extended File slot serve every file: a source is consumed by one
-// goroutine, and a snapshot is valid until the next Next.
+// One read buffer and one Series per format serve every file, so country
+// codes and opaque ids are interned once per source and unchanged lines
+// are parsed once: a source is consumed by one goroutine, and a snapshot
+// is valid until the next Next.
 type DirSource struct {
-	rir    asn.RIR
-	dir    string
-	days   []dates.Day
-	reg    map[dates.Day]string
-	ext    map[dates.Day]string
-	i      int
-	rep    IngestReport
-	parser Parser
-	buf    bytes.Buffer
+	rir  asn.RIR
+	dir  string
+	days []dates.Day
+	reg  map[dates.Day]string
+	ext  map[dates.Day]string
+	i    int
+	rep  IngestReport
+	buf  bytes.Buffer
 
-	regFile, extFile File // every day's files are parsed into these
+	regSeries, extSeries Series // every day's files are parsed by these
 }
 
 // IngestReport classifies what a DirSource scan and stream skipped, so
@@ -238,19 +227,20 @@ func (s *DirSource) Next() (Snapshot, bool) {
 	d := s.days[s.i]
 	s.i++
 	snap := Snapshot{Day: d}
-	snap.Regular, snap.RegularCorrupt = s.load(s.reg[d], &s.regFile)
-	snap.Extended, snap.ExtendedCorrupt = s.load(s.ext[d], &s.extFile)
+	snap.Regular, snap.RegularCorrupt = s.load(s.reg[d], &s.regSeries)
+	snap.Extended, snap.ExtendedCorrupt = s.load(s.ext[d], &s.extSeries)
 	return snap, true
 }
 
-// load parses one file into slot; corrupt reports a file that existed on
-// disk but was unusable (open or read failure, or unusable content).
-func (s *DirSource) load(name string, slot *File) (parsed *File, corrupt bool) {
+// load parses one file through its series; corrupt reports a file that
+// existed on disk but was unusable (open or read failure, or unusable
+// content).
+func (s *DirSource) load(name string, series *Series) (parsed *File, corrupt bool) {
 	if name == "" {
 		return nil, false
 	}
 	if s.read(name) == nil {
-		parsed = s.parser.ParseUsable(slot, s.buf.Bytes())
+		parsed = series.Parse(s.buf.Bytes())
 	}
 	if parsed == nil {
 		s.rep.UnusableFiles++

@@ -145,8 +145,8 @@ func TestParseUsable(t *testing.T) {
 		{"asn rows", header + "ripencc|NL|asn|3333|1|19930901|allocated\n", true},
 		{"unparseable", "2&ripencc&20100601&1\nripencc|NL|asn|33", false},
 	} {
-		var p Parser
-		f := p.ParseUsable(new(File), []byte(tc.data))
+		var s Series
+		f := s.Parse([]byte(tc.data))
 		if (f != nil) != tc.usable {
 			t.Errorf("%s: usable = %v, want %v", tc.name, f != nil, tc.usable)
 		}

@@ -17,8 +17,9 @@
 // a lenient parser that collects per-line errors and keeps going — the
 // mode the restoration pipeline uses, since real archives contain
 // corrupted files (§3.1). It also reads archives of these files: the
-// Source contract restoration consumes, and DirSource over a directory
-// in RIR FTP naming.
+// Source contract restoration consumes, DirSource over a directory in
+// RIR FTP naming, and Series, which parses a registry's files day after
+// day and reuses the previous day's record for every unchanged asn line.
 package delegation
 
 import (
@@ -176,10 +177,8 @@ func ParseLenient(r io.Reader) (*File, []LineError) {
 	return ParseLenientBytes(data)
 }
 
-// ParseLenientBytes is ParseLenient over an in-memory file, the form the
-// render→reparse round trip feeds. A fresh Parser is used; callers
-// re-parsing many files should hold a Parser to share its interned
-// strings across calls.
+// ParseLenientBytes is ParseLenient over an in-memory file, with a fresh
+// Parser; callers parsing a day series hold a Series instead.
 func ParseLenientBytes(data []byte) (*File, []LineError) {
 	var p Parser
 	return p.ParseLenient(data)
@@ -236,13 +235,16 @@ func (p *Parser) ParseLenient(data []byte) (*File, []LineError) {
 
 // ParseLenientInto parses one in-memory delegation file leniently into
 // dst, collecting per-line errors rather than stopping; see the
-// package-level ParseLenient. Every field of dst is reset first: the
-// ASNs, Summaries and Other slices are truncated with their capacity
-// kept, so parsing a day series into one File allocates only when a file
-// outgrows the ones before it. Summaries and Other are left nil when the
-// file has none, as a fresh parse leaves them. It returns dst, or nil
-// when no header line parses.
+// package-level ParseLenient. Every field of dst is reset first, its
+// slices truncated with their capacity kept; Summaries and Other are
+// left nil when the file has none, as a fresh parse leaves them. It
+// returns dst, or nil when no header line parses.
 func (p *Parser) ParseLenientInto(dst *File, data []byte) (*File, []LineError) {
+	return p.parse(dst, data, nil)
+}
+
+// parse is ParseLenientInto, reusing what mem parsed if mem is not nil.
+func (p *Parser) parse(dst *File, data []byte, mem *Series) (*File, []LineError) {
 	*dst = File{Summaries: dst.Summaries[:0], ASNs: dst.ASNs[:0], Other: dst.Other[:0]}
 	var errs []LineError
 	header := false
@@ -267,13 +269,17 @@ func (p *Parser) ParseLenientInto(dst *File, data []byte) (*File, []LineError) {
 				continue
 			}
 			header = true
-			// Size the record slice off the line count left: every
-			// remaining line is at most one record.
-			dst.ASNs = slices.Grow(dst.ASNs, bytes.Count(data, []byte{'\n'})+1)
+			dst.ASNs = slices.Grow(dst.ASNs, 1) // a parsed header yields a record slice
 			continue
 		}
+		if mem != nil && mem.reuse(dst, line) {
+			continue
+		}
+		n := len(dst.ASNs)
 		if err := p.parseLine(dst, line); err != nil {
 			errs = append(errs, LineError{Line: lineNo, Text: string(line), Err: err})
+		} else if mem != nil {
+			mem.note(dst, line, n)
 		}
 	}
 	if !header {

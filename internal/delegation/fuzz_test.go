@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -50,6 +51,55 @@ func FuzzLenientParse(f *testing.F) {
 		// Whatever survived parsing must serialize without panicking.
 		if _, err := parsed.WriteTo(io.Discard); err != nil {
 			t.Fatalf("WriteTo of a parsed file failed: %v", err)
+		}
+	})
+}
+
+// FuzzParseSeries parses two files through one Series: each result must
+// be what a fresh parse of its bytes gives (nil when unusable), however
+// many of the second file's lines the first one's memory supplies.
+func FuzzParseSeries(f *testing.F) {
+	const hdr = "2|arin|20100101|5|20100101|20100102|+0000\n"
+	const (
+		a1 = "arin|US|asn|1500|1|20100101|allocated\n"
+		a2 = "arin|US|asn|1600|2|20100101|assigned\n"
+		a3 = "arin|CA|asn|1700|1|20100102|allocated\n"
+		x1 = "arin|US|asn|1500|1|20100101|allocated|o-1\n"
+		v4 = "arin|US|ipv4|192.0.2.0|256|20100101|allocated\n"
+		w4 = "arin|US|ipv4|198.51.100.0|256|20100101|allocated\n"
+		v6 = "arin|US|ipv6|2001:db8::|32|20100101|allocated\n"
+	)
+	for _, pair := range [][2]string{
+		{hdr + a1 + a2 + a3 + v4 + v6, hdr + a1 + a2 + a3 + v4 + v6},                                   // shared
+		{hdr + a1 + a2 + a3 + v4 + w4, hdr + "arin|*|asn|*|3|summary\n" + a2 + a3 + "# c\n" + w4 + v6}, // shifted
+		{hdr + a2 + v4, hdr + a1 + a2 + a2 + a3 + v4 + v4 + w4},                                        // duplicated, inserted
+		{hdr + a1 + a3 + w4 + v6, hdr + a1 + "arin|US|asn|1700|1|20100103|allocated\n" + v4 + v6},      // changed
+		{strings.ReplaceAll(hdr+a1+a2+v4, "\n", "\r\n"), hdr + a1 + a2 + v4},                           // CRLF
+		{hdr + a1 + a2, strings.ReplaceAll(hdr+a1+a2+a3, "\n", "\r\n")},
+		{hdr + x1 + a2 + v4, hdr + a1 + x1 + a2 + v4}, // regular⇄extended
+		{hdr + a1 + x1, hdr + a1 + a2},
+		{hdr + x1 + a2, hdr + x1 + a3},
+		{hdr + x1 + a2, hdr + a2},
+		{hdr + a1 + "arin|US|asn|1500|x|20100101|allocated\n" + a2, hdr + a2 + "arin|US|asn|1500|x|20100101|allocated\n" + a2},
+		{"2&arin&broken\n" + a1, hdr + a1}, // unusable first
+		{hdr + a1, a1 + hdr + a1},          // a reusable line before the header
+	} {
+		f.Add([]byte(pair[0]), []byte(pair[1]))
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		fresh := func(data []byte) *File {
+			f, _ := ParseLenientBytes(data)
+			if f != nil && len(f.ASNs) == 0 && len(f.Other) == 0 {
+				return nil
+			}
+			return f
+		}
+		var s Series
+		if got, want := s.Parse(a), fresh(a); !reflect.DeepEqual(got, want) {
+			t.Fatalf("first file: series parse = %+v, fresh parse = %+v", got, want)
+		}
+		if got, want := s.Parse(b), fresh(b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("second file: series parse = %+v, fresh parse = %+v", got, want)
 		}
 	})
 }

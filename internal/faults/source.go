@@ -168,11 +168,7 @@ func corruptFile(f *delegation.File) *delegation.File {
 	for i := 0; i < n; i++ {
 		b[i] ^= 0x10 // flips '|' field separators and digits alike
 	}
-	parsed, _ := delegation.ParseLenient(bytes.NewReader(b))
-	if parsed == nil || (len(parsed.ASNs) == 0 && len(parsed.Other) == 0) {
-		return nil
-	}
-	return parsed
+	return new(delegation.Series).Parse(b)
 }
 
 // rirKey derives a stable per-registry hash key.

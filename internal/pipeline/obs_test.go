@@ -274,3 +274,45 @@ func TestRunMetricsNilSafe(t *testing.T) {
 	root.End()
 	m.observeStages(root)
 }
+
+// TestScanReportsAttributeTable: each bgpscan.shard[i] span reports its
+// attribute table's work, and the bgpscan span their sums. On the MRT
+// wire blocks repeat across routes and carry across days, so fewer are
+// decoded than records are scanned; off the wire nothing touches the
+// table.
+func TestScanReportsAttributeTable(t *testing.T) {
+	keys := []string{"attr_decoded", "attr_carried", "attr_compactions"}
+	for _, wire := range []bool{true, false} {
+		opts := obsOptions(wire)
+		opts.World.End = dates.MustParse("2006-03-31")
+		opts.Workers = 2
+		ds, err := Run(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan := ds.Trace.Child("bgpscan")
+		got := map[string]int64{}
+		for _, k := range keys {
+			var sum int64
+			shards := 0
+			for _, sp := range scan.Children() {
+				if strings.HasPrefix(sp.Name(), "bgpscan.shard[") {
+					v, _ := sp.Attr(k)
+					sum += v
+					shards++
+				}
+			}
+			got[k], _ = scan.Attr(k)
+			if shards != 2 || got[k] != sum {
+				t.Fatalf("wire=%v: bgpscan %s = %d, the sum over %d shard spans %d", wire, k, got[k], shards, sum)
+			}
+		}
+		st := ds.Activity.Stats
+		if wire && (got["attr_carried"] == 0 || got["attr_decoded"] == 0 || got["attr_decoded"] >= st.RIBRecords) {
+			t.Errorf("wire run: %v for %d RIB records", got, st.RIBRecords)
+		}
+		if !wire && got["attr_carried"]+got["attr_decoded"] != 0 {
+			t.Errorf("run off the wire touched the table: %v", got)
+		}
+	}
+}

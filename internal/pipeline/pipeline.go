@@ -402,6 +402,7 @@ func scan(ctx context.Context, b *Base, m *runMetrics) (*bgpscan.Activity, OpAcc
 	// Health accounting is schedule-independent.
 	parts := make([]*bgpscan.Activity, len(shards))
 	accounts := make([]OpAccount, len(shards))
+	tables := make([]bgpscan.TableStats, len(shards))
 
 	err := parallel.ForEach(ctx, len(shards), b.Workers, func(ctx context.Context, si int) error {
 		r := shards[si]
@@ -428,8 +429,9 @@ func scan(ctx context.Context, b *Base, m *runMetrics) (*bgpscan.Activity, OpAcc
 			sm.endOfDay(op.Archives, s.Stats())
 			last = d.Day
 		}
-		part := s.FinishPartial()
-		parts[si] = part
+		part := s.TakePartial()
+		parts[si], tables[si] = part, s.TableStats()
+		setTableAttrs(sp, tables[si])
 		sp.SetAttr("days", int64(acc.Days))
 		sp.SetAttr(obs.AttrIn, acc.Archives)
 		sp.SetAttr(obs.AttrOut, part.Stats.Routes)
@@ -442,9 +444,14 @@ func scan(ctx context.Context, b *Base, m *runMetrics) (*bgpscan.Activity, OpAcc
 		return nil, OpAccount{}, err
 	}
 	var op OpAccount
-	for _, a := range accounts {
+	var table bgpscan.TableStats
+	for i, a := range accounts {
 		op.Add(a)
+		table.Decoded += tables[i].Decoded
+		table.Carried += tables[i].Carried
+		table.Compactions += tables[i].Compactions
 	}
+	setTableAttrs(spScan, table)
 	act := bgpscan.MergeActivities(parts...)
 	spScan.SetAttr("days", int64(op.Days))
 	spScan.SetAttr(obs.AttrIn, op.Archives)
@@ -455,6 +462,13 @@ func scan(ctx context.Context, b *Base, m *runMetrics) (*bgpscan.Activity, OpAcc
 	spScan.SetAttr(obs.AttrQuarantined, act.Stats.QuarantinedTruncated+act.Stats.QuarantinedTails)
 	spScan.End()
 	return act, op, nil
+}
+
+// setTableAttrs reports what a scan's attribute table did on its span.
+func setTableAttrs(sp *obs.Span, t bgpscan.TableStats) {
+	sp.SetAttr("attr_decoded", t.Decoded)
+	sp.SetAttr("attr_carried", t.Carried)
+	sp.SetAttr("attr_compactions", t.Compactions)
 }
 
 // NewScanner returns a scanner set up from the base's options: their

@@ -2,10 +2,15 @@ package registry
 
 import (
 	"bytes"
+	"context"
+	"reflect"
 	"testing"
 
 	"parallellives/internal/asn"
+	"parallellives/internal/dates"
 	"parallellives/internal/delegation"
+	"parallellives/internal/restore"
+	"parallellives/internal/worldsim"
 )
 
 // TestTextSourceFilesValidUntilNext pins the textSource contract: the
@@ -39,7 +44,7 @@ func TestTextSourceFilesValidUntilNext(t *testing.T) {
 		{Registry: asn.ARIN, CC: "US", ASN: 701, Count: 1, Status: delegation.StatusAssigned, OpaqueID: "other-org"},
 	}}
 	buf := src.rend.Render(other)
-	if f, _ := src.parser.ParseLenient(buf); f == nil {
+	if f, _ := src.reg.ParseLenient(buf); f == nil {
 		t.Fatal("other file did not parse")
 	}
 	for i := range buf {
@@ -71,6 +76,56 @@ func TestTextSourceFilesValidUntilNext(t *testing.T) {
 				t.Fatal("next day's regular file is not parsed into the source's regular slot")
 			}
 			return
+		}
+	}
+}
+
+// readOnlySource wraps a Source and, at every Next, checks that the files
+// it yielded the call before are still as it yielded them.
+type readOnlySource struct {
+	delegation.Source
+	t         *testing.T
+	held, was [2]*delegation.File
+	files     int
+}
+
+func (s *readOnlySource) Next() (delegation.Snapshot, bool) {
+	for i := range s.held {
+		if !reflect.DeepEqual(s.held[i], s.was[i]) {
+			s.t.Errorf("%s: a consumer wrote into a yielded file", s.Registry().Token())
+		}
+	}
+	snap, ok := s.Source.Next()
+	s.held = [2]*delegation.File{snap.Regular, snap.Extended}
+	s.was = [2]*delegation.File{snap.Regular.Clone(), snap.Extended.Clone()}
+	if snap.Regular != nil {
+		s.files++
+	}
+	return snap, ok
+}
+
+// TestRestoreNeverWritesIntoSourceFiles: restoration only reads the files
+// a source yields. A delegation.Series keeps the file it last yielded as
+// the memory the next day's lines are compared against, so a write into
+// it would leak into every later day parsed from unchanged lines.
+func TestRestoreNeverWritesIntoSourceFiles(t *testing.T) {
+	cfg := worldsim.DefaultConfig()
+	cfg.Scale = 0.01
+	cfg.Start, cfg.End = dates.MustParse("2007-06-01"), dates.MustParse("2009-06-01")
+	a := Build(worldsim.Generate(cfg))
+	var sources []delegation.Source
+	var wrapped []*readOnlySource
+	for _, r := range asn.All() {
+		s := &readOnlySource{Source: a.TextSource(r), t: t}
+		sources, wrapped = append(sources, s), append(wrapped, s)
+	}
+	res, err := restore.RestoreParallelContext(context.Background(), sources, a.ERXReference(), restore.Options{}, 2)
+	if err != nil || len(res.Runs) == 0 {
+		t.Fatalf("restore: %v, %d runs", err, len(res.Runs))
+	}
+	for _, s := range wrapped {
+		if s.files < 300 {
+			t.Errorf("%s: %d regular files read", s.Registry().Token(), s.files)
 		}
 	}
 }

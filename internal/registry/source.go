@@ -22,19 +22,18 @@ func (a *Archive) dropped(r asn.RIR, x asn.ASN, d dates.Day) bool {
 
 // textSource serializes each file to delegation-file text and re-parses
 // it leniently — the full wire-format round trip, including corrupt days
-// whose mangled bytes fail to parse. The renderer, parser and build
-// scratch are reused across days, and every day is parsed into the same
-// regular and extended File slots: a source is consumed by exactly one
+// whose mangled bytes fail to parse. The renderer and build scratch are
+// reused across days, and every day is parsed by one regular and one
+// extended delegation.Series: a source is consumed by exactly one
 // goroutine, and a snapshot is valid until the next Next.
 type textSource struct {
 	a       *Archive
 	rir     asn.RIR
 	day     dates.Day
 	rend    delegation.Renderer
-	parser  delegation.Parser
 	scratch fileScratch
 
-	reg, ext delegation.File // every day's files are parsed into these
+	reg, ext delegation.Series // every day's files are parsed by these
 }
 
 // TextSource returns a Source that round-trips every file through its
@@ -62,12 +61,12 @@ func (s *textSource) Next() (delegation.Snapshot, bool) {
 }
 
 // roundTrip yields the day's file after the text round trip; corrupt
-// reports a file that existed but was unusable (delegation.ParseUsable).
+// reports a file that existed but was unusable (delegation.Series.Parse).
 // Corrupt days round-trip their mangled bytes.
 func (s *textSource) roundTrip(d dates.Day, extended bool) (f *delegation.File, corrupt bool) {
-	slot := &s.reg
+	series := &s.reg
 	if extended {
-		slot = &s.ext
+		series = &s.ext
 	}
 	var data []byte
 	switch s.a.Status(s.rir, d, extended) {
@@ -78,7 +77,7 @@ func (s *textSource) roundTrip(d dates.Day, extended bool) (f *delegation.File, 
 	default:
 		data = s.rend.Render(s.a.buildFile(s.rir, d, extended, &s.scratch))
 	}
-	f = s.parser.ParseUsable(slot, data)
+	f = series.Parse(data)
 	return f, f == nil
 }
 

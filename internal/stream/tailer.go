@@ -88,8 +88,11 @@ type Tailer struct {
 	fp       uint64
 	m        *tailMetrics
 
-	// Tail-loop state (owned by Run's goroutine).
+	// Tail-loop state (owned by Run's goroutine). One scanner serves the
+	// whole run, so its attribute table carries from day to day; a resume
+	// starts with an empty one and computes the same.
 	base  *pipeline.Base
+	scan  *bgpscan.Scanner
 	carry *bgpscan.Activity
 	last  dates.Day
 	op    pipeline.OpAccount // the committed days' account
@@ -218,7 +221,7 @@ func (t *Tailer) Run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	t.base = base
+	t.base, t.scan = base, base.NewScanner()
 	start, end := base.World.Config.Start, base.World.Config.End
 
 	// Adopt the recovered position, or start fresh one day before the
@@ -306,12 +309,11 @@ func (t *Tailer) Run(ctx context.Context) error {
 // ingestDay scans one day, folds it into the carry and commits the
 // checkpoint.
 func (t *Tailer) ingestDay(dd *Day) error {
-	s := t.base.NewScanner()
-	op, err := t.base.ScanDay(s, dd)
+	op, err := t.base.ScanDay(t.scan, dd)
 	if err != nil {
 		return err
 	}
-	t.carry.Absorb(s.FinishPartial())
+	t.carry.Absorb(t.scan.TakePartial())
 	t.last = dd.Day
 	t.op.Add(op)
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"parallellives/internal/bgpscan"
 	"parallellives/internal/collector"
 	"parallellives/internal/dates"
 	"parallellives/internal/faults"
@@ -381,5 +382,74 @@ func TestTailerDrain(t *testing.T) {
 	snap, day := tl.Snapshot()
 	if snap == nil || day != opts.World.Start.AddDays(4) {
 		t.Fatalf("drain published day %v, want the 5th day", day)
+	}
+}
+
+// TestTailerOneScannerMatchesFreshScanners: the tailer scans every day
+// with one scanner, whose attribute table carries blocks from day to
+// day. After every day its checkpoint must be byte-identical to the one
+// a fresh scanner per day yields, on clean input and under the fault
+// storm.
+func TestTailerOneScannerMatchesFreshScanners(t *testing.T) {
+	clean := tinyOptions()
+	chaos := clean
+	storm := faults.DefaultStorm(11)
+	chaos.Inject = &storm
+	chaos.FaultPolicy = pipeline.Degrade
+	for _, tc := range []struct {
+		name string
+		opts pipeline.Options
+	}{{"clean", clean}, {"chaos", chaos}} {
+		t.Run(tc.name, func(t *testing.T) {
+			encode := func(last dates.Day, op pipeline.OpAccount, carry *bgpscan.Activity) []byte {
+				return (&Checkpoint{LastDay: last, Op: op, Carry: carry}).Encode()
+			}
+			base, err := pipeline.BuildBase(context.Background(), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want [][]byte
+			carry, op := bgpscan.NewPartial(), pipeline.OpAccount{}
+			for _, dd := range renderWindow(t, tc.opts.World) {
+				s := base.NewScanner()
+				acc, err := base.ScanDay(s, dd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				carry.Absorb(s.TakePartial())
+				op.Add(acc)
+				want = append(want, encode(dd.Day, op, carry))
+			}
+
+			tl, err := NewTailer(Options{
+				Pipeline:      tc.opts,
+				Source:        newFakeSource(renderWindow(t, tc.opts.World)),
+				CheckpointDir: t.TempDir(),
+				SnapshotEvery: 100,
+				Reconnect:     fastReconnect(3),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [][]byte
+			tl.afterCommit = func(d dates.Day) error {
+				got = append(got, encode(d, tl.op, tl.carry))
+				return nil
+			}
+			if err := tl.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) || len(got) < 30 {
+				t.Fatalf("%d days committed, want %d (at least 30)", len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("day %d: the one scanner's checkpoint differs from fresh scanners'", i+1)
+				}
+			}
+			if st := tl.scan.TableStats(); st.Carried == 0 {
+				t.Fatalf("no block carried across days: %+v", st)
+			}
+		})
 	}
 }

@@ -18,6 +18,14 @@ named() {
 	go test -race -count=1 -run "^$2\$" "$1"
 }
 
+# fuzz PKG TARGET: a short fuzz run of one target, failing the same way
+# on a missing name.
+fuzz() {
+	go test -list "^$2\$" "$1" | grep -qx "$2" ||
+		{ echo "verify: no fuzz target named $2 in $1" >&2; exit 1; }
+	go test -run '^$' -fuzz "^$2\$" -fuzztime 10s "$1"
+}
+
 race() {
 	echo "== go test -race ($FULL)"
 	go test -race $(go list ./internal/... | grep -E "/($FULL)\$")
@@ -29,6 +37,8 @@ race() {
 	named ./internal/pipeline/ TestRunContextCancellation
 	echo "== go test -race (RunContext: the admin lens beside the scan fails, cancels and exits as the sequential run)"
 	named ./internal/pipeline/ TestRunContextLensOverlap
+	echo "== go test -race (scan spans report the attribute table's decoded, carried and compacted blocks)"
+	named ./internal/pipeline/ TestScanReportsAttributeTable
 	echo "== go test -race (bgpscan: prefix hash values pinned; checkpoints persist them)"
 	named ./internal/bgpscan/ TestPrefixHashPinned
 	echo "== go test -race (chaos over recycled archives: the fault lookahead copies what sources recycle)"
@@ -63,5 +73,8 @@ echo "== go vet"
 go vet ./...
 echo "== go test"
 go test ./...
+echo "== fuzz smoke (the caches: the delegation series memory, the cross-day attribute table)"
+fuzz ./internal/delegation/ FuzzParseSeries
+fuzz ./internal/bgpscan/ FuzzObserveMRT
 race
 echo "verify: OK"
