@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"parallellives/internal/dates"
+	"parallellives/internal/grow"
 )
 
 // attrTable interns RIB attribute blocks: it maps the raw bytes of a
@@ -66,13 +67,13 @@ func (t *attrTable) find(h uint32, b []byte) int {
 // path, copying both, as folded in on day d. The returned entry is valid
 // until the next add.
 func (t *attrTable) add(h uint32, b []byte, path []uint32, r route, d dates.Day) *attrEntry {
-	t.ents = append(t.ents, attrEntry{
+	t.ents = grow.Append(t.ents, attrEntry{
 		route: r, hash: h, day: d,
 		off: uint32(len(t.arena)), size: uint32(len(b)),
 		pathOff: uint32(len(t.paths)), pathLen: uint32(len(path)),
 	})
-	t.arena = append(t.arena, b...)
-	t.paths = append(t.paths, path...)
+	t.arena = append(grow.Room(t.arena, len(b)), b...)
+	t.paths = append(grow.Room(t.paths, len(path)), path...)
 	if 2*len(t.ents) > len(t.slots) {
 		t.slots = make([]uint32, max(1024, 2*len(t.slots)))
 		for i := range t.ents {

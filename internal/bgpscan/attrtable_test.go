@@ -179,6 +179,43 @@ func TestTableBoundedAcrossDays(t *testing.T) {
 	}
 }
 
+// TestColdRunGrowsByDoubling pins DESIGN.md §15.1 rule 4 for the
+// attribute table and the scanner's per-ASN slices: over a cold run in
+// which every day brings new blocks and new origins, each capacity that
+// changes at least doubles.
+func TestColdRunGrowsByDoubling(t *testing.T) {
+	const days, perDay = 40, 60
+	s := NewScanner()
+	caps := map[string][]int{}
+	var recs []ribRecord
+	for d := 0; d < days; d++ {
+		for i := d * perDay; i < (d+1)*perDay; i++ {
+			prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
+			recs = append(recs, ribRecord{prefix, [][]byte{attrsOf(61000+asn.ASN(i%2), 62000+asn.ASN(i%5), 100000+asn.ASN(i))}})
+		}
+		if s.BeginDay(day("2020-01-01").AddDays(d)) != nil || s.ObserveMRT(ribArchive(t, recs)) != nil || s.EndDay() != nil {
+			t.Fatal("scan failed")
+		}
+		for name, c := range map[string]int{
+			"table.ents": cap(s.table.ents), "table.arena": cap(s.table.arena), "table.paths": cap(s.table.paths),
+			"asns": cap(s.asns), "peers": cap(s.peers), "origin": cap(s.origin), "built": cap(s.built),
+			"today": cap(s.today), "touched": cap(s.touched),
+		} {
+			caps[name] = append(caps[name], c)
+		}
+	}
+	for name, cs := range caps {
+		for i := 1; i < len(cs); i++ {
+			if cs[i] != cs[i-1] && cs[i] < 2*cs[i-1] {
+				t.Errorf("%s: capacity %d → %d on day %d", name, cs[i-1], cs[i], i)
+			}
+		}
+	}
+	if st := s.TableStats(); st.Compactions != 0 {
+		t.Fatalf("the table compacted (%+v): it should only grow here", st)
+	}
+}
+
 // TestTableCompactsUnderChurn: a third of the blocks are new each day and
 // a third retire, so compactions run among carried blocks; the table
 // keeps to its bound every day, and the activity is the reference's.

@@ -41,6 +41,7 @@ import (
 	"parallellives/internal/asn"
 	"parallellives/internal/bgp"
 	"parallellives/internal/dates"
+	"parallellives/internal/grow"
 	"parallellives/internal/intervals"
 	"parallellives/internal/mrt"
 )
@@ -286,10 +287,10 @@ func (s *Scanner) idOf(a asn.ASN) uint32 {
 	if !ok {
 		id = uint32(len(s.asns))
 		s.ids[a] = id
-		s.asns = append(s.asns, a)
-		s.peers = append(s.peers, 0)
-		s.origin = append(s.origin, originSet{})
-		s.built = append(s.built, builder{})
+		s.asns = grow.Append(s.asns, a)
+		s.peers = grow.Append(s.peers, 0)
+		s.origin = grow.Append(s.origin, originSet{})
+		s.built = grow.Append(s.built, builder{})
 	}
 	return id
 }
@@ -441,7 +442,7 @@ func (s *Scanner) markPath(peer asn.ASN, path []uint32) {
 	bit := s.peerBit(peer)
 	for _, id := range path {
 		if s.peers[id] == 0 {
-			s.touched = append(s.touched, id)
+			s.touched = grow.Append(s.touched, id)
 		}
 		s.peers[id] |= bit
 	}
@@ -608,7 +609,7 @@ func (s *Scanner) intern(attrs []byte) *attrEntry {
 		e := &t.ents[i]
 		if e.day != s.curDay {
 			e.day = s.curDay
-			s.today = append(s.today, uint32(i))
+			s.today = grow.Append(s.today, uint32(i))
 			s.tstats.Carried++
 			if e.class == pathOK {
 				s.markPath(e.peer, t.pathOf(e))
@@ -634,7 +635,7 @@ func (s *Scanner) intern(attrs []byte) *attrEntry {
 		t.compact(dates.None)
 		s.today = s.today[:0]
 	}
-	s.today = append(s.today, uint32(len(t.ents)))
+	s.today = grow.Append(s.today, uint32(len(t.ents)))
 	return t.add(h, attrs, path, r, s.curDay)
 }
 

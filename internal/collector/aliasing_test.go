@@ -2,10 +2,16 @@ package collector
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
 	"testing"
+
+	"parallellives/internal/asn"
+	"parallellives/internal/dates"
+	"parallellives/internal/intervals"
+	"parallellives/internal/worldsim"
 )
 
 // TestIterArenaRecyclingPreservesObservations pins the day-arena
@@ -229,6 +235,62 @@ func TestMRTSteadyStateAllocations(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("AppendMRT over the previous call's archives allocates %.0f times per call, want 0", allocs)
+	}
+}
+
+// TestColdRunGrowsByDoubling pins DESIGN.md §15.1 rule 4 for the
+// iterator's arenas, its prefix table, the encoder scratch and the
+// archives AppendMRT is handed back: over a cold run whose routing table
+// grows every day, each capacity that changes at least doubles.
+func TestColdRunGrowsByDoubling(t *testing.T) {
+	const days, perDay = 40, 25 // segments starting each day
+	cfg := worldsim.DefaultConfig()
+	cfg.Start = dates.MustParse("2004-01-01")
+	cfg.End = cfg.Start.AddDays(days - 1)
+	w := &worldsim.World{Config: cfg}
+	for i := 0; i < 16; i++ {
+		w.TransitASNs = append(w.TransitASNs, asn.ASN(100+i))
+	}
+	for i := 0; i < days*perDay; i++ {
+		w.Segments = append(w.Segments, worldsim.Segment{
+			ASN: asn.ASN(1000 + i), Span: intervals.New(cfg.Start.AddDays(i/perDay), cfg.End),
+			Kind: worldsim.SegNormal, Upstream: 100, PrefixCount: 1 + i%3,
+		})
+	}
+	it := New(w).Iter()
+	var ribs, updates [][]byte
+	caps := map[string][]int{}
+	for it.Next() {
+		var err error
+		if ribs, updates, err = it.AppendMRT(ribs, updates); err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]int{
+			"obs": cap(it.obs), "pathArena": cap(it.pathArena),
+			"table.prefixes": cap(it.table.prefixes), "table.keys": cap(it.table.keys), "table.order": cap(it.table.order),
+			"enc.attrs": cap(it.enc.attrs), "enc.attrAt": cap(it.enc.attrAt), "enc.route": cap(it.enc.route),
+		} {
+			caps[name] = append(caps[name], c)
+		}
+		for ci := range ribs {
+			rib, upd := fmt.Sprint("rib ", ci), fmt.Sprint("updates ", ci)
+			caps[rib] = append(caps[rib], cap(ribs[ci]))
+			caps[upd] = append(caps[upd], cap(updates[ci]))
+		}
+	}
+	for name, cs := range caps {
+		moves := 0
+		for i := 1; i < len(cs); i++ {
+			if cs[i] != cs[i-1] {
+				moves++
+				if cs[i] < 2*cs[i-1] {
+					t.Errorf("%s: capacity %d → %d on day %d", name, cs[i-1], cs[i], i)
+				}
+			}
+		}
+		if name == "obs" && moves < 3 {
+			t.Errorf("obs reallocated %d times over the run: the routing table did not grow enough to test", moves)
+		}
 	}
 }
 

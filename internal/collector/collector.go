@@ -22,6 +22,7 @@ import (
 
 	"parallellives/internal/asn"
 	"parallellives/internal/dates"
+	"parallellives/internal/grow"
 	"parallellives/internal/intervals"
 	"parallellives/internal/mrt"
 	"parallellives/internal/worldsim"
@@ -183,7 +184,7 @@ func prefix6For(owner asn.ASN, i int) netip.Prefix {
 // announcements to dst, the origin repeated reps times: the day iterator
 // carves every observation's path out of one reused buffer.
 func (inf *Infrastructure) appendPath(dst []asn.ASN, seg *worldsim.Segment, reps int, peer asn.ASN, d dates.Day) []asn.ASN {
-	dst = append(dst, peer)
+	dst = append(grow.Room(dst, 3+reps), peer)
 	if seg.Upstream != peer && seg.Upstream != seg.ASN {
 		// Occasionally route through an extra transit hop.
 		if inf.hash64(seg.ASN, d, uint32(peer))%5 == 0 {
@@ -364,7 +365,7 @@ func (it *Iter) buildObservations() {
 				}
 				start := len(it.pathArena)
 				it.pathArena = inf.appendPath(it.pathArena, seg, st.reps, peerAS, d)
-				it.obs = append(it.obs, Observation{
+				it.obs = grow.Append(it.obs, Observation{
 					Collector: ci, Peer: pi,
 					Prefixes: st.prefixes,
 					Path:     it.pathArena[start:len(it.pathArena):len(it.pathArena)],
@@ -436,8 +437,8 @@ func (it *Iter) appendNoise() {
 		it.noisePrefixes = append(it.noisePrefixes, prefix)
 		it.noiseIDs = append(it.noiseIDs, it.table.intern(prefix))
 		as := len(it.pathArena)
-		it.pathArena = append(it.pathArena, path...)
-		it.obs = append(it.obs, Observation{Collector: ci, Peer: pi,
+		it.pathArena = append(grow.Room(it.pathArena, len(path)), path...)
+		it.obs = grow.Append(it.obs, Observation{Collector: ci, Peer: pi,
 			Prefixes: it.noisePrefixes[ps : ps+1 : ps+1],
 			Path:     it.pathArena[as:len(it.pathArena):len(it.pathArena)],
 			ids:      it.noiseIDs[ps : ps+1 : ps+1]})

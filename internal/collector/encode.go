@@ -2,10 +2,10 @@ package collector
 
 import (
 	"net/netip"
-	"slices"
 
 	"parallellives/internal/asn"
 	"parallellives/internal/bgp"
+	"parallellives/internal/grow"
 	"parallellives/internal/mrt"
 )
 
@@ -115,9 +115,12 @@ func archiveBuf(buf []byte, prev int) []byte {
 
 // encodeAttrs fills the attribute arena for the day's observations.
 func (e *encoder) encodeAttrs(obs []Observation) {
-	e.attrs, e.attrAt = e.attrs[:0], append(e.attrAt[:0], 0)
+	e.attrs, e.attrAt = e.attrs[:0], append(grow.Room(e.attrAt[:0], len(obs)+1), 0)
 	for i := range obs {
 		e.ribAttrs.Path[0].ASNs = obs[i].Path
+		// 15 bytes of attribute headers and values, 2 per AS_PATH
+		// segment (at most 1+n of them) and 4 per ASN.
+		e.attrs = grow.Room(e.attrs, 17+6*len(obs[i].Path))
 		e.attrs = e.ribAttrs.AppendAttrs(e.attrs, true)
 		e.attrAt = append(e.attrAt, int32(len(e.attrs)))
 	}
@@ -158,7 +161,7 @@ func (e *encoder) collectRoutes(ci, peers int, obs []Observation, t *prefixTable
 // zeroed returns s resized to n zero elements, in its own memory when
 // that is large enough.
 func zeroed[T any](s []T, n int) []T {
-	s = slices.Grow(s[:0], n)[:n]
+	s = grow.Room(s[:0], n)[:n]
 	clear(s)
 	return s
 }
@@ -168,6 +171,12 @@ func zeroed[T any](s []T, n int) []T {
 func (e *encoder) routesOf(id int32, peers int) []int32 {
 	return e.route[int(id)*peers : (int(id)+1)*peers]
 }
+
+// recordHead bounds the bytes an archive record takes besides its RIB
+// entries or BGP message: the 12-byte MRT header, then a RIB record's
+// sequence number, prefix and entry count (at most 23 bytes) or a
+// BGP4MP header (at most 44).
+const recordHead = 12 + 44
 
 // appendRIB appends the collector's TABLE_DUMP_V2 dump to dst: the peer
 // index table, then one record per prefix in sorted order.
@@ -180,6 +189,7 @@ func (e *encoder) appendRIB(dst []byte, col *Collector, ts uint32, t *prefixTabl
 
 	for seq, id := range e.order {
 		rec := mrt.RIBRecord{Seq: uint32(seq), Prefix: t.prefixes[id], Entries: e.entries[:0]}
+		size := recordHead
 		for pi, oi := range e.routesOf(id, len(col.Peers)) {
 			if oi == 0 {
 				continue
@@ -189,8 +199,10 @@ func (e *encoder) appendRIB(dst []byte, col *Collector, ts uint32, t *prefixTabl
 				OriginatedTime: ts,
 				Attrs:          e.attrs[e.attrAt[oi-1]:e.attrAt[oi]],
 			})
+			size += 8 + int(e.attrAt[oi]-e.attrAt[oi-1]) // peer index, time, length, block
 		}
 		e.entries = rec.Entries
+		dst = grow.Room(dst, size)
 		at := len(dst)
 		dst = mrt.BeginRecord(dst, ts, mrt.TypeTableDumpV2, rec.Subtype())
 		var err error
@@ -236,6 +248,7 @@ func (e *encoder) appendUpdate(dst []byte, col *Collector, ts uint32, pi int, pa
 	if e.msg, err = e.announce.AppendMessage(e.msg[:0], true); err != nil {
 		return nil, err
 	}
+	dst = grow.Room(dst, recordHead+len(e.msg))
 	m := mrt.BGP4MPMessage{
 		PeerAS:   col.Peers[pi].AS,
 		LocalAS:  65534,

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"net/netip"
 	"slices"
+
+	"parallellives/internal/grow"
 )
 
 // prefixKey is a netip.Prefix flattened to three plain words — the
@@ -79,9 +81,9 @@ func (t *prefixTable) intern(p netip.Prefix) int32 {
 		}
 		id = int32(len(t.prefixes))
 		t.idOf[k] = id
-		t.prefixes = append(t.prefixes, p)
-		t.keys = append(t.keys, k)
-		t.unsorted = append(t.unsorted, id)
+		t.prefixes = grow.Append(t.prefixes, p)
+		t.keys = grow.Append(t.keys, k)
+		t.unsorted = grow.Append(t.unsorted, id)
 	}
 	return id
 }
@@ -117,7 +119,7 @@ func (t *prefixTable) sorted() []int32 {
 	byKey := func(a, b int32) int { return t.keys[a].compare(t.keys[b]) }
 	slices.SortFunc(t.unsorted, byKey)
 	i, j := len(t.order)-1, len(t.unsorted)-1
-	t.order = slices.Grow(t.order, len(t.unsorted))[:len(t.order)+len(t.unsorted)]
+	t.order = grow.Room(t.order, len(t.unsorted))[:len(t.order)+len(t.unsorted)]
 	for k := len(t.order) - 1; j >= 0; k-- {
 		if i >= 0 && byKey(t.order[i], t.unsorted[j]) > 0 {
 			t.order[k] = t.order[i]

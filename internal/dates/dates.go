@@ -118,7 +118,14 @@ func (d Day) String() string {
 		return "-"
 	}
 	y, m, dd := d.YMD()
-	return fmt.Sprintf("%04d-%02d-%02d", y, m, dd)
+	if y < 0 || y > 9999 {
+		return fmt.Sprintf("%04d-%02d-%02d", y, m, dd)
+	}
+	b := [10]byte{
+		byte('0' + y/1000), byte('0' + y/100%10), byte('0' + y/10%10), byte('0' + y%10), '-',
+		byte('0' + m/10), byte('0' + m%10), '-',
+		byte('0' + dd/10), byte('0' + dd%10)}
+	return string(b[:])
 }
 
 // Compact renders the date as YYYYMMDD (the delegation-file date format),

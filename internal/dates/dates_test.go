@@ -1,6 +1,8 @@
 package dates
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -129,6 +131,30 @@ func TestNoneString(t *testing.T) {
 	}
 	if None.Compact() != "00000000" {
 		t.Errorf("None.Compact() = %q", None.Compact())
+	}
+}
+
+// TestStringMatchesFmt: String renders every day as fmt's %04d-%02d-%02d
+// of its civil date would, at the edges of the four-digit years and
+// beyond them, and None as "-".
+func TestStringMatchesFmt(t *testing.T) {
+	want := func(d Day) string {
+		if d == None {
+			return "-"
+		}
+		y, m, dd := d.YMD()
+		return fmt.Sprintf("%04d-%02d-%02d", y, m, dd)
+	}
+	days := []Day{None, 0, math.MinInt32, math.MaxInt32, None + 1, None - 1,
+		FromYMD(0, 1, 1) - 1, FromYMD(0, 1, 1), FromYMD(9, 9, 9), FromYMD(999, 12, 31),
+		FromYMD(1000, 1, 1), FromYMD(9999, 12, 31), FromYMD(9999, 12, 31) + 1, FromYMD(-1, 6, 15)}
+	for d := FromYMD(1850, 1, 1); d <= FromYMD(2100, 12, 31); d++ {
+		days = append(days, d)
+	}
+	for _, d := range days {
+		if got := d.String(); got != want(d) {
+			t.Errorf("Day(%d).String() = %q, want %q", int32(d), got, want(d))
+		}
 	}
 }
 

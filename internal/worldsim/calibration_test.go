@@ -280,3 +280,33 @@ func TestShortWindows(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateDigestPinned: the world a seed generates is fixed, not
+// only repeatable. The digests cover every life and segment at two
+// scales, so a change that reorders the generator's rng draws (or any
+// field it writes) fails here even when two runs of the new code agree.
+func TestGenerateDigestPinned(t *testing.T) {
+	for _, c := range []struct {
+		scale       float64
+		lives, segs string
+	}{
+		{0.04, "55a0fc1e0b86c9a2", "40664e44315972d4"},
+		{0.25, "e755204e6e6e0400", "a6eb14c77374cc6a"},
+	} {
+		cfg := DefaultConfig()
+		cfg.Seed, cfg.Scale = 7, c.scale
+		w := Generate(cfg)
+		lives, segs := fnv.New64a(), fnv.New64a()
+		for i := range w.Lives {
+			fmt.Fprintf(lives, "%+v\n", w.Lives[i])
+		}
+		for i := range w.Segments {
+			fmt.Fprintf(segs, "%+v\n", w.Segments[i])
+		}
+		gotLives, gotSegs := fmt.Sprintf("%016x", lives.Sum64()), fmt.Sprintf("%016x", segs.Sum64())
+		if gotLives != c.lives || gotSegs != c.segs {
+			t.Errorf("scale %v: %d lives digest %s, %d segments digest %s; pinned %s, %s",
+				c.scale, len(w.Lives), gotLives, len(w.Segments), gotSegs, c.lives, c.segs)
+		}
+	}
+}

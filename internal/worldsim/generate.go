@@ -7,6 +7,7 @@ import (
 
 	"parallellives/internal/asn"
 	"parallellives/internal/dates"
+	"parallellives/internal/grow"
 	"parallellives/internal/intervals"
 )
 
@@ -24,8 +25,9 @@ type generator struct {
 	// never-allocated origins can be checked against it.
 	allocated map[asn.ASN]bool
 
-	// reuseQueue holds deallocated ASNs waiting for reallocation.
-	reuseQueue []reuseCandidate
+	// reuseQueue holds deallocated ASNs waiting for reallocation;
+	// reuseSpare is the array serviceReuseQueue fills next.
+	reuseQueue, reuseSpare []reuseCandidate
 
 	// siblingOrgs are the large multi-ASN organizations.
 	siblingOrgs []int
@@ -286,7 +288,7 @@ func (g *generator) maybeScheduleReuse(l *Life) {
 	if g.rng.Float64() >= m.pReuse {
 		return
 	}
-	g.reuseQueue = append(g.reuseQueue, reuseCandidate{
+	g.reuseQueue = grow.Append(g.reuseQueue, reuseCandidate{
 		a:             l.ASN,
 		rir:           l.RIR,
 		availableFrom: l.Alloc.End.AddDays(l.QuarantineDays),
@@ -455,10 +457,12 @@ func (g *generator) nirBlock(d dates.Day, year int) {
 
 // serviceReuseQueue reallocates quarantine-expired ASNs. Reallocations
 // created during the sweep can themselves schedule future reuse, so the
-// queue is detached before filtering and the survivors appended after.
+// queue is detached before filtering — the spare array takes the new
+// entries — and the survivors appended after. The detached array is the
+// next day's spare.
 func (g *generator) serviceReuseQueue(d dates.Day) {
 	queue := g.reuseQueue
-	g.reuseQueue = nil
+	g.reuseQueue = g.reuseSpare[:0]
 	kept := queue[:0]
 	for _, c := range queue {
 		if c.availableFrom > d {
@@ -503,7 +507,8 @@ func (g *generator) serviceReuseQueue(d dates.Day) {
 		org := g.newOrg(c.rir, cwt.cc, false)
 		g.finishBirthDur(c.a, org, c.rir, cwt, d, year, LifeNormal, true)
 	}
-	g.reuseQueue = append(g.reuseQueue, kept...)
+	g.reuseQueue = append(grow.Room(g.reuseQueue, len(kept)), kept...)
+	g.reuseSpare = queue[:0]
 }
 
 // buildInterRIRTransfers splits a handful of open lives across two RIRs

@@ -1,6 +1,6 @@
 #!/bin/sh
-# Tier-1 verification: build, vet, the full test suite, and the race
-# pass. Run from the repo root (make verify); `verify.sh race` runs the
+# Tier-1 verification: the DESIGN.md line cap, build, vet, the full test
+# suite, and the race pass. Run from the repo root (make verify); `verify.sh race` runs the
 # race pass alone (make race).
 set -eu
 
@@ -67,6 +67,9 @@ if [ "${1:-}" = race ]; then
 	exit
 fi
 
+echo "== DESIGN.md line cap (996, ROADMAP's standing cap)"
+lines=$(wc -l < DESIGN.md)
+[ "$lines" -le 996 ] || { echo "verify: DESIGN.md has $lines lines, over the cap of 996" >&2; exit 1; }
 echo "== go build"
 go build ./...
 echo "== go vet"
