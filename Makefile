@@ -31,7 +31,7 @@ verify:
 # Non-test Go lines outside benchmark/ — the number CHANGES.md tracks
 # per PR.
 loc:
-	@total=0; for d in internal cmd examples; do \
+	@total=0; for d in internal cmd; do \
 		n=$$(find $$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
 		echo "$$d $$n"; total=$$((total + n)); \
 	done; echo "total $$total"

@@ -47,12 +47,12 @@ func addPipelineFlags(fs *flag.FlagSet) *pipelineFlags {
 	p := &pipelineFlags{opts: pipeline.DefaultOptions()}
 	o := &p.opts
 	addWorldFlags(fs, &o.World)
-	fs.BoolVar(&o.Wire, "wire", o.Wire, "route BGP data through binary MRT encode/decode")
+	fs.BoolVar(&o.Wire, "wire", o.Wire, "route BGP data through binary MRT encode/decode; the lifetimes and taxonomy are the same either way, the scan counts are not (only this path counts MRT records)")
 	fs.IntVar(&o.Timeout, "timeout", o.Timeout, "§4.2 operational inactivity timeout (days)")
 	fs.IntVar(&o.Visibility, "visibility", o.Visibility, "minimum distinct peers per active ASN-day")
 	fs.IntVar(&o.Workers, "workers", o.Workers, "worker goroutines for each of the scan's day shards and restoration's per-registry reads, which run side by side above 1 (0 = GOMAXPROCS); output is identical for any value")
 	fs.Func("fault-policy", fmt.Sprintf("input damage handling `policy`: failfast, or degrade (quarantine damaged inputs, finish, report them in the health block) (default %s)", o.FaultPolicy), func(s string) (err error) {
-		o.FaultPolicy, err = pipeline.ParseFaultPolicy(s)
+		o.FaultPolicy, err = faults.ParseFaultPolicy(s)
 		return err
 	})
 	fs.BoolVar(&p.chaos, "chaos", false, "inject the default deterministic fault storm (implies -wire; give -fault-policy degrade to ride it out)")
@@ -124,7 +124,7 @@ func buildDataset(ctx context.Context, opts pipeline.Options, stderr io.Writer) 
 // saveSnapshot captures ds and writes it to path atomically — the one
 // way run -snapshot-out and serve -build produce a snapshot file.
 func saveSnapshot(ds *pipeline.Dataset, path string, stderr io.Writer) (*lifestore.Snapshot, error) {
-	snap := lifestore.Capture(ds)
+	snap := ds.Snapshot()
 	if err := lifestore.SaveSnapshot(snap, path); err != nil {
 		return nil, err
 	}

@@ -17,6 +17,7 @@ import (
 
 	"parallellives/internal/collector"
 	"parallellives/internal/dates"
+	"parallellives/internal/faults"
 	"parallellives/internal/pipeline"
 	"parallellives/internal/stream"
 	"parallellives/internal/worldsim"
@@ -153,7 +154,7 @@ func TestPipelineFlagsOneMeaning(t *testing.T) {
 			t.Errorf("%s %v: %+v, under run: %+v", verb, full, got, want)
 		}
 		got := parse(verb, "-chaos")
-		if got.Inject == nil || !got.Wire || got.FaultPolicy != pipeline.FailFast {
+		if got.Inject == nil || !got.Wire || got.FaultPolicy != faults.FailFast {
 			t.Errorf("%s -chaos: inject=%v wire=%v policy=%s, want a plan, wire on, failfast as given",
 				verb, got.Inject != nil, got.Wire, got.FaultPolicy)
 		}
@@ -161,7 +162,7 @@ func TestPipelineFlagsOneMeaning(t *testing.T) {
 	got := parse("run", full...)
 	if got.World.Scale != 0.01 || got.World.Seed != 7 || got.World.Start.String() != "2006-01-01" ||
 		got.World.End.String() != "2006-04-01" || got.Timeout != 50 || got.Visibility != 3 ||
-		got.Workers != 2 || got.FaultPolicy != pipeline.Degrade || got.Inject == nil || got.Inject.Seed != 9 {
+		got.Workers != 2 || got.FaultPolicy != faults.Degrade || got.Inject == nil || got.Inject.Seed != 9 {
 		t.Errorf("run %v parsed to %+v", full, got)
 	}
 }

@@ -16,8 +16,10 @@ import (
 	"parallellives/internal/dates"
 	"parallellives/internal/obs"
 	"parallellives/internal/pipeline"
+	"parallellives/internal/registry"
 	"parallellives/internal/report"
 	"parallellives/internal/stream"
+	"parallellives/internal/worldsim"
 )
 
 var runUsage = `parallellives run [flags]
@@ -122,12 +124,12 @@ func runVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 			fmt.Fprintf(stderr, "serve it with: parallellives serve -listen :8080 -snapshot %s\n", *snapshotOut)
 		}
 		if *exportMRT != "" {
-			if err := doExportMRT(ctx, ds, *exportMRT, *outDir, stderr); err != nil {
+			if err := doExportMRT(ctx, opts.World, *exportMRT, *outDir, stderr); err != nil {
 				return err
 			}
 		}
 		if *exportFiles != "" {
-			if err := doExportFiles(ds, *exportFiles, *outDir, stderr); err != nil {
+			if err := doExportFiles(opts.World, *exportFiles, *outDir, stderr); err != nil {
 				return err
 			}
 		}
@@ -239,13 +241,14 @@ func writeDatasets(ds *pipeline.Dataset, dir string, stderr io.Writer) error {
 }
 
 // doExportMRT writes the day's MRT archives in the day-directory layout
-// that stream.DirSource and the tail verb read.
-func doExportMRT(ctx context.Context, ds *pipeline.Dataset, dateStr, dir string, stderr io.Writer) error {
+// that stream.DirSource and the tail verb read. A dataset keeps no world,
+// so the exports regenerate the run's (worldsim.Generate is deterministic).
+func doExportMRT(ctx context.Context, cfg worldsim.Config, dateStr, dir string, stderr io.Writer) error {
 	day, err := dates.Parse(dateStr)
 	if err != nil {
 		return err
 	}
-	d, err := pipeline.NewCollectorSource(collector.New(ds.World), day, day).Next(ctx, day.AddDays(-1))
+	d, err := pipeline.NewCollectorSource(collector.New(worldsim.Generate(cfg)), day, day).Next(ctx, day.AddDays(-1))
 	if err == io.EOF {
 		return fmt.Errorf("day %s outside the window", day)
 	}
@@ -266,12 +269,12 @@ func doExportMRT(ctx context.Context, ds *pipeline.Dataset, dateStr, dir string,
 // doExportFiles writes the day's delegation files as the RIR FTP sites
 // name them; a day the simulator corrupted is written with its mangled
 // bytes, a missing one is skipped.
-func doExportFiles(ds *pipeline.Dataset, dateStr, dir string, stderr io.Writer) error {
+func doExportFiles(cfg worldsim.Config, dateStr, dir string, stderr io.Writer) error {
 	day, err := dates.Parse(dateStr)
 	if err != nil {
 		return err
 	}
-	if err := ds.Archive.ExportDir(dir, day, day); err != nil {
+	if err := registry.Build(worldsim.Generate(cfg)).ExportDir(dir, day, day); err != nil {
 		return err
 	}
 	fmt.Fprintf(stderr, "delegation files for %s written to %s\n", day, dir)

@@ -184,7 +184,7 @@ func verifyAgainstBatch(ctx context.Context, opts pipeline.Options, tl *stream.T
 	if err != nil {
 		return err
 	}
-	want, err := lifestore.Encode(lifestore.Capture(ds))
+	want, err := lifestore.Encode(ds.Snapshot())
 	if err != nil {
 		return err
 	}

@@ -161,6 +161,29 @@ func (j *Joint) Taxonomy() TaxonomyCounts {
 	return t
 }
 
+// TaxonomyShares is Table 3's totals and each admin category's share of
+// the admin total.
+type TaxonomyShares struct {
+	AdminTotal    int
+	OpTotal       int
+	CompleteShare float64
+	PartialShare  float64
+	UnusedShare   float64
+}
+
+// Shares derives Table 3's totals and shares from the counts.
+func (c TaxonomyCounts) Shares() TaxonomyShares {
+	var t TaxonomyShares
+	t.AdminTotal = c.AdminComplete + c.AdminPartial + c.AdminUnused
+	t.OpTotal = c.OpComplete + c.OpPartial + c.OpOutside
+	if t.AdminTotal > 0 {
+		t.CompleteShare = float64(c.AdminComplete) / float64(t.AdminTotal)
+		t.PartialShare = float64(c.AdminPartial) / float64(t.AdminTotal)
+		t.UnusedShare = float64(c.AdminUnused) / float64(t.AdminTotal)
+	}
+	return t
+}
+
 // Utilization returns, for every admin lifetime whose overlapping op
 // lives are all contained (the §6.1 complete-overlap class) and
 // non-empty, the fraction of the administrative days covered by
@@ -318,4 +341,36 @@ func (j *Joint) Alive(start, end dates.Day) *AliveSeries {
 		}
 	}
 	return s
+}
+
+// SeriesSample is a stride-sampled view of an AliveSeries: one point
+// every stride days, per registry and overall, in both dimensions. It is
+// the common series shape behind Figure 4 and the query service's
+// /v1/rir/{r}/series endpoint.
+type SeriesSample struct {
+	Stride   int
+	Days     []dates.Day
+	Admin    [asn.NumRIRs][]int
+	Op       [asn.NumRIRs][]int
+	AdminAll []int
+	OpAll    []int
+}
+
+// Sample downsamples the daily series to one point every stride days,
+// always keeping the first day. stride <= 1 keeps every day.
+func (s *AliveSeries) Sample(stride int) SeriesSample {
+	if stride < 1 {
+		stride = 1
+	}
+	out := SeriesSample{Stride: stride}
+	for off := 0; off < len(s.AdminOverall); off += stride {
+		out.Days = append(out.Days, s.Start.AddDays(off))
+		for _, r := range asn.All() {
+			out.Admin[r] = append(out.Admin[r], s.AdminPerRIR[r][off])
+			out.Op[r] = append(out.Op[r], s.OpPerRIR[r][off])
+		}
+		out.AdminAll = append(out.AdminAll, s.AdminOverall[off])
+		out.OpAll = append(out.OpAll, s.OpOverall[off])
+	}
+	return out
 }

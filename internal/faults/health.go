@@ -1,4 +1,4 @@
-package pipeline
+package faults
 
 import (
 	"fmt"
@@ -6,12 +6,11 @@ import (
 	"time"
 
 	"parallellives/internal/asn"
-	"parallellives/internal/faults"
 	"parallellives/internal/obs"
 	"parallellives/internal/restore"
 )
 
-// FaultPolicy selects how Run reacts to damaged inputs.
+// FaultPolicy selects how a pipeline run reacts to damaged inputs.
 type FaultPolicy int
 
 const (
@@ -94,7 +93,7 @@ type DelegationHealth struct {
 	RetryBackoff    time.Duration // total (virtual) backoff spent retrying
 }
 
-// Health is Run's account of what the pipeline ingested, skipped and
+// Health is a pipeline run's account of what it ingested, skipped and
 // recovered — the report that makes a Degrade run auditable instead of
 // silently lossy.
 type Health struct {
@@ -104,15 +103,15 @@ type Health struct {
 	Delegation    DelegationHealth
 	// Coverage is the per-RIR usable-file inventory of this run.
 	Coverage [asn.NumRIRs]restore.Coverage
-	// Injected echoes the fault injector's report when Options.Inject was
-	// set (nil otherwise), so tests and chaos runs can reconcile planted
+	// Injected echoes the fault injector's report when the run injected
+	// faults (nil otherwise), so tests and chaos runs can reconcile planted
 	// faults against observed quarantines.
-	Injected *faults.Report
+	Injected *Report
 }
 
-// checkBudget returns an error when the damage absorbed exceeds the
+// CheckBudget returns an error when the damage absorbed exceeds the
 // budget — the Degrade-mode backstop.
-func (h *Health) checkBudget(b ErrorBudget) error {
+func (h *Health) CheckBudget(b ErrorBudget) error {
 	b = b.withDefaults()
 	if f := h.MRT.QuarantinedFrac(); f > b.MaxQuarantinedFrac {
 		return fmt.Errorf("pipeline: error budget exceeded: %.1f%% of MRT route records quarantined (budget %.1f%%)",

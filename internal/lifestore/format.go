@@ -9,7 +9,6 @@ import (
 	"parallellives/internal/core"
 	"parallellives/internal/faults"
 	"parallellives/internal/intervals"
-	"parallellives/internal/pipeline"
 )
 
 // FormatVersion is the snapshot format this package writes. Readers
@@ -76,7 +75,7 @@ func decodeMeta(b []byte) (Meta, error) {
 	m.End = d.day()
 	m.Timeout = int(d.uvarint())
 	m.Visibility = int(d.uvarint())
-	m.Policy = pipeline.FaultPolicy(d.byte())
+	m.Policy = faults.FaultPolicy(d.byte())
 	m.Wire = d.bool()
 	d.bool() // the retired text-files flag, dropped
 	m.Scale = d.float()
@@ -90,7 +89,7 @@ func decodeMeta(b []byte) (Meta, error) {
 	return m, d.done()
 }
 
-func encodeHealth(h pipeline.Health) []byte {
+func encodeHealth(h faults.Health) []byte {
 	var e enc
 	e.byte(uint8(h.Policy))
 	e.count(h.DaysProcessed)
@@ -125,10 +124,10 @@ func encodeHealth(h pipeline.Health) []byte {
 	return e.b
 }
 
-func decodeHealth(b []byte) (pipeline.Health, error) {
+func decodeHealth(b []byte) (faults.Health, error) {
 	d := dec{b: b}
-	var h pipeline.Health
-	h.Policy = pipeline.FaultPolicy(d.byte())
+	var h faults.Health
+	h.Policy = faults.FaultPolicy(d.byte())
 	h.DaysProcessed = int(d.uvarint())
 	h.MRT.Archives = d.varint()
 	h.MRT.Records = d.varint()

@@ -3,7 +3,7 @@
 // taxonomy, the daily alive series, per-RIR coverage and the pipeline
 // health report — in a versioned, checksummed binary snapshot.
 //
-// A snapshot turns a batch pipeline.Run into a servable artifact: the
+// A snapshot turns a batch pipeline run into a servable artifact: the
 // expensive 17-year computation happens once (Save), and any number of
 // later processes answer per-ASN queries from the file (Open) without
 // recomputing anything. The file carries a sorted per-ASN index so a
@@ -23,8 +23,8 @@ import (
 	"parallellives/internal/asn"
 	"parallellives/internal/core"
 	"parallellives/internal/dates"
+	"parallellives/internal/faults"
 	"parallellives/internal/intervals"
-	"parallellives/internal/pipeline"
 )
 
 // Meta identifies a snapshot: the format version it was written with,
@@ -37,7 +37,7 @@ type Meta struct {
 	// the run.
 	Timeout    int
 	Visibility int
-	Policy     pipeline.FaultPolicy
+	Policy     faults.FaultPolicy
 	Wire       bool
 	// Scale and Seed identify the simulated world.
 	Scale             float64
@@ -82,7 +82,7 @@ type ASNLives struct {
 // Snapshot is the fully decoded in-memory form of a snapshot file.
 type Snapshot struct {
 	Meta     Meta
-	Health   pipeline.Health
+	Health   faults.Health
 	Taxonomy core.TaxonomyCounts
 	Series   *core.AliveSeries
 	// Shard identifies a sharded snapshot's cut; nil for unsharded.
@@ -91,71 +91,9 @@ type Snapshot struct {
 	Lives []ASNLives
 }
 
-// Capture builds the serializable view of a dataset. The per-ASN lives
-// are ordered exactly as the dataset's indexes hold them (ASN, then span
-// start), so Capture is deterministic for a deterministic run.
-func Capture(ds *pipeline.Dataset) *Snapshot {
-	start, end := ds.Window()
-	snap := &Snapshot{
-		Meta: Meta{
-			FormatVersion:     FormatVersion,
-			Start:             start,
-			End:               end,
-			Timeout:           ds.Options.Timeout,
-			Visibility:        ds.Options.Visibility,
-			Policy:            ds.Options.FaultPolicy,
-			Wire:              ds.Options.Wire,
-			Scale:             ds.Options.World.Scale,
-			Seed:              ds.Options.World.Seed,
-			Collectors:        ds.Options.World.Collectors,
-			PeersPerCollector: ds.Options.World.PeersPerCollector,
-			Chaos:             ds.Options.Inject != nil,
-			AdminLives:        len(ds.Admin.Lifetimes),
-			OpLives:           len(ds.Ops.Lifetimes),
-		},
-		Health:   *ds.Health,
-		Taxonomy: ds.Joint.Taxonomy(),
-		Series:   ds.AliveSeries(),
-	}
-
-	byASN := make(map[asn.ASN]*ASNLives)
-	var order []asn.ASN
-	get := func(a asn.ASN) *ASNLives {
-		if l, ok := byASN[a]; ok {
-			return l
-		}
-		l := &ASNLives{ASN: a}
-		byASN[a] = l
-		order = append(order, a)
-		return l
-	}
-	for i, l := range ds.Admin.Lifetimes {
-		get(l.ASN).Admin = append(get(l.ASN).Admin, AdminLife{
-			RIR:         l.RIR,
-			CC:          l.CC,
-			OpaqueID:    l.OpaqueID,
-			RegDate:     l.RegDate,
-			Span:        l.Span,
-			Open:        l.Open,
-			Transferred: l.Transferred,
-			Pieces:      l.Pieces,
-			Category:    ds.Joint.AdminCat[i],
-		})
-	}
-	for i, l := range ds.Ops.Lifetimes {
-		get(l.ASN).Op = append(get(l.ASN).Op, OpLife{
-			Span:     l.Span,
-			Category: ds.Joint.OpCat[i],
-		})
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	snap.Lives = make([]ASNLives, len(order))
-	for i, a := range order {
-		snap.Lives[i] = *byASN[a]
-	}
-	snap.Meta.ASNCount = len(snap.Lives)
-	return snap
-}
+// Pinned by benchmark/README.md: Capture returns ds.Snapshot(), which
+// is what everything else calls.
+func Capture(ds interface{ Snapshot() *Snapshot }) *Snapshot { return ds.Snapshot() }
 
 // Lookup returns one ASN's lives from the in-memory snapshot.
 func (s *Snapshot) Lookup(a asn.ASN) (ASNLives, bool) {
@@ -178,7 +116,7 @@ func NewInMemory(s *Snapshot) *InMemory { return &InMemory{snap: s} }
 func (m *InMemory) Meta() Meta { return m.snap.Meta }
 
 // Health returns the captured pipeline health report.
-func (m *InMemory) Health() pipeline.Health { return m.snap.Health }
+func (m *InMemory) Health() faults.Health { return m.snap.Health }
 
 // Taxonomy returns the Table-3 counts.
 func (m *InMemory) Taxonomy() core.TaxonomyCounts { return m.snap.Taxonomy }

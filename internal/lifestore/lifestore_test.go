@@ -1,4 +1,4 @@
-package lifestore
+package lifestore_test
 
 import (
 	"bytes"
@@ -10,6 +10,7 @@ import (
 
 	"parallellives/internal/dates"
 	"parallellives/internal/faults"
+	"parallellives/internal/lifestore"
 	"parallellives/internal/pipeline"
 )
 
@@ -22,7 +23,7 @@ func testOptions(seed int64, chaos bool) pipeline.Options {
 	opts.World.Start = dates.MustParse("2004-01-01")
 	opts.World.End = dates.MustParse("2005-12-31")
 	if chaos {
-		opts.FaultPolicy = pipeline.Degrade
+		opts.FaultPolicy = faults.Degrade
 		plan := faults.DefaultStorm(seed)
 		opts.Inject = &plan
 		opts.Wire = true // MRT faults only exist on the wire
@@ -57,12 +58,12 @@ func TestRoundTrip(t *testing.T) {
 		for _, chaos := range []bool{false, true} {
 			t.Run(fmt.Sprintf("seed=%d,chaos=%v", seed, chaos), func(t *testing.T) {
 				ds := testDataset(t, seed, chaos)
-				want := Capture(ds)
+				want := ds.Snapshot()
 				path := filepath.Join(t.TempDir(), "lives.snap")
-				if err := SaveSnapshot(want, path); err != nil {
+				if err := lifestore.SaveSnapshot(want, path); err != nil {
 					t.Fatal(err)
 				}
-				st, err := Open(path)
+				st, err := lifestore.Open(path)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,7 +72,7 @@ func TestRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if diffs := Diff(want, got); len(diffs) > 0 {
+				if diffs := lifestore.Diff(want, got); len(diffs) > 0 {
 					for i, d := range diffs {
 						if i >= 10 {
 							t.Errorf("... and %d more", len(diffs)-i)
@@ -96,11 +97,11 @@ func TestEncodeDeterministic(t *testing.T) {
 		t.Skip("multi-year pipeline run")
 	}
 	ds := testDataset(t, 1, false)
-	a, err := Encode(Capture(ds))
+	a, err := lifestore.Encode(ds.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Encode(Capture(ds))
+	b, err := lifestore.Encode(ds.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,19 +117,19 @@ func TestLazyLookup(t *testing.T) {
 		t.Skip("multi-year pipeline run")
 	}
 	ds := testDataset(t, 1, false)
-	snap := Capture(ds)
-	img, err := Encode(snap)
+	snap := ds.Snapshot()
+	img, err := lifestore.Encode(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := OpenBytes(img)
+	st, err := lifestore.OpenBytes(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.ASNCount() != len(snap.Lives) {
 		t.Fatalf("store has %d ASNs, snapshot %d", st.ASNCount(), len(snap.Lives))
 	}
-	mem := NewInMemory(snap)
+	mem := lifestore.NewInMemory(snap)
 	for _, want := range snap.Lives {
 		got, ok, err := st.Lookup(want.ASN)
 		if err != nil {
@@ -159,8 +160,8 @@ func TestCorruptionDetected(t *testing.T) {
 		t.Skip("multi-year pipeline run")
 	}
 	ds := testDataset(t, 1, false)
-	snap := Capture(ds)
-	img, err := Encode(snap)
+	snap := ds.Snapshot()
+	img, err := lifestore.Encode(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,24 +172,24 @@ func TestCorruptionDetected(t *testing.T) {
 		return c
 	}
 
-	if _, err := OpenBytes(flip(0)); err == nil {
+	if _, err := lifestore.OpenBytes(flip(0)); err == nil {
 		t.Error("corrupt magic accepted")
 	}
-	if _, err := OpenBytes(flip(8)); err == nil {
+	if _, err := lifestore.OpenBytes(flip(8)); err == nil {
 		t.Error("corrupt version accepted")
 	}
 	// A damaged section-table offset must fail the header checksum.
-	if _, err := OpenBytes(flip(headerFixedLen + 4)); err == nil {
+	if _, err := lifestore.OpenBytes(flip(lifestore.HeaderFixedLen + 4)); err == nil {
 		t.Error("corrupt section table accepted")
 	}
 	// A flipped byte in an eager section must fail its section checksum.
-	metaOff := headerFixedLen + sectionEntryLen*6 + 4
-	if _, err := OpenBytes(flip(metaOff)); err == nil {
+	metaOff := lifestore.HeaderFixedLen + lifestore.SectionEntryLen*6 + 4
+	if _, err := lifestore.OpenBytes(flip(metaOff)); err == nil {
 		t.Error("corrupt meta section accepted")
 	}
 	// A flipped byte inside a block must fail that block's checksum on
 	// Lookup (Open itself stays lazy and succeeds).
-	st, err := OpenBytes(flip(len(img) - 10))
+	st, err := lifestore.OpenBytes(flip(len(img) - 10))
 	if err != nil {
 		t.Fatalf("lazy open rejected block damage eagerly: %v", err)
 	}
@@ -207,17 +208,17 @@ func TestVersionRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-year pipeline run")
 	}
-	img, err := Encode(Capture(testDataset(t, 1, false)))
+	img, err := lifestore.Encode(testDataset(t, 1, false).Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := append([]byte(nil), img...)
-	binary.LittleEndian.PutUint16(c[8:10], FormatVersion+1)
+	binary.LittleEndian.PutUint16(c[8:10], lifestore.FormatVersion+1)
 	// Reseal the header so only the version check can reject it.
 	nsec := int(binary.LittleEndian.Uint16(c[10:12]))
-	tableEnd := headerFixedLen + sectionEntryLen*nsec
-	binary.LittleEndian.PutUint32(c[tableEnd:tableEnd+4], checksum(c[:tableEnd]))
-	if _, err := OpenBytes(c); err == nil {
+	tableEnd := lifestore.HeaderFixedLen + lifestore.SectionEntryLen*nsec
+	binary.LittleEndian.PutUint32(c[tableEnd:tableEnd+4], lifestore.Checksum(c[:tableEnd]))
+	if _, err := lifestore.OpenBytes(c); err == nil {
 		t.Fatal("future-version snapshot accepted")
 	}
 }
@@ -228,14 +229,14 @@ func TestDiffReportsDivergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-year pipeline run")
 	}
-	snap := Capture(testDataset(t, 1, false))
-	other := Capture(testDataset(t, 1, false))
-	if diffs := Diff(snap, other); len(diffs) != 0 {
+	snap := testDataset(t, 1, false).Snapshot()
+	other := testDataset(t, 1, false).Snapshot()
+	if diffs := lifestore.Diff(snap, other); len(diffs) != 0 {
 		t.Fatalf("identical captures diff: %v", diffs)
 	}
 	other.Taxonomy.AdminComplete++
 	other.Lives[0].Admin[0].Pieces++
-	diffs := Diff(snap, other)
+	diffs := lifestore.Diff(snap, other)
 	if len(diffs) != 2 {
 		t.Fatalf("expected 2 diffs, got %d: %v", len(diffs), diffs)
 	}

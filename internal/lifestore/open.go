@@ -14,7 +14,7 @@ import (
 
 	"parallellives/internal/asn"
 	"parallellives/internal/core"
-	"parallellives/internal/pipeline"
+	"parallellives/internal/faults"
 )
 
 // ErrCorrupt classifies every structural snapshot failure — bad magic,
@@ -46,7 +46,7 @@ type Store struct {
 	met atomic.Pointer[storeMetrics]
 
 	meta     Meta
-	health   pipeline.Health
+	health   faults.Health
 	taxonomy core.TaxonomyCounts
 	series   *core.AliveSeries
 	index    []indexEntry
@@ -182,7 +182,7 @@ func (st *Store) Close() error {
 func (st *Store) Meta() Meta { return st.meta }
 
 // Health returns the captured pipeline health report.
-func (st *Store) Health() pipeline.Health { return st.health }
+func (st *Store) Health() faults.Health { return st.health }
 
 // Taxonomy returns the Table-3 counts.
 func (st *Store) Taxonomy() core.TaxonomyCounts { return st.taxonomy }

@@ -6,21 +6,23 @@ import (
 	"parallellives/internal/asn"
 	"parallellives/internal/core"
 	"parallellives/internal/delegation"
+	"parallellives/internal/registry"
 	"parallellives/internal/restore"
 )
 
-// textSources returns fresh text sources over the dataset's archive.
-func textSources(ds *Dataset) []delegation.Source {
+// textSources returns fresh text sources over the archive.
+func textSources(a *registry.Archive) []delegation.Source {
 	out := make([]delegation.Source, 0, asn.NumRIRs)
 	for _, r := range asn.All() {
-		out = append(out, ds.Archive.TextSource(r))
+		out = append(out, a.TextSource(r))
 	}
 	return out
 }
 
 func TestAblationRestorationOffFragmentsLifetimes(t *testing.T) {
 	ds := getSmall(t)
-	raw := restore.RestoreWithOptions(textSources(ds), nil, restore.Options{
+	archive := registry.Build(worldOf(ds))
+	raw := restore.RestoreWithOptions(textSources(archive), nil, restore.Options{
 		NoGapBridging:     true,
 		NoRegularRecovery: true,
 		NoDateRepair:      true,
@@ -45,17 +47,17 @@ func TestAblationRestorationOffFragmentsLifetimes(t *testing.T) {
 			break
 		}
 	}
-	if !foundMistaken && ds.Archive.InjectionStats().MistakenAllocASNs > 0 {
+	if !foundMistaken && archive.InjectionStats().MistakenAllocASNs > 0 {
 		t.Error("raw pass should retain mistaken out-of-block records")
 	}
 }
 
 func TestAblationNoDateRepairKeepsPlaceholders(t *testing.T) {
-	ds := getSmall(t)
-	if ds.Archive.InjectionStats().PlaceholderASNs == 0 {
+	archive := registry.Build(worldOf(getSmall(t)))
+	if archive.InjectionStats().PlaceholderASNs == 0 {
 		t.Skip("no placeholder quirks in this world")
 	}
-	raw := restore.RestoreWithOptions(textSources(ds), ds.Archive.ERXReference(),
+	raw := restore.RestoreWithOptions(textSources(archive), archive.ERXReference(),
 		restore.Options{NoDateRepair: true})
 	found := false
 	for _, run := range raw.Runs {
@@ -84,7 +86,7 @@ func TestAblationVisibilityOneInflatesASNs(t *testing.T) {
 	// The single-peer noise the world plants must appear only in the
 	// naive run.
 	leaked := 0
-	for _, seg := range ds.World.Segments {
+	for _, seg := range worldOf(ds).Segments {
 		if seg.Vis != 1 { // worldsim.VisSinglePeer
 			continue
 		}

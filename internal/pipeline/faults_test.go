@@ -36,7 +36,7 @@ func datasetBytes(t *testing.T, ds *Dataset) []byte {
 }
 
 // TestDegradeIsNoOpOnCleanInput is the safety property behind making
-// Degrade a reasonable default for dirty archives: with zero faults the
+// faults.Degrade a reasonable default for dirty archives: with zero faults the
 // two policies produce byte-identical datasets.
 func TestDegradeIsNoOpOnCleanInput(t *testing.T) {
 	if testing.Short() {
@@ -49,7 +49,7 @@ func TestDegradeIsNoOpOnCleanInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.FaultPolicy = Degrade
+		opts.FaultPolicy = faults.Degrade
 		dg, err := Run(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -69,7 +69,7 @@ func TestDegradeIsNoOpOnCleanInput(t *testing.T) {
 
 // TestFaultStormDegrade is the acceptance storm: MRT truncation and tail
 // chops, corrupt and dropped delegation days, and transient source
-// errors, all at once. The Degrade run must complete, the Health report
+// errors, all at once. The faults.Degrade run must complete, the Health report
 // must account for every injected fault by class, and the Table 3
 // taxonomy must stay within 2 percentage points of the clean run.
 func TestFaultStormDegrade(t *testing.T) {
@@ -84,7 +84,7 @@ func TestFaultStormDegrade(t *testing.T) {
 
 	plan := faults.DefaultStorm(7)
 	opts.Inject = &plan
-	opts.FaultPolicy = Degrade
+	opts.FaultPolicy = faults.Degrade
 	storm, err := Run(opts)
 	if err != nil {
 		t.Fatalf("degrade run under fault storm failed: %v", err)
@@ -186,7 +186,7 @@ func TestFailFastStormErrors(t *testing.T) {
 }
 
 // TestErrorBudgetBacksStop: a storm beyond the budget fails even in
-// Degrade mode — mostly-quarantined input must not silently pass.
+// faults.Degrade mode — mostly-quarantined input must not silently pass.
 func TestErrorBudgetBackstop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full wire-mode pipeline run")
@@ -194,7 +194,7 @@ func TestErrorBudgetBackstop(t *testing.T) {
 	opts := faultOptions("2004-06-30")
 	plan := faults.Plan{Seed: 3, TruncateRecordRate: 0.9}
 	opts.Inject = &plan
-	opts.FaultPolicy = Degrade
+	opts.FaultPolicy = faults.Degrade
 	if _, err := Run(opts); err == nil {
 		t.Fatal("degrade run with 90% truncation passed the error budget")
 	} else if !strings.Contains(err.Error(), "error budget exceeded") {
@@ -222,7 +222,7 @@ func TestChaosScanOverRecycledArchives(t *testing.T) {
 		plan := faults.DefaultStorm(7)
 		plan.TruncateRecordRate = 0.002 // a storm mild enough to leave most archives whole
 		opts.Inject = &plan
-		opts.FaultPolicy = Degrade
+		opts.FaultPolicy = faults.Degrade
 		opts.Workers = workers
 		ds, err := Run(opts)
 		if err != nil {

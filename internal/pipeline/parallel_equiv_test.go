@@ -44,7 +44,7 @@ func runFingerprint(t *testing.T, opts pipeline.Options) (admin, op, snap []byte
 	if err := ds.WriteOpJSON(&ob); err != nil {
 		t.Fatal(err)
 	}
-	enc, err := lifestore.Encode(lifestore.Capture(ds))
+	enc, err := lifestore.Encode(ds.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestParallelEquivalence(t *testing.T) {
 	chaos := equivOptions()
 	chaos.Wire = true
 	chaos.Inject = &storm
-	chaos.FaultPolicy = pipeline.Degrade
+	chaos.FaultPolicy = faults.Degrade
 
 	cases := []struct {
 		name string

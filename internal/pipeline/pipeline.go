@@ -1,8 +1,10 @@
 // Package pipeline wires the full Figure 1 flow together: world
 // simulation → delegation archive (+restoration) on the administrative
 // side, collector rendering (+scanning) on the operational side, then
-// lifetime construction and the joint analysis. Commands, examples,
-// tests and benchmarks all drive the system through this package.
+// lifetime construction and the joint analysis. Commands, tests and
+// benchmarks all drive the system through this package, and it is the
+// one package below the commands that knows the data is simulated: a
+// Dataset carries its window and an optional ground truth, not a world.
 package pipeline
 
 import (
@@ -12,6 +14,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"sync"
 
 	"parallellives/internal/asn"
 	"parallellives/internal/bgpscan"
@@ -20,6 +23,7 @@ import (
 	"parallellives/internal/dates"
 	"parallellives/internal/delegation"
 	"parallellives/internal/faults"
+	"parallellives/internal/lifestore"
 	"parallellives/internal/obs"
 	"parallellives/internal/parallel"
 	"parallellives/internal/registry"
@@ -32,8 +36,10 @@ type Options struct {
 	// World configures the simulated ground truth.
 	World worldsim.Config
 	// Wire routes all BGP data through binary MRT encode/decode; off, the
-	// scanner consumes the collector's observations directly (identical
-	// results, verified by tests — wire mode simply exercises the codec).
+	// scanner consumes the collector's observations directly. Both paths
+	// give the same lifetimes and taxonomy (pinned by tests), but not the
+	// same scan counts: only the wire path has MRT records, and the two
+	// count routes and drops over different inputs.
 	Wire bool
 	// Pinned by benchmark/README.md; ignored: delegation data always
 	// takes the file-text round trip.
@@ -46,10 +52,10 @@ type Options struct {
 
 	// FaultPolicy selects FailFast (zero value, the seed behaviour) or
 	// Degrade handling of damaged inputs; see the policy docs.
-	FaultPolicy FaultPolicy
+	FaultPolicy faults.FaultPolicy
 	// Budget bounds how much damage a Degrade run absorbs before failing
 	// anyway (zero fields take defaults).
-	Budget ErrorBudget
+	Budget faults.ErrorBudget
 	// Inject, when non-nil, plants the plan's deterministic faults into
 	// the run's sources and MRT streams (chaos mode). MRT faults need
 	// Wire; delegation faults apply either way.
@@ -97,20 +103,26 @@ func (o Options) WithDefaults() Options {
 
 // Dataset is the fully built dual-lens dataset.
 type Dataset struct {
-	Options    Options
-	World      *worldsim.World
-	Archive    *registry.Archive
+	Options Options
+	// FileCounts is each registry's number of delegation file days, from
+	// its first file to the window's end (Table 1).
+	FileCounts [asn.NumRIRs]int
+	// Truth supplies the ground-truth customer cones that §6.2 reads; nil
+	// means the dataset has no ground truth.
+	Truth      core.ConeProvider
 	Restored   *restore.Result
 	Activity   *bgpscan.Activity
 	Admin      *core.AdminIndex
 	AdminStats core.AdminStats
 	Ops        *core.OpIndex
 	Joint      *core.Joint
-	Health     *Health
+	Health     *faults.Health
 	// Trace is the run's root span when Options.Obs was set (nil
 	// otherwise): one child span per stage, carrying the record-flow
 	// attributes the -stage-report table renders.
 	Trace *obs.Span
+
+	start, end dates.Day
 }
 
 // Run executes the full pipeline.
@@ -164,10 +176,10 @@ func RunContext(ctx context.Context, opts Options) (*Dataset, error) {
 	return ds, nil
 }
 
-// Base is the window-static front half of a run: the simulated world,
-// its delegation archive, the restored administrative view and its
-// lifetimes — everything that depends only on Options, not on how much
-// of the BGP window has been scanned yet. A batch run builds it once
+// Base is the window-static front half of a run: the simulated world
+// and its delegation archive (both private), the restored administrative
+// view and its lifetimes — everything that depends only on Options, not
+// on how much of the BGP window has been scanned yet. A batch run builds it once
 // and scans the whole window; the streaming tailer builds it once per
 // process start and replays the operational side one day at a time,
 // calling Complete whenever it wants a full Dataset of the days
@@ -179,8 +191,6 @@ type Base struct {
 	// Workers is the resolved scan and restoration parallelism
 	// (Options.Workers with 0 mapped to GOMAXPROCS).
 	Workers    int
-	World      *worldsim.World
-	Archive    *registry.Archive
 	Restored   *restore.Result
 	Admin      *core.AdminIndex
 	AdminStats core.AdminStats
@@ -189,9 +199,12 @@ type Base struct {
 	// health; MRT-side tallies accrue as archives are mangled.
 	Injector *faults.Injector
 
+	world      *worldsim.World
+	archive    *registry.Archive
+	fileCounts [asn.NumRIRs]int
 	// health holds the delegation/coverage half of the final Health;
 	// Complete copies it and fills in the scan-dependent fields.
-	health Health
+	health faults.Health
 }
 
 // OpAccount carries the scan-side tallies Complete needs to finish the
@@ -248,16 +261,19 @@ func buildWorld(ctx context.Context, opts Options) (*Base, error) {
 		return nil, err
 	}
 	_, spSim := obs.StartSpan(ctx, "worldsim")
-	b.World = worldsim.Generate(opts.World)
-	b.Archive = registry.Build(b.World)
-	spSim.SetAttr(obs.AttrOut, int64(len(b.World.Lives)))
-	spSim.SetAttr("orgs", int64(len(b.World.Orgs)))
+	b.world = worldsim.Generate(opts.World)
+	b.archive = registry.Build(b.world)
+	for _, r := range asn.All() {
+		b.fileCounts[r] = b.archive.FileCount(r)
+	}
+	spSim.SetAttr(obs.AttrOut, int64(len(b.world.Lives)))
+	spSim.SetAttr("orgs", int64(len(b.world.Orgs)))
 	spSim.End()
 
 	if opts.Inject != nil {
 		b.Injector = faults.NewInjector(*opts.Inject)
 	}
-	b.health = Health{Policy: opts.FaultPolicy}
+	b.health = faults.Health{Policy: opts.FaultPolicy}
 	return b, nil
 }
 
@@ -268,7 +284,7 @@ func (b *Base) buildAdmin(ctx context.Context) error {
 	sources := make([]delegation.Source, 0, asn.NumRIRs)
 	var retriers []*faults.Retrier
 	for _, r := range asn.All() {
-		src := b.Archive.TextSource(r)
+		src := b.archive.TextSource(r)
 		if b.Injector != nil {
 			// Chaos mode: the source becomes fallible; a Retrier recovers
 			// transient errors with bounded deterministic backoff and
@@ -279,7 +295,7 @@ func (b *Base) buildAdmin(ctx context.Context) error {
 		}
 		sources = append(sources, src)
 	}
-	restored, err := restore.RestoreParallelContext(ctx, sources, b.Archive.ERXReference(), restore.Options{}, b.Workers)
+	restored, err := restore.RestoreParallelContext(ctx, sources, b.archive.ERXReference(), restore.Options{}, b.Workers)
 	if err != nil {
 		return err
 	}
@@ -301,7 +317,7 @@ func (b *Base) buildAdmin(ctx context.Context) error {
 	spRestore.SetAttr("corrupt_file_days", int64(b.Restored.Report.CorruptFileDays))
 	spRestore.SetAttr("retries", b.health.Delegation.Retries)
 	spRestore.End()
-	if b.Options.FaultPolicy == FailFast && b.health.Delegation.AbandonedReads > 0 {
+	if b.Options.FaultPolicy == faults.FailFast && b.health.Delegation.AbandonedReads > 0 {
 		return fmt.Errorf("pipeline: %d delegation day reads abandoned after retries (policy failfast)",
 			b.health.Delegation.AbandonedReads)
 	}
@@ -327,14 +343,17 @@ func (b *Base) buildAdmin(ctx context.Context) error {
 // snapshot, and the produced Dataset for the full window is bit-for-bit
 // what a batch Run over the same Options yields.
 func (b *Base) Complete(ctx context.Context, act *bgpscan.Activity, op OpAccount) (*Dataset, error) {
+	start, end := b.Window()
 	ds := &Dataset{
 		Options:    b.Options,
-		World:      b.World,
-		Archive:    b.Archive,
+		FileCounts: b.fileCounts,
+		Truth:      &cones{world: b.world},
 		Restored:   b.Restored,
 		Admin:      b.Admin,
 		AdminStats: b.AdminStats,
 		Activity:   act,
+		start:      start,
+		end:        end,
 	}
 	health := b.health // copy: the base stays reusable
 	health.DaysProcessed = op.Days
@@ -363,8 +382,8 @@ func (b *Base) Complete(ctx context.Context, act *bgpscan.Activity, op OpAccount
 		health.Injected = &rep
 	}
 	ds.Health = &health
-	if b.Options.FaultPolicy == Degrade {
-		if err := health.checkBudget(b.Options.Budget); err != nil {
+	if b.Options.FaultPolicy == faults.Degrade {
+		if err := health.CheckBudget(b.Options.Budget); err != nil {
 			return nil, err
 		}
 	}
@@ -394,8 +413,8 @@ func (b *Base) Complete(ctx context.Context, act *bgpscan.Activity, op OpAccount
 // through its shardMetrics view; m may be nil (observability off).
 func scan(ctx context.Context, b *Base, m *runMetrics) (*bgpscan.Activity, OpAccount, error) {
 	ctx, spScan := obs.StartSpan(ctx, "bgpscan")
-	inf := collector.New(b.World)
-	start, end := b.World.Config.Start, b.World.Config.End
+	inf := collector.New(b.world)
+	start, end := b.Window()
 	shards := parallel.Shards(end.Sub(start)+1, b.Workers)
 
 	// Per-shard accounts, reduced in shard order after the scan so the
@@ -475,7 +494,7 @@ func setTableAttrs(sp *obs.Span, t bgpscan.TableStats) {
 // visibility threshold, and quarantine of damaged records under Degrade.
 func (b *Base) NewScanner() *bgpscan.Scanner {
 	s := bgpscan.NewScannerWithVisibility(b.Options.Visibility)
-	s.Quarantine = b.Options.FaultPolicy == Degrade
+	s.Quarantine = b.Options.FaultPolicy == faults.Degrade
 	return s
 }
 
@@ -516,37 +535,108 @@ func mrtSalt(d dates.Day, ar Archive) uint64 {
 	return uint64(uint32(d))<<16 | uint64(ar.CollectorIdx)<<1 | uint64(ar.Kind)
 }
 
-// Cones exposes the world's customer-cone ground truth as the ASRank
-// substitute consumed by the §6.2 analysis.
-type Cones struct {
+// cones exposes the world's customer-cone ground truth as the ASRank
+// substitute consumed by the §6.2 analysis. The table is built on the
+// first lookup, so a run that never asks pays nothing for it.
+type cones struct {
+	world *worldsim.World
+	once  sync.Once
 	sizes map[asn.ASN]int
 }
 
-// Cones builds the cone table for the dataset's world.
-func (ds *Dataset) Cones() *Cones {
-	c := &Cones{sizes: make(map[asn.ASN]int)}
-	for _, l := range ds.World.Lives {
-		c.sizes[l.ASN] = ds.World.Orgs[l.OrgID].ConeSize
-	}
-	return c
-}
-
 // ConeSize implements core.ConeProvider.
-func (c *Cones) ConeSize(a asn.ASN) (int, bool) {
+func (c *cones) ConeSize(a asn.ASN) (int, bool) {
+	c.once.Do(func() {
+		c.sizes = make(map[asn.ASN]int)
+		for _, l := range c.world.Lives {
+			c.sizes[l.ASN] = c.world.Orgs[l.OrgID].ConeSize
+		}
+	})
 	n, ok := c.sizes[a]
 	return n, ok
 }
 
+// Window returns the observation window the base covers.
+func (b *Base) Window() (start, end dates.Day) {
+	return b.world.Config.Start, b.world.Config.End
+}
+
 // Window returns the observation window the dataset was built over.
 func (ds *Dataset) Window() (start, end dates.Day) {
-	return ds.World.Config.Start, ds.World.Config.End
+	return ds.start, ds.end
 }
 
 // AliveSeries computes the daily alive counts over the full observation
 // window — the series a snapshot stores so a served dataset can answer
 // /v1/rir/{r}/series without the activity data the computation needs.
 func (ds *Dataset) AliveSeries() *core.AliveSeries {
-	return ds.Joint.Alive(ds.World.Config.Start, ds.World.Config.End)
+	return ds.Joint.Alive(ds.start, ds.end)
+}
+
+// Snapshot builds the serializable view of the dataset. The per-ASN
+// lives are ordered exactly as the dataset's indexes hold them (ASN,
+// then span start), so Snapshot is deterministic for a deterministic run.
+func (ds *Dataset) Snapshot() *lifestore.Snapshot {
+	start, end := ds.Window()
+	snap := &lifestore.Snapshot{
+		Meta: lifestore.Meta{
+			FormatVersion:     lifestore.FormatVersion,
+			Start:             start,
+			End:               end,
+			Timeout:           ds.Options.Timeout,
+			Visibility:        ds.Options.Visibility,
+			Policy:            ds.Options.FaultPolicy,
+			Wire:              ds.Options.Wire,
+			Scale:             ds.Options.World.Scale,
+			Seed:              ds.Options.World.Seed,
+			Collectors:        ds.Options.World.Collectors,
+			PeersPerCollector: ds.Options.World.PeersPerCollector,
+			Chaos:             ds.Options.Inject != nil,
+			AdminLives:        len(ds.Admin.Lifetimes),
+			OpLives:           len(ds.Ops.Lifetimes),
+		},
+		Health:   *ds.Health,
+		Taxonomy: ds.Joint.Taxonomy(),
+		Series:   ds.AliveSeries(),
+	}
+
+	byASN := make(map[asn.ASN]*lifestore.ASNLives)
+	var order []asn.ASN
+	get := func(a asn.ASN) *lifestore.ASNLives {
+		if l, ok := byASN[a]; ok {
+			return l
+		}
+		l := &lifestore.ASNLives{ASN: a}
+		byASN[a] = l
+		order = append(order, a)
+		return l
+	}
+	for i, l := range ds.Admin.Lifetimes {
+		get(l.ASN).Admin = append(get(l.ASN).Admin, lifestore.AdminLife{
+			RIR:         l.RIR,
+			CC:          l.CC,
+			OpaqueID:    l.OpaqueID,
+			RegDate:     l.RegDate,
+			Span:        l.Span,
+			Open:        l.Open,
+			Transferred: l.Transferred,
+			Pieces:      l.Pieces,
+			Category:    ds.Joint.AdminCat[i],
+		})
+	}
+	for i, l := range ds.Ops.Lifetimes {
+		get(l.ASN).Op = append(get(l.ASN).Op, lifestore.OpLife{
+			Span:     l.Span,
+			Category: ds.Joint.OpCat[i],
+		})
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
+	snap.Lives = make([]lifestore.ASNLives, len(order))
+	for i, a := range order {
+		snap.Lives[i] = *byASN[a]
+	}
+	snap.Meta.ASNCount = len(snap.Lives)
+	return snap
 }
 
 // adminRecord matches the paper's Listing 1 administrative dataset.

@@ -20,13 +20,14 @@ type Experiment struct {
 // prints them — the one list its -experiments flag selects from, its
 // usage text names, and EXPERIMENTS.md is written against.
 var Experiments = []Experiment{
-	{"table1", func(ds *pipeline.Dataset) string { return BuildTable1(ds.Archive).Text() }},
+	{"table1", func(ds *pipeline.Dataset) string { return BuildTable1(ds.FileCounts).Text() }},
 	{"figure3", func(ds *pipeline.Dataset) string {
 		return BuildFigure3(ds.Activity, ds.Admin,
 			[]int{1, 2, 5, 10, 15, 20, 30, 50, 75, 100, 150, 365}, ds.Options.Timeout).Text()
 	}},
 	{"figure4", func(ds *pipeline.Dataset) string {
-		return BuildFigure4(ds.Joint, ds.World.Config.Start, ds.World.Config.End, 180).Text()
+		start, end := ds.Window()
+		return BuildFigure4(ds.Joint, start, end, 180).Text()
 	}},
 	{"table2", func(ds *pipeline.Dataset) string { return BuildTable2(ds.Joint).Text() }},
 	{"figure5", func(ds *pipeline.Dataset) string { return BuildFigure5(ds.Admin).Text() }},
@@ -34,34 +35,40 @@ var Experiments = []Experiment{
 	{"figure7", func(ds *pipeline.Dataset) string { return BuildFigure7(ds.Joint).Text() }},
 	{"figure8", func(ds *pipeline.Dataset) string {
 		findings := ds.Joint.DetectDormantSquats(core.DefaultSquatParams())
-		return BuildFigure8(ds.Joint, findings, 6, 30, ds.World.Config.Start, ds.World.Config.End).Text()
+		start, end := ds.Window()
+		return BuildFigure8(ds.Joint, findings, 6, 30, start, end).Text()
 	}},
 	{"figure9", func(ds *pipeline.Dataset) string { return BuildFigure9(ds.Joint.Unused()).Text() }},
 	{"figure10", func(ds *pipeline.Dataset) string { return BuildFigure10(ds.Admin).Text() }},
 	{"figure11", func(ds *pipeline.Dataset) string {
-		return BuildFigure11(ds.Admin, ds.World.Config.Start, ds.World.Config.End).Text()
+		start, end := ds.Window()
+		return BuildFigure11(ds.Admin, start, end).Text()
 	}},
 	{"figure12", func(ds *pipeline.Dataset) string {
-		return BuildFigure12(ds.Restored, ds.World.Config.Start, ds.World.Config.End, 180).Text()
+		start, end := ds.Window()
+		return BuildFigure12(ds.Restored, start, end, 180).Text()
 	}},
 	{"figure14", func(ds *pipeline.Dataset) string {
-		return BuildFigure14(ds.Admin, ds.World.Config.Start.Year(), ds.World.Config.End.Year()).Text()
+		start, end := ds.Window()
+		return BuildFigure14(ds.Admin, start.Year(), end.Year()).Text()
 	}},
 	{"table4", func(ds *pipeline.Dataset) string {
-		snaps := table4Snapshots(ds.World.Config.Start, ds.World.Config.End)
+		snaps := table4Snapshots(ds.Window())
 		return BuildTable4(ds.Joint, snaps, 5).Text()
 	}},
 	{"table5", func(ds *pipeline.Dataset) string {
 		return BuildTable5(ds.Admin, ds.Activity, []int{15, 30, 50}, 30).Text()
 	}},
 	{"s61", func(ds *pipeline.Dataset) string {
-		return BuildSection61(ds.Joint, ds.World.Config.End, core.DefaultSquatParams()).Text()
+		_, end := ds.Window()
+		return BuildSection61(ds.Joint, end, core.DefaultSquatParams()).Text()
 	}},
-	{"s62", func(ds *pipeline.Dataset) string { return BuildSection62(ds.Joint, ds.Cones()).Text() }},
+	{"s62", func(ds *pipeline.Dataset) string { return BuildSection62(ds.Joint, ds.Truth).Text() }},
 	{"s63", func(ds *pipeline.Dataset) string { return BuildSection63(ds.Joint).Text() }},
 	{"s64", func(ds *pipeline.Dataset) string { return BuildSection64(ds.Joint).Text() }},
 	{"appendixa", func(ds *pipeline.Dataset) string {
-		return BuildAppendixA16Bit(ds.Restored, ds.World.Config.Start, ds.World.Config.End).Text()
+		start, end := ds.Window()
+		return BuildAppendixA16Bit(ds.Restored, start, end).Text()
 	}},
 	{"extensions", func(ds *pipeline.Dataset) string { return BuildExtensions(ds.Activity, ds.Ops).Text() }},
 	{"restoration", func(ds *pipeline.Dataset) string {

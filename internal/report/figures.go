@@ -57,11 +57,7 @@ func (f Figure3) Text() string {
 // variant): per-RIR and overall administrative vs operational series,
 // down-sampled to the requested stride.
 type Figure4 struct {
-	Days      []dates.Day
-	Admin     [asn.NumRIRs][]int
-	Op        [asn.NumRIRs][]int
-	AdminAll  []int
-	OpAll     []int
+	core.SeriesSample
 	Crossover struct {
 		// AdminRIPEOverARIN / OpRIPEOverARIN are the first sampled days
 		// on which RIPE NCC exceeds ARIN in each dimension (§5's 2012 vs
@@ -76,30 +72,17 @@ type Figure4 struct {
 
 // BuildFigure4 samples the alive series every stride days.
 func BuildFigure4(j *core.Joint, start, end dates.Day, stride int) Figure4 {
-	return BuildFigure4FromSeries(j.Alive(start, end), stride)
-}
-
-// BuildFigure4FromSeries builds the figure from an already-computed alive
-// series — the path the query service takes when serving a snapshot, where
-// the series is stored rather than recomputed from lifetimes.
-func BuildFigure4FromSeries(s *core.AliveSeries, stride int) Figure4 {
-	sample := SampleAlive(s, stride)
-	f := Figure4{
-		Days:     sample.Days,
-		Admin:    sample.Admin,
-		Op:       sample.Op,
-		AdminAll: sample.AdminAll,
-		OpAll:    sample.OpAll,
-	}
+	s := j.Alive(start, end)
+	f := Figure4{SeriesSample: s.Sample(stride)}
 	f.Crossover.Admin = dates.None
 	f.Crossover.Op = dates.None
-	for i, d := range sample.Days {
+	for i, d := range f.Days {
 		if f.Crossover.Admin == dates.None &&
-			sample.Admin[asn.RIPENCC][i] > sample.Admin[asn.ARIN][i] {
+			f.Admin[asn.RIPENCC][i] > f.Admin[asn.ARIN][i] {
 			f.Crossover.Admin = d
 		}
 		if f.Crossover.Op == dates.None &&
-			sample.Op[asn.RIPENCC][i] > sample.Op[asn.ARIN][i] {
+			f.Op[asn.RIPENCC][i] > f.Op[asn.ARIN][i] {
 			f.Crossover.Op = d
 		}
 	}

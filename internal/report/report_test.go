@@ -38,7 +38,7 @@ func dataset(t *testing.T) *pipeline.Dataset {
 
 func TestTable1(t *testing.T) {
 	d := dataset(t)
-	tbl := BuildTable1(d.Archive)
+	tbl := BuildTable1(d.FileCounts)
 	if len(tbl.Rows) != int(asn.NumRIRs) {
 		t.Fatalf("rows = %d", len(tbl.Rows))
 	}
@@ -166,7 +166,8 @@ func TestFigure3Monotone(t *testing.T) {
 
 func TestFigure4GapAndSeries(t *testing.T) {
 	d := dataset(t)
-	f := BuildFigure4(d.Joint, d.World.Config.Start, d.World.Config.End, 30)
+	start, end := d.Window()
+	f := BuildFigure4(d.Joint, start, end, 30)
 	if len(f.Days) == 0 {
 		t.Fatal("no sampled days")
 	}
@@ -216,7 +217,8 @@ func TestFigure7Bounds(t *testing.T) {
 func TestFigure8Series(t *testing.T) {
 	d := dataset(t)
 	findings := d.Joint.DetectDormantSquats(core.DefaultSquatParams())
-	f := BuildFigure8(d.Joint, findings, 6, 30, d.World.Config.Start, d.World.Config.End)
+	start, end := d.Window()
+	f := BuildFigure8(d.Joint, findings, 6, 30, start, end)
 	if len(findings) > 0 && len(f.Series) == 0 {
 		t.Fatal("no series despite findings")
 	}
@@ -265,7 +267,8 @@ func TestFigure10And11(t *testing.T) {
 		t.Errorf("ARIN peak quarter %v should reflect pre-window registrations", peak)
 	}
 
-	f11 := BuildFigure11(d.Admin, d.World.Config.Start, d.World.Config.End)
+	start, end := d.Window()
+	f11 := BuildFigure11(d.Admin, start, end)
 	if len(f11.Quarters) == 0 {
 		t.Fatal("no balance quarters")
 	}
@@ -275,7 +278,8 @@ func TestFigure10And11(t *testing.T) {
 
 func TestFigure12BitSplit(t *testing.T) {
 	d := dataset(t)
-	f := BuildFigure12(d.Restored, d.World.Config.Start, d.World.Config.End, 90)
+	start, end := d.Window()
+	f := BuildFigure12(d.Restored, start, end, 90)
 	if len(f.Days) == 0 {
 		t.Fatal("no sampled days")
 	}
@@ -310,7 +314,7 @@ func TestFigure14(t *testing.T) {
 
 func TestSections(t *testing.T) {
 	d := dataset(t)
-	end := d.World.Config.End
+	_, end := d.Window()
 	s61 := BuildSection61(d.Joint, end, core.DefaultSquatParams())
 	if s61.OneLifeShare < 0.5 {
 		t.Errorf("one-op-life share = %v, paper reports 84.1%%", s61.OneLifeShare)
@@ -318,7 +322,7 @@ func TestSections(t *testing.T) {
 	if !strings.Contains(s61.Text(), "dormant-squat") {
 		t.Error("section text incomplete")
 	}
-	s62 := BuildSection62(d.Joint, d.Cones())
+	s62 := BuildSection62(d.Joint, d.Truth)
 	if s62.Profile.AdminLives == 0 {
 		t.Error("no partial-overlap lives")
 	}
@@ -348,7 +352,8 @@ func TestTextTableAlignment(t *testing.T) {
 
 func TestAppendixA16Bit(t *testing.T) {
 	d := dataset(t)
-	a := BuildAppendixA16Bit(d.Restored, d.World.Config.Start, d.World.Config.End)
+	start, end := d.Window()
+	a := BuildAppendixA16Bit(d.Restored, start, end)
 	total := 0
 	for _, r := range asn.All() {
 		if a.PerRIR[r].PeakCount < a.EndCounts[r] {
@@ -372,5 +377,27 @@ func TestExtensionsReport(t *testing.T) {
 	}
 	if !strings.Contains(e.Text(), "prefix-aware") {
 		t.Error("text incomplete")
+	}
+}
+
+// TestExperimentsWithoutTruth renders every experiment over the shared
+// dataset with its ground truth removed: only s62 reads the truth, and it
+// says so instead of printing a share it cannot measure.
+func TestExperimentsWithoutTruth(t *testing.T) {
+	d := dataset(t)
+	bare := *d
+	bare.Truth = nil
+	for _, e := range Experiments {
+		with, without := e.Render(d), e.Render(&bare)
+		if e.Name == "s62" {
+			if !strings.Contains(without, "no-customer share n/a without ground truth") {
+				t.Errorf("s62 without truth:\n%s", without)
+			}
+			if strings.Contains(with, "n/a") {
+				t.Errorf("s62 with truth reports n/a:\n%s", with)
+			}
+		} else if with != without {
+			t.Errorf("%s renders differently without ground truth:\n%s\nvs\n%s", e.Name, with, without)
+		}
 	}
 }

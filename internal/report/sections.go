@@ -80,11 +80,15 @@ type Section62 struct {
 	Profile           core.PartialProfile
 	MedianDanglingDay float64
 	NoCustomerShare   float64
+	// NoTruth is set when no cone sizes were given, so NoCustomerShare
+	// has nothing to measure.
+	NoTruth bool
 }
 
-// BuildSection62 profiles §6.2.
+// BuildSection62 profiles §6.2. cones may be nil: the dataset then has
+// no ground truth, and the no-customer share is not available.
 func BuildSection62(j *core.Joint, cones core.ConeProvider) Section62 {
-	s := Section62{Profile: j.Partial(cones)}
+	s := Section62{Profile: j.Partial(cones), NoTruth: cones == nil}
 	if len(s.Profile.DanglingDays) > 0 {
 		s.MedianDanglingDay = stats.NewCDFInts(s.Profile.DanglingDays).Median()
 	}
@@ -104,8 +108,12 @@ func (s Section62) Text() string {
 		dangShare = float64(p.Dangling) / float64(p.AdminLives)
 	}
 	fmt.Fprintf(&b, "partial-overlap admin lives: %d\n", p.AdminLives)
+	noCustomer := pct(s.NoCustomerShare)
+	if s.NoTruth {
+		noCustomer = "n/a without ground truth"
+	}
 	fmt.Fprintf(&b, "dangling announcements: %d (%s of category), median overrun %s, no-customer share %s\n",
-		p.Dangling, pct(dangShare), fday(s.MedianDanglingDay), pct(s.NoCustomerShare))
+		p.Dangling, pct(dangShare), fday(s.MedianDanglingDay), noCustomer)
 	fmt.Fprintf(&b, "early starts (before allocation in files): %d, of which before registration date: %d\n",
 		p.EarlyStart, p.EarlyBeforeReg)
 	return b.String()

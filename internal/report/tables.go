@@ -8,7 +8,6 @@ import (
 	"parallellives/internal/core"
 	"parallellives/internal/dates"
 	"parallellives/internal/delegation"
-	"parallellives/internal/registry"
 )
 
 // Table1 is the delegation-file inventory (paper Table 1).
@@ -24,15 +23,15 @@ type Table1Row struct {
 	FileCount     int
 }
 
-// BuildTable1 inventories the archive.
-func BuildTable1(a *registry.Archive) Table1 {
+// BuildTable1 inventories the archive from each registry's file count.
+func BuildTable1(fileCounts [asn.NumRIRs]int) Table1 {
 	var t Table1
 	for _, r := range asn.All() {
 		t.Rows = append(t.Rows, Table1Row{
 			RIR:           r,
 			FirstRegular:  delegation.FirstRegular(r),
 			FirstExtended: delegation.FirstExtended(r),
-			FileCount:     a.FileCount(r),
+			FileCount:     fileCounts[r],
 		})
 	}
 	return t
@@ -162,31 +161,14 @@ func (t Table2) Text() string {
 
 // Table3 is the taxonomy distribution (paper Table 3).
 type Table3 struct {
-	Counts        core.TaxonomyCounts
-	AdminTotal    int
-	OpTotal       int
-	CompleteShare float64
-	PartialShare  float64
-	UnusedShare   float64
+	Counts core.TaxonomyCounts
+	core.TaxonomyShares
 }
 
 // BuildTable3 tallies the four categories.
 func BuildTable3(j *core.Joint) Table3 {
-	return BuildTable3FromCounts(j.Taxonomy())
-}
-
-// BuildTable3FromCounts derives the table from pre-tallied taxonomy
-// counts, as stored in a snapshot.
-func BuildTable3FromCounts(c core.TaxonomyCounts) Table3 {
-	t := Table3{Counts: c}
-	t.AdminTotal = c.AdminComplete + c.AdminPartial + c.AdminUnused
-	t.OpTotal = c.OpComplete + c.OpPartial + c.OpOutside
-	if t.AdminTotal > 0 {
-		t.CompleteShare = float64(c.AdminComplete) / float64(t.AdminTotal)
-		t.PartialShare = float64(c.AdminPartial) / float64(t.AdminTotal)
-		t.UnusedShare = float64(c.AdminUnused) / float64(t.AdminTotal)
-	}
-	return t
+	c := j.Taxonomy()
+	return Table3{Counts: c, TaxonomyShares: c.Shares()}
 }
 
 // Text renders the table.

@@ -36,7 +36,7 @@ func equivOptions(seed int64, chaos bool) pipeline.Options {
 	opts.World.Start = dates.MustParse("2004-01-01")
 	opts.World.End = dates.MustParse("2005-12-31")
 	if chaos {
-		opts.FaultPolicy = pipeline.Degrade
+		opts.FaultPolicy = faults.Degrade
 		plan := faults.DefaultStorm(seed)
 		opts.Inject = &plan
 		opts.Wire = true
@@ -56,7 +56,7 @@ func equivSnapshot(t testing.TB, seed int64, chaos bool) *lifestore.Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := lifestore.Capture(ds)
+	snap := ds.Snapshot()
 	equivCache[key] = snap
 	return snap
 }

@@ -163,8 +163,8 @@ type Options struct {
 	// retired.
 	HandshakeTimeout time.Duration
 	// ScrapeInterval is ignored: the router no longer scrapes its fleet.
-	// The field exists only because benchmark/ names it, and goes with
-	// ROADMAP 3(e)'s surface PR.
+	// The field exists only because benchmark/ names it, and goes when
+	// ROADMAP 1(f) shrinks the pinned surface.
 	ScrapeInterval time.Duration
 	// ExemplarCapacity sizes the slow/error exemplar ring serving
 	// /v1/debug/slow (default 32; negative disables capture).

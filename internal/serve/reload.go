@@ -10,9 +10,9 @@ import (
 
 	"parallellives/internal/asn"
 	"parallellives/internal/core"
+	"parallellives/internal/faults"
 	"parallellives/internal/lifestore"
 	"parallellives/internal/obs"
-	"parallellives/internal/pipeline"
 )
 
 // GenInfo describes one snapshot generation a Swappable has served.
@@ -118,7 +118,7 @@ func (sw *Swappable) Meta() lifestore.Meta {
 	return g.src.Meta()
 }
 
-func (sw *Swappable) Health() pipeline.Health {
+func (sw *Swappable) Health() faults.Health {
 	g, release := sw.acquire()
 	defer release()
 	return g.src.Health()

@@ -59,10 +59,9 @@ import (
 
 	"parallellives/internal/asn"
 	"parallellives/internal/core"
+	"parallellives/internal/faults"
 	"parallellives/internal/lifestore"
 	"parallellives/internal/obs"
-	"parallellives/internal/pipeline"
-	"parallellives/internal/report"
 )
 
 // Registry metric names the server publishes.
@@ -101,7 +100,7 @@ const (
 // stops backend reads.
 type Source interface {
 	Meta() lifestore.Meta
-	Health() pipeline.Health
+	Health() faults.Health
 	Taxonomy() core.TaxonomyCounts
 	Series() *core.AliveSeries
 	LookupContext(ctx context.Context, a asn.ASN) (lifestore.ASNLives, bool, error)
@@ -489,7 +488,7 @@ func (s *Server) handleSeries(r *http.Request) (any, *apiError) {
 		}
 		stride = v
 	}
-	sample := report.SampleAlive(series, stride)
+	sample := series.Sample(stride)
 	resp := seriesResponse{
 		RIR:    token,
 		Start:  series.Start.String(),
@@ -529,14 +528,15 @@ type taxonomyResponse struct {
 }
 
 func (s *Server) handleTaxonomy(*http.Request) (any, *apiError) {
-	t := report.BuildTable3FromCounts(s.src.Taxonomy())
+	c := s.src.Taxonomy()
+	t := c.Shares()
 	return taxonomyResponse{
-		AdminComplete: t.Counts.AdminComplete,
-		AdminPartial:  t.Counts.AdminPartial,
-		AdminUnused:   t.Counts.AdminUnused,
-		OpComplete:    t.Counts.OpComplete,
-		OpPartial:     t.Counts.OpPartial,
-		OpOutside:     t.Counts.OpOutside,
+		AdminComplete: c.AdminComplete,
+		AdminPartial:  c.AdminPartial,
+		AdminUnused:   c.AdminUnused,
+		OpComplete:    c.OpComplete,
+		OpPartial:     c.OpPartial,
+		OpOutside:     c.OpOutside,
 		AdminTotal:    t.AdminTotal,
 		OpTotal:       t.OpTotal,
 		CompleteShare: t.CompleteShare,
@@ -594,7 +594,7 @@ type lifecycleJSON struct {
 
 type healthResponse struct {
 	Store     storeJSON               `json:"store"`
-	Pipeline  pipeline.Health         `json:"pipeline"`
+	Pipeline  faults.Health           `json:"pipeline"`
 	Cache     CacheStats              `json:"cache"`
 	Endpoints map[string]endpointJSON `json:"endpoints"`
 	Lifecycle lifecycleJSON           `json:"lifecycle"`

@@ -36,7 +36,7 @@ func fixtures(t testing.TB) (*lifestore.Snapshot, []byte) {
 			buildErr = err
 			return
 		}
-		testSnap = lifestore.Capture(ds)
+		testSnap = ds.Snapshot()
 		testImg, buildErr = lifestore.Encode(testSnap)
 	})
 	if buildErr != nil {

@@ -29,7 +29,7 @@ func TestCrashEquivalence(t *testing.T) {
 	chaos := clean
 	storm := faults.DefaultStorm(11)
 	chaos.Inject = &storm
-	chaos.FaultPolicy = pipeline.Degrade
+	chaos.FaultPolicy = faults.Degrade
 
 	t.Run("clean", func(t *testing.T) { crashEquivalence(t, clean) })
 	t.Run("chaos", func(t *testing.T) { crashEquivalence(t, chaos) })

@@ -222,7 +222,7 @@ func (t *Tailer) Run(ctx context.Context) error {
 		return err
 	}
 	t.base, t.scan = base, base.NewScanner()
-	start, end := base.World.Config.Start, base.World.Config.End
+	start, end := base.Window()
 
 	// Adopt the recovered position, or start fresh one day before the
 	// window so Next asks for the first day.
@@ -325,7 +325,8 @@ func (t *Tailer) ingestDay(dd *Day) error {
 	t.m.gauge(t.m.ckptSeq, float64(ckpt.Seq))
 	now := time.Now()
 	t.m.gauge(t.m.lastCommit, float64(now.Unix()))
-	t.gauges(t.base.World.Config.End)
+	_, end := t.base.Window()
+	t.gauges(end)
 	t.mu.Lock()
 	t.status.DaysCommitted++
 	t.status.LastCommittedDay = t.last.String()
@@ -343,7 +344,7 @@ func (t *Tailer) publish(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	snap := lifestore.Capture(ds)
+	snap := ds.Snapshot()
 	if t.opt.SnapshotPath != "" {
 		if err := lifestore.SaveSnapshot(snap, t.opt.SnapshotPath); err != nil {
 			return err

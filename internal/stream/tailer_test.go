@@ -60,7 +60,7 @@ func batchBytes(t *testing.T, opts pipeline.Options) []byte {
 	if err != nil {
 		t.Fatalf("batch run: %v", err)
 	}
-	b, err := lifestore.Encode(lifestore.Capture(ds))
+	b, err := lifestore.Encode(ds.Snapshot())
 	if err != nil {
 		t.Fatalf("encoding batch snapshot: %v", err)
 	}
@@ -395,7 +395,7 @@ func TestTailerOneScannerMatchesFreshScanners(t *testing.T) {
 	chaos := clean
 	storm := faults.DefaultStorm(11)
 	chaos.Inject = &storm
-	chaos.FaultPolicy = pipeline.Degrade
+	chaos.FaultPolicy = faults.Degrade
 	for _, tc := range []struct {
 		name string
 		opts pipeline.Options
