@@ -147,8 +147,7 @@ func addListenFlags(fs *flag.FlagSet, defaultAddr string, exemplars *int) (liste
 
 // addTierFlags adds the admission and lifecycle knobs serve.Options and
 // router.Options share by name, and the drain deadline.
-func addTierFlags(fs *flag.FlagSet, cache, maxInFlight *int, requestTimeout *time.Duration) (drain *time.Duration) {
-	fs.IntVar(cache, "cache", 256, "LRU response-cache capacity (entries, -1 disables)")
+func addTierFlags(fs *flag.FlagSet, maxInFlight *int, requestTimeout *time.Duration) (drain *time.Duration) {
 	fs.IntVar(maxInFlight, "max-inflight", 512, "concurrent-request admission cap (-1 disables shedding)")
 	fs.DurationVar(requestTimeout, "request-timeout", 10*time.Second, "per-request deadline propagated into lookups (-1ns disables)")
 	return fs.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline for in-flight requests")

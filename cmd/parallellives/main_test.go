@@ -91,7 +91,8 @@ func TestSharedFlagsMeanOneThing(t *testing.T) {
 		"wire": 4, "visibility": 4, "workers": 4,
 		"fault-policy": 4, "chaos": 4, "chaos-seed": 4,
 		"listen": 3, "exemplars": 3, // serve, route, tail
-		"cache": 2, "drain": 2, "max-inflight": 2, "request-timeout": 2, // serve, route
+		"drain": 2, "max-inflight": 2, "request-timeout": 2, // serve, route
+		"cache":    1, // route
 		"tail-dir": 2, // tail, feed
 	}
 	usage := map[string]string{}

@@ -38,7 +38,8 @@ without dropping a request. See the router package docs and DESIGN.md
 func routeVerb(fs *flag.FlagSet) verbBody {
 	opts := router.Options{}
 	listen := addListenFlags(fs, ":8080", &opts.ExemplarCapacity)
-	drain := addTierFlags(fs, &opts.CacheSize, &opts.MaxInFlight, &opts.RequestTimeout)
+	drain := addTierFlags(fs, &opts.MaxInFlight, &opts.RequestTimeout)
+	fs.IntVar(&opts.CacheSize, "cache", 256, "LRU response-cache capacity (entries, -1 disables)")
 	// -shards is repeatable and each value may itself be comma-separated,
 	// so replica groups can be listed per line in scripts without
 	// building one giant argument.

@@ -16,7 +16,7 @@ import (
 )
 
 const serveUsage = `parallellives serve -build -snapshot lives.snap [-verify] [world/pipeline flags]
-parallellives serve -listen :8080 -snapshot lives.snap [-cache 256]
+parallellives serve -listen :8080 -snapshot lives.snap
 
 Builds and serves ASN-lives snapshots: the bridge from the batch
 pipeline to a long-running query service. -build runs the full pipeline
@@ -40,7 +40,7 @@ Endpoints: /v1/asn/{n}, /v1/rir/{r}/series, /v1/taxonomy, /v1/health,
 func serveVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 	so := serve.Options{}
 	listen := addListenFlags(fs, "", &so.ExemplarCapacity)
-	drain := addTierFlags(fs, &so.CacheSize, &so.MaxInFlight, &so.RequestTimeout)
+	drain := addTierFlags(fs, &so.MaxInFlight, &so.RequestTimeout)
 	fs.IntVar(&so.DefaultStride, "stride", 30, "default series downsampling stride (days)")
 	fs.StringVar(&so.Replica, "replica", "", "replica identity reported on /v1/shard so a fronting router can tell same-range replicas apart (default: random per process)")
 	var (
@@ -85,10 +85,11 @@ func serveVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 
 		// Open and fully verify the snapshot, then run the hardened HTTP
 		// server over it until ctx is cancelled.
-		open := serve.FileOpener(*snapshot, o.Registry)
+		openFile := lifestore.Open
 		if *mmapOn {
-			open = serve.MappedFileOpener(*snapshot, o.Registry)
+			openFile = lifestore.OpenMapped
 		}
+		open := serve.FileOpener(openFile, *snapshot, o.Registry)
 		src, closer, source, err := open(ctx)
 		if err != nil {
 			return err

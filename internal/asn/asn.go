@@ -30,15 +30,6 @@ func (a ASN) Is32Bit() bool { return a > Max16Bit }
 // String renders the ASN in "asplain" notation (RFC 5396), e.g. "64501".
 func (a ASN) String() string { return strconv.FormatUint(uint64(a), 10) }
 
-// ASDot renders the ASN in "asdot" notation, e.g. "1.10" for 65546;
-// 16-bit numbers render as plain decimal, per RFC 5396 asdot rules.
-func (a ASN) ASDot() string {
-	if !a.Is32Bit() {
-		return a.String()
-	}
-	return fmt.Sprintf("%d.%d", uint32(a)>>16, uint32(a)&0xffff)
-}
-
 // Parse parses an asplain ASN string.
 func Parse(s string) (ASN, error) {
 	v, err := strconv.ParseUint(s, 10, 32)
@@ -166,31 +157,4 @@ func OneDigitOff(a, b ASN) bool {
 		}
 	}
 	return diff == 1
-}
-
-// DigitInsertion reports whether candidate can be produced from reference
-// by inserting exactly one decimal digit anywhere — e.g. 419333 from
-// 41933. Together with OneDigitOff it covers the two fat-finger shapes
-// §6.4 describes for never-allocated origins.
-func DigitInsertion(candidate, reference ASN) bool {
-	c, r := candidate.String(), reference.String()
-	if len(c) != len(r)+1 {
-		return false
-	}
-	// Standard one-edit check specialized to insertion.
-	i, j := 0, 0
-	skipped := false
-	for i < len(c) && j < len(r) {
-		if c[i] == r[j] {
-			i++
-			j++
-			continue
-		}
-		if skipped {
-			return false
-		}
-		skipped = true
-		i++
-	}
-	return true
 }

@@ -20,20 +20,6 @@ func TestIs32Bit(t *testing.T) {
 	}
 }
 
-func TestASDot(t *testing.T) {
-	cases := map[ASN]string{
-		64512:  "64512",
-		65536:  "1.0",
-		65546:  "1.10",
-		131072: "2.0",
-	}
-	for a, want := range cases {
-		if got := a.ASDot(); got != want {
-			t.Errorf("ASDot(%d) = %q, want %q", a, got, want)
-		}
-	}
-}
-
 func TestParse(t *testing.T) {
 	a, err := Parse("205334")
 	if err != nil || a != 205334 {
@@ -111,22 +97,6 @@ func TestOneDigitOff(t *testing.T) {
 	}
 	if OneDigitOff(363690, 393790) {
 		t.Error("two digits differ")
-	}
-}
-
-func TestDigitInsertion(t *testing.T) {
-	// Paper example: AS419333 vs AS41933 (IPRAGAZ).
-	if !DigitInsertion(419333, 41933) {
-		t.Error("419333 is 41933 with an inserted digit")
-	}
-	if !DigitInsertion(141933, 41933) {
-		t.Error("prefix insertion")
-	}
-	if DigitInsertion(41933, 41933) {
-		t.Error("same length is not insertion")
-	}
-	if DigitInsertion(519444, 41933) {
-		t.Error("too many edits")
 	}
 }
 

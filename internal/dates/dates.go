@@ -244,15 +244,6 @@ func MustParse(s string) Day {
 // MJD 40587 is 1970-01-01.
 func (d Day) Unix() int64 { return int64(d-40587) * 86400 }
 
-// FromUnix converts a Unix timestamp to the Day containing it (UTC).
-func FromUnix(sec int64) Day {
-	days := sec / 86400
-	if sec < 0 && sec%86400 != 0 {
-		days--
-	}
-	return Day(days + 40587)
-}
-
 // Min returns the earlier of a and b.
 func Min(a, b Day) Day {
 	if a < b {

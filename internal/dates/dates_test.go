@@ -53,9 +53,6 @@ func TestRoundTripAgainstTimePackage(t *testing.T) {
 		if d.Unix() != tm.Unix() {
 			t.Fatalf("Unix mismatch at %v: got %d want %d", tm, d.Unix(), tm.Unix())
 		}
-		if FromUnix(tm.Unix()) != d {
-			t.Fatalf("FromUnix mismatch at %v", tm)
-		}
 	}
 }
 
@@ -73,7 +70,10 @@ func TestQuickRoundTrip(t *testing.T) {
 func TestQuickUnixRoundTrip(t *testing.T) {
 	f := func(n uint32) bool {
 		d := Day(30000 + n%40000)
-		return FromUnix(d.Unix()) == d && FromUnix(d.Unix()+86399) == d
+		tm := time.Unix(d.Unix(), 0).UTC()
+		y, m, dd := d.YMD()
+		return tm.Year() == y && int(tm.Month()) == m && tm.Day() == dd &&
+			tm.Hour() == 0 && tm.Minute() == 0 && tm.Second() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -56,16 +56,6 @@ func (s Status) String() string {
 	return fmt.Sprintf("status(%d)", uint8(s))
 }
 
-// ParseStatus maps a file token to a Status.
-func ParseStatus(tok string) (Status, error) {
-	for i, n := range statusNames {
-		if n == tok {
-			return Status(i), nil
-		}
-	}
-	return 0, fmt.Errorf("delegation: unknown status %q", tok)
-}
-
 // Delegated reports whether the status represents a resource held by an
 // organization (allocated or assigned), the paper's notion of an
 // administrative life being open.
@@ -519,22 +509,6 @@ func (rd *Renderer) Render(f *File) []byte {
 	}
 	rd.buf = b
 	return b
-}
-
-// DelegatedASNs returns the individual ASNs covered by delegated
-// (allocated or assigned) records, expanding blocks. The slice is sorted.
-func (f *File) DelegatedASNs() []asn.ASN {
-	var out []asn.ASN
-	for _, r := range f.ASNs {
-		if !r.Status.Delegated() {
-			continue
-		}
-		for i := 0; i < r.Count; i++ {
-			out = append(out, r.ASN+asn.ASN(i))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Expand returns one Record per individual ASN, splitting block records

@@ -76,9 +76,6 @@ func TestParseRegular(t *testing.T) {
 	if f.ASNs[1].Status != StatusAssigned {
 		t.Errorf("status = %v", f.ASNs[1].Status)
 	}
-	if got := f.DelegatedASNs(); len(got) != 2 || got[0] != 701 || got[1] != 702 {
-		t.Errorf("DelegatedASNs = %v", got)
-	}
 }
 
 func TestParseErrors(t *testing.T) {
@@ -189,16 +186,14 @@ apnic|JP|asn|131072|4|20100101|allocated|opq-nir
 			t.Errorf("expanded[%d] = %+v", i, r)
 		}
 	}
-	if got := f.DelegatedASNs(); len(got) != 4 {
-		t.Errorf("DelegatedASNs = %v", got)
-	}
 }
 
 func TestStatusParsing(t *testing.T) {
 	for _, s := range []Status{StatusAvailable, StatusAllocated, StatusAssigned, StatusReserved} {
-		got, err := ParseStatus(s.String())
-		if err != nil || got != s {
-			t.Errorf("ParseStatus(%q) = %v, %v", s.String(), got, err)
+		f, err := Parse(strings.NewReader("2|arin|20040101|1|19840101|20040101|-0500\n" +
+			"arin|US|asn|701|1|19900801|" + s.String() + "\n"))
+		if err != nil || len(f.ASNs) != 1 || f.ASNs[0].Status != s {
+			t.Errorf("parsing status %q: %v, %+v", s.String(), err, f)
 		}
 	}
 	if StatusAvailable.Delegated() || StatusReserved.Delegated() {

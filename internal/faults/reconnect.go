@@ -63,8 +63,5 @@ func (r *Reconnector) Wait(ctx context.Context) error {
 // attempt budget start over.
 func (r *Reconnector) Reset() { r.attempt = 0 }
 
-// Attempt returns the current consecutive-failure count.
-func (r *Reconnector) Attempt() int { return r.attempt }
-
 // Stats returns the pacing counters accumulated so far.
 func (r *Reconnector) Stats() RetryStats { return r.stats }

@@ -55,9 +55,6 @@ func TestReconnectorReset(t *testing.T) {
 	r.Wait(ctx)
 	r.Wait(ctx)
 	r.Reset()
-	if r.Attempt() != 0 {
-		t.Fatalf("Attempt after Reset = %d, want 0", r.Attempt())
-	}
 	if err := r.Wait(ctx); err != nil {
 		t.Fatalf("Wait after Reset: %v", err)
 	}

@@ -2,79 +2,13 @@ package faults
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"math/bits"
 	"sync"
 	"testing"
-	"time"
-
-	"parallellives/internal/asn"
-	"parallellives/internal/delegation"
 )
-
-// alwaysFailSource is a FallibleSource whose reads never succeed — the
-// shape of a mirror that is down, for exercising backoff in isolation.
-type alwaysFailSource struct{ nexts, abandons int }
-
-func (s *alwaysFailSource) Registry() asn.RIR { return asn.ARIN }
-
-func (s *alwaysFailSource) Next() (delegation.Snapshot, bool, error) {
-	s.nexts++
-	return delegation.Snapshot{}, false, fmt.Errorf("%w: mirror down", ErrTransient)
-}
-
-func (s *alwaysFailSource) Abandon() (delegation.Snapshot, bool) {
-	s.abandons++
-	return delegation.Snapshot{}, false
-}
-
-// TestRetrierContextCancelMidBackoff pins the serving-path contract:
-// cancelling the context while NextContext is asleep in a backoff
-// returns promptly with ctx.Err() instead of overrunning the sleep, and
-// the pending read is neither consumed nor abandoned.
-func TestRetrierContextCancelMidBackoff(t *testing.T) {
-	src := &alwaysFailSource{}
-	// A backoff far longer than the test's patience: any return before
-	// the deadline below proves the sleep was interrupted, not served.
-	ret := NewRetrier(src, RetryPolicy{MaxAttempts: 4, BaseBackoff: 30 * time.Second})
-	ctx, cancel := context.WithCancel(context.Background())
-	time.AfterFunc(50*time.Millisecond, cancel)
-
-	start := time.Now()
-	_, ok, err := ret.NextContext(ctx)
-	elapsed := time.Since(start)
-
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("NextContext returned err=%v, want context.Canceled", err)
-	}
-	if ok {
-		t.Error("cancelled NextContext claimed a snapshot")
-	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("NextContext took %v to notice cancellation (sleep overrun)", elapsed)
-	}
-	if src.abandons != 0 {
-		t.Errorf("cancellation abandoned the pending read (%d abandons)", src.abandons)
-	}
-	if st := ret.Stats(); st.Abandoned != 0 {
-		t.Errorf("cancellation counted as abandonment: %+v", st)
-	}
-
-	// An already-expired context returns before touching the source.
-	before := src.nexts
-	expired, cancel2 := context.WithTimeout(context.Background(), time.Nanosecond)
-	defer cancel2()
-	<-expired.Done()
-	if _, _, err := ret.NextContext(expired); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expired context: err=%v, want DeadlineExceeded", err)
-	}
-	if src.nexts != before {
-		t.Errorf("expired context still read the source (%d reads)", src.nexts-before)
-	}
-}
 
 // erroringReader fails exactly one Read call (failOn, 1-based) with a
 // transient error, passing everything else through.

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"context"
 	"io"
 	"time"
 
@@ -91,56 +90,22 @@ func (r *Retrier) Stats() RetryStats { return r.stats }
 
 // Next implements delegation.Source. With no Sleep injected the backoff
 // is virtual (recorded, not waited), which keeps batch pipeline runs
-// deterministic in time; long-lived services that need real, cancellable
-// waits use NextContext instead.
+// deterministic in time.
 func (r *Retrier) Next() (delegation.Snapshot, bool) {
-	snap, ok, _ := r.next(nil)
-	return snap, ok
-}
-
-// NextContext is Next with real, cancellable backoff: with no Sleep
-// injected each wait really sleeps, and cancelling ctx mid-backoff
-// returns promptly with ctx.Err() — the pending day is neither consumed
-// nor abandoned, so a later call can resume it. The error is non-nil
-// only when ctx ended the wait.
-func (r *Retrier) NextContext(ctx context.Context) (delegation.Snapshot, bool, error) {
-	return r.next(ctx)
-}
-
-// next runs the retry loop. A nil ctx selects virtual backoff (the
-// legacy Next semantics); a real ctx selects cancellable sleeping.
-func (r *Retrier) next(ctx context.Context) (delegation.Snapshot, bool, error) {
 	for attempt := 1; ; attempt++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return delegation.Snapshot{}, false, err
-			}
-		}
 		snap, ok, err := r.src.Next()
 		if err == nil {
-			return snap, ok, nil
+			return snap, ok
 		}
 		if attempt >= r.pol.MaxAttempts {
 			r.stats.Abandoned++
-			if lost, ok := r.src.Abandon(); ok {
-				return lost, true, nil
-			}
-			return delegation.Snapshot{}, false, nil
+			return r.src.Abandon()
 		}
 		r.stats.Retries++
 		d := r.pol.Backoff(attempt)
 		r.stats.Backoff += d
-		switch {
-		case r.pol.Sleep != nil:
+		if r.pol.Sleep != nil {
 			r.pol.Sleep(d)
-		case ctx != nil:
-			t := time.NewTimer(d)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return delegation.Snapshot{}, false, ctx.Err()
-			case <-t.C:
-			}
 		}
 	}
 }

@@ -58,14 +58,15 @@ func (st *Store) Instrument(reg *obs.Registry) {
 	})
 }
 
-// OpenObserved is Open plus instrumentation: the open itself is timed
-// into the registry and the returned store publishes its lookups there.
-func OpenObserved(path string, reg *obs.Registry) (*Store, error) {
+// OpenObserved is open (Open or OpenMapped) plus instrumentation: the
+// open itself is timed into the registry and the returned store
+// publishes its lookups there.
+func OpenObserved(open func(path string) (*Store, error), path string, reg *obs.Registry) (*Store, error) {
 	if reg == nil {
-		return Open(path)
+		return open(path)
 	}
 	start := time.Now()
-	st, err := Open(path)
+	st, err := open(path)
 	reg.Histogram(MetricOpenSeconds,
 		"Time to open a snapshot: header, eager sections, checksums.",
 		nil).Observe(time.Since(start).Seconds())

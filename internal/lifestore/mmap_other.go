@@ -2,14 +2,7 @@
 
 package lifestore
 
-import "parallellives/internal/obs"
-
 // OpenMapped falls back to a plain descriptor-backed Open on platforms
 // without the unix mmap path. The query surface is identical; only the
 // read mechanism differs.
 func OpenMapped(path string) (*Store, error) { return Open(path) }
-
-// OpenMappedObserved falls back to OpenObserved.
-func OpenMappedObserved(path string, reg *obs.Registry) (*Store, error) {
-	return OpenObserved(path, reg)
-}

@@ -7,9 +7,6 @@ import (
 	"fmt"
 	"os"
 	"syscall"
-	"time"
-
-	"parallellives/internal/obs"
 )
 
 // OpenMapped opens a snapshot with the whole file memory-mapped
@@ -54,22 +51,3 @@ func OpenMapped(path string) (*Store, error) {
 type munmapCloser struct{ data []byte }
 
 func (c munmapCloser) Close() error { return syscall.Munmap(c.data) }
-
-// OpenMappedObserved is OpenMapped plus the same instrumentation
-// OpenObserved attaches: the open is timed into reg and every lookup
-// publishes latency, outcome and bytes read.
-func OpenMappedObserved(path string, reg *obs.Registry) (*Store, error) {
-	if reg == nil {
-		return OpenMapped(path)
-	}
-	start := time.Now()
-	st, err := OpenMapped(path)
-	reg.Histogram(MetricOpenSeconds,
-		"Time to open a snapshot: header, eager sections, checksums.",
-		nil).Observe(time.Since(start).Seconds())
-	if err != nil {
-		return nil, err
-	}
-	st.Instrument(reg)
-	return st, nil
-}

@@ -341,18 +341,6 @@ func BuildFigure10(admin *core.AdminIndex) Figure10 {
 	return f
 }
 
-// PeakQuarter returns the quarter with the most births for a registry.
-func (f Figure10) PeakQuarter(r asn.RIR) (dates.Day, int) {
-	best, bestN := dates.None, -1
-	for i, q := range f.Quarters {
-		if f.Births[r][i] > bestN {
-			bestN = f.Births[r][i]
-			best = dates.QuarterStart(q)
-		}
-	}
-	return best, bestN
-}
-
 // Text renders yearly aggregates (quarterly data lives in the struct).
 func (f Figure10) Text() string {
 	return renderQuarterSeries("Figure 10: per-RIR administrative birth rate (3-month bins)",

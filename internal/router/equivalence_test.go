@@ -70,7 +70,7 @@ func startBaseline(t *testing.T, snap *lifestore.Snapshot) *serve.Server {
 		t.Fatal(err)
 	}
 	o := obs.New()
-	open := serve.FileOpener(path, o.Registry)
+	open := serve.FileOpener(lifestore.Open, path, o.Registry)
 	src, closer, source, err := open(context.Background())
 	if err != nil {
 		t.Fatal(err)

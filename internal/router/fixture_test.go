@@ -150,7 +150,7 @@ func startShards(t *testing.T, snap *lifestore.Snapshot, n int) *shardSet {
 	set := &shardSet{paths: paths, plan: plan}
 	for _, path := range paths {
 		o := obs.New()
-		open := serve.FileOpener(path, o.Registry)
+		open := serve.FileOpener(lifestore.Open, path, o.Registry)
 		src, closer, source, err := open(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -207,7 +207,7 @@ func startReplicated(t *testing.T, snap *lifestore.Snapshot, ranges, replicas in
 	for i, path := range paths {
 		for j := 0; j < replicas; j++ {
 			o := obs.New()
-			open := serve.FileOpener(path, o.Registry)
+			open := serve.FileOpener(lifestore.Open, path, o.Registry)
 			src, closer, source, err := open(context.Background())
 			if err != nil {
 				t.Fatal(err)

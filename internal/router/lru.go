@@ -1,48 +1,16 @@
-package serve
+package router
 
 import (
 	"container/list"
-	"strconv"
 	"sync"
+
+	"parallellives/internal/obs"
 )
 
-// cached is one stored response body with its content type, plus the
-// validator rendered for it and the generation it belongs to — carrying
-// the ETag with the entry lets a cache hit answer, or match a client's
-// If-None-Match, without rebuilding the string.
-type cached struct {
-	contentType string
-	body        []byte
-	etag        string
-	gen         int64
-
-	// Prebuilt single-value header slices, rendered once when the entry
-	// is stored so a cache hit writes its headers without allocating.
-	// Shared across responses and never mutated after construction; nil
-	// on entries built inline for one response (error bodies), which
-	// take the allocating path in writeBody.
-	typeHdr []string
-	lenHdr  []string
-	etagHdr []string
-}
-
-// newCached builds a cache-ready entry with its header values rendered
-// up front.
-func newCached(contentType string, body []byte, etag string, gen int64) cached {
-	c := cached{contentType: contentType, body: body, etag: etag, gen: gen}
-	c.typeHdr = []string{contentType}
-	c.lenHdr = []string{strconv.Itoa(len(body))}
-	if etag != "" {
-		c.etagHdr = []string{etag}
-	}
-	return c
-}
-
 // LRU is a fixed-capacity least-recently-used cache from request key to
-// a stored response — the one implementation behind both the serving
-// tier's and the router's response caches. It is safe for concurrent
-// use; hit/miss counts are kept under the same lock as the structure
-// itself, so they are exact.
+// a stored response — the router's response cache, the only one in the
+// serving tier. It is safe for concurrent use; hit/miss counts are kept
+// under the same lock as the structure itself, so they are exact.
 type LRU[V any] struct {
 	mu       sync.Mutex
 	capacity int
@@ -65,6 +33,15 @@ func NewLRU[V any](capacity int) *LRU[V] {
 		order:    list.New(),
 		entries:  make(map[string]*list.Element, capacity),
 	}
+}
+
+// CacheCapacity maps Options.CacheSize to an LRU capacity: zero means
+// the default 256, negative means no cache.
+func CacheCapacity(size int) int {
+	if size == 0 {
+		return 256
+	}
+	return max(size, 0)
 }
 
 // Get returns the cached value for key, marking it most recently used.
@@ -102,8 +79,8 @@ func (c *LRU[V]) Put(key string, val V) {
 	c.entries[key] = c.order.PushFront(&lruEntry[V]{key: key, val: val})
 }
 
-// Flush drops every entry, keeping the hit/miss history. A snapshot
-// reload flushes so no cached body outlives the generation that
+// Flush drops every entry, keeping the hit/miss history. An
+// invalidation flushes so no cached body outlives the generation that
 // rendered it.
 func (c *LRU[V]) Flush() {
 	c.mu.Lock()
@@ -112,7 +89,7 @@ func (c *LRU[V]) Flush() {
 	clear(c.entries)
 }
 
-// CacheStats is an LRU's accounting as both fronts render it under
+// CacheStats is an LRU's accounting as the router renders it under
 // "cache" in /v1/health.
 type CacheStats struct {
 	Hits     uint64 `json:"hits"`
@@ -126,4 +103,19 @@ func (c *LRU[V]) Stats() (hits, misses uint64, size, capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.order.Len(), c.capacity
+}
+
+// mirror registers the cache's hit, miss and entry gauges in reg and
+// returns the scrape hook that copies the counters into them, so the
+// cache's hot path stays untouched.
+func (c *LRU[V]) mirror(reg *obs.Registry) func() {
+	hits := reg.Gauge(MetricCacheHits, "Response-cache hits since start.")
+	misses := reg.Gauge(MetricCacheMisses, "Response-cache misses since start.")
+	entries := reg.Gauge(MetricCacheEntries, "Response-cache entries currently held.")
+	return func() {
+		h, m, size, _ := c.Stats()
+		hits.Set(float64(h))
+		misses.Set(float64(m))
+		entries.Set(float64(size))
+	}
 }

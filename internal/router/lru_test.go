@@ -1,4 +1,4 @@
-package serve
+package router
 
 import (
 	"strconv"
@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestLRU drives the shared response cache through scripted sequences
+// TestLRU drives the response cache through scripted sequences
 // and checks every Get's answer plus the final exact counters.
 func TestLRU(t *testing.T) {
 	const miss = -1

@@ -200,7 +200,7 @@ type Router struct {
 	rebuildMu sync.Mutex // serializes RebuildTopology
 
 	front *serve.Front
-	cache *serve.LRU[entry]
+	cache *LRU[entry]
 	epoch atomic.Uint64 // cache epoch: entries from an older one are never answered
 
 	shardRequests *obs.CounterVec
@@ -248,7 +248,6 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 	front := serve.NewFront(serve.Names{
 		Span:     "route",
 		Requests: MetricRequests, Errors: MetricErrors, Latency: MetricLatency,
-		CacheHits: MetricCacheHits, CacheMisses: MetricCacheMisses, CacheEntries: MetricCacheEntries,
 		FailFrom: http.StatusInternalServerError,
 	}, opts.Obs, serve.ChainOptions{MaxInFlight: opts.MaxInFlight, RequestTimeout: opts.RequestTimeout},
 		opts.ExemplarCapacity, opts.SpanIDs)
@@ -271,7 +270,7 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 		client:           opts.Client,
 
 		front: front,
-		cache: serve.NewLRU[entry](serve.CacheCapacity(opts.CacheSize)),
+		cache: NewLRU[entry](CacheCapacity(opts.CacheSize)),
 		shardRequests: reg.CounterVec(MetricShardRequests,
 			"Upstream requests by shard range and replica ordinal.", "shard", "replica"),
 		shardErrors: reg.CounterVec(MetricShardErrors,
@@ -313,7 +312,7 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 	front.Handle("GET /v1/debug/slow", rt.handleSlow)
 	front.Handle("POST /v1/admin/reload", rt.handleReload)
 	front.Handle("POST /v1/admin/topology/reload", rt.handleTopologyReload)
-	front.Probes(rt.ready, rt.cache.Stats)
+	front.Probes(rt.ready, rt.cache.mirror(reg))
 	return rt, nil
 }
 
@@ -608,7 +607,7 @@ type routerHealthJSON struct {
 	Policy    string           `json:"policy"`
 	Topology  int64            `json:"topologyGeneration"`
 	Lifecycle serve.ChainStats `json:"lifecycle"`
-	Cache     serve.CacheStats `json:"cache"`
+	Cache     CacheStats       `json:"cache"`
 	Partials  int64            `json:"partials"`
 	Failovers int64            `json:"failovers"`
 	HedgeWins int64            `json:"hedgeWins"`
@@ -644,7 +643,7 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Policy:    rt.policy,
 		Topology:  topo.generation,
 		Lifecycle: rt.front.Chain.Stats(),
-		Cache:     serve.CacheStats{Hits: hits, Misses: misses, Size: size, Capacity: capacity},
+		Cache:     CacheStats{Hits: hits, Misses: misses, Size: size, Capacity: capacity},
 		Partials:  rt.partials.Value(),
 		Failovers: failovers,
 		HedgeWins: rt.hedgeWins.Value(),

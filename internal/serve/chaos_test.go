@@ -56,20 +56,17 @@ func TestChaosSoak(t *testing.T) {
 
 	o := obs.New()
 	sw := NewSwappable(st, nil, "chaos-gen1")
-	rel := NewReloader(sw, FileOpener(path, o.Registry), o.Registry)
+	rel := NewReloader(sw, FileOpener(lifestore.Open, path, o.Registry), o.Registry)
 	srv := New(sw, Options{
-		Obs:      o,
-		Reloader: rel,
-		// No response cache: every 200 must come from a real read, so a
-		// cached body cannot mask corruption.
-		CacheSize:        -1,
+		Obs:              o,
+		Reloader:         rel,
 		MaxInFlight:      8,
 		BreakerThreshold: 4,
 		BreakerCooldown:  40 * time.Millisecond,
 	})
 
 	// Reference bodies from a server over the same data with no faults.
-	ref := New(lifestore.NewInMemory(tinySnapshot(1)), Options{Obs: obs.New(), CacheSize: -1})
+	ref := New(lifestore.NewInMemory(tinySnapshot(1)), Options{Obs: obs.New()})
 	deterministic := []string{"/v1/taxonomy"}
 	for _, a := range tinyASNs {
 		deterministic = append(deterministic, fmt.Sprintf("/v1/asn/%s", a))

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -82,6 +83,61 @@ func TestEtagConditionalRequests(t *testing.T) {
 	}
 }
 
+// TestRevalidationRendersNothing pins that a matching If-None-Match is
+// answered before the handler runs: with no response cache every 200
+// reads the store, and a 304 must not. A swap rotates the validator, so
+// the same If-None-Match then reads the new generation.
+func TestRevalidationRendersNothing(t *testing.T) {
+	gen1 := &countingSource{Source: lifestore.NewInMemory(tinySnapshot(1))}
+	sw := NewSwappable(gen1, nil, "gen1")
+	s := New(sw, Options{})
+	fetch := func(inm string) *httptest.ResponseRecorder {
+		r, w := newRequest("GET", "/v1/asn/64496")
+		if inm != "" {
+			r.Header.Set("If-None-Match", inm)
+		}
+		s.ServeHTTP(w, r)
+		return w
+	}
+
+	first := fetch("")
+	second := fetch("")
+	if first.Code != http.StatusOK || second.Code != http.StatusOK {
+		t.Fatalf("plain GETs = %d, %d; want 200, 200", first.Code, second.Code)
+	}
+	if n := gen1.lookups.Load(); n != 2 {
+		t.Fatalf("two plain GETs performed %d lookups, want 2", n)
+	}
+	etag := first.Header().Get("ETag")
+	if etag == "" || second.Header().Get("ETag") != etag {
+		t.Fatalf("plain GETs carry ETags %q and %q, want one non-empty validator",
+			etag, second.Header().Get("ETag"))
+	}
+
+	if w := fetch(etag); w.Code != http.StatusNotModified {
+		t.Fatalf("revalidation = %d, want 304", w.Code)
+	}
+	if n := gen1.lookups.Load(); n != 2 {
+		t.Fatalf("revalidation performed %d lookups, want none", n-2)
+	}
+
+	gen2 := &countingSource{Source: lifestore.NewInMemory(tinySnapshot(2))}
+	sw.Swap(gen2, nil, "gen2")
+	w := fetch(etag)
+	if w.Code != http.StatusOK {
+		t.Fatalf("revalidation after swap = %d, want 200", w.Code)
+	}
+	if got := w.Header().Get("ETag"); got == etag || got != EtagFor(2, "/v1/asn/64496") {
+		t.Fatalf("post-swap ETag %q, want generation 2's (was %q)", got, etag)
+	}
+	if bytes.Equal(w.Body.Bytes(), first.Body.Bytes()) {
+		t.Fatal("post-swap body identical to generation 1's")
+	}
+	if n1, n2 := gen1.lookups.Load(), gen2.lookups.Load(); n1 != 2 || n2 != 1 {
+		t.Fatalf("post-swap lookups: generation 1 %d (want 2), generation 2 %d (want 1)", n1, n2)
+	}
+}
+
 // TestEtagReloadInvalidates proves a hot reload rotates the validator:
 // the If-None-Match that revalidated against generation 1 misses after
 // the swap and the client gets the new generation's body and ETag.
@@ -92,7 +148,7 @@ func TestEtagReloadInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.New()
-	open := FileOpener(path, reg.Registry)
+	open := FileOpener(lifestore.Open, path, reg.Registry)
 	src, closer, source, err := open(context.Background())
 	if err != nil {
 		t.Fatal(err)

@@ -150,6 +150,18 @@ func (s *slowSource) LookupContext(ctx context.Context, a asn.ASN) (lifestore.AS
 	return s.Source.LookupContext(ctx, a)
 }
 
+// countingSource counts lookups, for proving which requests reach the
+// store.
+type countingSource struct {
+	Source
+	lookups atomic.Int64
+}
+
+func (c *countingSource) LookupContext(ctx context.Context, a asn.ASN) (lifestore.ASNLives, bool, error) {
+	c.lookups.Add(1)
+	return c.Source.LookupContext(ctx, a)
+}
+
 // panicSource blows up on taxonomy reads, for the recovery middleware.
 type panicSource struct{ Source }
 

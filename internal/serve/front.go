@@ -19,9 +19,6 @@ type Names struct {
 	Span string
 	// Requests, Errors and Latency are the per-endpoint families.
 	Requests, Errors, Latency string
-	// CacheHits, CacheMisses and CacheEntries mirror the response cache
-	// at scrape time.
-	CacheHits, CacheMisses, CacheEntries string
 	// FailFrom is the lowest status the Errors family counts: the serving
 	// tier counts the 4xx it answers itself (400), the router only what
 	// it could not relay (500).
@@ -83,17 +80,8 @@ func NewFront(names Names, o *obs.Obs, chain ChainOptions, exemplarCapacity int,
 // deadline.
 func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) { f.handler.ServeHTTP(w, r) }
 
-// CacheCapacity maps the CacheSize option both fronts carry to an LRU
-// capacity: zero means the default 256, negative means no cache.
-func CacheCapacity(size int) int {
-	if size == 0 {
-		return 256
-	}
-	return max(size, 0)
-}
-
-// PathQuery is the request's path plus raw query — the response-cache
-// key, the router's upstream request target, and an exemplar's Path.
+// PathQuery is the request's path plus raw query — the ETag key, the
+// router's cache key and upstream request target, and an exemplar's Path.
 func PathQuery(r *http.Request) string {
 	if r.URL.RawQuery != "" {
 		return r.URL.Path + "?" + r.URL.RawQuery
@@ -223,15 +211,12 @@ func (w *responseWriter) Write(b []byte) (int, error) {
 //	          needs a reload.
 //	/readyz   readiness: 200 while ready reports true, else 503 +
 //	          Retry-After with ready's reason as the body.
-//	/metrics  the Prometheus exposition of the front's registry. The
-//	          response cache's own counters (cacheStats, an LRU's Stats
-//	          method) are mirrored into gauges here, at scrape time, so
-//	          the cache's hot path stays untouched.
-func (f *Front) Probes(ready func() (ok bool, why string), cacheStats func() (hits, misses uint64, size, capacity int)) {
+//	/metrics  the Prometheus exposition of the front's registry. A
+//	          non-nil collect runs first, at scrape time, to copy state
+//	          kept outside the registry (the router's cache counters)
+//	          into it.
+func (f *Front) Probes(ready func() (ok bool, why string), collect func()) {
 	reg := f.Obs.Registry
-	cacheHits := reg.Gauge(f.names.CacheHits, "Response-cache hits since start.")
-	cacheMisses := reg.Gauge(f.names.CacheMisses, "Response-cache misses since start.")
-	cacheEntries := reg.Gauge(f.names.CacheEntries, "Response-cache entries currently held.")
 	runtime := obs.RegisterRuntime(reg)
 
 	f.Handle("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -246,10 +231,9 @@ func (f *Front) Probes(ready func() (ok bool, why string), cacheStats func() (hi
 		writeText(w, http.StatusOK, "ready\n")
 	})
 	f.Handle("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		hits, misses, size, _ := cacheStats()
-		cacheHits.Set(float64(hits))
-		cacheMisses.Set(float64(misses))
-		cacheEntries.Set(float64(size))
+		if collect != nil {
+			collect()
+		}
 		runtime.Collect()
 		w.Header().Set("Content-Type", obs.ContentType)
 		if err := obs.WritePrometheus(w, reg); err != nil {
@@ -272,7 +256,11 @@ func WriteJSON(w http.ResponseWriter, status int, payload any) {
 		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeBody(w, status, cached{contentType: "application/json", body: body})
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	w.Write(body)
 }
 
 // WriteError renders the error envelope every front answers failures
@@ -284,20 +272,4 @@ func WriteError(w http.ResponseWriter, status, retryAfter int, format string, ar
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	}
 	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-func writeBody(w http.ResponseWriter, status int, c cached) {
-	h := w.Header()
-	if c.typeHdr != nil {
-		// Cache-ready entries carry their header values prebuilt (the
-		// canonical key spellings below match what Header.Set stores), so
-		// the hit path writes headers without rendering anything.
-		h["Content-Type"] = c.typeHdr
-		h["Content-Length"] = c.lenHdr
-	} else {
-		h.Set("Content-Type", c.contentType)
-		h.Set("Content-Length", strconv.Itoa(len(c.body)))
-	}
-	w.WriteHeader(status)
-	w.Write(c.body)
 }

@@ -28,12 +28,12 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	o := obs.New()
 	st.Instrument(o.Registry)
-	srv := New(st, Options{CacheSize: 4, Obs: o})
+	srv := New(st, Options{Obs: o})
 
 	get(t, srv, fmt.Sprintf("/v1/asn/%s", snap.Lives[0].ASN)) // lifestore hit
 	get(t, srv, "/v1/asn/4199999999")                         // lifestore miss
 	get(t, srv, "/v1/taxonomy")
-	get(t, srv, "/v1/taxonomy") // cache hit
+	get(t, srv, "/v1/taxonomy")
 
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
@@ -69,7 +69,8 @@ func TestMetricsExposition(t *testing.T) {
 		`parallellives_serve_requests_total{endpoint="/v1/asn/{n}"} 2`,
 		`parallellives_serve_requests_total{endpoint="/v1/taxonomy"} 2`,
 		`parallellives_serve_errors_total{endpoint="/v1/asn/{n}"} 1`,
-		`parallellives_serve_cache_hits 1`,
+		`parallellives_serve_cache_hits 0`, // pinned series; nothing caches
+		`parallellives_serve_cache_misses 0`,
 		`parallellives_lifestore_lookups_total{outcome="hit"} 1`,
 		`parallellives_lifestore_lookups_total{outcome="miss"} 1`,
 		"parallellives_pipeline_health_days_processed",
@@ -80,6 +81,9 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+	if strings.Contains(body, "parallellives_serve_cache_entries") {
+		t.Error("exposition carries a cache entry gauge; the server keeps no response cache")
 	}
 }
 

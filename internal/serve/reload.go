@@ -166,36 +166,15 @@ func (sw *Swappable) Shard() *lifestore.ShardInfo {
 type OpenFunc func(ctx context.Context) (src Source, closer io.Closer, source string, err error)
 
 // FileOpener is the standard OpenFunc for snapshot files: open the
-// path, verify every block (section checksum plus each indexed block's
-// CRC and decode), and instrument lookups into reg (nil skips
-// instrumentation). The open-and-verify happens entirely before the
-// swap, so the old generation serves untouched through a slow or failed
-// reload.
-func FileOpener(path string, reg *obs.Registry) OpenFunc {
+// path with open (lifestore.Open, or lifestore.OpenMapped to read the
+// page cache instead of issuing pread syscalls), verify every block
+// (section checksum plus each indexed block's CRC and decode), and
+// instrument lookups into reg (nil skips instrumentation). The
+// open-and-verify happens entirely before the swap, so the old
+// generation serves untouched through a slow or failed reload.
+func FileOpener(open func(path string) (*lifestore.Store, error), path string, reg *obs.Registry) OpenFunc {
 	return func(ctx context.Context) (Source, io.Closer, string, error) {
-		st, err := lifestore.OpenObserved(path, reg)
-		if err != nil {
-			return nil, nil, "", err
-		}
-		if err := ctx.Err(); err != nil {
-			st.Close()
-			return nil, nil, "", err
-		}
-		if err := st.VerifyBlocks(); err != nil {
-			st.Close()
-			return nil, nil, "", fmt.Errorf("verifying %s: %w", path, err)
-		}
-		return st, st, path, nil
-	}
-}
-
-// MappedFileOpener is FileOpener over a memory-mapped open: same
-// verification, but lookups read the page cache instead of issuing
-// pread syscalls, and N processes over one snapshot directory share
-// one set of pages.
-func MappedFileOpener(path string, reg *obs.Registry) OpenFunc {
-	return func(ctx context.Context) (Source, io.Closer, string, error) {
-		st, err := lifestore.OpenMappedObserved(path, reg)
+		st, err := lifestore.OpenObserved(open, path, reg)
 		if err != nil {
 			return nil, nil, "", err
 		}
@@ -218,8 +197,7 @@ type Reloader struct {
 	sw   *Swappable
 	open OpenFunc
 
-	mu     sync.Mutex
-	onSwap []func()
+	mu sync.Mutex
 
 	reloads  *obs.CounterVec
 	genGauge *obs.Gauge
@@ -240,15 +218,6 @@ func NewReloader(sw *Swappable, open OpenFunc, reg *obs.Registry) *Reloader {
 	return r
 }
 
-// OnSwap registers a hook run after every successful swap, while the
-// reload lock is still held. The server uses it to flush the response
-// cache: cached bodies from the old generation must not outlive it.
-func (r *Reloader) OnSwap(fn func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.onSwap = append(r.onSwap, fn)
-}
-
 // Reload opens and verifies a fresh source, swaps it in, and returns
 // the new generation. On any failure the old generation keeps serving
 // and the error is returned — a reload can never make a healthy server
@@ -264,8 +233,5 @@ func (r *Reloader) Reload(ctx context.Context) (GenInfo, error) {
 	info := r.sw.Swap(src, closer, source)
 	r.genGauge.Set(float64(info.Gen))
 	r.reloads.With("ok").Inc()
-	for _, fn := range r.onSwap {
-		fn()
-	}
 	return info, nil
 }

@@ -23,7 +23,7 @@ func reloadFixture(t *testing.T, o *obs.Obs) (*Server, *Reloader, string) {
 	if err := lifestore.SaveSnapshot(tinySnapshot(1), path); err != nil {
 		t.Fatal(err)
 	}
-	open := FileOpener(path, o.Registry)
+	open := FileOpener(lifestore.Open, path, o.Registry)
 	src, closer, source, err := open(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -42,8 +42,8 @@ func postReload(t *testing.T, h http.Handler) (int, []byte) {
 }
 
 // TestHotReloadSwapsGenerations reloads a changed snapshot through the
-// admin endpoint and checks the generation bookkeeping, the flushed
-// response cache, and that the new data is what's served.
+// admin endpoint and checks the generation bookkeeping and that the new
+// data is what's served.
 func TestHotReloadSwapsGenerations(t *testing.T) {
 	o := obs.New()
 	srv, _, path := reloadFixture(t, o)
@@ -52,7 +52,6 @@ func TestHotReloadSwapsGenerations(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("initial lookup: status %d", code)
 	}
-	get(t, srv, "/v1/asn/64496") // prime the cache
 
 	// A different seed changes each admin life's opaque org ID, so the
 	// reloaded generation serves observably different bodies.
@@ -76,7 +75,7 @@ func TestHotReloadSwapsGenerations(t *testing.T) {
 		t.Fatalf("post-reload lookup: status %d", code)
 	}
 	if string(before) == string(after) {
-		t.Error("post-reload body identical to pre-reload: cache not flushed or store not swapped")
+		t.Error("post-reload body identical to pre-reload: store not swapped")
 	}
 
 	lc := healthLifecycle(t, srv)

@@ -9,22 +9,23 @@
 //	/v1/rir/{r}/series daily alive counts for one registry (or "all"),
 //	                   downsampled with ?stride=N days
 //	/v1/taxonomy       the Table-3 taxonomy counts and shares
-//	/v1/health         pipeline health + store metadata + cache and
-//	                   per-endpoint request/latency counters
+//	/v1/health         pipeline health + store metadata + per-endpoint
+//	                   request/latency counters
 //	/v1/stages         the build's stage trace (404 when the dataset was
 //	                   built without observability attached)
 //	/metrics           Prometheus text exposition of the server's
-//	                   registry: serve traffic, cache state, the build's
-//	                   pipeline/health metrics, and anything else
-//	                   published to the shared registry (lifestore reads,
-//	                   pipeline counters)
+//	                   registry: serve traffic, the build's pipeline/health
+//	                   metrics, and anything else published to the shared
+//	                   registry (lifestore reads, pipeline counters)
 //	/healthz           liveness probe (always 200 while the process runs)
 //	/readyz            readiness probe (503 while the breaker is open)
 //	/v1/admin/reload   POST: verified hot snapshot reload (only with
 //	                   Options.Reloader)
 //
-// Responses for the data endpoints are cached in a fixed-size LRU keyed
-// by path and query; /v1/health is always computed live.
+// Every data response is rendered fresh and carries an ETag derived from
+// the snapshot generation and the path and query, so a matching
+// If-None-Match is answered 304 before the handler runs. The one
+// response cache in the system is the router's (DESIGN.md §12).
 //
 // The HTTP surface itself — route table, per-endpoint metrics, request
 // tracing, exemplar capture, probes, error envelope — is a Front
@@ -47,7 +48,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -72,11 +72,6 @@ const (
 	MetricErrors = "parallellives_serve_errors_total"
 	// MetricLatency is the per-endpoint request latency histogram.
 	MetricLatency = "parallellives_serve_request_seconds"
-	// MetricCacheHits / MetricCacheMisses / MetricCacheEntries mirror the
-	// LRU's own accounting into the registry at scrape time.
-	MetricCacheHits    = "parallellives_serve_cache_hits"
-	MetricCacheMisses  = "parallellives_serve_cache_misses"
-	MetricCacheEntries = "parallellives_serve_cache_entries"
 	// MetricInFlight gauges requests currently being handled;
 	// MetricSheds counts admissions refused past the in-flight cap.
 	MetricInFlight = "parallellives_serve_inflight"
@@ -94,6 +89,14 @@ const (
 	MetricGeneration = "parallellives_serve_generation"
 )
 
+// Pinned by benchmark/README.md, which scrapes both series from
+// /metrics: the server keeps no response cache, so they always read 0.
+// ROADMAP 1(f) deletes them.
+const (
+	MetricCacheHits   = "parallellives_serve_cache_hits"
+	MetricCacheMisses = "parallellives_serve_cache_misses"
+)
+
 // Source is the query surface the server needs; *lifestore.Store,
 // *lifestore.InMemory and *Swappable all implement it. Lookups carry
 // the request context so a server-side deadline or a departed client
@@ -109,8 +112,8 @@ type Source interface {
 
 // Options configures a server.
 type Options struct {
-	// CacheSize is the LRU response-cache capacity in entries
-	// (default 256; negative disables caching).
+	// Pinned by benchmark/README.md; ignored: the server keeps no
+	// response cache.
 	CacheSize int
 	// DefaultStride is the series downsampling default in days when the
 	// request carries no ?stride (default 30).
@@ -135,10 +138,9 @@ type Options struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	// Reloader, when set, enables POST /v1/admin/reload and ties the
-	// response cache to the snapshot generation: every successful swap
-	// flushes it. Serve through the Reloader's Swappable as the Source,
-	// or reloads will swap a store nobody queries.
+	// Reloader, when set, enables POST /v1/admin/reload. Serve through
+	// the Reloader's Swappable as the Source, or reloads will swap a
+	// store nobody queries.
 	Reloader *Reloader
 
 	// Ingest, when set, is polled per /v1/health request and rendered
@@ -173,7 +175,6 @@ type Options struct {
 type Server struct {
 	src           Source
 	front         *Front
-	cache         *LRU[cached]
 	defaultStride int
 
 	breaker  *Breaker
@@ -206,7 +207,6 @@ func New(src Source, opts Options) *Server {
 	f := NewFront(Names{
 		Span:     "serve",
 		Requests: MetricRequests, Errors: MetricErrors, Latency: MetricLatency,
-		CacheHits: MetricCacheHits, CacheMisses: MetricCacheMisses, CacheEntries: MetricCacheEntries,
 		FailFrom: http.StatusBadRequest,
 	}, opts.Obs, ChainOptions{MaxInFlight: opts.MaxInFlight, RequestTimeout: opts.RequestTimeout},
 		opts.ExemplarCapacity, opts.SpanIDs)
@@ -214,7 +214,6 @@ func New(src Source, opts Options) *Server {
 	s := &Server{
 		src:           src,
 		front:         f,
-		cache:         NewLRU[cached](CacheCapacity(opts.CacheSize)),
 		defaultStride: opts.DefaultStride,
 		reloader:      opts.Reloader,
 		ingest:        opts.Ingest,
@@ -228,6 +227,8 @@ func New(src Source, opts Options) *Server {
 	// handed a cold snapshot rather than a live pipeline run.
 	h := src.Health()
 	h.Export(reg)
+	reg.Gauge(MetricCacheHits, "Always 0: the server keeps no response cache.")
+	reg.Gauge(MetricCacheMisses, "Always 0: the server keeps no response cache.")
 	f.Handle("GET /v1/asn/{n}", s.json(true, s.handleASN))
 	f.Handle("GET /v1/rir/{r}/series", s.json(true, s.handleSeries))
 	f.Handle("GET /v1/taxonomy", s.json(true, s.handleTaxonomy))
@@ -235,11 +236,9 @@ func New(src Source, opts Options) *Server {
 	f.Handle("GET /v1/stages", s.json(false, s.handleStages))
 	f.Handle("GET /v1/shard", s.json(false, s.handleShard))
 	f.Handle("GET /v1/debug/slow", s.json(false, s.handleSlow))
-	f.Probes(s.ready, s.cache.Stats)
+	f.Probes(s.ready, nil)
 	if s.reloader != nil {
 		f.Handle("POST /v1/admin/reload", s.json(false, s.handleReload))
-		// Cached bodies belong to the generation that rendered them.
-		s.reloader.OnSwap(s.cache.Flush)
 	}
 	return s
 }
@@ -275,8 +274,8 @@ var etagCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 // which generation a shard's response came from without re-reading it.
 func EtagFor(gen int64, key string) string {
 	// Renders `"g<gen>-<crc32c(key)>"` by hand, hashing the key without a
-	// []byte conversion: this runs once per cacheable request, and
-	// fmt.Sprintf alone costs more than the rest of a cache-hit response.
+	// []byte conversion: this runs once per cacheable request, and is
+	// most of what a 304 costs.
 	sum := ^uint32(0)
 	for i := 0; i < len(key); i++ {
 		sum = etagCastagnoli[byte(sum)^key[i]] ^ (sum >> 8)
@@ -306,34 +305,16 @@ func (s *Server) generation() int64 {
 }
 
 // json adapts a handler that returns a payload to the front's plain
-// handlers: JSON rendering and, for cacheable endpoints, the response
-// cache and conditional requests. Cacheable endpoints carry an ETag
-// derived from (generation, key); an If-None-Match hit answers 304
-// without running the handler or touching the response cache —
+// handlers: JSON rendering and, for cacheable endpoints, conditional
+// requests. Cacheable endpoints carry an ETag derived from (generation,
+// key); an If-None-Match hit answers 304 without running the handler —
 // revalidation stays cheap even when the body would be expensive to
 // rebuild.
 func (s *Server) json(cacheable bool, fn func(*http.Request) (any, *apiError)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var key, etag string
-		var gen int64
+		var etag string
 		if cacheable {
-			key = PathQuery(r)
-			gen = s.generation()
-			if c, ok := s.cache.Get(key); ok && c.gen == gen {
-				// Hit: the entry carries its validator and header values,
-				// so the hot path renders no strings at all.
-				w.Header()["Etag"] = c.etagHdr
-				if r.Header.Get("If-None-Match") == c.etag {
-					w.WriteHeader(http.StatusNotModified)
-					return
-				}
-				writeBody(w, http.StatusOK, c)
-				return
-			}
-			// Miss (or an entry from a generation the flush hasn't caught
-			// yet — the put below replaces it): render the validator once
-			// and answer 304 without running the handler if it matches.
-			etag = EtagFor(gen, key)
+			etag = EtagFor(s.generation(), PathQuery(r))
 			if r.Header.Get("If-None-Match") == etag {
 				w.Header().Set("ETag", etag)
 				w.WriteHeader(http.StatusNotModified)
@@ -345,19 +326,10 @@ func (s *Server) json(cacheable bool, fn func(*http.Request) (any, *apiError)) h
 			WriteError(w, apiErr.code, apiErr.retryAfter, "%s", apiErr.msg)
 			return
 		}
-		if !cacheable {
-			WriteJSON(w, http.StatusOK, payload)
-			return
+		if etag != "" {
+			w.Header().Set("ETag", etag)
 		}
-		body, err := json.Marshal(payload)
-		if err != nil {
-			http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		c := newCached("application/json", body, etag, gen)
-		s.cache.Put(key, c)
-		w.Header()["Etag"] = c.etagHdr
-		writeBody(w, http.StatusOK, c)
+		WriteJSON(w, http.StatusOK, payload)
 	}
 }
 
@@ -595,7 +567,6 @@ type lifecycleJSON struct {
 type healthResponse struct {
 	Store     storeJSON               `json:"store"`
 	Pipeline  faults.Health           `json:"pipeline"`
-	Cache     CacheStats              `json:"cache"`
 	Endpoints map[string]endpointJSON `json:"endpoints"`
 	Lifecycle lifecycleJSON           `json:"lifecycle"`
 	// Ingest is the live-tail ingestion status when the server fronts a
@@ -605,7 +576,6 @@ type healthResponse struct {
 
 func (s *Server) handleHealth(*http.Request) (any, *apiError) {
 	m := s.src.Meta()
-	hits, misses, size, capacity := s.cache.Stats()
 	resp := healthResponse{
 		Store: storeJSON{
 			FormatVersion: m.FormatVersion,
@@ -623,7 +593,6 @@ func (s *Server) handleHealth(*http.Request) (any, *apiError) {
 			OpLives:       m.OpLives,
 		},
 		Pipeline:  s.src.Health(),
-		Cache:     CacheStats{Hits: hits, Misses: misses, Size: size, Capacity: capacity},
 		Endpoints: make(map[string]endpointJSON, len(s.front.endpoints)),
 	}
 	for label, em := range s.front.endpoints {

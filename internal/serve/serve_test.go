@@ -137,15 +137,14 @@ func TestASNEndpoint(t *testing.T) {
 	}
 }
 
-// TestCacheCounters pins the exact LRU accounting surfaced on
-// /v1/health: first hit of a cacheable path is a miss, the repeat is a
-// hit, and /v1/health itself never enters the cache.
+// TestCacheCounters pins the per-endpoint request counters surfaced on
+// /v1/health, and that a server keeps no response cache to report.
 func TestCacheCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-year pipeline run")
 	}
 	snap, _ := fixtures(t)
-	srv := New(lifestore.NewInMemory(snap), Options{CacheSize: 2})
+	srv := New(lifestore.NewInMemory(snap), Options{})
 
 	get(t, srv, "/v1/taxonomy")
 	get(t, srv, "/v1/taxonomy")
@@ -153,12 +152,7 @@ func TestCacheCounters(t *testing.T) {
 
 	_, body := get(t, srv, "/v1/health")
 	var h struct {
-		Cache struct {
-			Hits     uint64 `json:"hits"`
-			Misses   uint64 `json:"misses"`
-			Size     int    `json:"size"`
-			Capacity int    `json:"capacity"`
-		} `json:"cache"`
+		Cache     json.RawMessage `json:"cache"`
 		Endpoints map[string]struct {
 			Requests int64 `json:"requests"`
 			Errors   int64 `json:"errors"`
@@ -167,11 +161,8 @@ func TestCacheCounters(t *testing.T) {
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Cache.Hits != 1 || h.Cache.Misses != 2 {
-		t.Errorf("cache counters: hits=%d misses=%d, want 1/2", h.Cache.Hits, h.Cache.Misses)
-	}
-	if h.Cache.Size != 2 || h.Cache.Capacity != 2 {
-		t.Errorf("cache size=%d capacity=%d, want 2/2", h.Cache.Size, h.Cache.Capacity)
+	if h.Cache != nil {
+		t.Errorf("health carries a cache block %s; the server keeps no response cache", h.Cache)
 	}
 	if got := h.Endpoints["/v1/taxonomy"].Requests; got != 2 {
 		t.Errorf("taxonomy requests=%d, want 2", got)
@@ -181,8 +172,9 @@ func TestCacheCounters(t *testing.T) {
 	}
 }
 
-// TestCachedBodyIdentical makes sure a cache hit serves the same bytes
-// as the original computation.
+// TestCachedBodyIdentical makes sure a repeated request renders the same
+// bytes: the ETag is derived from the request, not the body, so it may
+// only validate a body that every render reproduces.
 func TestCachedBodyIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-year pipeline run")
@@ -192,13 +184,12 @@ func TestCachedBodyIdentical(t *testing.T) {
 	_, first := get(t, srv, "/v1/taxonomy")
 	_, second := get(t, srv, "/v1/taxonomy")
 	if !bytes.Equal(first, second) {
-		t.Fatal("cache hit returned different bytes")
+		t.Fatal("repeated request returned different bytes")
 	}
 }
 
 // TestConcurrentHammer drives all endpoints from 64 goroutines; run
-// under -race this is the concurrency acceptance check. The tiny cache
-// forces constant eviction alongside the hits.
+// under -race this is the concurrency acceptance check.
 func TestConcurrentHammer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-year pipeline run")
@@ -208,7 +199,7 @@ func TestConcurrentHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(st, Options{CacheSize: 4})
+	srv := New(st, Options{})
 
 	paths := []string{
 		"/v1/taxonomy",

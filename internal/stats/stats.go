@@ -103,18 +103,6 @@ func (c *CDF) Points(n int) []Point {
 // Point is one (x, y) sample of a plotted series.
 type Point struct{ X, Y float64 }
 
-// Mean returns the arithmetic mean of samples (NaN when empty).
-func Mean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range samples {
-		sum += v
-	}
-	return sum / float64(len(samples))
-}
-
 // FiveNum is the boxplot five-number summary.
 type FiveNum struct {
 	Min, Q1, Median, Q3, Max float64

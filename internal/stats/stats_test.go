@@ -60,15 +60,6 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean wrong")
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Error("Mean of empty should be NaN")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := Histogram([]float64{0, 0.5, 1, 1.5, 9.9, 10, 11, -5}, 0, 10, 10)
 	if len(h) != 10 {

@@ -58,6 +58,8 @@ race() {
 	named ./internal/pipeline/ TestOperationalOracle
 	echo "== go test -race (stat: fleet rows from /v1/shards + each replica's own /metrics)"
 	named ./cmd/parallellives/ TestStatFleet
+	echo "== go test -race (metric names and label cardinality across every tier)"
+	named ./cmd/parallellives/ TestMetricNamesAndCardinality
 	echo "== go test -race (router cache: no entry outlives an invalidation, in-flight fetches included)"
 	named ./internal/router/ TestCacheNeverOutlivesInvalidation
 }
