@@ -56,14 +56,11 @@ func TestMetricNamesAndCardinality(t *testing.T) {
 	// store with hot reload wired, as the serve verb builds it.
 	newServer := func(path string) (*serve.Server, *obs.Obs) {
 		o := obs.New()
-		open := serve.FileOpener(lifestore.Open, path, o.Registry)
-		src, closer, source, err := open(ctx)
+		s, err := serve.NewReloadable(ctx, serve.FileOpener(lifestore.Open, path, o.Registry), serve.Options{Obs: o})
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { closer.Close() })
-		sw := serve.NewSwappable(src, closer, source)
-		return serve.New(sw, serve.Options{Obs: o, Reloader: serve.NewReloader(sw, open, o.Registry)}), o
+		return s, o
 	}
 	front, frontObs := newServer(path)
 
@@ -158,6 +155,11 @@ func TestMetricNamesAndCardinality(t *testing.T) {
 				continue
 			}
 			subsystems[m[1]] = true
+			if reg == "route" && m[1] != "route" && m[1] != "runtime" {
+				// The router's own numbers, its lifecycle chain's
+				// included, must not pass for a replica's.
+				t.Errorf("route: family %s is not parallellives_route_…", f.Name)
+			}
 			if f.Kind == obs.KindCounter && !strings.HasSuffix(f.Name, "_total") {
 				t.Errorf("%s: counter %s does not end in _total", reg, f.Name)
 			}

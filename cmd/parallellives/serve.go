@@ -89,16 +89,11 @@ func serveVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 		if *mmapOn {
 			openFile = lifestore.OpenMapped
 		}
-		open := serve.FileOpener(openFile, *snapshot, o.Registry)
-		src, closer, source, err := open(ctx)
+		so.Obs = o
+		srv, err := serve.NewReloadable(ctx, serve.FileOpener(openFile, *snapshot, o.Registry), so)
 		if err != nil {
 			return err
 		}
-		sw := serve.NewSwappable(src, closer, source)
-		rel := serve.NewReloader(sw, open, o.Registry)
-		so.Obs = o
-		so.Reloader = rel
-		srv := serve.New(sw, so)
 		handler := http.Handler(srv)
 		if *pprofOn {
 			// The profiling handlers live on an outer mux (net/http/pprof
@@ -114,7 +109,7 @@ func serveVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 		// reload is what SIGHUP and -follow both do: a verified hot reload
 		// that keeps the old generation serving when the new file is bad.
 		reload := func() {
-			info, err := rel.Reload(ctx)
+			info, err := srv.Reload(ctx)
 			switch {
 			case err == nil:
 				fmt.Fprintf(stderr, "serve: reloaded %s (generation %d, %d ASNs)\n", info.Source, info.Gen, info.ASNCount)
@@ -127,8 +122,7 @@ func serveVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 			fmt.Fprintf(stderr, "serve: following %s for changes every %v\n", *snapshot, *follow)
 		}
 
-		m := src.Meta()
-		what := fmt.Sprintf("serve: serving %s (%s..%s, %d ASNs)", *snapshot, m.Start, m.End, m.ASNCount)
+		what := fmt.Sprintf("serve: serving %s (%d ASNs)", *snapshot, srv.Generation().ASNCount)
 		return listenAndServe(ctx, stderr, what, *listen, handler, *drain, reload)
 	}
 }

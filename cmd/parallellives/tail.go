@@ -66,21 +66,21 @@ func tailVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 		defer src.Close() // waits for its look-ahead read
 
 		// Serving state: created lazily on the first published snapshot
-		// (there is nothing to serve before it), then hot-swapped per
-		// publish via the reloader's verified generation swap.
+		// (there is nothing to serve before it), then reloaded per
+		// publish, which swaps the next generation in.
 		var (
 			tl       *stream.Tailer
 			serveMu  sync.Mutex
-			reloader *serve.Reloader
+			srv      *serve.Server
 			serveErr = make(chan error, 1)
 		)
 		onSnapshot := func(day dates.Day, snap *lifestore.Snapshot) {
 			fmt.Fprintf(stderr, "tail: published snapshot through %s (%d ASNs)\n", day, snap.Meta.ASNCount)
 			if *listen != "" {
 				serveMu.Lock()
-				if reloader == nil {
-					reloader = startTailServer(ctx, o, tl, snap, day, *listen, exemplars, stderr, serveErr)
-				} else if _, err := reloader.Reload(ctx); err != nil && ctx.Err() == nil {
+				if srv == nil {
+					srv = startTailServer(ctx, o, tl, *listen, exemplars, stderr, serveErr)
+				} else if _, err := srv.Reload(ctx); err != nil && ctx.Err() == nil {
 					fmt.Fprintln(stderr, "tail: snapshot reload failed, previous generation still serving:", err)
 				}
 				serveMu.Unlock()
@@ -124,7 +124,7 @@ func tailVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 		// Window complete (or drained) with a server started: keep serving
 		// until the shutdown signal, then collect the server's result.
 		serveMu.Lock()
-		serving := reloader != nil
+		serving := srv != nil
 		serveMu.Unlock()
 		if !serving {
 			return nil
@@ -137,12 +137,11 @@ func tailVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 }
 
 // startTailServer brings up the HTTP side on the first snapshot: a
-// Swappable over the in-memory snapshot, a Reloader whose opener always
-// adopts the tailer's latest publication, and the hardened server with
-// the tailer's Status wired into /v1/health as "ingest". The server's
-// result — a bind failure included, which does not stop ingestion —
-// arrives on serveErr.
-func startTailServer(ctx context.Context, o *obs.Obs, tl *stream.Tailer, snap *lifestore.Snapshot, day dates.Day, addr string, exemplars int, stderr io.Writer, serveErr chan<- error) *serve.Reloader {
+// reloading server whose opener always adopts the tailer's latest
+// publication, with the tailer's Status wired into /v1/health as
+// "ingest". The server's result — a bind failure included, which does
+// not stop ingestion — arrives on serveErr.
+func startTailServer(ctx context.Context, o *obs.Obs, tl *stream.Tailer, addr string, exemplars int, stderr io.Writer, serveErr chan<- error) *serve.Server {
 	open := serve.OpenFunc(func(context.Context) (serve.Source, io.Closer, string, error) {
 		cur, curDay := tl.Snapshot()
 		if cur == nil {
@@ -150,11 +149,10 @@ func startTailServer(ctx context.Context, o *obs.Obs, tl *stream.Tailer, snap *l
 		}
 		return lifestore.NewInMemory(cur), nil, fmt.Sprintf("tail@%s", curDay), nil
 	})
-	sw := serve.NewSwappable(lifestore.NewInMemory(snap), nil, fmt.Sprintf("tail@%s", day))
-	rl := serve.NewReloader(sw, open, o.Registry)
-	srv := serve.New(sw, serve.Options{
+	// The first snapshot is published before OnSnapshot runs, so this
+	// open cannot fail.
+	srv, _ := serve.NewReloadable(ctx, open, serve.Options{
 		Obs:              o,
-		Reloader:         rl,
 		Ingest:           func() any { return tl.Status() },
 		ExemplarCapacity: exemplars,
 	})
@@ -165,7 +163,7 @@ func startTailServer(ctx context.Context, o *obs.Obs, tl *stream.Tailer, snap *l
 		}
 		serveErr <- err
 	}()
-	return rl
+	return srv
 }
 
 // verifyAgainstBatch runs the whole-window batch pipeline and requires

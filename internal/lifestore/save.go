@@ -7,29 +7,36 @@ import (
 	"path/filepath"
 )
 
-// SaveSnapshot writes a captured snapshot to path atomically (write to a
-// temp file in the same directory, then rename).
+// SaveSnapshot writes a captured snapshot to path atomically
+// (WriteFileAtomic).
 func SaveSnapshot(snap *Snapshot, path string) error {
 	b, err := Encode(snap)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".lifestore-*")
+	return WriteFileAtomic(path, b)
+}
+
+// WriteFileAtomic writes data to a temp file in path's directory and
+// renames it over path, so a reader sees the old file or the new one,
+// never a half-written one; on any error the temp file is removed. It
+// does not fsync, so a machine crash can still lose the write (writer
+// durability is ROADMAP 5(d)).
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("lifestore: %w", err)
 	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("lifestore: writing %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("lifestore: writing %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("lifestore: %w", err)
 	}
 	return nil
 }

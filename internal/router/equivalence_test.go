@@ -70,14 +70,11 @@ func startBaseline(t *testing.T, snap *lifestore.Snapshot) *serve.Server {
 		t.Fatal(err)
 	}
 	o := obs.New()
-	open := serve.FileOpener(lifestore.Open, path, o.Registry)
-	src, closer, source, err := open(context.Background())
+	s, err := serve.NewReloadable(context.Background(), serve.FileOpener(lifestore.Open, path, o.Registry), serve.Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := serve.NewSwappable(src, closer, source)
-	t.Cleanup(func() { closer.Close() })
-	return serve.New(sw, serve.Options{Obs: o, Reloader: serve.NewReloader(sw, open, o.Registry)})
+	return s
 }
 
 // probePaths builds the request set from the snapshot and the shard

@@ -138,7 +138,7 @@ type shardSet struct {
 }
 
 // startShards cuts the fixture into n shard files and serves each with
-// a full serve.Server (reloader wired, so fan-out reload works) behind
+// a full reloading serve.Server (so fan-out reload works) behind
 // a flaky wrapper.
 func startShards(t *testing.T, snap *lifestore.Snapshot, n int) *shardSet {
 	t.Helper()
@@ -150,14 +150,10 @@ func startShards(t *testing.T, snap *lifestore.Snapshot, n int) *shardSet {
 	set := &shardSet{paths: paths, plan: plan}
 	for _, path := range paths {
 		o := obs.New()
-		open := serve.FileOpener(lifestore.Open, path, o.Registry)
-		src, closer, source, err := open(context.Background())
+		s, err := serve.NewReloadable(context.Background(), serve.FileOpener(lifestore.Open, path, o.Registry), serve.Options{Obs: o})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw := serve.NewSwappable(src, closer, source)
-		rel := serve.NewReloader(sw, open, o.Registry)
-		s := serve.New(sw, serve.Options{Obs: o, Reloader: rel})
 		f := &flaky{h: s}
 		ts := httptest.NewServer(f)
 		t.Cleanup(ts.Close)
@@ -207,14 +203,11 @@ func startReplicated(t *testing.T, snap *lifestore.Snapshot, ranges, replicas in
 	for i, path := range paths {
 		for j := 0; j < replicas; j++ {
 			o := obs.New()
-			open := serve.FileOpener(lifestore.Open, path, o.Registry)
-			src, closer, source, err := open(context.Background())
+			s, err := serve.NewReloadable(context.Background(), serve.FileOpener(lifestore.Open, path, o.Registry),
+				serve.Options{Obs: o, Replica: fmt.Sprintf("r%d-%d", i, j)})
 			if err != nil {
 				t.Fatal(err)
 			}
-			sw := serve.NewSwappable(src, closer, source)
-			rel := serve.NewReloader(sw, open, o.Registry)
-			s := serve.New(sw, serve.Options{Obs: o, Reloader: rel, Replica: fmt.Sprintf("r%d-%d", i, j)})
 			f := &flaky{h: s}
 			ts := httptest.NewServer(f)
 			t.Cleanup(ts.Close)

@@ -31,8 +31,9 @@ type frontCase struct {
 	slow func(d time.Duration)
 	// ring decodes the front's own exemplar ring out of /v1/debug/slow.
 	ring func(body []byte) (obs.ExemplarSnapshot, error)
-	// errors is the front's per-endpoint error family.
-	errors string
+	// errors and inflight are the front's per-endpoint error and
+	// in-flight families.
+	errors, inflight string
 }
 
 // slowSource stalls lookups on demand — the serve-side twin of the
@@ -55,10 +56,11 @@ func bothFronts(t *testing.T, snap *lifestore.Snapshot, exemplars, maxInFlight i
 	set := startShards(t, snap, 2)
 	routed := newTestRouter(t, set, Options{ExemplarCapacity: exemplars, MaxInFlight: maxInFlight, SpanIDs: ids})
 	return []frontCase{{
-		name:   "serve",
-		h:      direct,
-		slow:   func(d time.Duration) { src.delay.Store(int64(d)) },
-		errors: serve.MetricErrors,
+		name:     "serve",
+		h:        direct,
+		slow:     func(d time.Duration) { src.delay.Store(int64(d)) },
+		errors:   serve.MetricErrors,
+		inflight: serve.MetricInFlight,
 		ring: func(body []byte) (snap obs.ExemplarSnapshot, err error) {
 			return snap, json.Unmarshal(body, &snap)
 		},
@@ -70,7 +72,8 @@ func bothFronts(t *testing.T, snap *lifestore.Snapshot, exemplars, maxInFlight i
 				f.delay.Store(int64(d))
 			}
 		},
-		errors: MetricErrors,
+		errors:   MetricErrors,
+		inflight: MetricInFlight,
 		ring: func(body []byte) (obs.ExemplarSnapshot, error) {
 			var doc struct {
 				Router obs.ExemplarSnapshot `json:"router"`
@@ -306,12 +309,12 @@ func TestHardenedServerAgainstBadClients(t *testing.T) {
 			defer stalled.Close()
 			stalled.(*net.TCPConn).SetReadBuffer(4 << 10)
 			fmt.Fprintf(stalled, "GET %s HTTP/1.1\r\nHost: x\r\n\r\n", bigBody)
-			waitFor(t, "the stalled request to be admitted", func() bool { return metric(serve.MetricInFlight) == 1 })
+			waitFor(t, "the stalled request to be admitted", func() bool { return metric(fc.inflight) == 1 })
 			if code := status("/v1/taxonomy"); code != http.StatusServiceUnavailable {
 				t.Errorf("request beside the stalled one: status %d, want 503 (the one slot is taken)", code)
 			}
 			held := time.Now()
-			waitFor(t, "the stalled request's slot to be released", func() bool { return metric(serve.MetricInFlight) == 0 })
+			waitFor(t, "the stalled request's slot to be released", func() bool { return metric(fc.inflight) == 0 })
 			if d := time.Since(held); d > 5*opts.WriteTimeout {
 				t.Errorf("slot released %v after the stall began, WriteTimeout is %v", d, opts.WriteTimeout)
 			}

@@ -73,13 +73,17 @@ import (
 	"parallellives/internal/serve"
 )
 
-// Registry metric names the router publishes. The lifecycle chain's
-// gauges keep their serve_* names (the chain is shared code); everything
-// router-specific lives under route_*.
+// Registry metric names the router publishes, all under route_*.
 const (
 	MetricRequests = "parallellives_route_requests_total"
 	MetricErrors   = "parallellives_route_errors_total"
 	MetricLatency  = "parallellives_route_request_seconds"
+
+	// The lifecycle chain's families (serve.NewChain).
+	MetricInFlight = "parallellives_route_inflight"
+	MetricSheds    = "parallellives_route_shed_total"
+	MetricPanics   = "parallellives_route_panics_total"
+	MetricTimeouts = "parallellives_route_timeouts_total"
 
 	MetricShardRequests = "parallellives_route_shard_requests_total"
 	MetricShardErrors   = "parallellives_route_shard_errors_total"
@@ -248,6 +252,7 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 	front := serve.NewFront(serve.Names{
 		Span:     "route",
 		Requests: MetricRequests, Errors: MetricErrors, Latency: MetricLatency,
+		InFlight: MetricInFlight, Sheds: MetricSheds, Panics: MetricPanics, Timeouts: MetricTimeouts,
 		FailFrom: http.StatusInternalServerError,
 	}, opts.Obs, serve.ChainOptions{MaxInFlight: opts.MaxInFlight, RequestTimeout: opts.RequestTimeout},
 		opts.ExemplarCapacity, opts.SpanIDs)

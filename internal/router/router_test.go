@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -455,8 +456,9 @@ func TestHealthAndTopology(t *testing.T) {
 		Store    json.RawMessage `json:"store"`
 		Pipeline json.RawMessage `json:"pipeline"`
 		Router   struct {
-			Policy string `json:"policy"`
-			Shards []struct {
+			Policy    string                     `json:"policy"`
+			Lifecycle map[string]json.RawMessage `json:"lifecycle"`
+			Shards    []struct {
 				Index    int  `json:"index"`
 				Dark     bool `json:"dark"`
 				Replicas []struct {
@@ -474,6 +476,15 @@ func TestHealthAndTopology(t *testing.T) {
 	}
 	if health.Router.Policy != PolicyPartial || len(health.Router.Shards) != 4 {
 		t.Fatalf("router section = %+v", health.Router)
+	}
+	// The lifecycle block uses serve's camelCase keys, not Go field names.
+	var keys []string
+	for k := range health.Router.Lifecycle {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if got := strings.Join(keys, ","); got != "inFlight,maxInFlight,panics,sheds,timeouts" {
+		t.Errorf("router lifecycle keys = %s, want inFlight,maxInFlight,panics,sheds,timeouts", got)
 	}
 	for _, sh := range health.Router.Shards {
 		if sh.Dark || len(sh.Replicas) != 1 {

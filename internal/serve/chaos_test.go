@@ -55,15 +55,18 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	o := obs.New()
-	sw := NewSwappable(st, nil, "chaos-gen1")
-	rel := NewReloader(sw, FileOpener(lifestore.Open, path, o.Registry), o.Registry)
-	srv := New(sw, Options{
+	srv, err := NewReloadable(context.Background(), openInTurn(
+		fixedOpener(st, nil, "chaos-gen1"),
+		FileOpener(lifestore.Open, path, o.Registry),
+	), Options{
 		Obs:              o,
-		Reloader:         rel,
 		MaxInFlight:      8,
 		BreakerThreshold: 4,
 		BreakerCooldown:  40 * time.Millisecond,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Reference bodies from a server over the same data with no faults.
 	ref := New(lifestore.NewInMemory(tinySnapshot(1)), Options{Obs: obs.New()})
@@ -146,7 +149,7 @@ func TestChaosSoak(t *testing.T) {
 	flaky.SetEnabled(false)
 	time.Sleep(150 * time.Millisecond)
 	// Phase 4: hot reload mid-soak onto the pristine file-backed copy.
-	if _, err := rel.Reload(context.Background()); err != nil {
+	if _, err := srv.Reload(context.Background()); err != nil {
 		t.Fatalf("mid-soak reload: %v", err)
 	}
 	time.Sleep(80 * time.Millisecond)

@@ -89,8 +89,12 @@ func TestEtagConditionalRequests(t *testing.T) {
 // the same If-None-Match then reads the new generation.
 func TestRevalidationRendersNothing(t *testing.T) {
 	gen1 := &countingSource{Source: lifestore.NewInMemory(tinySnapshot(1))}
-	sw := NewSwappable(gen1, nil, "gen1")
-	s := New(sw, Options{})
+	gen2 := &countingSource{Source: lifestore.NewInMemory(tinySnapshot(2))}
+	s, err := NewReloadable(context.Background(),
+		openInTurn(fixedOpener(gen1, nil, "gen1"), fixedOpener(gen2, nil, "gen2")), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fetch := func(inm string) *httptest.ResponseRecorder {
 		r, w := newRequest("GET", "/v1/asn/64496")
 		if inm != "" {
@@ -121,8 +125,9 @@ func TestRevalidationRendersNothing(t *testing.T) {
 		t.Fatalf("revalidation performed %d lookups, want none", n-2)
 	}
 
-	gen2 := &countingSource{Source: lifestore.NewInMemory(tinySnapshot(2))}
-	sw.Swap(gen2, nil, "gen2")
+	if _, err := s.Reload(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	w := fetch(etag)
 	if w.Code != http.StatusOK {
 		t.Fatalf("revalidation after swap = %d, want 200", w.Code)
@@ -148,14 +153,10 @@ func TestEtagReloadInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.New()
-	open := FileOpener(lifestore.Open, path, reg.Registry)
-	src, closer, source, err := open(context.Background())
+	s, err := NewReloadable(context.Background(), FileOpener(lifestore.Open, path, reg.Registry), Options{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := NewSwappable(src, closer, source)
-	rl := NewReloader(sw, open, reg.Registry)
-	s := New(sw, Options{Obs: reg, Reloader: rl})
 
 	r, w := newRequest("GET", "/v1/asn/64496")
 	s.ServeHTTP(w, r)

@@ -167,6 +167,25 @@ type panicSource struct{ Source }
 
 func (panicSource) Taxonomy() core.TaxonomyCounts { panic("injected handler panic") }
 
+// fixedOpener opens src every time.
+func fixedOpener(src Source, closer io.Closer, source string) OpenFunc {
+	return func(context.Context) (Source, io.Closer, string, error) { return src, closer, source, nil }
+}
+
+// openInTurn opens through each of opens in turn — the constructor
+// through the first, then one per reload — and through the last from
+// then on. Reloads are serialized, so the counter needs no lock.
+func openInTurn(opens ...OpenFunc) OpenFunc {
+	next := 0
+	return func(ctx context.Context) (Source, io.Closer, string, error) {
+		open := opens[next]
+		if next < len(opens)-1 {
+			next++
+		}
+		return open(ctx)
+	}
+}
+
 // recordCloser flags when its Close ran, for generation-retirement
 // tests.
 type recordCloser struct{ closed atomic.Bool }

@@ -19,6 +19,9 @@ type Names struct {
 	Span string
 	// Requests, Errors and Latency are the per-endpoint families.
 	Requests, Errors, Latency string
+	// InFlight, Sheds, Panics and Timeouts are the lifecycle chain's
+	// families (see NewChain).
+	InFlight, Sheds, Panics, Timeouts string
 	// FailFrom is the lowest status the Errors family counts: the serving
 	// tier counts the 4xx it answers itself (400), the router only what
 	// it could not relay (500).
@@ -64,7 +67,7 @@ func NewFront(names Names, o *obs.Obs, chain ChainOptions, exemplarCapacity int,
 	}
 	f := &Front{
 		Obs:       o,
-		Chain:     NewChain(o.Registry, chain),
+		Chain:     NewChain(o.Registry, names, chain),
 		Exemplars: obs.NewExemplarRing(exemplarCapacity),
 		names:     names,
 		spanIDs:   spanIDs,

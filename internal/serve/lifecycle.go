@@ -53,9 +53,9 @@ type Chain struct {
 	timeouts      *obs.Counter
 }
 
-// NewChain builds a lifecycle chain publishing its gauges and counters
-// to reg.
-func NewChain(reg *obs.Registry, opts ChainOptions) *Chain {
+// NewChain builds a lifecycle chain publishing its gauge and counters
+// to reg under the front's names.InFlight, Sheds, Panics and Timeouts.
+func NewChain(reg *obs.Registry, names Names, opts ChainOptions) *Chain {
 	if opts.MaxInFlight == 0 {
 		opts.MaxInFlight = 512
 	}
@@ -65,20 +65,20 @@ func NewChain(reg *obs.Registry, opts ChainOptions) *Chain {
 	return &Chain{
 		maxInFlight:    opts.MaxInFlight,
 		requestTimeout: opts.RequestTimeout,
-		inflightGauge:  reg.Gauge(MetricInFlight, "Requests currently being handled."),
-		sheds:          reg.Counter(MetricSheds, "Requests shed at the admission gate (503 + Retry-After)."),
-		panics:         reg.Counter(MetricPanics, "Handler panics converted into 500 responses."),
-		timeouts:       reg.Counter(MetricTimeouts, "Lookups abandoned at the request deadline (504)."),
+		inflightGauge:  reg.Gauge(names.InFlight, "Requests currently being handled."),
+		sheds:          reg.Counter(names.Sheds, "Requests shed at the admission gate (503 + Retry-After)."),
+		panics:         reg.Counter(names.Panics, "Handler panics converted into 500 responses."),
+		timeouts:       reg.Counter(names.Timeouts, "Lookups abandoned at the request deadline (504)."),
 	}
 }
 
 // ChainStats is the chain's live state, rendered into /v1/health.
 type ChainStats struct {
-	InFlight    int64
-	MaxInFlight int
-	Sheds       int64
-	Panics      int64
-	Timeouts    int64
+	InFlight    int64 `json:"inFlight"`
+	MaxInFlight int   `json:"maxInFlight"`
+	Sheds       int64 `json:"sheds"`
+	Panics      int64 `json:"panics"`
+	Timeouts    int64 `json:"timeouts"`
 }
 
 // Stats returns the chain's current counters.

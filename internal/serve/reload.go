@@ -2,20 +2,18 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
-	"sync"
+	"net/http"
 	"sync/atomic"
 	"time"
 
-	"parallellives/internal/asn"
-	"parallellives/internal/core"
-	"parallellives/internal/faults"
 	"parallellives/internal/lifestore"
 	"parallellives/internal/obs"
 )
 
-// GenInfo describes one snapshot generation a Swappable has served.
+// GenInfo describes one snapshot generation a server has served.
 type GenInfo struct {
 	// Gen is the monotone generation number, starting at 1.
 	Gen int64 `json:"gen"`
@@ -27,142 +25,53 @@ type GenInfo struct {
 
 // generation is one refcounted source: inflight counts the requests
 // currently borrowing it, and its closer runs only after the generation
-// has been retired and the count has drained to zero.
+// has been retired and the count has drained to zero. prev is the
+// generation it replaced, copied so that no chain of retired sources
+// stays reachable.
 type generation struct {
 	src      Source
 	closer   io.Closer
 	info     GenInfo
+	prev     *GenInfo
 	inflight atomic.Int64
 }
 
-// Swappable is a Source whose backing source can be replaced atomically
-// while requests are in flight. Readers acquire the current generation
-// per call; Swap installs a new generation instantly and retires the
-// old one in the background, closing it only once its last borrowed
-// call returns — a hot reload never yanks a reader out from under a
-// request, and never blocks serving while the new snapshot loads.
-type Swappable struct {
-	cur  atomic.Pointer[generation]
-	gens atomic.Int64
-	prev atomic.Pointer[GenInfo] // most recently retired generation
-}
-
-// NewSwappable wraps the initial source. closer may be nil (in-memory
-// sources); source names the origin for /v1/health.
-func NewSwappable(src Source, closer io.Closer, source string) *Swappable {
-	sw := &Swappable{}
-	sw.install(src, closer, source)
-	return sw
-}
-
-// install builds the next generation and makes it current, returning
-// the generation it replaced (nil on first install).
-func (sw *Swappable) install(src Source, closer io.Closer, source string) *generation {
-	g := &generation{src: src, closer: closer,
-		info: GenInfo{Gen: sw.gens.Add(1), Source: source, ASNCount: src.ASNCount()}}
-	return sw.cur.Swap(g)
-}
-
-// Swap atomically replaces the serving source and retires the old
-// generation: its info becomes the "previous" record and its closer
-// fires once in-flight borrowers drain. Returns the new generation's
-// info.
-func (sw *Swappable) Swap(src Source, closer io.Closer, source string) GenInfo {
-	old := sw.install(src, closer, source)
-	cur := sw.cur.Load().info
-	if old != nil {
-		info := old.info
-		sw.prev.Store(&info)
-		go func() {
-			for old.inflight.Load() > 0 {
-				time.Sleep(time.Millisecond)
-			}
-			if old.closer != nil {
-				old.closer.Close()
-			}
-		}()
-	}
-	return cur
-}
-
-// Generations returns the current generation and, when a swap has
-// happened, the previously served one.
-func (sw *Swappable) Generations() (cur GenInfo, prev *GenInfo) {
-	return sw.cur.Load().info, sw.prev.Load()
-}
-
-// acquire borrows the current generation. The release must run when the
-// borrowed call is done. The retry loop closes the swap race: if a Swap
-// lands between loading the pointer and incrementing the count, the
-// count may have been observed at zero and the closer may already have
-// fired, so the borrow is abandoned and retried on the new current.
-func (sw *Swappable) acquire() (*generation, func()) {
+// borrow pins the serving generation for one request; release must run
+// when the request is done. The retry loop closes the swap race: if a
+// reload lands between loading the pointer and incrementing the count,
+// the count may have been observed at zero and the closer may already
+// have fired, so the borrow is abandoned and retried on the new current.
+func (s *Server) borrow() *generation {
 	for {
-		g := sw.cur.Load()
+		g := s.cur.Load()
 		g.inflight.Add(1)
-		if sw.cur.Load() == g {
-			return g, func() { g.inflight.Add(-1) }
+		if s.cur.Load() == g {
+			return g
 		}
 		g.inflight.Add(-1)
 	}
 }
 
-// Source implementation: every method borrows the current generation
-// for exactly the duration of the delegated call. Returned values never
-// alias the underlying reader (blocks decode into fresh memory), so
-// they stay valid after release.
+func (g *generation) release() { g.inflight.Add(-1) }
 
-func (sw *Swappable) Meta() lifestore.Meta {
-	g, release := sw.acquire()
-	defer release()
-	return g.src.Meta()
-}
-
-func (sw *Swappable) Health() faults.Health {
-	g, release := sw.acquire()
-	defer release()
-	return g.src.Health()
-}
-
-func (sw *Swappable) Taxonomy() core.TaxonomyCounts {
-	g, release := sw.acquire()
-	defer release()
-	return g.src.Taxonomy()
-}
-
-func (sw *Swappable) Series() *core.AliveSeries {
-	g, release := sw.acquire()
-	defer release()
-	return g.src.Series()
-}
-
-func (sw *Swappable) LookupContext(ctx context.Context, a asn.ASN) (lifestore.ASNLives, bool, error) {
-	g, release := sw.acquire()
-	defer release()
-	return g.src.LookupContext(ctx, a)
-}
-
-func (sw *Swappable) ASNCount() int {
-	g, release := sw.acquire()
-	defer release()
-	return g.src.ASNCount()
-}
-
-// Shard forwards the serving generation's shard identity when the
-// underlying source reports one, implementing Sharder on behalf of
-// whatever is currently installed.
-func (sw *Swappable) Shard() *lifestore.ShardInfo {
-	g, release := sw.acquire()
-	defer release()
-	if sh, ok := g.src.(Sharder); ok {
-		return sh.Shard()
+// retire closes the generation in the background once its last
+// borrower returns: a reload never yanks a source out from under a
+// request, and never waits for one.
+func (g *generation) retire() {
+	if g.closer == nil {
+		return
 	}
-	return nil
+	go func() {
+		for g.inflight.Load() > 0 {
+			time.Sleep(time.Millisecond)
+		}
+		g.closer.Close()
+	}()
 }
 
-// OpenFunc opens and fully verifies a candidate source for a reload.
-// It must not return a partially verified source: whatever it hands
-// back is installed as the serving generation.
+// OpenFunc opens and fully verifies a source for a reloading server's
+// next generation. It must not return a partially verified source:
+// whatever it hands back is installed as the serving generation.
 type OpenFunc func(ctx context.Context) (src Source, closer io.Closer, source string, err error)
 
 // FileOpener is the standard OpenFunc for snapshot files: open the
@@ -190,48 +99,65 @@ func FileOpener(open func(path string) (*lifestore.Store, error), path string, r
 	}
 }
 
-// Reloader performs verified hot reloads into a Swappable. Reloads are
-// serialized: a second reload arriving while one is in flight waits its
-// turn rather than racing the swap.
-type Reloader struct {
-	sw   *Swappable
-	open OpenFunc
-
-	mu sync.Mutex
-
-	reloads  *obs.CounterVec
-	genGauge *obs.Gauge
-}
-
-// NewReloader wires a reloader to its swappable and opener, publishing
-// reload outcomes and the serving generation to reg.
-func NewReloader(sw *Swappable, open OpenFunc, reg *obs.Registry) *Reloader {
-	r := &Reloader{
-		sw: sw, open: open,
-		reloads: reg.CounterVec(MetricReloads,
-			"Hot snapshot reloads by outcome.", "outcome"),
-		genGauge: reg.Gauge(MetricGeneration,
-			"Snapshot generation currently serving (increments per successful reload)."),
-	}
-	cur, _ := sw.Generations()
-	r.genGauge.Set(float64(cur.Gen))
-	return r
-}
-
-// Reload opens and verifies a fresh source, swaps it in, and returns
-// the new generation. On any failure the old generation keeps serving
-// and the error is returned — a reload can never make a healthy server
-// worse.
-func (r *Reloader) Reload(ctx context.Context) (GenInfo, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	src, closer, source, err := r.open(ctx)
+// NewReloadable builds a server whose generations come from open: the
+// first now, each later one from Reload, which POST /v1/admin/reload
+// calls too. Reload outcomes and the serving generation are published
+// as MetricReloads and MetricGeneration, and /v1/health reports the
+// current and previous generation.
+func NewReloadable(ctx context.Context, open OpenFunc, opts Options) (*Server, error) {
+	src, closer, source, err := open(ctx)
 	if err != nil {
-		r.reloads.With("error").Inc()
+		return nil, err
+	}
+	s := newServer(&generation{src: src, closer: closer,
+		info: GenInfo{Gen: 1, Source: source, ASNCount: src.ASNCount()}}, opts)
+	s.open = open
+	reg := s.front.Obs.Registry
+	s.reloads = reg.CounterVec(MetricReloads, "Hot snapshot reloads by outcome.", "outcome")
+	s.genGauge = reg.Gauge(MetricGeneration,
+		"Snapshot generation currently serving (increments per successful reload).")
+	s.genGauge.Set(1)
+	s.front.Handle("POST /v1/admin/reload", s.json(false, s.handleReload))
+	return s, nil
+}
+
+// Reload opens and verifies the next generation, swaps it in and
+// returns it; the old generation closes once its last borrowing request
+// returns. Reloads are serialized. On any failure the old generation
+// keeps serving and the error is returned — a reload can never make a
+// healthy server worse.
+func (s *Server) Reload(ctx context.Context) (GenInfo, error) {
+	if s.open == nil {
+		return GenInfo{}, errors.New("serve: reload: the server was built by New over a fixed source")
+	}
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
+	src, closer, source, err := s.open(ctx)
+	if err != nil {
+		s.reloads.With("error").Inc()
 		return GenInfo{}, fmt.Errorf("serve: reload rejected: %w", err)
 	}
-	info := r.sw.Swap(src, closer, source)
-	r.genGauge.Set(float64(info.Gen))
-	r.reloads.With("ok").Inc()
+	old := s.cur.Load()
+	prev := old.info
+	g := &generation{src: src, closer: closer, prev: &prev,
+		info: GenInfo{Gen: prev.Gen + 1, Source: source, ASNCount: src.ASNCount()}}
+	s.cur.Store(g)
+	old.retire()
+	s.genGauge.Set(float64(g.info.Gen))
+	s.reloads.With("ok").Inc()
+	return g.info, nil
+}
+
+// Generation reports the serving generation.
+func (s *Server) Generation() GenInfo { return s.cur.Load().info }
+
+// handleReload runs a verified hot reload and reports the new
+// generation. Failures leave the old generation serving and surface as
+// 502: the snapshot on disk, not this server, is the broken party.
+func (s *Server) handleReload(r *http.Request, _ *generation) (any, *apiError) {
+	info, err := s.Reload(r.Context())
+	if err != nil {
+		return nil, errf(http.StatusBadGateway, "%v", err)
+	}
 	return info, nil
 }

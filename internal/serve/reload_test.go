@@ -15,23 +15,19 @@ import (
 	"parallellives/internal/obs"
 )
 
-// reloadFixture wires a file-backed Swappable + Reloader + Server the
-// way `parallellives serve` does, returning the snapshot path for overwrites.
-func reloadFixture(t *testing.T, o *obs.Obs) (*Server, *Reloader, string) {
+// reloadFixture builds a reloading server over a snapshot file the way
+// `parallellives serve` does, returning the snapshot path for overwrites.
+func reloadFixture(t *testing.T, o *obs.Obs) (*Server, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "lives.snap")
 	if err := lifestore.SaveSnapshot(tinySnapshot(1), path); err != nil {
 		t.Fatal(err)
 	}
-	open := FileOpener(lifestore.Open, path, o.Registry)
-	src, closer, source, err := open(context.Background())
+	srv, err := NewReloadable(context.Background(), FileOpener(lifestore.Open, path, o.Registry), Options{Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw := NewSwappable(src, closer, source)
-	rel := NewReloader(sw, open, o.Registry)
-	srv := New(sw, Options{Obs: o, Reloader: rel})
-	return srv, rel, path
+	return srv, path
 }
 
 func postReload(t *testing.T, h http.Handler) (int, []byte) {
@@ -46,7 +42,7 @@ func postReload(t *testing.T, h http.Handler) (int, []byte) {
 // data is what's served.
 func TestHotReloadSwapsGenerations(t *testing.T) {
 	o := obs.New()
-	srv, _, path := reloadFixture(t, o)
+	srv, path := reloadFixture(t, o)
 
 	code, before := get(t, srv, "/v1/asn/64496")
 	if code != http.StatusOK {
@@ -96,7 +92,7 @@ func TestHotReloadSwapsGenerations(t *testing.T) {
 // while the old generation keeps serving.
 func TestReloadRejectsCorrupt(t *testing.T) {
 	o := obs.New()
-	srv, _, path := reloadFixture(t, o)
+	srv, path := reloadFixture(t, o)
 
 	img := tinyImage(t, 1)
 	flipped := append([]byte(nil), img...)
@@ -138,7 +134,7 @@ func TestReloadRejectsCorrupt(t *testing.T) {
 // never surface as a failed or dropped request.
 func TestReloadUnderConcurrentLoad(t *testing.T) {
 	o := obs.New()
-	srv, rel, path := reloadFixture(t, o)
+	srv, path := reloadFixture(t, o)
 
 	stop := make(chan struct{})
 	errs := make(chan error, 16)
@@ -168,7 +164,7 @@ func TestReloadUnderConcurrentLoad(t *testing.T) {
 		if err := lifestore.SaveSnapshot(tinySnapshot(seed), path); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := rel.Reload(context.Background()); err != nil {
+		if _, err := srv.Reload(context.Background()); err != nil {
 			t.Fatalf("reload %d: %v", i, err)
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -184,50 +180,70 @@ func TestReloadUnderConcurrentLoad(t *testing.T) {
 	}
 }
 
-// TestSwappableRetiresOldGeneration pins the refcounted close: a swap
-// with a borrow in flight must not close the old source until the
-// borrow returns, and must close it promptly afterwards.
-func TestSwappableRetiresOldGeneration(t *testing.T) {
+// TestReloadRetiresOldGeneration pins the refcounted close: a reload
+// with a request in flight must not close the old generation until the
+// request returns, and must close it promptly afterwards. The request
+// reads the generation it borrowed to the end, and the next one reads
+// the new generation.
+func TestReloadRetiresOldGeneration(t *testing.T) {
 	oldSrc := newBlockingSource(lifestore.NewInMemory(tinySnapshot(1)))
 	closer := &recordCloser{}
-	sw := NewSwappable(oldSrc, closer, "gen1")
+	srv, err := NewReloadable(context.Background(), openInTurn(
+		fixedOpener(oldSrc, closer, "gen1"),
+		fixedOpener(lifestore.NewInMemory(tinySnapshot(2)), nil, "gen2"),
+	), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := fmt.Sprintf("/v1/asn/%s", tinyASNs[0])
+	_, want1 := get(t, New(lifestore.NewInMemory(tinySnapshot(1)), Options{}), path)
+	_, want2 := get(t, New(lifestore.NewInMemory(tinySnapshot(2)), Options{}), path)
 
-	borrowed := make(chan error, 1)
+	type response struct {
+		code       int
+		etag, body string
+	}
+	borrowed := make(chan response, 1)
 	go func() {
-		_, _, err := sw.LookupContext(context.Background(), tinyASNs[0])
-		borrowed <- err
+		r, w := newRequest(http.MethodGet, path)
+		srv.ServeHTTP(w, r)
+		borrowed <- response{w.Code, w.Header().Get("ETag"), w.Body.String()}
 	}()
 	select {
 	case <-oldSrc.entered:
 	case <-time.After(5 * time.Second):
-		t.Fatal("borrow never reached the old source")
+		t.Fatal("request never reached the old generation")
 	}
 
-	info := sw.Swap(lifestore.NewInMemory(tinySnapshot(2)), nil, "gen2")
-	if info.Gen != 2 {
-		t.Fatalf("swap returned gen %d, want 2", info.Gen)
+	info, err := srv.Reload(context.Background())
+	if err != nil || info.Gen != 2 {
+		t.Fatalf("reload = %+v, %v; want gen 2", info, err)
 	}
 	// The old generation still has a borrower: its closer must not fire.
 	time.Sleep(20 * time.Millisecond)
 	if closer.closed.Load() {
-		t.Fatal("old generation closed while a lookup was still borrowing it")
+		t.Fatal("old generation closed while a request was still borrowing it")
 	}
 
 	close(oldSrc.release)
-	if err := <-borrowed; err != nil {
-		t.Fatalf("borrowed lookup failed: %v", err)
+	got := <-borrowed
+	if got.code != http.StatusOK || got.etag != EtagFor(1, path) || got.body != string(want1) {
+		t.Fatalf("in-flight request = %d, ETag %q, body %s; want generation 1's 200", got.code, got.etag, got.body)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for !closer.closed.Load() {
 		if time.Now().After(deadline) {
-			t.Fatal("old generation never closed after its last borrow returned")
+			t.Fatal("old generation never closed after its last borrower returned")
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// New lookups see the new generation.
-	cur, prev := sw.Generations()
-	if cur.Gen != 2 || prev == nil || prev.Gen != 1 {
-		t.Errorf("generations = %+v / %+v, want 2 / 1", cur, prev)
+	// New requests see the new generation.
+	if code, body := get(t, srv, path); code != http.StatusOK || string(body) != string(want2) {
+		t.Errorf("post-reload request = %d %s, want generation 2's body", code, body)
+	}
+	if lc := healthLifecycle(t, srv); lc.Generation == nil || lc.Generation.Gen != 2 ||
+		lc.PrevGeneration == nil || lc.PrevGeneration.Gen != 1 {
+		t.Errorf("generations = %+v / %+v, want 2 / 1", lc.Generation, lc.PrevGeneration)
 	}
 }

@@ -19,8 +19,8 @@
 //	                   registry (lifestore reads, pipeline counters)
 //	/healthz           liveness probe (always 200 while the process runs)
 //	/readyz            readiness probe (503 while the breaker is open)
-//	/v1/admin/reload   POST: verified hot snapshot reload (only with
-//	                   Options.Reloader)
+//	/v1/admin/reload   POST: verified hot snapshot reload (only on a
+//	                   server built by NewReloadable)
 //
 // Every data response is rendered fresh and carries an ETag derived from
 // the snapshot generation and the path and query, so a matching
@@ -36,8 +36,10 @@
 // and a per-request deadline propagated via context into lifestore
 // lookups. Block reads are additionally guarded
 // by a circuit breaker (breaker.go) that trips on consecutive
-// checksum/IO failures, and the backing snapshot can be hot-reloaded
-// through a generation-refcounted swap (reload.go). See DESIGN.md §9.
+// checksum/IO failures. A server holds its snapshot generations itself:
+// each request borrows one generation and reads only it, and a server
+// built by NewReloadable swaps in the next one on Reload, closing the
+// old one after its last borrower returns (reload.go). See DESIGN.md §9.
 //
 // Endpoint counters live on an obs.Registry rather than ad-hoc atomics,
 // so the same numbers surface identically on /v1/health (JSON, with
@@ -55,6 +57,8 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"parallellives/internal/asn"
@@ -97,10 +101,9 @@ const (
 	MetricCacheMisses = "parallellives_serve_cache_misses"
 )
 
-// Source is the query surface the server needs; *lifestore.Store,
-// *lifestore.InMemory and *Swappable all implement it. Lookups carry
-// the request context so a server-side deadline or a departed client
-// stops backend reads.
+// Source is the query surface the server needs; *lifestore.Store and
+// *lifestore.InMemory implement it. Lookups carry the request context
+// so a server-side deadline or a departed client stops backend reads.
 type Source interface {
 	Meta() lifestore.Meta
 	Health() faults.Health
@@ -138,11 +141,6 @@ type Options struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	// Reloader, when set, enables POST /v1/admin/reload. Serve through
-	// the Reloader's Swappable as the Source, or reloads will swap a
-	// store nobody queries.
-	Reloader *Reloader
-
 	// Ingest, when set, is polled per /v1/health request and rendered
 	// under "ingest" in the response — the live-tail daemon passes the
 	// tailer's Status method here so staleness, checkpoint age and
@@ -170,19 +168,25 @@ type Options struct {
 	Replica string
 }
 
-// Server is the HTTP API over one opened dataset. It is safe for
-// concurrent use.
+// Server is the HTTP API over one opened dataset at a time: the serving
+// generation. It is safe for concurrent use.
 type Server struct {
-	src           Source
+	cur           atomic.Pointer[generation]
 	front         *Front
 	defaultStride int
 
-	breaker  *Breaker
-	reloader *Reloader
-	ingest   func() any
+	breaker *Breaker
+	ingest  func() any
 
 	// Replica identity reported in the /v1/shard handshake (§14).
 	replica string
+
+	// Hot reload, set by NewReloadable; a server built by New has no
+	// opener and serves generation 1 for its whole life.
+	open     OpenFunc
+	reloadMu sync.Mutex
+	reloads  *obs.CounterVec
+	genGauge *obs.Gauge
 }
 
 // randomReplicaID generates the default replica identity: 8 hex digits,
@@ -196,8 +200,13 @@ func randomReplicaID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// New builds the server around a source.
+// New builds a server that serves src as its fixed generation 1.
 func New(src Source, opts Options) *Server {
+	return newServer(&generation{src: src, info: GenInfo{Gen: 1, ASNCount: src.ASNCount()}}, opts)
+}
+
+// newServer builds the server around its first generation.
+func newServer(g *generation, opts Options) *Server {
 	if opts.DefaultStride <= 0 {
 		opts.DefaultStride = 30
 	}
@@ -207,25 +216,25 @@ func New(src Source, opts Options) *Server {
 	f := NewFront(Names{
 		Span:     "serve",
 		Requests: MetricRequests, Errors: MetricErrors, Latency: MetricLatency,
+		InFlight: MetricInFlight, Sheds: MetricSheds, Panics: MetricPanics, Timeouts: MetricTimeouts,
 		FailFrom: http.StatusBadRequest,
 	}, opts.Obs, ChainOptions{MaxInFlight: opts.MaxInFlight, RequestTimeout: opts.RequestTimeout},
 		opts.ExemplarCapacity, opts.SpanIDs)
 	reg := f.Obs.Registry
 	s := &Server{
-		src:           src,
 		front:         f,
 		defaultStride: opts.DefaultStride,
-		reloader:      opts.Reloader,
 		ingest:        opts.Ingest,
 		replica:       opts.Replica,
 	}
+	s.cur.Store(g)
 	if opts.BreakerThreshold >= 0 {
 		s.breaker = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, reg)
 	}
 	// Bridge the build's health report into the registry so a /metrics
 	// scrape carries the dataset's provenance even when the server was
 	// handed a cold snapshot rather than a live pipeline run.
-	h := src.Health()
+	h := g.src.Health()
 	h.Export(reg)
 	reg.Gauge(MetricCacheHits, "Always 0: the server keeps no response cache.")
 	reg.Gauge(MetricCacheMisses, "Always 0: the server keeps no response cache.")
@@ -237,9 +246,6 @@ func New(src Source, opts Options) *Server {
 	f.Handle("GET /v1/shard", s.json(false, s.handleShard))
 	f.Handle("GET /v1/debug/slow", s.json(false, s.handleSlow))
 	f.Probes(s.ready, nil)
-	if s.reloader != nil {
-		f.Handle("POST /v1/admin/reload", s.json(false, s.handleReload))
-	}
 	return s
 }
 
@@ -292,36 +298,28 @@ func EtagFor(gen int64, key string) string {
 	return string(b)
 }
 
-// generation reports the serving snapshot's generation for validators:
-// the Swappable's monotone counter when hot reload is wired, else the
-// constant first generation (a process that cannot reload serves one
-// immutable dataset for its whole life).
-func (s *Server) generation() int64 {
-	if sw, ok := s.src.(*Swappable); ok {
-		cur, _ := sw.Generations()
-		return cur.Gen
-	}
-	return 1
-}
-
 // json adapts a handler that returns a payload to the front's plain
-// handlers: JSON rendering and, for cacheable endpoints, conditional
-// requests. Cacheable endpoints carry an ETag derived from (generation,
-// key); an If-None-Match hit answers 304 without running the handler —
-// revalidation stays cheap even when the body would be expensive to
-// rebuild.
-func (s *Server) json(cacheable bool, fn func(*http.Request) (any, *apiError)) http.HandlerFunc {
+// handlers: one borrowed generation, JSON rendering and, for cacheable
+// endpoints, conditional requests. The request borrows the serving
+// generation once, so its validator and its body come from the same
+// snapshot however reloads interleave. Cacheable endpoints carry an ETag
+// derived from (generation, key); an If-None-Match hit answers 304
+// without running the handler — revalidation stays cheap even when the
+// body would be expensive to rebuild.
+func (s *Server) json(cacheable bool, fn func(*http.Request, *generation) (any, *apiError)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		g := s.borrow()
+		defer g.release()
 		var etag string
 		if cacheable {
-			etag = EtagFor(s.generation(), PathQuery(r))
+			etag = EtagFor(g.info.Gen, PathQuery(r))
 			if r.Header.Get("If-None-Match") == etag {
 				w.Header().Set("ETag", etag)
 				w.WriteHeader(http.StatusNotModified)
 				return
 			}
 		}
-		payload, apiErr := fn(r)
+		payload, apiErr := fn(r, g)
 		if apiErr != nil {
 			WriteError(w, apiErr.code, apiErr.retryAfter, "%s", apiErr.msg)
 			return
@@ -364,13 +362,13 @@ type asnResponse struct {
 	Op    []opLifeJSON    `json:"op"`
 }
 
-func (s *Server) handleASN(r *http.Request) (any, *apiError) {
+func (s *Server) handleASN(r *http.Request, g *generation) (any, *apiError) {
 	raw := strings.TrimPrefix(strings.TrimPrefix(r.PathValue("n"), "AS"), "as")
 	a, err := asn.Parse(raw)
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, "bad ASN %q", r.PathValue("n"))
 	}
-	lives, ok, apiErr := s.lookup(r.Context(), a)
+	lives, ok, apiErr := s.lookup(r.Context(), g.src, a)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -411,13 +409,13 @@ func (s *Server) handleASN(r *http.Request) (any, *apiError) {
 // is open (the store may recover), 504 when the request deadline
 // expired or the client left (the store is fine), 500 for an actual
 // failed read (which feeds the breaker).
-func (s *Server) lookup(ctx context.Context, a asn.ASN) (lifestore.ASNLives, bool, *apiError) {
+func (s *Server) lookup(ctx context.Context, src Source, a asn.ASN) (lifestore.ASNLives, bool, *apiError) {
 	if !s.breaker.Allow() {
 		return lifestore.ASNLives{}, false, retryf(http.StatusServiceUnavailable, 1,
 			"lifestore circuit open after repeated read failures; retrying shortly")
 	}
 	ctx, sp := obs.StartSpan(ctx, "lifestore.lookup")
-	lives, ok, err := s.src.LookupContext(ctx, a)
+	lives, ok, err := src.LookupContext(ctx, a)
 	if ok {
 		sp.SetAttr("found", 1)
 	}
@@ -446,9 +444,9 @@ type seriesResponse struct {
 	Op     []int    `json:"op"`
 }
 
-func (s *Server) handleSeries(r *http.Request) (any, *apiError) {
+func (s *Server) handleSeries(r *http.Request, g *generation) (any, *apiError) {
 	token := r.PathValue("r")
-	series := s.src.Series()
+	series := g.src.Series()
 	if series == nil {
 		return nil, errf(http.StatusNotFound, "snapshot carries no alive series")
 	}
@@ -499,8 +497,8 @@ type taxonomyResponse struct {
 	UnusedShare   float64 `json:"unusedShare"`
 }
 
-func (s *Server) handleTaxonomy(*http.Request) (any, *apiError) {
-	c := s.src.Taxonomy()
+func (s *Server) handleTaxonomy(_ *http.Request, g *generation) (any, *apiError) {
+	c := g.src.Taxonomy()
 	t := c.Shares()
 	return taxonomyResponse{
 		AdminComplete: c.AdminComplete,
@@ -554,11 +552,7 @@ type breakerJSON struct {
 // lifecycleJSON is the serving-resilience state in /v1/health — all
 // additive fields the pre-hardening clients never saw.
 type lifecycleJSON struct {
-	InFlight       int64        `json:"inFlight"`
-	MaxInFlight    int          `json:"maxInFlight"`
-	Sheds          int64        `json:"sheds"`
-	Panics         int64        `json:"panics"`
-	Timeouts       int64        `json:"timeouts"`
+	ChainStats
 	Breaker        *breakerJSON `json:"breaker,omitempty"`
 	Generation     *GenInfo     `json:"generation,omitempty"`
 	PrevGeneration *GenInfo     `json:"prevGeneration,omitempty"`
@@ -574,8 +568,8 @@ type healthResponse struct {
 	Ingest any `json:"ingest,omitempty"`
 }
 
-func (s *Server) handleHealth(*http.Request) (any, *apiError) {
-	m := s.src.Meta()
+func (s *Server) handleHealth(_ *http.Request, g *generation) (any, *apiError) {
+	m := g.src.Meta()
 	resp := healthResponse{
 		Store: storeJSON{
 			FormatVersion: m.FormatVersion,
@@ -592,7 +586,7 @@ func (s *Server) handleHealth(*http.Request) (any, *apiError) {
 			AdminLives:    m.AdminLives,
 			OpLives:       m.OpLives,
 		},
-		Pipeline:  s.src.Health(),
+		Pipeline:  g.src.Health(),
 		Endpoints: make(map[string]endpointJSON, len(s.front.endpoints)),
 	}
 	for label, em := range s.front.endpoints {
@@ -604,24 +598,16 @@ func (s *Server) handleHealth(*http.Request) (any, *apiError) {
 			LatencyP99Ns:   int64(em.latency.Quantile(0.99) * 1e9),
 		}
 	}
-	cs := s.front.Chain.Stats()
-	resp.Lifecycle = lifecycleJSON{
-		InFlight:    cs.InFlight,
-		MaxInFlight: cs.MaxInFlight,
-		Sheds:       cs.Sheds,
-		Panics:      cs.Panics,
-		Timeouts:    cs.Timeouts,
-	}
+	resp.Lifecycle = lifecycleJSON{ChainStats: s.front.Chain.Stats()}
 	if s.breaker != nil {
 		state, consec, trips, shorts := s.breaker.Snapshot()
 		resp.Lifecycle.Breaker = &breakerJSON{
 			State: state, ConsecutiveFailures: consec, Trips: trips, ShortCircuits: shorts,
 		}
 	}
-	if sw, ok := s.src.(*Swappable); ok {
-		cur, prev := sw.Generations()
-		resp.Lifecycle.Generation = &cur
-		resp.Lifecycle.PrevGeneration = prev
+	if s.open != nil {
+		resp.Lifecycle.Generation = &g.info
+		resp.Lifecycle.PrevGeneration = g.prev
 	}
 	if s.ingest != nil {
 		resp.Ingest = s.ingest()
@@ -639,20 +625,8 @@ func (s *Server) ready() (bool, string) {
 	return true, ""
 }
 
-// handleReload runs a verified hot reload and reports the new
-// generation. Failures leave the old generation serving and surface as
-// 502: the snapshot on disk, not this server, is the broken party.
-func (s *Server) handleReload(r *http.Request) (any, *apiError) {
-	info, err := s.reloader.Reload(r.Context())
-	if err != nil {
-		return nil, errf(http.StatusBadGateway, "%v", err)
-	}
-	return info, nil
-}
-
 // Sharder is implemented by sources that can report a shard identity:
-// *lifestore.Store, *lifestore.InMemory, and *Swappable (which forwards
-// to whatever generation is serving).
+// *lifestore.Store and *lifestore.InMemory.
 type Sharder interface {
 	Shard() *lifestore.ShardInfo
 }
@@ -680,9 +654,9 @@ type ShardIdentity struct {
 // handshake endpoint. An unsharded server answers sharded=false rather
 // than 404, so a router probe can distinguish "not a shard" from "not a
 // parallellives server at all".
-func (s *Server) handleShard(*http.Request) (any, *apiError) {
-	resp := ShardIdentity{Generation: s.generation(), ASNCount: s.src.ASNCount(), Replica: s.replica}
-	if sh, ok := s.src.(Sharder); ok {
+func (s *Server) handleShard(_ *http.Request, g *generation) (any, *apiError) {
+	resp := ShardIdentity{Generation: g.info.Gen, ASNCount: g.src.ASNCount(), Replica: s.replica}
+	if sh, ok := g.src.(Sharder); ok {
 		if si := sh.Shard(); si != nil {
 			resp.Sharded = true
 			resp.Shard = &ShardRange{
@@ -698,13 +672,13 @@ func (s *Server) handleShard(*http.Request) (any, *apiError) {
 // and last-N-failed requests this process has answered. Always 200 —
 // an empty document just means nothing interesting happened yet (or
 // capture is disabled, in which case capacity reads 0).
-func (s *Server) handleSlow(*http.Request) (any, *apiError) {
+func (s *Server) handleSlow(*http.Request, *generation) (any, *apiError) {
 	return s.front.Exemplars.Snapshot(), nil
 }
 
 // handleStages serves the build's stage trace when the dataset was
 // built with observability attached to the same Obs this server uses.
-func (s *Server) handleStages(*http.Request) (any, *apiError) {
+func (s *Server) handleStages(*http.Request, *generation) (any, *apiError) {
 	summaries := s.front.Obs.Tracer.Summary()
 	if len(summaries) == 0 {
 		return nil, errf(http.StatusNotFound,

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"parallellives/internal/dates"
+	"parallellives/internal/lifestore"
 	"parallellives/internal/pipeline"
 )
 
@@ -59,35 +60,12 @@ func (w *DirWriter) WriteDay(d *Day) error {
 	var manifest strings.Builder
 	for _, ar := range d.Archives {
 		name := archiveName(d.Day, ar.Collector, ar.Kind)
-		if err := writeFileAtomic(filepath.Join(w.dir, name), ar.Data); err != nil {
+		if err := lifestore.WriteFileAtomic(filepath.Join(w.dir, name), ar.Data); err != nil {
 			return err
 		}
 		fmt.Fprintf(&manifest, "%s %s %s\n", ar.Kind, ar.Collector, name)
 	}
-	return writeFileAtomic(marker, []byte(manifest.String()))
-}
-
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".day-*.tmp")
-	if err != nil {
-		return fmt.Errorf("stream: dir writer: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("stream: writing %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("stream: writing %s: %w", path, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("stream: writing %s: %w", path, err)
-	}
-	return nil
+	return lifestore.WriteFileAtomic(marker, []byte(manifest.String()))
 }
 
 // DirOptions tunes a DirSource's read behaviour.

@@ -39,7 +39,7 @@ type Options struct {
 	// faults.ErrRetriesExhausted.
 	Reconnect faults.RetryPolicy
 	// Obs, when non-nil, publishes the stream metrics and traces the
-	// per-snapshot Complete stages.
+	// base's start-up stages (publishes are not traced).
 	Obs *obs.Obs
 	// OnSnapshot, when non-nil, receives every published snapshot (after
 	// SnapshotPath is written). Called from the tail loop goroutine.
@@ -214,10 +214,14 @@ func (t *Tailer) Snapshot() (*lifestore.Snapshot, dates.Day) {
 // committed state is published, then Run exits); any other return is a
 // hard failure. Run must not be called twice.
 func (t *Tailer) Run(ctx context.Context) error {
+	// Only the base's start-up stages reach the process tracer, which
+	// keeps every root forever: a publish traced there would add roots
+	// per snapshot for the life of the tail.
+	bctx := ctx
 	if t.opt.Obs != nil {
-		ctx = obs.WithTracer(ctx, t.opt.Obs.Tracer)
+		bctx = obs.WithTracer(ctx, t.opt.Obs.Tracer)
 	}
-	base, err := pipeline.BuildBase(ctx, t.opt.Pipeline)
+	base, err := pipeline.BuildBase(bctx, t.opt.Pipeline)
 	if err != nil {
 		return err
 	}

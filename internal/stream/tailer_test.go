@@ -13,6 +13,7 @@ import (
 	"parallellives/internal/dates"
 	"parallellives/internal/faults"
 	"parallellives/internal/lifestore"
+	"parallellives/internal/obs"
 	"parallellives/internal/pipeline"
 	"parallellives/internal/worldsim"
 )
@@ -345,6 +346,40 @@ func TestFingerprintPinned(t *testing.T) {
 		if got := Fingerprint(opts); got != want {
 			t.Errorf("TextFiles=%v: fingerprint %#x, want %#x", text, got, uint64(want))
 		}
+	}
+}
+
+// TestTailerTraceBounded pins that a long tail does not grow the process
+// trace: after a 60-day tail publishing every day, the tracer holds as
+// many roots as it did at the first publish.
+func TestTailerTraceBounded(t *testing.T) {
+	opts := tinyOptions()
+	o := obs.New()
+	first := -1
+	tl, err := NewTailer(Options{
+		Pipeline:      opts,
+		Source:        newFakeSource(renderWindow(t, opts.World)),
+		CheckpointDir: t.TempDir(),
+		SnapshotEvery: 1,
+		Reconnect:     fastReconnect(3),
+		Obs:           o,
+		OnSnapshot: func(dates.Day, *lifestore.Snapshot) {
+			if first < 0 {
+				first = len(o.Tracer.Roots())
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tl.Run(context.Background()); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if st := tl.Status(); st.DaysCommitted != 60 {
+		t.Fatalf("committed %d days, want 60", st.DaysCommitted)
+	}
+	if got := len(o.Tracer.Roots()); first <= 0 || got != first {
+		t.Fatalf("tracer roots: %d after the first publish, %d after 60; want the same, non-zero", first, got)
 	}
 }
 

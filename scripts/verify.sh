@@ -62,6 +62,10 @@ race() {
 	named ./cmd/parallellives/ TestMetricNamesAndCardinality
 	echo "== go test -race (router cache: no entry outlives an invalidation, in-flight fetches included)"
 	named ./internal/router/ TestCacheNeverOutlivesInvalidation
+	echo "== go test -race (serve reload: the old generation closes only after its last borrowing request)"
+	named ./internal/serve/ TestReloadRetiresOldGeneration
+	echo "== go test -race (live tail: the process trace does not grow per published snapshot)"
+	named ./internal/stream/ TestTailerTraceBounded
 }
 
 if [ "${1:-}" = race ]; then
