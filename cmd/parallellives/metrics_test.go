@@ -2,7 +2,9 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	"parallellives/internal/asn"
+	"parallellives/internal/collector"
 	"parallellives/internal/dates"
 	"parallellives/internal/lifestore"
 	"parallellives/internal/obs"
@@ -60,6 +63,7 @@ func TestMetricNamesAndCardinality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(s.Close)
 		return s, o
 	}
 	front, frontObs := newServer(path)
@@ -84,19 +88,37 @@ func TestMetricNamesAndCardinality(t *testing.T) {
 	}
 	registries["route"] = routeObs
 
+	// The tailer commits and publishes the window's first day, then its
+	// one-day source runs dry.
 	tailObs := obs.New()
 	tailOpts := opts
 	tailOpts.Obs = nil
-	days := t.TempDir()
-	if _, err := stream.NewTailer(stream.Options{
+	tl, err := stream.NewTailer(stream.Options{
 		Pipeline:      tailOpts,
-		Source:        stream.NewDirSource(days, stream.DirOptions{}),
+		Source:        pipeline.NewCollectorSource(collector.New(worldsim.Generate(world)), world.Start, world.Start),
 		CheckpointDir: filepath.Join(dir, "ckpt"),
 		Obs:           tailObs,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := tl.Run(ctx); !errors.Is(err, io.EOF) {
+		t.Fatalf("tail over one day = %v, want the source's io.EOF", err)
+	}
 	registries["stream"] = tailObs
+	perDay := map[string]bool{stream.MetricPublishSeconds: true, stream.MetricCommitSeconds: true, stream.MetricCheckpointBytes: true}
+	for _, f := range tailObs.Registry.Gather() {
+		if !perDay[f.Name] {
+			continue
+		}
+		delete(perDay, f.Name)
+		if s := f.Series[0]; s.Count != 1 && s.Value <= 0 {
+			t.Errorf("stream: %s shows nothing after one committed day (count %d, value %v)", f.Name, s.Count, s.Value)
+		}
+	}
+	for name := range perDay {
+		t.Errorf("stream: the tailer publishes no %s", name)
+	}
 
 	// request reads ASN i through both fronts: known ASNs and unknown
 	// ones alternate, each with a malformed twin and a series read.

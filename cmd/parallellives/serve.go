@@ -94,6 +94,7 @@ func serveVerb(fs *flag.FlagSet, pf *pipelineFlags) verbBody {
 		if err != nil {
 			return err
 		}
+		defer srv.Close() // after the drain: no request borrows the store any more
 		handler := http.Handler(srv)
 		if *pprofOn {
 			// The profiling handlers live on an outer mux (net/http/pprof

@@ -158,6 +158,7 @@ func startTailServer(ctx context.Context, o *obs.Obs, tl *stream.Tailer, addr st
 	})
 	go func() {
 		err := listenAndServe(ctx, stderr, "tail: serving live snapshot", addr, srv, 0, nil)
+		srv.Close()
 		if err != nil && ctx.Err() == nil {
 			fmt.Fprintln(stderr, "tail: serving stopped, ingestion continues:", err)
 		}

@@ -74,6 +74,7 @@ func startBaseline(t *testing.T, snap *lifestore.Snapshot) *serve.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(s.Close)
 	return s
 }
 

@@ -154,6 +154,7 @@ func startShards(t *testing.T, snap *lifestore.Snapshot, n int) *shardSet {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(s.Close)
 		f := &flaky{h: s}
 		ts := httptest.NewServer(f)
 		t.Cleanup(ts.Close)
@@ -208,6 +209,7 @@ func startReplicated(t *testing.T, snap *lifestore.Snapshot, ranges, replicas in
 			if err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(s.Close)
 			f := &flaky{h: s}
 			ts := httptest.NewServer(f)
 			t.Cleanup(ts.Close)

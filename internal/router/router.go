@@ -176,10 +176,6 @@ type Options struct {
 	// SpanIDs overrides the trace/span ID source (tests). Nil uses
 	// crypto-grade-enough random hex.
 	SpanIDs obs.IDSource
-	// Client is the HTTP client for shard traffic (default: pooled
-	// transport, no client-level timeout — deadlines come from the
-	// request context).
-	Client *http.Client
 	// Obs supplies the observability core. Nil gets a private obs.New().
 	Obs *obs.Obs
 }
@@ -191,14 +187,14 @@ type Options struct {
 type Router struct {
 	policy string
 
-	// Static fleet configuration, reused by every topology rebuild.
-	urls             []string
+	// Static fleet configuration, reused by every topology rebuild: one
+	// connection pool per configured replica URL, in Options.Shards order.
+	pools            []*replicaPool
 	replicasMin      int
 	hedgeAfter       time.Duration
 	breakerThreshold int
 	breakerCooldown  time.Duration
 	handshakeTimeout time.Duration
-	client           *http.Client
 
 	topo      atomic.Pointer[topology]
 	rebuildMu sync.Mutex // serializes RebuildTopology
@@ -243,11 +239,13 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 	if opts.HandshakeTimeout <= 0 {
 		opts.HandshakeTimeout = 10 * time.Second
 	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        4 * len(opts.Shards),
-			MaxIdleConnsPerHost: 4,
-		}}
+	pools := make([]*replicaPool, 0, len(opts.Shards))
+	for _, base := range opts.Shards {
+		p, err := newReplicaPool(strings.TrimRight(base, "/"))
+		if err != nil {
+			return nil, err
+		}
+		pools = append(pools, p)
 	}
 	front := serve.NewFront(serve.Names{
 		Span:     "route",
@@ -258,21 +256,15 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 		opts.ExemplarCapacity, opts.SpanIDs)
 	reg := front.Obs.Registry
 
-	urls := make([]string, 0, len(opts.Shards))
-	for _, base := range opts.Shards {
-		urls = append(urls, strings.TrimRight(base, "/"))
-	}
-
 	rt := &Router{
 		policy: opts.Policy,
 
-		urls:             urls,
+		pools:            pools,
 		replicasMin:      opts.ReplicasMin,
 		hedgeAfter:       opts.HedgeAfter,
 		breakerThreshold: opts.BreakerThreshold,
 		breakerCooldown:  opts.BreakerCooldown,
 		handshakeTimeout: opts.HandshakeTimeout,
-		client:           opts.Client,
 
 		front: front,
 		cache: NewLRU[entry](CacheCapacity(opts.CacheSize)),
@@ -303,6 +295,9 @@ func New(ctx context.Context, opts Options) (*Router, error) {
 	}
 	topo, err := rt.buildTopology(ctx, 1, false)
 	if err != nil {
+		for _, p := range pools {
+			p.closeIdle()
+		}
 		return nil, err
 	}
 	rt.topo.Store(topo)

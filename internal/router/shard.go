@@ -32,10 +32,13 @@ const MaxPeerBody = 4 << 20
 func ReadPeerBody(r io.Reader) ([]byte, error) {
 	body, err := io.ReadAll(io.LimitReader(r, MaxPeerBody+1))
 	if err == nil && len(body) > MaxPeerBody {
-		err = fmt.Errorf("body exceeds the %d-byte peer cap", MaxPeerBody)
+		err = errBodyTooLarge
 	}
 	return body, err
 }
+
+// errBodyTooLarge refuses a body past MaxPeerBody.
+var errBodyTooLarge = fmt.Errorf("body exceeds the %d-byte peer cap", MaxPeerBody)
 
 // upstream is one shard response captured whole, so it can be proxied
 // byte-for-byte or parked in the router cache.
@@ -67,7 +70,7 @@ type shardClient struct {
 	ordinal int    // position within the range's replica set
 	replica string // the process's self-reported replica ID
 	baseURL string
-	client  *http.Client
+	conns   *replicaPool
 	breaker *serve.Breaker
 
 	// Pre-resolved (shard, replica) instrument handles, assigned when
@@ -146,21 +149,19 @@ func (sc *shardClient) fetch(ctx context.Context, method, pathq, ifNoneMatch str
 	// Replica identity rides as an attribute, not in the span name: the
 	// name stays stable per range so cross-replica traces aggregate.
 	sp.SetAttr("replica", int64(sc.ordinal))
-	_, propagate := obs.RemoteParentFrom(ctx)
-	req, err := http.NewRequestWithContext(ctx, method, sc.baseURL+pathq, nil)
+	target, err := requestTarget(pathq)
 	if err != nil {
 		sc.breaker.OnNeutral()
 		return nil, err
 	}
-	if ifNoneMatch != "" {
-		req.Header.Set("If-None-Match", ifNoneMatch)
-	}
+	_, propagate := obs.RemoteParentFrom(ctx)
+	var traceparent string
 	if propagate {
 		if pc := sp.SpanContext(); pc.Valid() {
-			req.Header.Set(obs.TraceparentHeader, pc.Traceparent())
+			traceparent = pc.Traceparent()
 		}
 	}
-	resp, err := sc.client.Do(req)
+	resp, body, err := sc.conns.roundTrip(ctx, method, target, ifNoneMatch, traceparent)
 	if err != nil {
 		if ctx.Err() != nil {
 			sc.breaker.OnNeutral()
@@ -168,16 +169,6 @@ func (sc *shardClient) fetch(ctx context.Context, method, pathq, ifNoneMatch str
 		}
 		sc.breaker.OnFailure()
 		return nil, fmt.Errorf("%w: %v", errShardDown, err)
-	}
-	defer resp.Body.Close()
-	body, err := ReadPeerBody(resp.Body)
-	if err != nil {
-		if ctx.Err() != nil {
-			sc.breaker.OnNeutral()
-			return nil, ctx.Err()
-		}
-		sc.breaker.OnFailure()
-		return nil, fmt.Errorf("%w: reading body: %v", errShardDown, err)
 	}
 	sp.SetAttr("status", int64(resp.StatusCode))
 	if resp.StatusCode >= http.StatusInternalServerError {

@@ -56,15 +56,16 @@ type TopologyReport struct {
 // validated topology. In strict mode (startup) every URL must answer;
 // in lenient mode (reload) unreachable URLs are retired and the
 // survivors only need to still cover every range. Handshake fetches run
-// on bare clients — breakers and per-replica instruments attach only to
-// the replicas the validated topology admits.
+// on bare clients over the router's per-URL connection pools — breakers
+// and per-replica instruments attach only to the replicas the validated
+// topology admits.
 func (rt *Router) buildTopology(ctx context.Context, generation int64, lenient bool) (*topology, error) {
 	hctx, cancel := context.WithTimeout(ctx, rt.handshakeTimeout)
 	defer cancel()
 
-	clients := make([]*shardClient, len(rt.urls))
-	for i, base := range rt.urls {
-		clients[i] = &shardClient{baseURL: base, client: rt.client}
+	clients := make([]*shardClient, len(rt.pools))
+	for i, p := range rt.pools {
+		clients[i] = &shardClient{baseURL: p.base, conns: p}
 	}
 	ids := make([]serve.ShardIdentity, len(clients))
 	done := make([]bool, len(clients))
@@ -232,8 +233,9 @@ func (rt *Router) finish(generation int64, sum string, sets []*replicaSet) (*top
 // fresh closed breakers), replicas that don't are retired, and the swap
 // only happens if the survivors still form one complete plan — a failed
 // rebuild keeps the old topology serving. The router cache is invalidated
-// on swap, and per-replica metric series that no longer correspond to a
-// live replica are dropped.
+// on swap, per-replica metric series that no longer correspond to a
+// live replica are dropped, and a retired replica's idle connections
+// are closed.
 func (rt *Router) RebuildTopology(ctx context.Context) (*TopologyReport, error) {
 	rt.rebuildMu.Lock()
 	defer rt.rebuildMu.Unlock()
@@ -264,9 +266,11 @@ func (rt *Router) RebuildTopology(ctx context.Context) (*TopologyReport, error) 
 			report.Admitted = append(report.Admitted, sc.baseURL)
 		}
 	}
+	var retired []*shardClient
 	for _, sc := range old.replicas {
 		if !newURLs[sc.baseURL] {
 			report.Retired = append(report.Retired, sc.baseURL)
+			retired = append(retired, sc)
 		}
 	}
 	sort.Strings(report.Retired)
@@ -276,6 +280,9 @@ func (rt *Router) RebuildTopology(ctx context.Context) (*TopologyReport, error) 
 	rt.topoGen.Set(float64(topo.generation))
 	rt.topoReloads.With("ok").Inc()
 	rt.dropRetiredSeries(old, topo)
+	for _, sc := range retired {
+		sc.conns.closeIdle()
+	}
 	return report, nil
 }
 

@@ -227,7 +227,7 @@ func TestHostileSpanHeaderDropped(t *testing.T) {
 				w.Write([]byte("body"))
 			}))
 			defer shard.Close()
-			sc := &shardClient{baseURL: shard.URL, client: shard.Client()}
+			sc := testClient(t, shard.URL)
 
 			parent := obs.SpanContext{TraceID: strings.Repeat("ab", 16), SpanID: strings.Repeat("cd", 8)}
 			ctx := obs.WithTracer(context.Background(), obs.NewTracerWithIDs(nil, seqIDs()))

@@ -186,10 +186,13 @@ func openInTurn(opens ...OpenFunc) OpenFunc {
 	}
 }
 
-// recordCloser flags when its Close ran, for generation-retirement
-// tests.
-type recordCloser struct{ closed atomic.Bool }
+// recordCloser flags when its Close ran, and counts the calls, for
+// generation-retirement tests.
+type recordCloser struct {
+	closed atomic.Bool
+	calls  atomic.Int64
+}
 
-func (c *recordCloser) Close() error { c.closed.Store(true); return nil }
+func (c *recordCloser) Close() error { c.calls.Add(1); c.closed.Store(true); return nil }
 
 var _ io.Closer = (*recordCloser)(nil)

@@ -132,6 +132,9 @@ func (s *Server) Reload(ctx context.Context) (GenInfo, error) {
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
+	if s.closed {
+		return GenInfo{}, errors.New("serve: reload: the server is closed")
+	}
 	src, closer, source, err := s.open(ctx)
 	if err != nil {
 		s.reloads.With("error").Inc()
@@ -146,6 +149,19 @@ func (s *Server) Reload(ctx context.Context) (GenInfo, error) {
 	s.genGauge.Set(float64(g.info.Gen))
 	s.reloads.With("ok").Inc()
 	return g.info, nil
+}
+
+// Close retires the serving generation: its store closes once the last
+// request borrowing it returns, as a reloaded-out generation's does, and
+// every later Reload fails. Call it once the server takes no new
+// requests. Close is idempotent.
+func (s *Server) Close() {
+	s.reloadMu.Lock()
+	defer s.reloadMu.Unlock()
+	if !s.closed {
+		s.closed = true
+		s.cur.Load().retire()
+	}
 }
 
 // Generation reports the serving generation.

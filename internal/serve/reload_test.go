@@ -247,3 +247,58 @@ func TestReloadRetiresOldGeneration(t *testing.T) {
 		t.Errorf("generations = %+v / %+v, want 2 / 1", lc.Generation, lc.PrevGeneration)
 	}
 }
+
+// TestCloseWaitsForBorrower pins Server.Close: with a request parked in
+// the serving generation, Close must not close its store until the
+// request returns, and must close it exactly once afterwards, however
+// often Close is called. A reload after Close fails.
+func TestCloseWaitsForBorrower(t *testing.T) {
+	src := newBlockingSource(lifestore.NewInMemory(tinySnapshot(1)))
+	closer := &recordCloser{}
+	srv, err := NewReloadable(context.Background(), openInTurn(
+		fixedOpener(src, closer, "gen1"),
+		fixedOpener(lifestore.NewInMemory(tinySnapshot(2)), nil, "gen2"),
+	), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := fmt.Sprintf("/v1/asn/%s", tinyASNs[0])
+	done := make(chan int, 1)
+	go func() {
+		r, w := newRequest(http.MethodGet, path)
+		srv.ServeHTTP(w, r)
+		done <- w.Code
+	}()
+	select {
+	case <-src.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("request never reached the serving generation")
+	}
+
+	srv.Close()
+	srv.Close()
+	time.Sleep(20 * time.Millisecond)
+	if closer.closed.Load() {
+		t.Fatal("serving generation closed while a request was still borrowing it")
+	}
+	if _, err := srv.Reload(context.Background()); err == nil {
+		t.Error("reload after Close succeeded")
+	}
+
+	close(src.release)
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("parked request = %d, want 200", code)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !closer.closed.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("serving generation never closed after its last borrower returned")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.Close()
+	time.Sleep(20 * time.Millisecond)
+	if n := closer.calls.Load(); n != 1 {
+		t.Errorf("store closed %d times, want 1", n)
+	}
+}

@@ -182,9 +182,11 @@ type Server struct {
 	replica string
 
 	// Hot reload, set by NewReloadable; a server built by New has no
-	// opener and serves generation 1 for its whole life.
+	// opener and serves generation 1 for its whole life. reloadMu also
+	// guards closed, set by Close.
 	open     OpenFunc
 	reloadMu sync.Mutex
+	closed   bool
 	reloads  *obs.CounterVec
 	genGauge *obs.Gauge
 }

@@ -314,8 +314,9 @@ type RecoveryReport struct {
 // Journal is the checkpoint's home directory and commit discipline.
 // Exactly one Tailer owns a journal at a time.
 type Journal struct {
-	dir string
-	seq uint64
+	dir  string
+	seq  uint64
+	size int // encoded bytes of the last commit
 
 	// failpoint, when set, is consulted at named stages of Commit; a
 	// non-nil return abandons the commit at that point with no cleanup,
@@ -442,7 +443,7 @@ func (j *Journal) Commit(c *Checkpoint) error {
 		return fmt.Errorf("stream: checkpoint commit: %w", err)
 	}
 	syncDir(j.dir)
-	j.seq = c.Seq
+	j.seq, j.size = c.Seq, len(b)
 	return nil
 }
 

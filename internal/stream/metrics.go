@@ -1,6 +1,10 @@
 package stream
 
-import "parallellives/internal/obs"
+import (
+	"time"
+
+	"parallellives/internal/obs"
+)
 
 // Metric names exported by the tailer. Counters are monotone within a
 // process; gauges describe the current tail position. The recovery
@@ -19,6 +23,13 @@ const (
 	MetricLastPublishUnix = "parallellives_stream_last_publish_unix_seconds"
 	MetricIngestLagDays   = "parallellives_stream_ingest_lag_days"
 	MetricSourceHealthy   = "parallellives_stream_source_healthy"
+
+	// The per-day cost of staying live: assembling and publishing a
+	// snapshot, and committing the checkpoint, whose size is the last
+	// commit's encoded bytes.
+	MetricPublishSeconds  = "parallellives_stream_publish_seconds"
+	MetricCommitSeconds   = "parallellives_stream_commit_seconds"
+	MetricCheckpointBytes = "parallellives_stream_checkpoint_bytes"
 )
 
 // tailMetrics is the tailer's registry view. With observability off the
@@ -37,6 +48,9 @@ type tailMetrics struct {
 	lastPublish    *obs.Gauge
 	lagDays        *obs.Gauge
 	healthy        *obs.Gauge
+	publish        *obs.Histogram
+	commit         *obs.Histogram
+	ckptBytes      *obs.Gauge
 }
 
 func newTailMetrics(reg *obs.Registry) *tailMetrics {
@@ -68,6 +82,12 @@ func newTailMetrics(reg *obs.Registry) *tailMetrics {
 			"Days between the configured window end and the last committed day."),
 		healthy: reg.Gauge(MetricSourceHealthy,
 			"1 while the source is producing days within the staleness threshold, 0 while stalled."),
+		publish: reg.Histogram(MetricPublishSeconds,
+			"Time to assemble, save and hand out one published snapshot.", nil),
+		commit: reg.Histogram(MetricCommitSeconds,
+			"Time to encode, write and fsync one checkpoint commit.", nil),
+		ckptBytes: reg.Gauge(MetricCheckpointBytes,
+			"Encoded size of the last committed checkpoint."),
 	}
 }
 
@@ -80,5 +100,11 @@ func (m *tailMetrics) counter(c *obs.Counter, n int64) {
 func (m *tailMetrics) gauge(g *obs.Gauge, v float64) {
 	if g != nil {
 		g.Set(v)
+	}
+}
+
+func (m *tailMetrics) since(h *obs.Histogram, start time.Time) {
+	if h != nil {
+		h.ObserveDuration(time.Since(start))
 	}
 }

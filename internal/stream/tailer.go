@@ -322,9 +322,12 @@ func (t *Tailer) ingestDay(dd *Day) error {
 	t.op.Add(op)
 
 	ckpt := &Checkpoint{Fingerprint: t.fp, LastDay: t.last, Op: t.op, Carry: t.carry}
+	start := time.Now()
 	if err := t.journal.Commit(ckpt); err != nil {
 		return err
 	}
+	t.m.since(t.m.commit, start)
+	t.m.gauge(t.m.ckptBytes, float64(t.journal.size))
 	t.m.counter(t.m.daysCommitted, 1)
 	t.m.gauge(t.m.ckptSeq, float64(ckpt.Seq))
 	now := time.Now()
@@ -343,6 +346,7 @@ func (t *Tailer) ingestDay(dd *Day) error {
 // publish assembles the full Dataset for the days committed so far and
 // captures it as a snapshot.
 func (t *Tailer) publish(ctx context.Context) error {
+	start := time.Now()
 	act := bgpscan.Finalize(t.carry)
 	ds, err := t.base.Complete(ctx, act, t.op)
 	if err != nil {
@@ -362,6 +366,7 @@ func (t *Tailer) publish(ctx context.Context) error {
 	if t.opt.OnSnapshot != nil {
 		t.opt.OnSnapshot(t.last, snap)
 	}
+	t.m.since(t.m.publish, start)
 	return nil
 }
 

@@ -64,6 +64,11 @@ race() {
 	named ./internal/router/ TestCacheNeverOutlivesInvalidation
 	echo "== go test -race (serve reload: the old generation closes only after its last borrowing request)"
 	named ./internal/serve/ TestReloadRetiresOldGeneration
+	echo "== go test -race (serve Close: the serving generation closes only after its last borrowing request)"
+	named ./internal/serve/ TestCloseWaitsForBorrower
+	echo "== go test -race (router replica client: a dead kept-alive connection is retried once, a cancelled one never parked)"
+	named ./internal/router/ TestReplicaRestartRetriedOnce
+	named ./internal/router/ TestCancelledFetchNotReused
 	echo "== go test -race (live tail: the process trace does not grow per published snapshot)"
 	named ./internal/stream/ TestTailerTraceBounded
 }
